@@ -5,13 +5,17 @@ Elements are represented by their coordinates in the power basis
 cyclotomic polynomial.  All coefficients are `fractions.Fraction`, so no
 rounding ever occurs.  Phi_N is irreducible over Q, hence this quotient is a
 field and every nonzero element is invertible.
+
+`cyclic_lift`, `cyclic_mul` and `reduce_mod_phi` compute with integer
+coefficients in Z[t]/(t^N - 1) instead, which t -> zeta_N maps onto
+Q(zeta_N); one reduction modulo Phi_N at the end gives the exact result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 
 class DivisibilityError(ValueError):
@@ -61,42 +65,91 @@ def euler_phi(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_table(order: int) -> tuple[tuple[Fraction, ...], ...]:
-    """x^k mod Phi_order for k = 0 .. order-1, as rows of length phi(order).
-
-    Phi_order is monic with integer coefficients, so the rows are integral;
-    they are stored as Fractions for uniformity.
-    """
+def _power_table(order: int) -> tuple[tuple[int, ...], ...]:
+    """x^k mod Phi_order for k = 0 .. order-1, as integer rows of length
+    phi(order) (Phi_order is monic with integer coefficients)."""
     phi = cyclotomic_polynomial(order)
     deg = len(phi) - 1
     rows = []
-    current = [Fraction(1)] + [Fraction(0)] * (deg - 1) if deg > 0 else []
+    current = [1] + [0] * (deg - 1) if deg > 0 else []
     for _ in range(order):
         rows.append(tuple(current))
         # multiply by x, reduce the overflow term via x^deg = -(lower part)
         top = current[-1]
-        current = [Fraction(0)] + current[:-1]
+        current = [0] + current[:-1]
         if top:
             for i in range(deg):
                 current[i] -= top * phi[i]
     return tuple(rows)
 
 
-def _reduce_mod_phi(coeffs, order):
-    """Reduce a coefficient list of any length modulo Phi_order."""
+def reduce_mod_phi(terms, order):
+    """Coordinates of sum(c * x^k for k, c in terms) modulo Phi_order, using
+    x^order = 1.  Integer input gives integer output."""
     deg = euler_phi(order)
     table = _power_table(order)
-    out = [Fraction(0)] * deg
-    for k, c in enumerate(coeffs):
+    out = [0] * deg
+    for k, c in terms:
         if not c:
             continue
         if k < deg:
             out[k] += c
         else:
-            row = table[k % order] if k >= order else table[k]
-            # k may exceed order - 1 only transiently; zeta^order = 1
-            for i, r in enumerate(row):
-                out[i] += c * r
+            for i, r in enumerate(table[k % order]):
+                if r:
+                    out[i] += c * r
+    return out
+
+
+@lru_cache(maxsize=None)
+def _root_rows(order: int) -> dict:
+    """Each row zeta^k of the power table, with its sign fixed so the first
+    nonzero entry is positive, mapped to (k, that sign); rows that agree up
+    to sign keep the smaller k.  A row's entries have gcd 1, because
+    zeta^k / m is not an algebraic integer for m > 1."""
+    roots = {}
+    for k, row in enumerate(_power_table(order)):
+        sign = 1 if next(r for r in row if r) > 0 else -1
+        roots.setdefault(tuple(sign * r for r in row), (k, sign))
+    return roots
+
+
+def cyclic_lift(x: "CyclotomicNumber", order: int, scale=1) -> dict:
+    """scale * x as a sparse {exponent: int} map in Z[t]/(t^order - 1), a
+    preimage under the ring map t -> zeta_order onto Q(zeta_order).
+
+    order must be a multiple of x.order, and scale a multiple of
+    x.denominator.  A rational multiple of a root of unity lifts to a single
+    exponent, so multiplying by it is an index shift.
+    """
+    if order % x.order != 0:
+        raise DivisibilityError(
+            f"cannot embed Q(zeta_{x.order}) into Q(zeta_{order})")
+    step = order // x.order
+    den = x.denominator
+    ints = [c.numerator * (den // c.denominator) for c in x.coeffs]
+    g = gcd(*ints)
+    if not g:
+        return {}
+    if next(v for v in ints if v) < 0:
+        g = -g
+    factor = scale // den
+    root = _root_rows(x.order).get(tuple(v // g for v in ints))
+    if root is not None:
+        k, sign = root
+        return {k * step: factor * g * sign}
+    return {k * step: factor * v for k, v in enumerate(ints) if v}
+
+
+def cyclic_mul(a: dict, b: dict, order: int) -> dict:
+    """Product of two sparse {exponent: int} maps in Z[t]/(t^order - 1)."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            k = i + j
+            if k >= order:
+                k -= order
+            out[k] = out.get(k, 0) + x * y
     return out
 
 
@@ -113,7 +166,7 @@ class CyclotomicNumber:
         deg = euler_phi(order)
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) > deg:
-            coeffs = _reduce_mod_phi(coeffs, order)
+            coeffs = [Fraction(c) for c in reduce_mod_phi(enumerate(coeffs), order)]
         else:
             coeffs = coeffs + [Fraction(0)] * (deg - len(coeffs))
         object.__setattr__(self, "order", order)
@@ -142,16 +195,8 @@ class CyclotomicNumber:
             raise DivisibilityError(
                 f"cannot embed Q(zeta_{self.order}) into Q(zeta_{order})")
         step = order // self.order
-        table = _power_table(order)
-        deg = euler_phi(order)
-        out = [Fraction(0)] * deg
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            row = table[(k * step) % order]
-            for i, r in enumerate(row):
-                out[i] += c * r
-        return CyclotomicNumber(order, out)
+        return CyclotomicNumber(order, reduce_mod_phi(
+            ((k * step, c) for k, c in enumerate(self.coeffs)), order))
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicNumber):
@@ -198,7 +243,7 @@ class CyclotomicNumber:
             for j, y in enumerate(b.coeffs):
                 if y:
                     conv[i + j] += x * y
-        return CyclotomicNumber(a.order, _reduce_mod_phi(conv, a.order))
+        return CyclotomicNumber(a.order, reduce_mod_phi(enumerate(conv), a.order))
 
     __rmul__ = __mul__
 
@@ -218,7 +263,7 @@ class CyclotomicNumber:
             u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
         g = _trim(r1)[0]
         inv = [c / g for c in u1]
-        return CyclotomicNumber(self.order, _reduce_mod_phi(inv, self.order))
+        return CyclotomicNumber(self.order, reduce_mod_phi(enumerate(inv), self.order))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -261,6 +306,11 @@ class CyclotomicNumber:
         if self.is_rational():
             return hash(self.coeffs[0])
         return hash((self.order, self.coeffs))
+
+    @property
+    def denominator(self) -> int:
+        """lcm of the coordinate denominators."""
+        return lcm(*(c.denominator for c in self.coeffs))
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])

@@ -5,6 +5,13 @@ point set is the grid [1 : e_2 : ... : e_n] with e_i ranging over the
 (a_i+1)-th roots of unity; the scalars come from an exact overdetermined
 linear solve over Q(zeta_N), N = lcm of the root orders.  A sum of coprime
 monomials is decomposed blockwise and the blocks concatenated.
+
+Verification expands sum gamma_j L_j^d with integer coefficients in
+Z[t]/(t^N - 1) over one common denominator, and reduces each monomial's
+residual modulo Phi_N once, N the lcm of the orders of the terms that reach
+that monomial (so blocks in different fields never meet in one large
+field).  That single reduction is exact: t -> zeta_N is a ring map onto
+Q(zeta_N), so a residual vanishes in the field iff its reduction is zero.
 """
 
 from __future__ import annotations
@@ -12,12 +19,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .cyclotomic import CyclotomicNumber, cyclotomic_embed
+from .cyclotomic import CyclotomicNumber, cyclic_lift, cyclic_mul, \
+    cyclotomic_embed, reduce_mod_phi
 from .forms import CoprimeForm, Monomial, decomposition_field_order
 from .linalg import LinearSystem, solve_exact, \
     InconsistentSystemError, UnderdeterminedSystemError
-from .polynomials import Polynomial, compositions, multinomial
+from .polynomials import compositions, multinomial
 from .rank import rank_coprime_sum, rank_monomial
 
 
@@ -156,14 +165,6 @@ class VerificationReport:
             and self.term_count_matches
 
 
-def _proportional(u, v) -> bool:
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if u[i] * v[j] != u[j] * v[i]:
-                return False
-    return True
-
-
 def _monomial_text(variables, exps) -> str:
     return "*".join(v if e == 1 else f"{v}^{e}"
                     for v, e in zip(variables, exps) if e) or "1"
@@ -173,45 +174,49 @@ def verify_decomposition(form: CoprimeForm,
                          decomposition: PowerSumDecomposition) -> VerificationReport:
     """Exactly expand the decomposition and diff it against the form; also
     check pairwise linear independence within each block and the term count
-    against the closed-form rank.  Failures are report entries, not errors."""
+    against the closed-form rank.  Failures are report entries, not errors.
+    The expansion runs in Z[t]/(t^N - 1), as the module docstring explains."""
     d = decomposition.degree
-    expansion = Polynomial.zero(len(decomposition.variables))
-    for t in decomposition.terms:
-        expansion = expansion + poly_power_term(t, d)
-    index = {v: i for i, v in enumerate(decomposition.variables)}
-    target = Polynomial.zero(len(decomposition.variables))
-    if tuple(form.variables) != tuple(decomposition.variables):
-        # align the form into the decomposition's namespace
-        for c, m in form.terms:
-            exps = [0] * len(decomposition.variables)
-            for v, e in zip(m.variables, m.exponents):
-                if v not in index:
-                    return VerificationReport(
-                        False, ((str(m), str(c), "variable missing"),),
-                        True, None, len(decomposition.terms),
-                        rank_coprime_sum(form))
-                exps[index[v]] = e
-            target = target + Polynomial.monomial(exps, c)
-    else:
-        target = form.as_polynomial()
-    residual = expansion - target
+    variables = decomposition.variables
+    if d < 1:
+        raise ValueError("exponent d must be positive")
+    if any(len(t.linear) != len(variables) for t in decomposition.terms):
+        raise ValueError("variable count mismatch")
+    index = {v: i for i, v in enumerate(variables)}
+    target = {}
+    for c, m in form.terms:
+        exps = [0] * len(variables)
+        for v, e in zip(m.variables, m.exponents):
+            if v not in index:
+                return VerificationReport(
+                    False, ((str(m), str(c), "variable missing"),),
+                    True, None, len(decomposition.terms),
+                    rank_coprime_sum(form))
+            exps[index[v]] = e
+        target[tuple(exps)] = c
+
+    scale, lifted = _lift(decomposition, target.values())
+    residual = _residual(target, lifted, d, len(variables), scale)
+    expansion_matches = True
     mismatches = []
-    for exps in sorted(residual.terms):
-        actual = expansion.coefficient(exps)
-        expected = target.coefficient(exps)
-        mismatches.append((_monomial_text(decomposition.variables, exps),
-                           str(expected), str(actual)))
-        if len(mismatches) >= 10:
-            break
+    for exps in sorted(residual):
+        if not _vanishes(residual[exps]):
+            expansion_matches = False
+            actual = _coefficient(decomposition, lifted, scale, exps)
+            mismatches.append((_monomial_text(variables, exps),
+                               str(target.get(exps, Fraction(0))), str(actual)))
+            if len(mismatches) >= 10:
+                break
 
     blocks = {}
-    for t in decomposition.terms:
-        blocks.setdefault(t.block, []).append(t)
+    for t, (order, _, powers) in zip(decomposition.terms, lifted):
+        blocks.setdefault(t.block, []).append(
+            (order, {i: p[1] for i, p in powers.items()}))
     dependent_pair = None
-    for block, terms in blocks.items():
-        for i in range(len(terms)):
-            for j in range(i + 1, len(terms)):
-                if _proportional(terms[i].linear, terms[j].linear):
+    for block, linear in blocks.items():
+        for i in range(len(linear)):
+            for j in range(i + 1, len(linear)):
+                if _dependent(linear[i], linear[j]):
                     dependent_pair = (block, i, j)
                     break
             if dependent_pair:
@@ -220,7 +225,7 @@ def verify_decomposition(form: CoprimeForm,
             break
 
     return VerificationReport(
-        expansion_matches=residual.is_zero(),
+        expansion_matches=expansion_matches,
         mismatches=tuple(mismatches),
         blocks_independent=dependent_pair is None,
         dependent_pair=dependent_pair,
@@ -228,9 +233,129 @@ def verify_decomposition(form: CoprimeForm,
         expected_rank=rank_coprime_sum(form))
 
 
-def poly_power_term(term: DecompositionTerm, d: int) -> Polynomial:
-    from .polynomials import poly_pow_linear
-    return poly_pow_linear(term.linear, d).scale(term.gamma)
+def _lift(decomposition, target_coeffs):
+    """Lift every term gamma * L^d into Z[t]/(t^N - 1) with integer entries,
+    N the lcm of the orders of the term's nonzero numbers.
+
+    Returns the common denominator D, the lcm of the target's denominators
+    and of den(gamma) * E^d per term, where E is the lcm of the term's
+    linear-coefficient denominators; and per term (N, the lift of
+    D / E^d * gamma, {i: [(E * c_i)^a for a = 0 .. d]} over its nonzero
+    linear coefficients c_i), so each product gamma * prod (E * c_i)^(a_i)
+    with sum a_i = d is D times its value.
+    """
+    d = decomposition.degree
+    terms = decomposition.terms
+    dens = [lcm(*(c.denominator for c in t.linear)) for t in terms]
+    scale = lcm(*(c.denominator for c in target_coeffs),
+                *(t.gamma.denominator * e ** d for t, e in zip(terms, dens)))
+    lifted = []
+    for t, e in zip(terms, dens):
+        order = lcm(t.gamma.order, *(c.order for c in t.linear if c))
+        powers = {}
+        for i, c in enumerate(t.linear):
+            if c:
+                base = cyclic_lift(c, order, e)
+                row = [{0: 1}]
+                for _ in range(d):
+                    row.append(cyclic_mul(row[-1], base, order))
+                powers[i] = row
+        lifted.append((order, cyclic_lift(t.gamma, order, scale // e ** d), powers))
+    return scale, lifted
+
+
+def _residual(target, lifted, d, n, scale):
+    """D * (expansion - target) per monomial, accumulated one monomial of
+    one term at a time, as {N: sparse {exponent: int} map} over the orders
+    N of the contributing terms (the target counts as order 1)."""
+    residual = {}
+    for order, gamma, powers in lifted:
+        if not gamma or not powers:
+            continue
+        support = list(powers)
+        for alpha in compositions(d, len(support)):
+            acc = gamma
+            exps = [0] * n
+            for i, a in zip(support, alpha):
+                if a:
+                    acc = cyclic_mul(acc, powers[i][a], order)
+                    exps[i] = a
+            bucket = residual.setdefault(tuple(exps), {}).setdefault(order, {})
+            m = multinomial(d, alpha)
+            for k, v in acc.items():
+                bucket[k] = bucket.get(k, 0) + m * v
+    for exps, c in target.items():
+        bucket = residual.setdefault(exps, {}).setdefault(1, {})
+        bucket[0] = bucket.get(0, 0) - int(scale * c)
+    return residual
+
+
+def _stretch(lift, step):
+    """The embedding Z[t]/(t^n - 1) -> Z[t]/(t^(n*step) - 1), t -> t^step."""
+    return {k * step: v for k, v in lift.items()} if step > 1 else lift
+
+
+def _vanishes(groups) -> bool:
+    """Whether a residual {N: lift} is zero in Q(zeta_M), M the lcm of the
+    orders N: one reduction modulo Phi_M, exact because t -> zeta_M is a
+    ring map."""
+    order = lcm(*groups)
+    total = {}
+    for n, lift in groups.items():
+        for k, v in _stretch(lift, order // n).items():
+            total[k] = total.get(k, 0) + v
+    return not any(reduce_mod_phi(total.items(), order))
+
+
+def _coefficient(decomposition, lifted, scale, exps):
+    """The coefficient of x^exps in the expansion, added up term by term.
+
+    A term's contribution lies in the field M generated by its gamma and
+    the linear coefficients the monomial uses; its lift only has exponents
+    divisible by N/M, so it reduces modulo Phi_M directly.  The running sum
+    lies in the lcm of the fields added since it was last zero, and the
+    printed value keeps that field.
+    """
+    d = decomposition.degree
+    total = Fraction(0)
+    if sum(exps) != d:
+        return total
+    used = [i for i, a in enumerate(exps) if a]
+    m = multinomial(d, exps)
+    for t, (order, gamma, powers) in zip(decomposition.terms, lifted):
+        if not gamma or any(i not in powers for i in used):
+            continue
+        field = lcm(t.gamma.order, *(t.linear[i].order for i in used))
+        step = order // field
+        acc = gamma
+        for i in used:
+            acc = cyclic_mul(acc, powers[i][exps[i]], order)
+        coords = reduce_mod_phi(((k // step, v) for k, v in acc.items()), field)
+        value = CyclotomicNumber(field, [Fraction(m * v, scale) for v in coords])
+        total = total + value if total else value
+    return total
+
+
+def _dependent(u, v) -> bool:
+    """Whether two lifted linear forms, (N, {index: lift} over their nonzero
+    coefficients), are linearly dependent: every minor u_i v_j - u_j v_i
+    vanishes.  With u_i != 0 it suffices to check the minors at i."""
+    (nu, u), (nv, v) = u, v
+    if not u or not v:
+        return True
+    if u.keys() != v.keys():
+        return False
+    order = lcm(nu, nv)
+    u = {i: _stretch(c, order // nu) for i, c in u.items()}
+    v = {i: _stretch(c, order // nv) for i, c in v.items()}
+    i, *rest = u
+    for j in rest:
+        minor = cyclic_mul(u[i], v[j], order)
+        for k, x in cyclic_mul(u[j], v[i], order).items():
+            minor[k] = minor.get(k, 0) - x
+        if any(reduce_mod_phi(minor.items(), order)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -243,7 +368,8 @@ def least_variable_check(form: CoprimeForm,
                          decomposition: PowerSumDecomposition) -> LeastVariableReport:
     """Every linear form in block i must involve the least-exponent variable
     of the i-th monomial (for degree 1, the single form must involve every
-    block's variable)."""
+    block's variable).  A variable outside the decomposition's namespace is
+    not involved."""
     if len(decomposition.terms) != rank_coprime_sum(form):
         raise ValueError("decomposition length does not equal the rank")
     index = {v: i for i, v in enumerate(decomposition.variables)}
@@ -252,11 +378,14 @@ def least_variable_check(form: CoprimeForm,
         t = decomposition.terms[0]
         for block, (_, m) in enumerate(form.terms):
             v = m.least_variable
-            entries.append((0, block, v, bool(t.linear[index[v]])))
+            entries.append((0, block, v, v in index and bool(t.linear[index[v]])))
     else:
         least = {block: m.least_variable
                  for block, (_, m) in enumerate(form.terms)}
         for i, t in enumerate(decomposition.terms):
+            if t.block not in least:
+                raise ValueError(f"term {i} names block {t.block}, but the "
+                                 f"form has {len(least)} blocks")
             v = least[t.block]
-            entries.append((i, t.block, v, bool(t.linear[index[v]])))
+            entries.append((i, t.block, v, v in index and bool(t.linear[index[v]])))
     return LeastVariableReport(tuple(entries), all(e[3] for e in entries))

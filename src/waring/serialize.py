@@ -32,8 +32,31 @@ def cyclo_to_json(x: CyclotomicNumber) -> dict:
     return {"order": x.order, "coeffs": [fraction_to_str(c) for c in x.coeffs]}
 
 
-def cyclo_from_json(obj: dict) -> CyclotomicNumber:
-    return CyclotomicNumber(obj["order"], [Fraction(c) for c in obj["coeffs"]])
+def _field(obj, key, where, kind=None):
+    """obj[key], after checking that obj is a JSON object holding key (of
+    type kind, if given); a ValueError names the field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    if key not in obj:
+        raise ValueError(f"{where}: missing field {key!r}")
+    if kind and type(obj[key]) is not kind:
+        raise ValueError(f"{where}.{key}: expected {kind.__name__}, got {obj[key]!r}")
+    return obj[key]
+
+
+def _positive_int(obj, key, where):
+    if _field(obj, key, where, int) < 1:
+        raise ValueError(f"{where}.{key}: expected an int >= 1, got {obj[key]}")
+    return obj[key]
+
+
+def cyclo_from_json(obj: dict, where: str = "number") -> CyclotomicNumber:
+    order = _positive_int(obj, "order", where)
+    coeffs = _field(obj, "coeffs", where, list)
+    try:
+        return CyclotomicNumber(order, coeffs)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{where}.coeffs: expected rationals, got {coeffs}") from None
 
 
 def decomposition_to_json(d: PowerSumDecomposition) -> dict:
@@ -53,16 +76,27 @@ def decomposition_to_json(d: PowerSumDecomposition) -> dict:
 
 
 def decomposition_from_json(obj: dict) -> PowerSumDecomposition:
-    terms = tuple(
-        DecompositionTerm(
-            gamma=cyclo_from_json(t["gamma"]),
-            linear=tuple(cyclo_from_json(c) for c in t["linear"]),
-            block=t["block"],
-            point=tuple(cyclo_from_json(c) for c in t["point"]),
-        )
-        for t in obj["terms"]
-    )
-    return PowerSumDecomposition(obj["degree"], tuple(obj["variables"]), terms)
+    """Load a decomposition, validating the schema first: a malformed file
+    raises a ValueError that names the offending field."""
+    degree = _positive_int(obj, "degree", "decomposition")
+    variables = _field(obj, "variables", "decomposition", list)
+    if not all(type(v) is str for v in variables):
+        raise ValueError("decomposition.variables: expected a list of names")
+    terms = []
+    for j, t in enumerate(_field(obj, "terms", "decomposition", list)):
+        where = f"terms[{j}]"
+        gamma = cyclo_from_json(_field(t, "gamma", where), f"{where}.gamma")
+        linear = _field(t, "linear", where, list)
+        if len(linear) != len(variables):
+            raise ValueError(f"{where}.linear: expected {len(variables)} entries, "
+                             f"one per variable, got {len(linear)}")
+        terms.append(DecompositionTerm(
+            gamma=gamma,
+            linear=tuple(cyclo_from_json(c, f"{where}.linear") for c in linear),
+            block=_field(t, "block", where, int),
+            point=tuple(cyclo_from_json(c, f"{where}.point")
+                        for c in _field(t, "point", where, list))))
+    return PowerSumDecomposition(degree, tuple(variables), tuple(terms))
 
 
 def dumps(obj) -> str:

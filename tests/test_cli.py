@@ -142,3 +142,57 @@ def test_byte_identical_output(capsys):
     a = run(capsys, "decompose", "x1*x2^2 + x3^3", "--json")[1]
     b = run(capsys, "decompose", "x1*x2^2 + x3^3", "--json")[1]
     assert a == b
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({"degree": 2}, "'variables'"),
+    ({"degree": 2, "variables": ["x1", "x2"], "terms": [
+        {"gamma": {"order": "3", "coeffs": ["1"]}, "linear": [], "block": 0,
+         "point": []}]}, "terms[0].gamma.order"),
+    ({"degree": 2, "variables": ["x1", "x2"], "terms": [
+        {"gamma": {"order": 1, "coeffs": ["1"]},
+         "linear": [{"order": 1, "coeffs": ["1"]}, {"order": 1, "coeffs": ["1"]}],
+         "block": 0}]}, "'point'"),
+    ([{"degree": 2}], "expected a JSON object"),
+], ids=["degree-only", "order-string", "missing-point", "top-level-list"])
+def test_verify_rejects_malformed_json(capsys, tmp_path, payload, field):
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", "x1*x2", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and field in err
+
+
+def test_verify_rejects_linear_forms_of_the_wrong_length(capsys, tmp_path):
+    code, out, _ = run(capsys, "decompose", "x1*x2", "--json")
+    data = json.loads(out)
+    data["terms"][1]["linear"].pop()
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "x1*x2", str(path))
+    assert code == 1
+    assert "terms[1].linear: expected 2 entries" in err
+
+
+def test_verify_rejects_an_unknown_block(capsys, tmp_path):
+    code, out, _ = run(capsys, "decompose", "x1*x2", "--json")
+    data = json.loads(out)
+    data["terms"][1]["block"] = 7
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", "x1*x2", str(path))
+    assert code == 1
+    assert err == "error: term 1 names block 7, but the form has 1 blocks\n"
+
+
+def test_verify_reports_a_least_variable_outside_the_namespace(capsys, tmp_path):
+    code, out, _ = run(capsys, "decompose", "x1*x2", "--json")
+    data = json.loads(out)
+    data["variables"] = ["x2", "x3"]
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "x1*x2", str(path))
+    assert code == 2
+    assert "mismatch at x1*x2: expected 1, got variable missing" in out
+    assert "least-variable property: False" in out

@@ -6,9 +6,12 @@ import pytest
 from waring.cyclotomic import (
     CyclotomicNumber,
     DivisibilityError,
+    cyclic_lift,
+    cyclic_mul,
     cyclotomic_embed,
     cyclotomic_polynomial,
     euler_phi,
+    reduce_mod_phi,
 )
 
 
@@ -113,3 +116,36 @@ def test_immutable():
     z = cyclotomic_embed(3, 1, 3)
     with pytest.raises(AttributeError):
         z.order = 5
+
+
+def _from_lift(lifted, order, scale):
+    return CyclotomicNumber(order, [Fraction(v, scale)
+                                    for v in reduce_mod_phi(lifted.items(), order)])
+
+
+def test_cyclic_lift_reduces_back_to_the_promoted_number():
+    rng = random.Random(7)
+    for order in (1, 2, 3, 4, 5, 6, 8, 12, 15):
+        for big in (order, 2 * order, 3 * order):
+            for _ in range(5):
+                x = _random_element(rng, order)
+                y = _random_element(rng, order)
+                scale = x.denominator * y.denominator
+                lx, ly = cyclic_lift(x, big, scale), cyclic_lift(y, big, scale)
+                assert _from_lift(lx, big, scale) == x
+                assert all(isinstance(v, int) for v in lx.values())
+                assert _from_lift(cyclic_mul(lx, ly, big), big, scale * scale) == x * y
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 12, 15, 35])
+def test_roots_of_unity_lift_to_one_exponent(order):
+    for k in range(order):
+        x = CyclotomicNumber.zeta(order, k) * Fraction(-3, 2)
+        lifted = cyclic_lift(x, 2 * order, 2)
+        assert len(lifted) == 1
+        assert _from_lift(lifted, 2 * order, 2) == x
+
+
+def test_cyclic_lift_requires_divisibility():
+    with pytest.raises(DivisibilityError):
+        cyclic_lift(CyclotomicNumber.zeta(3), 4)

@@ -1,0 +1,289 @@
+"""The verifier against independent oracles: term-by-term `Polynomial`
+expansion, which fixes the exact report content (including the field each
+printed value lives in), and sympy `expand` modulo sympy's Phi_N."""
+
+import dataclasses
+from math import lcm
+
+import sympy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from waring.cyclotomic import CyclotomicNumber, euler_phi
+from waring.decompose import (
+    DecompositionTerm,
+    PowerSumDecomposition,
+    decompose_form,
+    verify_decomposition,
+)
+from waring.forms import CoprimeForm, Monomial, parse_form
+from waring.polynomials import Polynomial, compositions, poly_pow_linear
+
+ORDERS = (1, 2, 3, 4, 6, 12)
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _monomial_text(variables, exps):
+    return "*".join(v if e == 1 else f"{v}^{e}"
+                    for v, e in zip(variables, exps) if e) or "1"
+
+
+def _proportional(u, v):
+    return all(u[i] * v[j] == u[j] * v[i]
+               for i in range(len(u)) for j in range(i + 1, len(u)))
+
+
+def oracle_report(form, dec):
+    """The report computed with `Polynomial` arithmetic: the sum of
+    poly_pow_linear(L_j, d).scale(gamma_j), minus the form."""
+    n = len(dec.variables)
+    expansion = Polynomial.zero(n)
+    for t in dec.terms:
+        expansion = expansion + poly_pow_linear(t.linear, dec.degree).scale(t.gamma)
+    target = Polynomial.zero(n)
+    for c, m in form.terms:
+        exps = [0] * n
+        for v, e in zip(m.variables, m.exponents):
+            exps[dec.variables.index(v)] = e
+        target = target + Polynomial.monomial(exps, c)
+    residual = expansion - target
+    mismatches = tuple(
+        (_monomial_text(dec.variables, e), str(target.coefficient(e)),
+         str(expansion.coefficient(e)))
+        for e in sorted(residual.terms))[:10]
+    blocks = {}
+    for t in dec.terms:
+        blocks.setdefault(t.block, []).append(t.linear)
+    dependent = next(((b, i, j) for b, ls in blocks.items()
+                      for i in range(len(ls)) for j in range(i + 1, len(ls))
+                      if _proportional(ls[i], ls[j])), None)
+    return residual.is_zero(), mismatches, dependent
+
+
+def assert_matches_oracle(form, dec):
+    report = verify_decomposition(form, dec)
+    expected = oracle_report(form, dec)
+    assert (report.expansion_matches, report.mismatches, report.dependent_pair) == expected
+    assert report.blocks_independent == (expected[2] is None)
+    return report
+
+
+# -- strategies ---------------------------------------------------------------
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+nonzero = rationals.filter(bool)
+
+
+@st.composite
+def cyclotomic(draw, order=None):
+    """A general element (every power-basis coordinate a nonzero rational),
+    a sparse one (zero coordinates allowed), a rational multiple of a root
+    of unity, or zero."""
+    order = order or draw(st.sampled_from(ORDERS))
+    phi = euler_phi(order)
+    kind = draw(st.sampled_from(("general", "sparse", "root", "root", "zero")))
+    if kind == "general":
+        return CyclotomicNumber(order, draw(st.lists(nonzero, min_size=phi, max_size=phi)))
+    if kind == "sparse":
+        return CyclotomicNumber(order, draw(st.lists(rationals, min_size=phi, max_size=phi)))
+    if kind == "zero":
+        return CyclotomicNumber.from_rational(0, order)
+    return CyclotomicNumber.zeta(order, draw(st.integers(0, order - 1))) * draw(nonzero)
+
+
+@st.composite
+def problems(draw, max_vars=3, max_degree=4, mixed=True):
+    """A random form and a random decomposition over the same variables."""
+    n = draw(st.integers(1, max_vars))
+    d = draw(st.integers(1, max_degree))
+    variables = tuple(f"x{i}" for i in range(1, n + 1))
+    exps = draw(st.sampled_from(list(compositions(d, n))))
+    mono = Monomial([v for v, e in zip(variables, exps) if e], [e for e in exps if e])
+    form = CoprimeForm([(draw(nonzero), mono)], variables)
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        order = None if mixed else draw(st.sampled_from(ORDERS))
+        linear = tuple(draw(cyclotomic(order)) for _ in variables)
+        terms.append(DecompositionTerm(gamma=draw(cyclotomic(order)), linear=linear,
+                                       block=draw(st.integers(0, 1)), point=linear))
+    return form, PowerSumDecomposition(d, variables, tuple(terms))
+
+
+def _repack(dec, terms):
+    return dataclasses.replace(dec, terms=tuple(terms))
+
+
+# -- property tests -------------------------------------------------------------
+
+@SETTINGS
+@given(problems())
+def test_random_decompositions_match_the_polynomial_oracle(problem):
+    assert_matches_oracle(*problem)
+
+
+@SETTINGS
+@given(problems(mixed=False))
+def test_single_field_decompositions_match_the_polynomial_oracle(problem):
+    assert_matches_oracle(*problem)
+
+
+@SETTINGS
+@given(st.sampled_from(["x1*x2", "x1*x2^2", "x1^2*x2^2", "x1*x2*x3", "2/3*x1*x2^3",
+                        "x1 + x2", "x1^2 + x2^2", "x1*x2 - x3^2", "x1*x2^2 + 5*x3^3",
+                        "x1^2*x2^2 + x3*x4^3"]),
+       st.data())
+def test_rewritten_true_decompositions_still_pass(text, data):
+    """Rewrite a true decomposition without changing its value: split a
+    gamma into general cyclotomic parts on a repeated linear form (which
+    also creates a dependent pair), or re-express a term in a larger field.
+    The verdict and the report follow the oracle."""
+    form = parse_form(text)
+    dec = decompose_form(form)
+    terms = list(dec.terms)
+    j = data.draw(st.integers(0, len(terms) - 1))
+    t = terms[j]
+    if data.draw(st.booleans()):
+        delta = data.draw(cyclotomic(t.gamma.order * data.draw(st.sampled_from((1, 2, 3, 4)))))
+        terms[j] = dataclasses.replace(t, gamma=t.gamma - delta)
+        terms.insert(j + 1, dataclasses.replace(t, gamma=delta))
+    else:
+        big = t.gamma.order * data.draw(st.sampled_from((2, 3, 4)))
+        terms[j] = dataclasses.replace(
+            t, gamma=t.gamma.promote(big), linear=tuple(c.promote(big) for c in t.linear))
+    report = assert_matches_oracle(form, _repack(dec, terms))
+    assert report.expansion_matches
+
+
+@SETTINGS
+@given(st.sampled_from(["x1*x2^2", "x1*x2*x3", "x1^2*x2^2 + x3*x4^3", "x1 + 2*x2",
+                        "x1*x2^3 - x3^4"]),
+       st.data())
+def test_tampered_decompositions_match_the_oracle(text, data):
+    form = parse_form(text)
+    dec = decompose_form(form)
+    terms = list(dec.terms)
+    j = data.draw(st.integers(0, len(terms) - 1))
+    t = terms[j]
+    if data.draw(st.booleans()):
+        terms[j] = dataclasses.replace(t, gamma=data.draw(cyclotomic(t.gamma.order)))
+    else:
+        k = data.draw(st.integers(0, len(t.linear) - 1))
+        linear = list(t.linear)
+        linear[k] = data.draw(cyclotomic())
+        terms[j] = dataclasses.replace(t, linear=tuple(linear))
+    assert_matches_oracle(form, _repack(dec, terms))
+
+
+def _sympy_mismatches(form, dec):
+    """Monomials where sum gamma_j L_j^d - F is nonzero, by sympy: each
+    order-o number sum c_k zeta_o^k becomes sum c_k z^(k N/o), and every
+    coefficient of the expanded difference is reduced modulo Phi_N(z)."""
+    z = sympy.Symbol("z")
+    xs = sympy.symbols(dec.variables)
+    order = lcm(*(c.order for t in dec.terms for c in (t.gamma, *t.linear)))
+
+    def embed(x):
+        step = order // x.order
+        return sum(sympy.Rational(c.numerator, c.denominator) * z ** (k * step)
+                   for k, c in enumerate(x.coeffs))
+
+    expr = sum((embed(t.gamma) * sum(embed(c) * x for c, x in zip(t.linear, xs)) ** dec.degree
+                for t in dec.terms), sympy.Integer(0))
+    for c, m in form.terms:
+        expr -= sympy.Rational(c.numerator, c.denominator) * sympy.prod(
+            xs[dec.variables.index(v)] ** e for v, e in zip(m.variables, m.exponents))
+    phi = sympy.cyclotomic_poly(order, z)
+    poly = sympy.Poly(sympy.expand(expr), *xs)
+    return sorted(exps for exps, coeff in poly.terms()
+                  if sympy.rem(coeff, phi, z) != 0)
+
+
+@settings(SETTINGS, max_examples=30)
+@given(problems(max_vars=3, max_degree=4))
+def test_expansion_agrees_with_sympy(problem):
+    form, dec = problem
+    report = verify_decomposition(form, dec)
+    bad = _sympy_mismatches(form, dec)
+    assert report.expansion_matches == (not bad)
+    assert [m[0] for m in report.mismatches] == \
+        [_monomial_text(dec.variables, e) for e in bad[:10]]
+
+
+def test_true_decompositions_agree_with_sympy():
+    for text in ("x1*x2^2", "x1*x2*x3", "x1^2*x2^2", "x1*x2^3"):
+        form = parse_form(text)
+        dec = decompose_form(form)
+        assert verify_decomposition(form, dec).expansion_matches
+        assert _sympy_mismatches(form, dec) == []
+
+
+# -- regressions: the field each printed value lives in ---------------------------
+
+def test_mixed_field_mismatches_keep_each_block_field():
+    """Blocks in Q(zeta_3) and Q(zeta_4), one gamma per block tampered: each
+    mismatch prints in its block's field, not in Q(zeta_12)."""
+    form = parse_form("x1^2*x2^2 + x3*x4^3")
+    dec = decompose_form(form)
+    terms = list(dec.terms)
+    for j in (0, 3):
+        g = terms[j].gamma
+        terms[j] = dataclasses.replace(terms[j], gamma=g + CyclotomicNumber(g.order, ["1/2", "1"]))
+    report = verify_decomposition(form, _repack(dec, terms))
+    assert not report.expansion_matches
+    assert report.mismatches == (
+        ("x4^4", "0", "1/2 + z4"),
+        ("x3*x4^3", "1", "3 + 4*z4"),
+        ("x3^2*x4^2", "0", "3 + 6*z4"),
+        ("x3^3*x4", "0", "2 + 4*z4"),
+        ("x3^4", "0", "1/2 + z4"),
+        ("x2^4", "0", "1/2 + z3"),
+        ("x1*x2^3", "0", "2 + 4*z3"),
+        ("x1^2*x2^2", "1", "4 + 6*z3"),
+        ("x1^3*x2", "0", "2 + 4*z3"),
+        ("x1^4", "0", "1/2 + z3"),
+    )
+
+
+def test_a_cancelled_partial_sum_restarts_its_field():
+    """1 (in Q(zeta_4)) and -1 (in Q) cancel at x1^2; the value printed there
+    is the later term's z3, not an element of Q(zeta_12)."""
+    one4, one1 = CyclotomicNumber(4, [1]), CyclotomicNumber(1, [1])
+
+    def term(gamma, linear):
+        return DecompositionTerm(gamma=gamma, linear=linear, block=0, point=linear)
+
+    dec = PowerSumDecomposition(2, ("x1", "x2"), (
+        term(CyclotomicNumber(4, [1]), (one4, one4)),
+        term(CyclotomicNumber(1, [-1]), (one1, one1)),
+        term(CyclotomicNumber(3, [0, 1]),
+             (CyclotomicNumber(3, [1]), CyclotomicNumber(3, [0]))),
+    ))
+    report = verify_decomposition(parse_form("x1*x2"), dec)
+    assert report.mismatches == (("x1*x2", "1", "0"), ("x1^2", "0", "z3"))
+    assert report.dependent_pair == (0, 0, 1)
+
+
+def test_blocks_in_different_fields_are_reduced_in_their_own_fields(monkeypatch):
+    """Four blocks re-expressed over Q(zeta_14), Q(zeta_22), Q(zeta_26) and
+    Q(zeta_34): every monomial is checked in its own block's field, never
+    in the lcm field Q(zeta_34034)."""
+    from waring import cyclotomic
+    real_phi = cyclotomic.euler_phi
+
+    def small_fields_only(n):
+        assert n <= 34, f"reduced in Q(zeta_{n})"
+        return real_phi(n)
+
+    form = parse_form("x1*x2 + x3*x4 + x5*x6 - 3*x7*x8")
+    dec = decompose_form(form)
+    orders = {0: 14, 1: 22, 2: 26, 3: 34}
+    terms = [dataclasses.replace(t, gamma=t.gamma.promote(orders[t.block]),
+                                 linear=tuple(c.promote(orders[t.block]) for c in t.linear))
+             for t in dec.terms]
+    tampered = terms[-1].gamma + CyclotomicNumber(34, [0, 1])
+    monkeypatch.setattr(cyclotomic, "euler_phi", small_fields_only)
+    assert verify_decomposition(form, _repack(dec, terms)).passed
+    terms[-1] = dataclasses.replace(terms[-1], gamma=tampered)
+    report = assert_matches_oracle(form, _repack(dec, terms))
+    assert [m[0] for m in report.mismatches] == ["x8^2", "x7*x8", "x7^2"]
