@@ -77,6 +77,8 @@ def catalecticant_lower_bound(form, t_max=None) -> int:
     form = _as_homogeneous(form)
     if t_max is None:
         t_max = form.degree
+    if t_max < 1:
+        raise ValueError(f"t_max must be at least 1, got {t_max}")
     if t_max > form.degree:
         raise ValueError(f"t_max {t_max} exceeds degree {form.degree}")
     return max(catalecticant(form, t).rank() for t in range(1, t_max + 1))

@@ -116,8 +116,7 @@ def cmd_survey(args) -> int:
               f" = {float(report.limit):.6f}")
         return EXIT_OK
     if args.range:
-        lo, hi = (int(x) for x in args.range.split(":"))
-        degrees = range(lo, hi + 1)
+        degrees = args.range
     elif args.d is not None:
         degrees = [args.d]
     else:
@@ -206,8 +205,42 @@ def _print_claim(report):
     print("PASS" if report.passed else "FAIL")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a ValueError, so `main` prints one line
+    and exits 1 as for any other bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _int_at_least(low):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+def _degree_range(text):
+    """'lo:hi' with 1 <= lo <= hi, as range(lo, hi + 1)."""
+    lo, sep, hi = text.partition(":")
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        sep = ""
+    if not sep or not 1 <= lo <= hi:
+        raise argparse.ArgumentTypeError(
+            f"expected lo:hi with 1 <= lo <= hi, got {text!r}")
+    return range(lo, hi + 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="waring",
         description="Waring ranks and exact power-sum decompositions for sums "
                     "of pairwise coprime monomials.")
@@ -239,10 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survey", help="maximal monomial ranks vs the generic rank")
     p.add_argument("n", type=int)
     p.add_argument("d", type=int, nargs="?")
-    p.add_argument("--range", help="degree range lo:hi")
+    p.add_argument("--range", type=_degree_range, help="degree range lo:hi")
     p.add_argument("--ratio", action="store_true",
                    help="convergence table toward n!/(n-1)^(n-1)")
-    p.add_argument("--kmax", type=int, default=50)
+    p.add_argument("--kmax", type=_int_at_least(1), default=50)
     p.add_argument("--max-enum", type=int, default=10 ** 6)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_survey)
@@ -250,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hf", help="Hilbert functions of monomial quotients")
     p.add_argument("generators", nargs="?",
                    help="comma-separated monomial generators, e.g. 'x1^2,x2^2'")
-    p.add_argument("--tmax", type=int, default=None)
+    p.add_argument("--tmax", type=_int_at_least(0), default=None)
     p.add_argument("--claim", help="verify the intersection identity for a form")
-    p.add_argument("--claim-random", type=int, metavar="COUNT",
+    p.add_argument("--claim-random", type=_int_at_least(1), metavar="COUNT",
                    help="verify the identity on COUNT random configurations")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
@@ -262,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, NonCoprimeError, MixedDegreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,9 @@ field and every nonzero element is invertible.
 `cyclic_lift`, `cyclic_mul` and `reduce_mod_phi` compute with integer
 coefficients in Z[t]/(t^N - 1) instead, which t -> zeta_N maps onto
 Q(zeta_N); one reduction modulo Phi_N at the end gives the exact result.
+`CyclotomicNumber.__mul__` also multiplies integers: it convolves the
+coordinates scaled by den(a) and den(b), reduces once modulo Phi_N and
+makes one Fraction per output coordinate.
 """
 
 from __future__ import annotations
@@ -126,8 +129,7 @@ def cyclic_lift(x: "CyclotomicNumber", order: int, scale=1) -> dict:
         raise DivisibilityError(
             f"cannot embed Q(zeta_{x.order}) into Q(zeta_{order})")
     step = order // x.order
-    den = x.denominator
-    ints = [c.numerator * (den // c.denominator) for c in x.coeffs]
+    den, ints = x._integer_coords()
     g = gcd(*ints)
     if not g:
         return {}
@@ -164,11 +166,11 @@ class CyclotomicNumber:
 
     def __init__(self, order: int, coeffs):
         deg = euler_phi(order)
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(coeffs) > deg:
             coeffs = [Fraction(c) for c in reduce_mod_phi(enumerate(coeffs), order)]
         else:
-            coeffs = coeffs + [Fraction(0)] * (deg - len(coeffs))
+            coeffs += [Fraction(0)] * (deg - len(coeffs))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
@@ -180,10 +182,10 @@ class CyclotomicNumber:
         return cls(order, [Fraction(value)])
 
     @classmethod
-    def zeta(cls, order: int, power: int = 1) -> "CyclotomicNumber":
-        power %= order
-        table = _power_table(order)
-        return cls(order, list(table[power]))
+    def zeta(cls, order: int, power: int = 1, scale=1) -> "CyclotomicNumber":
+        """scale * zeta_order^power, a rational multiple of one row of the
+        power table."""
+        return cls(order, [scale * r for r in _power_table(order)[power % order]])
 
     # -- field structure ---------------------------------------------------
 
@@ -235,15 +237,17 @@ class CyclotomicNumber:
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        n = len(a.coeffs)
-        conv = [Fraction(0)] * (2 * n - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    conv[i + j] += x * y
-        return CyclotomicNumber(a.order, reduce_mod_phi(enumerate(conv), a.order))
+        da, xs = a._integer_coords()
+        db, ys = b._integer_coords()
+        conv = [0] * (2 * len(xs) - 1)
+        for i, x in enumerate(xs):
+            if x:
+                for j, y in enumerate(ys):
+                    if y:
+                        conv[i + j] += x * y
+        den = da * db
+        return CyclotomicNumber(a.order, [
+            Fraction(v, den) for v in reduce_mod_phi(enumerate(conv), a.order)])
 
     __rmul__ = __mul__
 
@@ -311,6 +315,12 @@ class CyclotomicNumber:
     def denominator(self) -> int:
         """lcm of the coordinate denominators."""
         return lcm(*(c.denominator for c in self.coeffs))
+
+    def _integer_coords(self):
+        """(D, [D * c for c in coeffs]) with D the denominator, so the
+        coordinates are integers."""
+        den = self.denominator
+        return den, [c.numerator * (den // c.denominator) for c in self.coeffs]
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])

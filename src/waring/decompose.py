@@ -1,9 +1,22 @@
 """Roots-of-unity power-sum decompositions for coprime-monomial sums.
 
-For a monomial x_1^a_1 ... x_n^a_n (exponents sorted ascending) the apolar
-point set is the grid [1 : e_2 : ... : e_n] with e_i ranging over the
-(a_i+1)-th roots of unity; the scalars come from an exact overdetermined
-linear solve over Q(zeta_N), N = lcm of the root orders.  A sum of coprime
+For a monomial x_0^a_0 x_1^a_1 ... x_n^a_n with a_0 least, the apolar point
+set is the grid [1 : e_1 : ... : e_n] with e_i ranging over the (a_i+1)-th
+roots of unity.  The scalars gamma come from an exact square solve over
+Q(zeta_N), N = lcm of the root orders, with one row per character of
+prod mu_(a_i+1): the monomials x^b with b_i <= a_i for i >= 1.  That
+determines them, because:
+
+- the kept matrix is diag(multinomials) times the character table of the
+  grid, so it is invertible;
+- a dropped row beta is mult(beta) / mult(b) times the kept row
+  b = beta mod (a_i+1), as e_i^beta_i only depends on beta_i mod (a_i+1);
+- every right-hand side is 0 except at b = a, and no dropped row falls in
+  a's class: it would need some beta_i >= 2 a_i + 1, hence
+  sum_(i>=1) beta_i > sum_(i>=1) a_i + a_0 = d, since a_i >= a_0.
+
+So the unique solution of the square system solves every monomial row.
+`waring decompose` still verifies the result in full.  A sum of coprime
 monomials is decomposed blockwise and the blocks concatenated.
 
 Verification expands sum gamma_j L_j^d with integer coefficients in
@@ -53,6 +66,12 @@ class PowerSumDecomposition:
     terms: tuple
 
 
+def _grid(monomial: Monomial):
+    """Root exponents (k_i over the sorted non-least variables, k_i < a_i + 1)
+    of every apolar grid point, in lexicographic order."""
+    return itertools.product(*(range(a + 1) for _, a in monomial.sorted_items[1:]))
+
+
 def decomposition_points(monomial: Monomial):
     """All apolar grid points for a monomial, in lexicographic root-exponent
     order; coordinates are aligned to the monomial's input variable order,
@@ -60,50 +79,48 @@ def decomposition_points(monomial: Monomial):
     order = decomposition_field_order(monomial)
     items = monomial.sorted_items
     positions = [monomial.variables.index(v) for v, _ in items]
-    ranges = [range(a + 1) for _, a in items[1:]]
     points = []
-    for root_exps in itertools.product(*ranges):
+    for root_exps in _grid(monomial):
         coords = [None] * monomial.n
         coords[positions[0]] = CyclotomicNumber.from_rational(1, order)
-        for (v, a), k in zip(items[1:], root_exps):
-            coords[monomial.variables.index(v)] = cyclotomic_embed(a + 1, k, order)
+        for (_, a), pos, k in zip(items[1:], positions[1:], root_exps):
+            coords[pos] = cyclotomic_embed(a + 1, k, order)
         points.append(tuple(coords))
     return points
 
 
 def solve_gammas(monomial: Monomial, coefficient=Fraction(1)) -> PowerSumDecomposition:
     """Decompose coefficient * M as a sum of rank(M) powers of the grid linear
-    forms, solving the full overdetermined system exactly; the elimination
-    doubles as a consistency check."""
+    forms, by an exact solve of the square character system.
+
+    Rows and columns are both indexed by the grid: row b is the monomial
+    with exponents b_i <= a_i on the non-least variables (and d - sum b on
+    the least one), and its entry at the point with root exponents k is
+    multinomial(d; b) * zeta_N^(sum k_i b_i N / (a_i+1)).  The right-hand
+    side is the coefficient at b = a and zero elsewhere.  The module
+    docstring explains why the remaining monomial rows then hold too.
+    """
     coefficient = Fraction(coefficient)
     if coefficient == 0:
         raise ValueError("coefficient must be nonzero")
     d = monomial.degree
-    n = monomial.n
     order = decomposition_field_order(monomial)
-    points = decomposition_points(monomial)
-    target_exps = tuple(monomial.exponents)
+    rest = monomial.sorted_items[1:]
+    steps = [order // (a + 1) for _, a in rest]
+    target = tuple(a for _, a in rest)
+    grid = list(_grid(monomial))
 
-    rows = list(compositions(d, n))
-    # column j, row alpha: coefficient of x^alpha in L_j^d
-    power_cache = []
-    for coords in points:
-        power_cache.append([[c ** k for k in range(d + 1)] for c in coords])
     matrix = []
     rhs = []
     zero = CyclotomicNumber.from_rational(0, order)
-    for alpha in rows:
-        mult = multinomial(d, alpha)
-        row = []
-        for powers in power_cache:
-            entry = CyclotomicNumber.from_rational(mult, order)
-            for j, a in enumerate(alpha):
-                if a:
-                    entry = entry * powers[j][a]
-            row.append(entry)
-        matrix.append(row)
+    for b in grid:
+        mult = multinomial(d, (d - sum(b),) + b)
+        weights = [e * step for e, step in zip(b, steps)]
+        matrix.append([
+            CyclotomicNumber.zeta(order, sum(k * w for k, w in zip(ks, weights)), mult)
+            for ks in grid])
         rhs.append(CyclotomicNumber.from_rational(coefficient, order)
-                   if alpha == target_exps else zero)
+                   if b == target else zero)
     try:
         gammas = solve_exact(LinearSystem(matrix, rhs))
     except (InconsistentSystemError, UnderdeterminedSystemError) as exc:
@@ -111,7 +128,7 @@ def solve_gammas(monomial: Monomial, coefficient=Fraction(1)) -> PowerSumDecompo
             f"gamma system for {monomial} has no unique solution: {exc}") from exc
     terms = tuple(
         DecompositionTerm(gamma=g, linear=coords, block=0, point=coords)
-        for g, coords in zip(gammas, points))
+        for g, coords in zip(gammas, decomposition_points(monomial)))
     return PowerSumDecomposition(d, monomial.variables, terms)
 
 

@@ -3,7 +3,9 @@
 The routines are generic over any exact field scalar supporting +, -, *, /
 and truthiness as a zero test (`fractions.Fraction` and `CyclotomicNumber`
 both qualify).  Pivots are chosen as the first nonzero entry in a column; no
-numerical pivoting is needed over an exact field.
+numerical pivoting is needed over an exact field.  Each pivot is inverted
+at most once and the reciprocal reused for every row below it and for back
+substitution, since a cyclotomic inverse is a Euclid run over Q.
 """
 
 from __future__ import annotations
@@ -46,7 +48,10 @@ class LinearSystem:
 
 
 def _eliminate(rows, ncols):
-    """In-place forward elimination; returns the list of pivot columns."""
+    """In-place forward elimination; returns (pivot column, 1 / pivot) per
+    reduced row, the inverse None when no row below needed it.  Each pivot
+    is inverted at most once, and a row update touches only the nonzero
+    entries of the pivot row right of the pivot."""
     pivots = []
     r = 0
     for c in range(ncols):
@@ -54,13 +59,19 @@ def _eliminate(rows, ncols):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                ratio = f / pv
-                rows[i] = [a - ratio * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
+        top = rows[r]
+        below = [row for row in rows[r + 1:] if row[c]]
+        inv = None
+        if below:
+            inv = 1 / top[c]
+            zero = top[c] - top[c]
+            support = [j for j in range(c + 1, len(top)) if top[j]]
+            for row in below:
+                ratio = row[c] * inv
+                row[c] = zero
+                for j in support:
+                    row[j] = row[j] - ratio * top[j]
+        pivots.append((c, inv))
         r += 1
     return pivots
 
@@ -90,13 +101,13 @@ def solve_exact(system: LinearSystem):
             raise InconsistentSystemError(i)
     if rank < ncols:
         raise UnderdeterminedSystemError(rank, ncols)
-    # back substitution; pivot column of reduced row i is pivots[i]
+    # back substitution; reduced row i has its pivot in column pivots[i][0]
     solution = [None] * ncols
     for i in range(rank - 1, -1, -1):
-        c = pivots[i]
+        c, inv = pivots[i]
         acc = rows[i][ncols]
         for j in range(c + 1, ncols):
             if rows[i][j]:
                 acc = acc - rows[i][j] * solution[j]
-        solution[c] = acc / rows[i][c]
+        solution[c] = acc * inv if inv is not None else acc / rows[i][c]
     return solution

@@ -196,3 +196,35 @@ def test_verify_reports_a_least_variable_outside_the_namespace(capsys, tmp_path)
     assert code == 2
     assert "mismatch at x1*x2: expected 1, got variable missing" in out
     assert "least-variable property: False" in out
+
+
+@pytest.mark.parametrize("t_max", ["0", "-1"])
+def test_bound_rejects_t_max_below_one(capsys, t_max):
+    code, out, err = run(capsys, "bound", "x1*x2", "--tmax", t_max)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: t_max must be at least 1, got {t_max}\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("hf", "x1^2,x2", "--tmax", "-3"), "--tmax"),
+    (("survey", "3", "--range", "5"), "--range"),
+    (("survey", "3", "--range", "5:2"), "--range"),
+    (("survey", "3", "--ratio", "--kmax", "0"), "--kmax"),
+    (("hf", "--claim-random", "0"), "--claim-random"),
+])
+def test_bad_flag_values_exit_1_with_one_line(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: argument {flag}: ")
+
+
+def test_boundary_flag_values_still_run(capsys):
+    code, out, _ = run(capsys, "hf", "x1^2,x2", "--tmax", "0")
+    assert code == 0
+    assert out.splitlines() == ["HF(0) = 1", "sum = 1"]
+    code, out, _ = run(capsys, "survey", "3", "--range", "4:4", "--csv")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()] == ["d", "4"]

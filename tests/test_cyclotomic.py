@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+import sympy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from waring.cyclotomic import (
     CyclotomicNumber,
@@ -149,3 +153,60 @@ def test_roots_of_unity_lift_to_one_exponent(order):
 def test_cyclic_lift_requires_divisibility():
     with pytest.raises(DivisibilityError):
         cyclic_lift(CyclotomicNumber.zeta(3), 4)
+
+
+# -- the integer product against a Fraction schoolbook product and sympy --------
+
+
+_COORD = st.one_of(st.just(Fraction(0)), st.fractions(
+    min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6))
+
+
+@st.composite
+def _numbers(draw, order):
+    """An element of Q(zeta_order): zero, a rational, or general coordinates
+    with denominators up to 10^6."""
+    kind = draw(st.sampled_from(["zero", "rational", "general"]))
+    if kind == "zero":
+        return CyclotomicNumber.from_rational(0, order)
+    if kind == "rational":
+        return CyclotomicNumber.from_rational(draw(_COORD), order)
+    return CyclotomicNumber(order, draw(st.lists(
+        _COORD, min_size=euler_phi(order), max_size=euler_phi(order))))
+
+
+@st.composite
+def _factor_pairs(draw):
+    first = draw(st.integers(1, 30))
+    second = draw(st.one_of(st.just(first), st.integers(1, 30)))
+    return draw(_numbers(first)), draw(_numbers(second))
+
+
+def _schoolbook_product(a, b):
+    """Coordinates of a * b in Q(zeta_N), N = lcm of the orders: embed both
+    as polynomials in zeta_N, multiply with Fractions, reduce modulo sympy's
+    cyclotomic_poly(N)."""
+    order = lcm(a.order, b.order)
+    embedded = [{k * (order // x.order): c for k, c in enumerate(x.coeffs) if c}
+                for x in (a, b)]
+    product = {}
+    for i, x in embedded[0].items():
+        for j, y in embedded[1].items():
+            product[i + j] = product.get(i + j, Fraction(0)) + x * y
+    z = sympy.Symbol("z")
+    poly = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * z ** k
+                          for k, c in product.items()), z, domain=sympy.QQ)
+    rem = poly.rem(sympy.Poly(sympy.cyclotomic_poly(order, z), z, domain=sympy.QQ))
+    coords = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
+    return coords + [Fraction(0)] * (euler_phi(order) - len(coords))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_factor_pairs())
+def test_integer_product_matches_schoolbook_product_modulo_sympy_phi(pair):
+    a, b = pair
+    product = a * b
+    assert product.order == lcm(a.order, b.order)
+    assert list(product.coeffs) == _schoolbook_product(a, b)
+    assert product == b * a

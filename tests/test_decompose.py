@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from waring.cyclotomic import CyclotomicNumber, cyclotomic_embed
 from waring.decompose import (
@@ -177,3 +180,52 @@ def test_round_trip_random_monomials():
         assert len(dec.terms) == rank_monomial(m)
         assert verify_decomposition(form, dec).passed
         assert least_variable_check(form, dec).passed
+
+
+# -- the solve against the Fischer / Buczynska-Buczynski-Teitler closed form ----
+
+
+@st.composite
+def _monomials_and_coefficients(draw):
+    """Monomials in at most 4 variables of degree at most 8, with exponents
+    in a drawn (shuffled) order, ties included, and a nonzero rational
+    coefficient."""
+    n = draw(st.integers(1, 4))
+    exps, budget = [], 8
+    for left in range(n - 1, -1, -1):
+        exps.append(draw(st.integers(1, budget - left)))
+        budget -= exps[-1]
+    exps = draw(st.permutations(exps))
+    names = draw(st.permutations([f"x{i}" for i in range(1, n + 1)]))
+    coefficient = draw(st.fractions(min_value=-5, max_value=5, max_denominator=50)
+                       .filter(bool))
+    return Monomial(names, exps), coefficient
+
+
+def _closed_form_gammas(monomial, coefficient):
+    """gamma_eps = c * prod_i eps_i^(-a_i) / (multinomial(d; a) * prod_i (a_i+1)),
+    i over the non-least variables, in decomposition_points order."""
+    d = monomial.degree
+    multinomial = factorial(d) // prod(factorial(a) for a in monomial.exponents)
+    least = monomial.variables.index(monomial.least_variable)
+    rest = [i for i in range(monomial.n) if i != least]
+    scale = Fraction(coefficient) / (multinomial * prod(monomial.exponents[i] + 1
+                                                        for i in rest))
+    gammas = []
+    for point in decomposition_points(monomial):
+        gamma = CyclotomicNumber.from_rational(scale, point[least].order)
+        for i in rest:
+            gamma = gamma * point[i] ** (-monomial.exponents[i])
+        gammas.append(gamma)
+    return gammas
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_monomials_and_coefficients())
+def test_solved_gammas_equal_the_closed_form(case):
+    monomial, coefficient = case
+    dec = solve_gammas(monomial, coefficient)
+    assert [t.gamma for t in dec.terms] == _closed_form_gammas(monomial, coefficient)
+    form = CoprimeForm([(coefficient, monomial)])
+    assert verify_decomposition(form, dec).passed

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from waring.cyclotomic import CyclotomicNumber, cyclotomic_embed
+from waring.cyclotomic import CyclotomicNumber, cyclotomic_embed, euler_phi
 from waring.linalg import (
     InconsistentSystemError,
     LinearSystem,
@@ -95,3 +96,44 @@ def test_matrix_rank():
     assert matrix_rank([[F(0), F(0)]]) == 0
     assert matrix_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
     assert matrix_rank([[F(1), F(2)], [F(0), F(1)], [F(5), F(7)]]) == 2
+
+
+# -- pivot-once elimination against sympy and by substitution ------------------
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_rank_of_rank_deficient_matrices_matches_sympy(seed):
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+    inner = rng.randint(0, min(rows, cols))
+
+    def entry():
+        return Fraction(rng.choice([0, 0, rng.randint(-9, 9)]), rng.randint(1, 6))
+
+    left = [[entry() for _ in range(inner)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(inner)]
+    matrix = [[sum((left[i][k] * right[k][j] for k in range(inner)), Fraction(0))
+               for j in range(cols)] for i in range(rows)]
+    expected = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                             for row in matrix]).rank()
+    assert matrix_rank(matrix) == expected <= inner
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 7, 8, 12])
+def test_square_cyclotomic_systems_reproduce_the_rhs(order):
+    rng = random.Random(order)
+    phi = euler_phi(order)
+
+    def number():
+        return CyclotomicNumber(order, [Fraction(rng.choice([0, rng.randint(-5, 5)]),
+                                                 rng.randint(1, 4)) for _ in range(phi)])
+
+    for n in range(1, 6):
+        matrix = [[number() for _ in range(n)] for _ in range(n)]
+        if matrix_rank(matrix) < n:
+            continue
+        rhs = [number() for _ in range(n)]
+        solution = solve_exact(LinearSystem(matrix, rhs))
+        zero = CyclotomicNumber.from_rational(0, order)
+        assert [sum((a * x for a, x in zip(row, solution)), zero)
+                for row in matrix] == rhs
