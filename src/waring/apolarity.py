@@ -1,6 +1,12 @@
 """Hilbert functions, catalecticant matrices, and the intersection identity
 used by the rank additivity proof.
 
+A catalecticant is built from the form's support: a term c * x^m fills
+only the cells (m - beta, beta) with beta <= m and |beta| = t, and two terms
+never share a cell, so the matrix holds only its nonzero cells and is ranked
+by sparse elimination.  For a monomial those cells are its degree-t
+divisors, one per row and column.
+
 Hilbert functions of monomial-ideal quotients are computed by counting
 standard monomials (monomials divisible by no generator).  The standard set
 is closed under division, so it is generated level by level from 1, which
@@ -11,12 +17,13 @@ to the number of all monomials of each degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
+from itertools import product
 from math import perm, prod
 
 from .forms import CoprimeForm, HomogeneousForm, MonomialIdeal, \
     coprime_form_to_homogeneous, minimalize
-from .linalg import matrix_rank
+from .linalg import sparse_rank
 from .polynomials import Polynomial, apply_differential, compositions
 
 
@@ -34,16 +41,38 @@ class CatalecticantMatrix:
 
     entry(row, col) is the coefficient of the row monomial (degree d-t) in the
     col operator (degree t) applied to the form; its rank is the Hilbert
-    function of the perp-ideal quotient in degree t.
+    function of the perp-ideal quotient in degree t.  `entries` is sparse:
+    {row monomial: {col monomial: value}} over the nonzero cells only, keyed
+    by exponent tuples.  The full row and column index sets are built on
+    first access.
     """
 
     t: int
-    row_monomials: tuple  # exponent tuples of degree d - t
-    col_monomials: tuple  # exponent tuples of degree t
-    entries: tuple        # rows of Fractions
+    degree: int
+    num_vars: int
+    entries: dict
+
+    @cached_property
+    def row_monomials(self) -> tuple:
+        """Every exponent tuple of degree d - t."""
+        return tuple(compositions(self.degree - self.t, self.num_vars))
+
+    @cached_property
+    def col_monomials(self) -> tuple:
+        """Every exponent tuple of degree t."""
+        return tuple(compositions(self.t, self.num_vars))
 
     def rank(self) -> int:
-        return matrix_rank(self.entries)
+        return sparse_rank(self.entries.values())
+
+
+def _divisors_of_degree(m, t):
+    """Exponent tuples beta <= m (entrywise) with sum(beta) == t."""
+    *head, last = m
+    for beta in product(*(range(min(a, t) + 1) for a in head)):
+        rest = t - sum(beta)
+        if 0 <= rest <= last:
+            yield beta + (rest,)
 
 
 def catalecticant(form, t: int) -> CatalecticantMatrix:
@@ -51,24 +80,16 @@ def catalecticant(form, t: int) -> CatalecticantMatrix:
     d = form.degree
     if not 0 <= t <= d:
         raise ValueError(f"differentiation degree {t} outside 0..{d}")
-    n = len(form.variables)
-    rows = tuple(compositions(d - t, n))
-    cols = tuple(compositions(t, n))
-    entries = []
-    for alpha in rows:
-        row = []
-        for beta in cols:
-            total = tuple(a + b for a, b in zip(alpha, beta))
-            c = form.terms.get(total, Fraction(0))
-            if c:
-                # d/dx^beta applied to x^total leaves x^alpha with a falling
-                # factorial per variable
-                factor = prod(perm(a + b, b) for a, b in zip(alpha, beta))
-                row.append(c * factor)
-            else:
-                row.append(Fraction(0))
-        entries.append(tuple(row))
-    return CatalecticantMatrix(t, rows, cols, tuple(entries))
+    entries = {}
+    for m, c in form.terms.items():
+        if not c:
+            continue
+        for beta in _divisors_of_degree(m, t):
+            # d/dx^beta applied to x^m leaves x^(m - beta) with a falling
+            # factorial per variable
+            alpha = tuple(a - b for a, b in zip(m, beta))
+            entries.setdefault(alpha, {})[beta] = c * prod(map(perm, m, beta))
+    return CatalecticantMatrix(t, d, len(form.variables), entries)
 
 
 def catalecticant_lower_bound(form, t_max=None) -> int:
@@ -86,18 +107,24 @@ def catalecticant_lower_bound(form, t_max=None) -> int:
 
 # -- Hilbert functions of monomial quotients -----------------------------------
 
+def _next_level(ideal: MonomialIdeal, level):
+    """The standard monomials one degree above `level`: the one-variable
+    multiples of its members that lie outside the ideal."""
+    nxt = set()
+    for exps in level:
+        for i in range(ideal.num_vars):
+            cand = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+            if cand not in nxt and not ideal.contains_monomial(cand):
+                nxt.add(cand)
+    return nxt
+
+
 def standard_monomial_levels(ideal: MonomialIdeal, t_max: int):
     """Standard monomials of each degree 0..t_max, as lists of sets."""
-    levels = [{(0,) * ideal.num_vars} if not ideal.contains_monomial(
-        (0,) * ideal.num_vars) else set()]
+    one = (0,) * ideal.num_vars
+    levels = [set() if ideal.contains_monomial(one) else {one}]
     for _ in range(t_max):
-        nxt = set()
-        for exps in levels[-1]:
-            for i in range(ideal.num_vars):
-                cand = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
-                if cand not in nxt and not ideal.contains_monomial(cand):
-                    nxt.add(cand)
-        levels.append(nxt)
+        levels.append(_next_level(ideal, levels[-1]))
     return levels
 
 
@@ -119,19 +146,10 @@ def total_multiplicity(ideal: MonomialIdeal) -> int:
         raise ValueError("quotient is not finite: some variable has no pure "
                          "power among the generators")
     total = 0
-    levels = standard_monomial_levels(ideal, 0)
-    level = levels[0]
-    t = 0
+    level = standard_monomial_levels(ideal, 0)[0]
     while level:
         total += len(level)
-        t += 1
-        nxt = set()
-        for exps in level:
-            for i in range(ideal.num_vars):
-                cand = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
-                if cand not in nxt and not ideal.contains_monomial(cand):
-                    nxt.add(cand)
-        level = nxt
+        level = _next_level(ideal, level)
     return total
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import apolarity, decompose, forms, rank, serialize
 from .forms import MixedDegreeError, NonCoprimeError, ParseError
-from .rank import EnumerationLimitError
+from .rank import ResourceLimitError
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -301,7 +301,7 @@ def main(argv=None) -> int:
     except (ParseError, NonCoprimeError, MixedDegreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except EnumerationLimitError as exc:
+    except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:

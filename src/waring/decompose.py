@@ -35,12 +35,19 @@ from fractions import Fraction
 from math import lcm
 
 from .cyclotomic import CyclotomicNumber, cyclic_lift, cyclic_mul, \
-    cyclotomic_embed, reduce_mod_phi
+    cyclotomic_embed, euler_phi, reduce_mod_phi
 from .forms import CoprimeForm, Monomial, decomposition_field_order
 from .linalg import LinearSystem, solve_exact, \
     InconsistentSystemError, UnderdeterminedSystemError
 from .polynomials import compositions, multinomial
-from .rank import rank_coprime_sum, rank_monomial
+from .rank import ResourceLimitError, rank_coprime_sum, rank_monomial
+
+# Admission cap for `decompose_form`, in units of rank(M)^3 * phi(N)^2 summed
+# over the blocks M (N the block's field order): a square solve makes about
+# rank^3 / 3 products in Q(zeta_N), each about phi(N)^2 rational products.
+# On a 2-vCPU VM x1*x2^4*x3^6 (2.5e7) takes 1.6 s, x1*x2^4*x3^8 (5.2e7)
+# 3.0 s, and x1^12*x2^12*x3^12 (7.0e8) more than 60 s.
+MAX_SOLVE_COST = 10 ** 8
 
 
 class DecompositionSolveError(RuntimeError):
@@ -134,7 +141,9 @@ def solve_gammas(monomial: Monomial, coefficient=Fraction(1)) -> PowerSumDecompo
 
 def decompose_form(form: CoprimeForm) -> PowerSumDecomposition:
     """Minimal power-sum decomposition of a validated coprime sum, obtained by
-    decomposing each monomial block and concatenating."""
+    decomposing each monomial block and concatenating.  Raises
+    ResourceLimitError, before any solve, when the estimated solve cost
+    exceeds MAX_SOLVE_COST."""
     variables = form.variables
     if form.degree == 1:
         # the form is itself a linear form: one d-th power
@@ -146,6 +155,12 @@ def decompose_form(form: CoprimeForm) -> PowerSumDecomposition:
             gamma=CyclotomicNumber.from_rational(1, 1),
             linear=tuple(coeffs), block=0, point=tuple(coeffs))
         return PowerSumDecomposition(1, variables, (term,))
+    cost = sum(rank_monomial(m) ** 3 * euler_phi(decomposition_field_order(m)) ** 2
+               for m in form.monomials)
+    if cost > MAX_SOLVE_COST:
+        raise ResourceLimitError(
+            f"decomposing {form} needs gamma solves of estimated cost {cost:.1e} "
+            f"(rank^3 * phi(N)^2 over the blocks), above the cap {MAX_SOLVE_COST:.0e}")
     terms = []
     for block, (coeff, mono) in enumerate(form.terms):
         part = solve_gammas(mono, coeff)

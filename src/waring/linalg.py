@@ -2,10 +2,14 @@
 
 The routines are generic over any exact field scalar supporting +, -, *, /
 and truthiness as a zero test (`fractions.Fraction` and `CyclotomicNumber`
-both qualify).  Pivots are chosen as the first nonzero entry in a column; no
-numerical pivoting is needed over an exact field.  Each pivot is inverted
-at most once and the reciprocal reused for every row below it and for back
-substitution, since a cyclotomic inverse is a Euclid run over Q.
+both qualify).  No numerical pivoting is needed over an exact field.  Each
+pivot is inverted at most once and the reciprocal reused for every row it
+reduces (and, in `solve_exact`, for back substitution), since a cyclotomic
+inverse is a Euclid run over Q.
+
+Rank is computed on sparse rows {column: nonzero value} by `sparse_rank`;
+`matrix_rank` drops the zeros of a dense matrix and calls it.  The dense
+forward elimination `_eliminate` serves `solve_exact` only.
 """
 
 from __future__ import annotations
@@ -48,10 +52,10 @@ class LinearSystem:
 
 
 def _eliminate(rows, ncols):
-    """In-place forward elimination; returns (pivot column, 1 / pivot) per
-    reduced row, the inverse None when no row below needed it.  Each pivot
-    is inverted at most once, and a row update touches only the nonzero
-    entries of the pivot row right of the pivot."""
+    """In-place forward elimination for `solve_exact`; returns (pivot column,
+    1 / pivot) per reduced row, the inverse None when no row below needed
+    it.  Each pivot is inverted at most once, and a row update touches only
+    the nonzero entries of the pivot row right of the pivot."""
     pivots = []
     r = 0
     for c in range(ncols):
@@ -76,12 +80,40 @@ def _eliminate(rows, ncols):
     return pivots
 
 
+def sparse_rank(rows) -> int:
+    """Rank of the matrix whose rows are dicts {column: value} holding only
+    the nonzero entries; columns may be any mutually comparable keys.
+
+    Each row in turn is reduced against the pivot rows kept so far, by its
+    least column, and is kept as a pivot row if anything is left.  A pivot
+    row's other columns all exceed its leading one, so every step raises the
+    leading column and the reduction ends.  The input rows are not changed.
+    """
+    pivots = {}   # leading column -> [row, 1 / leading value or None]
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = [row, None]
+                break
+            top, inv = pivot
+            if inv is None:
+                inv = pivot[1] = 1 / top[lead]
+            ratio = row.pop(lead) * inv
+            zero = ratio - ratio
+            for col, value in top.items():
+                if col != lead:
+                    value = row.pop(col, zero) - ratio * value
+                    if value:
+                        row[col] = value
+    return len(pivots)
+
+
 def matrix_rank(matrix) -> int:
     """Rank of a dense matrix over an exact field."""
-    if not matrix:
-        return 0
-    rows = [list(row) for row in matrix]
-    return len(_eliminate(rows, len(rows[0])))
+    return sparse_rank({j: x for j, x in enumerate(row) if x} for row in matrix)
 
 
 def solve_exact(system: LinearSystem):

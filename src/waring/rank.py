@@ -82,7 +82,12 @@ def max_monomial_rank_3vars(d: int):
     return value, witness
 
 
-class EnumerationLimitError(RuntimeError):
+class ResourceLimitError(RuntimeError):
+    """The work an input asks for exceeds an admission cap (exit code 3 in
+    the CLI)."""
+
+
+class EnumerationLimitError(ResourceLimitError):
     """The partition enumeration exceeded the configured cap."""
 
     def __init__(self, count: int, cap: int):

@@ -1,6 +1,13 @@
 import random
+from collections import Counter
+from fractions import Fraction
+from itertools import product
+from math import factorial, prod
 
 import pytest
+import sympy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from waring.apolarity import (
     ClaimPreconditionError,
@@ -16,8 +23,8 @@ from waring.apolarity import (
     total_multiplicity,
     verify_claim_identity,
 )
-from waring.forms import MonomialIdeal, parse_form, parse_homogeneous, \
-    perp_generators
+from waring.forms import HomogeneousForm, MonomialIdeal, parse_form, \
+    parse_homogeneous, perp_generators
 from waring.polynomials import Polynomial
 from waring.rank import rank_monomial
 
@@ -74,6 +81,105 @@ def test_catalecticant_bound_binary_profile():
             bound = catalecticant_lower_bound(CoprimeForm([(1, m)]))
             assert bound == min(a, b) + 1
             assert (bound == rank_monomial(m)) == (a == b)
+
+
+# -- sparse catalecticants against dense sympy ranks and closed forms ----------
+
+
+def _exponents(n, d):
+    return [e for e in product(range(d + 1), repeat=n) if sum(e) == d]
+
+
+@st.composite
+def _homogeneous_forms(draw):
+    """Forms in at most 4 variables of degree at most 8: up to three powers
+    of linear forms (low rank, entries that cancel under elimination) plus
+    up to six arbitrary terms sharing variables; terms that cancel to zero
+    are dropped, as `parse_homogeneous` drops them.  The draws come from a
+    hypothesis-controlled Random, which spreads them evenly over n and d."""
+    rng = draw(st.randoms(use_true_random=False))
+    n, d = rng.randint(1, 4), rng.randint(1, 8)
+    xs = sympy.symbols(f"x1:{n + 1}")
+    expr = sympy.Integer(0)
+    for _ in range(rng.randint(0, 3)):
+        linear = sum(rng.randint(-2, 2) * x for x in xs)
+        expr += rng.choice([-2, -1, 1, 2]) * linear ** d
+    support = _exponents(n, d)
+    for _ in range(rng.randint(0, 6)):
+        exps = rng.choice(support)
+        expr += sympy.Rational(rng.randint(-3, 3), rng.randint(1, 4)) * \
+            prod(x ** e for x, e in zip(xs, exps))
+    terms = {exps: Fraction(int(c.p), int(c.q))
+             for exps, c in sympy.Poly(expr, *xs).terms() if c}
+    if not terms:
+        terms = {(d,) + (0,) * (n - 1): Fraction(1)}
+    return HomogeneousForm(tuple(str(x) for x in xs), terms, d)
+
+
+def _dense_sympy_rank(form, t):
+    """Rank of every cell (alpha, beta), |alpha| = d - t, |beta| = t, of the
+    catalecticant, built densely and ranked by sympy."""
+    n, d = len(form.variables), form.degree
+    cells = []
+    for alpha in _exponents(n, d - t):
+        row = []
+        for beta in _exponents(n, t):
+            m = tuple(a + b for a, b in zip(alpha, beta))
+            c = form.terms.get(m, 0)
+            row.append(sympy.Rational(c.numerator, c.denominator) *
+                       prod(factorial(e) // factorial(a) for e, a in zip(m, alpha))
+                       if c else 0)
+        cells.append(row)
+    return sympy.Matrix(cells).rank()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_homogeneous_forms())
+def test_sparse_catalecticant_rank_equals_dense_sympy_rank(form):
+    for t in range(form.degree + 1):
+        cat = catalecticant(form, t)
+        assert cat.rank() == _dense_sympy_rank(form, t), (form, t)
+        assert all(cat.entries.values()) and all(
+            v for row in cat.entries.values() for v in row.values())
+
+
+def _divisor_counts(exponents):
+    """Number of divisors of x^exponents in each degree."""
+    return Counter(sum(b) for b in product(*(range(a + 1) for a in exponents)))
+
+
+def test_catalecticant_ranks_match_the_closed_forms():
+    rng = random.Random(5)
+    texts = ["x1^5", "x1*x2^2*x3^3", "x1^2*x2^5", "x1^3*x2^3*x3^3*x4^2",
+             "x1*x2^2 + x3^3", "2*x1^2*x2^3 - x3*x4^4 + 3/2*x5^5"]
+    for _ in range(30):
+        d = rng.randint(2, 9)
+        blocks, v = [], 1
+        for _ in range(rng.randint(1, 3)):
+            cuts = sorted(rng.sample(range(1, d), rng.randint(0, min(2, d - 1))))
+            exps = [b - a for a, b in zip([0] + cuts, cuts + [d])]
+            coeff = rng.choice(["", "3*", "-1/2*"])
+            blocks.append(coeff + "*".join(f"x{v + i}^{e}" for i, e in enumerate(exps)))
+            v += len(exps)
+        texts.append(" + ".join(blocks))
+    for text in texts:
+        form = parse_form(text)
+        d = form.degree
+        counts = [_divisor_counts(m.exponents) for m in form.monomials]
+        for t in range(d + 1):
+            cat = catalecticant(form, t)
+            if len(counts) == 1:
+                # one nonzero cell per degree-t divisor, one per row and column
+                assert sum(map(len, cat.entries.values())) == counts[0][t]
+                assert cat.rank() == counts[0][t], (text, t)
+            elif 1 <= t <= d - 1:
+                assert cat.rank() == sum(c[t] for c in counts), (text, t)
+        cat = catalecticant(form, 1)
+        n = len(form.variables)
+        assert cat.row_monomials == tuple(e for e in product(range(d), repeat=n)
+                                          if sum(e) == d - 1)[::-1]
+        assert len(cat.col_monomials) == n
 
 
 def test_hf_monomial_quotient_square_gens():

@@ -228,3 +228,26 @@ def test_boundary_flag_values_still_run(capsys):
     code, out, _ = run(capsys, "survey", "3", "--range", "4:4", "--csv")
     assert code == 0
     assert [line.split(",")[0] for line in out.splitlines()] == ["d", "4"]
+
+
+def test_bound_of_a_large_monomial(capsys):
+    # the catalecticants are built from the form's support: 16^3 cells over
+    # all t instead of a dense C(47-t, 2) x C(t+2, 2) matrix per t
+    code, out, _ = run(capsys, "bound", "x1^15*x2^15*x3^15")
+    assert code == 0
+    assert out == "192\n"
+
+
+def test_decompose_over_the_solve_cap_exits_3(capsys):
+    code, out, err = run(capsys, "decompose", "x1^2*x2^2*x3^2*x4^2*x5^9")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "cap" in err
+    assert "Traceback" not in err
+
+
+def test_decompose_under_the_solve_cap_still_runs(capsys):
+    code, out, _ = run(capsys, "decompose", "x1*x2^4*x3^6")
+    assert code == 0
+    assert out.startswith("rank 35 decomposition of x1*x2^4*x3^6:\n")

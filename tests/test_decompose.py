@@ -229,3 +229,11 @@ def test_solved_gammas_equal_the_closed_form(case):
     assert [t.gamma for t in dec.terms] == _closed_form_gammas(monomial, coefficient)
     form = CoprimeForm([(coefficient, monomial)])
     assert verify_decomposition(form, dec).passed
+
+
+def test_solve_cost_cap_raises_before_any_solve():
+    from waring.rank import EnumerationLimitError, ResourceLimitError
+    assert issubclass(EnumerationLimitError, ResourceLimitError)
+    # rank 169 over Q(zeta_13): 169^3 * 12^2 = 7.0e8, over the cap
+    with pytest.raises(ResourceLimitError, match="cap"):
+        decompose_form(parse_form("x1^12*x2^12*x3^12"))

@@ -11,6 +11,7 @@ from waring.linalg import (
     UnderdeterminedSystemError,
     matrix_rank,
     solve_exact,
+    sparse_rank,
 )
 
 
@@ -117,6 +118,13 @@ def test_rank_of_rank_deficient_matrices_matches_sympy(seed):
     expected = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                              for row in matrix]).rank()
     assert matrix_rank(matrix) == expected <= inner
+    # the same matrix as sparse rows, zeros dropped, under shuffled tuple
+    # column keys, so the pivot order differs from the dense one
+    keys = [(rng.randint(0, 3), j) for j in range(cols)]
+    sparse = [{keys[j]: x for j, x in enumerate(row) if x} for row in matrix]
+    snapshot = [dict(row) for row in sparse]
+    assert sparse_rank(sparse) == expected
+    assert sparse == snapshot
 
 
 @pytest.mark.parametrize("order", [3, 4, 5, 7, 8, 12])
