@@ -21,18 +21,17 @@ from functools import cached_property
 from itertools import product
 from math import perm, prod
 
-from .forms import CoprimeForm, HomogeneousForm, MonomialIdeal, \
-    coprime_form_to_homogeneous, minimalize
+from .forms import CoprimeForm, MonomialIdeal, as_homogeneous, dual_names, \
+    minimalize, pure_power
 from .linalg import sparse_rank
 from .polynomials import Polynomial, apply_differential, compositions
+from .rank import ResourceLimitError
 
-
-def _as_homogeneous(form):
-    if isinstance(form, CoprimeForm):
-        return coprime_form_to_homogeneous(form)
-    if isinstance(form, HomogeneousForm):
-        return form
-    raise TypeError(f"expected a form, got {type(form).__name__}")
+# Admission cap for `catalecticant_lower_bound`, in nonzero catalecticant
+# cells over all degrees t: a term c * x^m fills prod(m_i + 1) of them.  On
+# a 2-vCPU VM 97,336 cells take 0.8 s and 195,112 cells 1.7 s, while
+# x1^100*x2^100*x3^100 (1.03M cells) takes 10.7 s.
+MAX_BOUND_CELLS = 2 * 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ def _divisors_of_degree(m, t):
 
 
 def catalecticant(form, t: int) -> CatalecticantMatrix:
-    form = _as_homogeneous(form)
+    form = as_homogeneous(form)
     d = form.degree
     if not 0 <= t <= d:
         raise ValueError(f"differentiation degree {t} outside 0..{d}")
@@ -94,15 +93,30 @@ def catalecticant(form, t: int) -> CatalecticantMatrix:
 
 def catalecticant_lower_bound(form, t_max=None) -> int:
     """max_t rank of the catalecticant: a lower bound for the Waring rank,
-    because an apolar set of s points forces every catalecticant rank <= s."""
-    form = _as_homogeneous(form)
+    because an apolar set of s points forces every catalecticant rank <= s.
+
+    Raises ResourceLimitError, before building any catalecticant, when the
+    estimated cell count `bound_cells(form)` exceeds MAX_BOUND_CELLS."""
+    form = as_homogeneous(form)
     if t_max is None:
         t_max = form.degree
     if t_max < 1:
         raise ValueError(f"t_max must be at least 1, got {t_max}")
     if t_max > form.degree:
         raise ValueError(f"t_max {t_max} exceeds degree {form.degree}")
+    cells = bound_cells(form)
+    if cells > MAX_BOUND_CELLS:
+        raise ResourceLimitError(
+            f"the catalecticants of this form have an estimated {cells} nonzero "
+            f"cells (the sum over terms of prod(m_i + 1)), above the cap "
+            f"{MAX_BOUND_CELLS}")
     return max(catalecticant(form, t).rank() for t in range(1, t_max + 1))
+
+
+def bound_cells(form) -> int:
+    """The nonzero cells of all catalecticants of a form, over every degree
+    t: sum over its terms c * x^m of prod(m_i + 1), the divisors of x^m."""
+    return sum(prod(a + 1 for a in m) for m in as_homogeneous(form).terms)
 
 
 # -- Hilbert functions of monomial quotients -----------------------------------
@@ -161,11 +175,7 @@ def hf_sum_complete_intersection(exponents) -> int:
         raise ValueError("exponents must be positive")
     closed = prod(a + 1 for a in exponents)
     n = len(exponents)
-    gens = []
-    for i, a in enumerate(exponents):
-        g = [0] * n
-        g[i] = a + 1
-        gens.append(g)
+    gens = [pure_power(n, i, a + 1) for i, a in enumerate(exponents)]
     counted = total_multiplicity(MonomialIdeal(n, gens))
     if counted != closed:
         raise AssertionError(
@@ -222,7 +232,7 @@ def verify_claim_identity(ideals, t_max=None) -> ClaimReport:
     for a in range(len(ideals)):
         for b in range(a + 1, len(ideals)):
             for v in range(num_vars):
-                unit = tuple(1 if i == v else 0 for i in range(num_vars))
+                unit = pure_power(num_vars, v, 1)
                 if unit not in ideals[a].generators and unit not in ideals[b].generators:
                     raise ClaimPreconditionError(
                         f"J_{a + 1} + J_{b + 1} misses the variable "
@@ -250,25 +260,15 @@ def claim_ideals(form: CoprimeForm):
     a_j+1, and contains every out-of-block variable linearly."""
     num_vars = len(form.variables)
     index = {v: i for i, v in enumerate(form.variables)}
-    names = tuple(f"X{v[1:]}" if v.startswith("x") and v[1:].isdigit() else v.upper()
-                  for v in form.variables)
+    names = dual_names(form.variables)
     ideals = []
     for _, mono in form.terms:
         items = mono.sorted_items
         block = {v for v, _ in items}
-        gens = []
-        for v, a in items[1:]:
-            g = [0] * num_vars
-            g[index[v]] = a + 1
-            gens.append(g)
-        g = [0] * num_vars
-        g[index[items[0][0]]] = 1
-        gens.append(g)
-        for v in form.variables:
-            if v not in block:
-                g = [0] * num_vars
-                g[index[v]] = 1
-                gens.append(g)
+        gens = [pure_power(num_vars, index[v], a + 1) for v, a in items[1:]]
+        gens.append(pure_power(num_vars, index[items[0][0]], 1))
+        gens += [pure_power(num_vars, index[v], 1)
+                 for v in form.variables if v not in block]
         ideals.append(MonomialIdeal(num_vars, gens, names))
     return ideals
 
@@ -283,17 +283,15 @@ def random_claim_configuration(rng, max_r=3, max_block=3, max_exp=4):
     starts = [sum(sizes[:i]) for i in range(r)]
     ideals = []
     for i in range(r):
-        gens = []
         block = range(starts[i], starts[i] + sizes[i])
-        for v in range(num_vars):
-            g = [0] * num_vars
-            g[v] = rng.randint(1, max_exp + 1) if v in block else 1
-            gens.append(g)
+        gens = [pure_power(num_vars, v, rng.randint(1, max_exp + 1) if v in block else 1)
+                for v in range(num_vars)]
         ideals.append(MonomialIdeal(num_vars, gens))
     return ideals
 
 
 def annihilator_membership(operator: Polynomial, form) -> bool:
     """True iff the operator kills the form under the differentiation action."""
-    form = _as_homogeneous(form)
-    return apply_differential(operator, form.as_polynomial()).is_zero()
+    form = as_homogeneous(form)
+    target = Polynomial(len(form.variables), form.terms)
+    return apply_differential(operator, target).is_zero()

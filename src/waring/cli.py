@@ -8,13 +8,12 @@ Exit codes: 0 success, 1 parse/validation error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import apolarity, decompose, forms, rank, serialize
-from .forms import MixedDegreeError, NonCoprimeError, ParseError
 from .rank import ResourceLimitError
 
 EXIT_OK = 0
@@ -67,7 +66,7 @@ def cmd_bound(args) -> int:
     try:
         form = forms.parse_form(args.form)
         source = form
-    except (NonCoprimeError, ValueError):
+    except ValueError:
         # non-coprime input: lower bounds still apply, ranks do not
         source = forms.parse_homogeneous(args.form)
         print("note: input is not a coprime sum; reporting a lower bound only",
@@ -76,8 +75,7 @@ def cmd_bound(args) -> int:
     bound = apolarity.catalecticant_lower_bound(source, t_max)
     if args.json:
         _print_json({"form": args.form, "lower_bound": bound,
-                     "t_max": t_max if t_max is not None else
-                     (source.degree if hasattr(source, "degree") else None)})
+                     "t_max": t_max if t_max is not None else source.degree})
     else:
         print(bound)
     return EXIT_OK
@@ -146,23 +144,8 @@ def _emit_table(header, rows, csv=False):
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
 
 
-def _parse_generators(text: str):
-    """Comma-separated monomial generators, e.g. 'x1^2, x2^2'."""
-    gen_terms = []
-    for chunk in text.split(","):
-        parsed = forms._parse_terms(chunk)
-        if len(parsed) != 1 or parsed[0][0] != 1:
-            raise ParseError(f"generator {chunk.strip()!r} must be a plain monomial", 0)
-        gen_terms.append(parsed[0][1])
-    used = sorted({v for exps in gen_terms for v in exps}, key=forms._variable_key)
-    index = {v: i for i, v in enumerate(used)}
-    gens = []
-    for exps in gen_terms:
-        g = [0] * len(used)
-        for v, e in exps.items():
-            g[index[v]] = e
-        gens.append(g)
-    return forms.MonomialIdeal(len(used), gens, names=used)
+# kept under this name for callers of the CLI module
+_parse_generators = forms.parse_generators
 
 
 def cmd_hf(args) -> int:
@@ -239,7 +222,10 @@ def _degree_range(text):
     return range(lo, hi + 1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused: building
+    it costs more than a whole small job."""
     parser = _ArgumentParser(
         prog="waring",
         description="Waring ranks and exact power-sum decompositions for sums "
@@ -298,9 +284,6 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ParseError, NonCoprimeError, MixedDegreeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

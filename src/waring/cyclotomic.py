@@ -400,7 +400,3 @@ def cyclotomic_embed(root_order: int, power: int, field_order: int) -> Cyclotomi
             f"root order {root_order} does not divide field order {field_order}")
     step = field_order // root_order
     return CyclotomicNumber.zeta(field_order, (step * power) % field_order)
-
-
-ZERO = CyclotomicNumber.from_rational(0)
-ONE = CyclotomicNumber.from_rational(1)

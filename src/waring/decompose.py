@@ -62,9 +62,6 @@ class DecompositionTerm:
     block: int             # index of the source monomial
     point: tuple           # apolar point coordinates, aligned to the block's variables
 
-    def field_order(self) -> int:
-        return self.gamma.order
-
 
 @dataclass(frozen=True)
 class PowerSumDecomposition:

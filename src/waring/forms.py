@@ -103,12 +103,6 @@ class Monomial:
     def support(self):
         return set(self.variables)
 
-    def exponent_of(self, name: str) -> int:
-        try:
-            return self.exponents[self.variables.index(name)]
-        except ValueError:
-            return 0
-
     def as_polynomial(self, namespace, coeff=Fraction(1)) -> Polynomial:
         exps = [0] * len(namespace)
         for v, e in zip(self.variables, self.exponents):
@@ -175,12 +169,6 @@ class CoprimeForm:
     @property
     def coefficients(self):
         return [c for c, _ in self.terms]
-
-    def as_polynomial(self) -> Polynomial:
-        poly = Polynomial.zero(len(self.variables))
-        for c, m in self.terms:
-            poly = poly + m.as_polynomial(self.variables, c)
-        return poly
 
     def __eq__(self, other):
         return (isinstance(other, CoprimeForm)
@@ -339,10 +327,7 @@ class _Parser:
         exp = 1
         if self.peek()[:2] == ("op", "^"):
             self.take()
-            etok = self.take("int")
-            exp = int(etok[1])
-            if exp < 0:
-                raise ParseError("negative exponent", etok[2])
+            exp = int(self.take("int")[1])
         return name, exp, tok[2]
 
 
@@ -360,6 +345,24 @@ def _parse_terms(text: str):
                 exps[name] = exps.get(name, 0) + exp
         out.append((coeff, exps))
     return out
+
+
+def _exponent_tuple(pairs, index) -> tuple:
+    """(variable, exponent) pairs as an exponent tuple over `index`, a map
+    from variable to position."""
+    key = [0] * len(index)
+    for v, e in pairs:
+        key[index[v]] = e
+    return tuple(key)
+
+
+def _namespace(term_exps):
+    """The canonical variable order of parsed {variable: exponent} maps, and
+    each map as an exponent tuple in that order."""
+    variables = tuple(sorted({v for exps in term_exps for v in exps},
+                             key=_variable_key))
+    index = {v: i for i, v in enumerate(variables)}
+    return variables, [_exponent_tuple(exps.items(), index) for exps in term_exps]
 
 
 def parse_form(text: str) -> CoprimeForm:
@@ -382,33 +385,22 @@ class HomogeneousForm:
     terms: dict  # exponent tuple -> Fraction
     degree: int
 
-    def as_polynomial(self) -> Polynomial:
-        return Polynomial(len(self.variables), dict(self.terms))
-
 
 def parse_homogeneous(text: str) -> HomogeneousForm:
     """Relaxed parse: merges like terms, allows shared variables, but still
     requires all monomials to have one common degree."""
     raw = _parse_terms(text)
-    used = set()
-    for _, exps in raw:
-        used |= set(exps)
-    if not used:
+    variables, keys = _namespace([exps for _, exps in raw])
+    if not variables:
         raise ParseError("constant input has no variables", 0)
-    variables = tuple(sorted(used, key=_variable_key))
-    index = {v: i for i, v in enumerate(variables)}
     degree = None
     merged = {}
-    for coeff, exps in raw:
-        d = sum(exps.values())
+    for (coeff, _), key in zip(raw, keys):
+        d = sum(key)
         if degree is None:
             degree = d
         elif d != degree:
             raise MixedDegreeError(degree, d)
-        key = [0] * len(variables)
-        for v, e in exps.items():
-            key[index[v]] = e
-        key = tuple(key)
         merged[key] = merged.get(key, Fraction(0)) + coeff
     merged = {k: v for k, v in merged.items() if v}
     if not merged:
@@ -416,9 +408,31 @@ def parse_homogeneous(text: str) -> HomogeneousForm:
     return HomogeneousForm(variables, merged, degree)
 
 
-def coprime_form_to_homogeneous(form: CoprimeForm) -> HomogeneousForm:
-    poly = form.as_polynomial()
-    return HomogeneousForm(form.variables, dict(poly.terms), form.degree)
+def as_homogeneous(form) -> HomogeneousForm:
+    """A form as a HomogeneousForm over its own namespace.  A CoprimeForm's
+    (coefficient, Monomial) pairs become exponent tuples directly: coprime
+    monomials are distinct, so nothing merges."""
+    if isinstance(form, HomogeneousForm):
+        return form
+    if not isinstance(form, CoprimeForm):
+        raise TypeError(f"expected a form, got {type(form).__name__}")
+    index = {v: i for i, v in enumerate(form.variables)}
+    terms = {_exponent_tuple(zip(m.variables, m.exponents), index): c
+             for c, m in form.terms}
+    return HomogeneousForm(form.variables, terms, form.degree)
+
+
+def parse_generators(text: str) -> MonomialIdeal:
+    """Comma-separated monomial generators, e.g. 'x1^2, x2^2', as a monomial
+    ideal over the variables they use, named as in the input."""
+    gen_terms = []
+    for chunk in text.split(","):
+        parsed = _parse_terms(chunk)
+        if len(parsed) != 1 or parsed[0][0] != 1:
+            raise ParseError(f"generator {chunk.strip()!r} must be a plain monomial", 0)
+        gen_terms.append(parsed[0][1])
+    variables, gens = _namespace(gen_terms)
+    return MonomialIdeal(len(variables), gens, names=variables)
 
 
 def render_form(form: CoprimeForm) -> str:
@@ -442,14 +456,20 @@ def render_form(form: CoprimeForm) -> str:
 def perp_generators(monomial: Monomial) -> MonomialIdeal:
     """The perp ideal of a monomial: pure powers X_j^(a_j+1), one per variable
     in the support."""
-    gens = []
-    for i, e in enumerate(monomial.exponents):
-        g = [0] * monomial.n
-        g[i] = e + 1
-        gens.append(g)
-    names = tuple(f"X{v[1:]}" if v.startswith("x") and v[1:].isdigit() else v.upper()
-                  for v in monomial.variables)
-    return MonomialIdeal(monomial.n, gens, names)
+    gens = [pure_power(monomial.n, i, e + 1) for i, e in enumerate(monomial.exponents)]
+    return MonomialIdeal(monomial.n, gens, dual_names(monomial.variables))
+
+
+def pure_power(num_vars: int, i: int, e: int) -> tuple:
+    """The exponent tuple of X_i^e among num_vars variables."""
+    return (0,) * i + (e,) + (0,) * (num_vars - i - 1)
+
+
+def dual_names(variables) -> tuple:
+    """Names of the dual (differential-operator) variables: x3 -> X3,
+    a -> A."""
+    return tuple(f"X{v[1:]}" if v.startswith("x") and v[1:].isdigit() else v.upper()
+                 for v in variables)
 
 
 def ci_point_ideal(monomial: Monomial):
@@ -462,17 +482,10 @@ def ci_point_ideal(monomial: Monomial):
         return []
     order = sorted(range(monomial.n),
                    key=lambda i: (monomial.exponents[i], i))
-    first = order[0]
-    gens = []
-    for i in order[1:]:
-        a = monomial.exponents[i]
-        lead = [0] * monomial.n
-        lead[i] = a + 1
-        tail = [0] * monomial.n
-        tail[first] = a + 1
-        gens.append(Polynomial(monomial.n, {tuple(lead): Fraction(1),
-                                            tuple(tail): Fraction(-1)}))
-    return gens
+    n, first = monomial.n, order[0]
+    return [Polynomial(n, {pure_power(n, i, monomial.exponents[i] + 1): Fraction(1),
+                           pure_power(n, first, monomial.exponents[i] + 1): Fraction(-1)})
+            for i in order[1:]]
 
 
 def drop_unused_variables(form: CoprimeForm) -> CoprimeForm:

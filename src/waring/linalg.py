@@ -7,9 +7,10 @@ pivot is inverted at most once and the reciprocal reused for every row it
 reduces (and, in `solve_exact`, for back substitution), since a cyclotomic
 inverse is a Euclid run over Q.
 
-Rank is computed on sparse rows {column: nonzero value} by `sparse_rank`;
-`matrix_rank` drops the zeros of a dense matrix and calls it.  The dense
-forward elimination `_eliminate` serves `solve_exact` only.
+One elimination, `_reduce`, works on sparse rows {column: nonzero value}
+and serves every caller: `sparse_rank` counts its pivot rows, `matrix_rank`
+drops the zeros of a dense matrix and calls `sparse_rank`, and `solve_exact`
+reduces the augmented rows [A | b] and back-substitutes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass, field
 
 
 class InconsistentSystemError(ValueError):
-    """The system has no solution; `row` is the first failing reduced row."""
+    """The system has no solution; `row` is the position, in pivot order, of
+    the reduced row that reads 0 = nonzero (it equals the rank of A)."""
 
     def __init__(self, row: int):
         super().__init__(f"inconsistent linear system (reduced row {row})")
@@ -51,45 +53,18 @@ class LinearSystem:
             raise ValueError(f"ragged matrix rows: widths {sorted(widths)}")
 
 
-def _eliminate(rows, ncols):
-    """In-place forward elimination for `solve_exact`; returns (pivot column,
-    1 / pivot) per reduced row, the inverse None when no row below needed
-    it.  Each pivot is inverted at most once, and a row update touches only
-    the nonzero entries of the pivot row right of the pivot."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        top = rows[r]
-        below = [row for row in rows[r + 1:] if row[c]]
-        inv = None
-        if below:
-            inv = 1 / top[c]
-            zero = top[c] - top[c]
-            support = [j for j in range(c + 1, len(top)) if top[j]]
-            for row in below:
-                ratio = row[c] * inv
-                row[c] = zero
-                for j in support:
-                    row[j] = row[j] - ratio * top[j]
-        pivots.append((c, inv))
-        r += 1
-    return pivots
-
-
-def sparse_rank(rows) -> int:
-    """Rank of the matrix whose rows are dicts {column: value} holding only
-    the nonzero entries; columns may be any mutually comparable keys.
+def _reduce(rows) -> dict:
+    """Row-reduce sparse rows {column: nonzero value}; columns may be any
+    mutually comparable keys.  Returns the pivot rows as {leading column:
+    [row, 1 / leading value or None]}, the inverse None when no later row
+    needed it.
 
     Each row in turn is reduced against the pivot rows kept so far, by its
     least column, and is kept as a pivot row if anything is left.  A pivot
     row's other columns all exceed its leading one, so every step raises the
     leading column and the reduction ends.  The input rows are not changed.
     """
-    pivots = {}   # leading column -> [row, 1 / leading value or None]
+    pivots = {}
     for row in rows:
         row = dict(row)
         while row:
@@ -108,7 +83,14 @@ def sparse_rank(rows) -> int:
                     value = row.pop(col, zero) - ratio * value
                     if value:
                         row[col] = value
-    return len(pivots)
+    return pivots
+
+
+def sparse_rank(rows) -> int:
+    """Rank of the matrix whose rows are dicts {column: value} holding only
+    the nonzero entries; columns may be any mutually comparable keys.  The
+    input rows are not changed."""
+    return len(_reduce(rows))
 
 
 def matrix_rank(matrix) -> int:
@@ -121,25 +103,24 @@ def solve_exact(system: LinearSystem):
 
     Returns the unique solution vector when A has full column rank and the
     system is consistent.  Raises InconsistentSystemError or
-    UnderdeterminedSystemError otherwise.
+    UnderdeterminedSystemError otherwise.  The rows [A | b] are reduced as
+    sparse rows, b in column ncols: a pivot there means no solution, fewer
+    than ncols pivots left of it mean no unique one, and otherwise the
+    pivot rows are back-substituted from the last column down.
     """
-    nrows = len(system.matrix)
-    ncols = len(system.matrix[0]) if nrows else 0
-    rows = [list(row) + [b] for row, b in zip(system.matrix, system.rhs)]
-    pivots = _eliminate(rows, ncols)
-    rank = len(pivots)
-    for i in range(rank, nrows):
-        if rows[i][ncols]:
-            raise InconsistentSystemError(i)
-    if rank < ncols:
-        raise UnderdeterminedSystemError(rank, ncols)
-    # back substitution; reduced row i has its pivot in column pivots[i][0]
+    ncols = len(system.matrix[0]) if system.matrix else 0
+    pivots = _reduce({j: a for j, a in enumerate([*row, b]) if a}
+                     for row, b in zip(system.matrix, system.rhs))
+    if ncols in pivots:
+        raise InconsistentSystemError(len(pivots) - 1)
+    if len(pivots) < ncols:
+        raise UnderdeterminedSystemError(len(pivots), ncols)
     solution = [None] * ncols
-    for i in range(rank - 1, -1, -1):
-        c, inv = pivots[i]
-        acc = rows[i][ncols]
-        for j in range(c + 1, ncols):
-            if rows[i][j]:
-                acc = acc - rows[i][j] * solution[j]
-        solution[c] = acc * inv if inv is not None else acc / rows[i][c]
+    for c in range(ncols - 1, -1, -1):
+        row, inv = pivots[c]
+        acc = row.get(ncols, row[c] - row[c])
+        for j, value in row.items():
+            if c < j < ncols:
+                acc = acc - value * solution[j]
+        solution[c] = acc * inv if inv is not None else acc / row[c]
     return solution

@@ -24,10 +24,6 @@ def fraction_to_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def cyclo_to_json(x: CyclotomicNumber) -> dict:
     return {"order": x.order, "coeffs": [fraction_to_str(c) for c in x.coeffs]}
 

@@ -297,3 +297,35 @@ def test_perp_generators_annihilate_surveyed_monomials():
         mono = form.monomials[0]
         for gen in perp_generators(mono).generators:
             assert annihilator_membership(Polynomial.monomial(gen), form)
+
+
+def test_bound_cells_count_the_divisors_of_every_term():
+    from waring.apolarity import bound_cells
+    assert bound_cells(parse_form("x1*x2^2 + x3^3")) == 2 * 3 + 4
+    assert bound_cells(parse_homogeneous("x1^2*x2 + x1*x2^2")) == 6 + 6
+    form = parse_form("x1^2*x2^3*x3 + 2*x4^6")
+    assert bound_cells(form) == sum(
+        len(row) for t in range(form.degree + 1)
+        for row in catalecticant(form, t).entries.values())
+
+
+def test_bound_cell_cap_is_checked_before_any_catalecticant(monkeypatch):
+    from types import SimpleNamespace
+    from waring import apolarity
+    from waring.rank import ResourceLimitError
+    built = []
+    stub = SimpleNamespace(rank=lambda: 0)
+    monkeypatch.setattr(apolarity, "catalecticant",
+                        lambda form, t: built.append(t) or stub)
+    at_cap = parse_form("x1^19*x2^99*x3^99")     # 20 * 100 * 100 cells
+    over = parse_form("x1^2*x2^162*x3^408")      # 3 * 163 * 409 cells
+    assert apolarity.bound_cells(at_cap) == apolarity.MAX_BOUND_CELLS
+    assert apolarity.bound_cells(over) == apolarity.MAX_BOUND_CELLS + 1
+    apolarity.catalecticant_lower_bound(at_cap)
+    assert built == list(range(1, at_cap.degree + 1))
+    built.clear()
+    with pytest.raises(ResourceLimitError, match="200001"):
+        apolarity.catalecticant_lower_bound(over)
+    with pytest.raises(ResourceLimitError):
+        apolarity.catalecticant_lower_bound(parse_homogeneous(str(over)), 1)
+    assert built == []

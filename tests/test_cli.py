@@ -251,3 +251,33 @@ def test_decompose_under_the_solve_cap_still_runs(capsys):
     code, out, _ = run(capsys, "decompose", "x1*x2^4*x3^6")
     assert code == 0
     assert out.startswith("rank 35 decomposition of x1*x2^4*x3^6:\n")
+
+
+def test_the_parser_is_built_once_and_reused(capsys):
+    from waring.cli import build_parser
+    assert build_parser() is build_parser()
+    # a rejected command line first, so a parser left in a bad state by an
+    # error would show in the calls after it
+    calls = [("decompose", "x1*x2^2", "--nope"),
+             ("decompose", "x1*x2^2", "--json"),
+             ("decompose", "x1*x2^2"),
+             ("rank", "x1^2*x2 + x3^3", "--json"),
+             ("hf", "x1^2,x2^3", "--tmax", "3"),
+             ("bound", "x1^2*x2 + x1*x2^2", "--json")]
+    reused = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [1, 0, 0, 0, 0, 0]
+
+
+def test_bound_over_the_cell_cap_exits_3(capsys):
+    # 101^3 = 1,030,301 nonzero catalecticant cells, refused before any is built
+    code, out, err = run(capsys, "bound", "x1^100*x2^100*x3^100")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "1030301" in err and "200000" in err
+    assert "Traceback" not in err

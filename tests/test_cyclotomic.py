@@ -210,3 +210,10 @@ def test_integer_product_matches_schoolbook_product_modulo_sympy_phi(pair):
     assert product.order == lcm(a.order, b.order)
     assert list(product.coeffs) == _schoolbook_product(a, b)
     assert product == b * a
+
+
+def test_cyclotomic_polynomial_matches_sympy_up_to_order_200():
+    x = sympy.Symbol("x")
+    for n in range(1, 201):
+        coeffs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in reversed(coeffs)), n

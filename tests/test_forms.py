@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waring.forms import (
     CoprimeForm,
@@ -166,3 +168,42 @@ def test_decomposition_field_order():
     assert decomposition_field_order(parse_form("x1^4").monomials[0]) == 1
     assert decomposition_field_order(parse_form("x1*x2^2").monomials[0]) == 3
     assert decomposition_field_order(parse_form("x1*x2^2*x3^3").monomials[0]) == 12
+
+
+# -- property tests: rendering and the two parsers ----------------------------
+
+_NAMES = [f"x{i}" for i in range(1, 13)] + list("abcxyzABQ")
+
+
+@st.composite
+def _coprime_forms(draw):
+    """Coprime sums of degree <= 6 in at most three blocks of at most three
+    variables, named x<i> or by single letters, with rational coefficients
+    of either sign and each monomial's variables in a shuffled order."""
+    rng = draw(st.randoms(use_true_random=False))
+    d = rng.randint(1, 6)
+    sizes = [rng.randint(1, min(3, d)) for _ in range(rng.randint(1, 3))]
+    names = rng.sample(_NAMES, sum(sizes))
+    terms = []
+    for size in sizes:
+        block, names = names[:size], names[size:]
+        cuts = sorted(rng.sample(range(1, d), size - 1))
+        exps = [b - a for a, b in zip([0] + cuts, cuts + [d])]
+        coeff = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+        terms.append((coeff, Monomial(block, exps)))
+    return CoprimeForm(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coprime_forms())
+def test_parse_form_inverts_render_form(form):
+    assert parse_form(render_form(form)) == form
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coprime_forms())
+def test_both_parsers_give_the_same_catalecticant_bound(form):
+    from waring.apolarity import catalecticant_lower_bound
+    text = render_form(form)
+    assert catalecticant_lower_bound(parse_form(text)) == \
+        catalecticant_lower_bound(parse_homogeneous(text))

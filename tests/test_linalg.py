@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waring.cyclotomic import CyclotomicNumber, cyclotomic_embed, euler_phi
 from waring.linalg import (
@@ -145,3 +147,62 @@ def test_square_cyclotomic_systems_reproduce_the_rhs(order):
         zero = CyclotomicNumber.from_rational(0, order)
         assert [sum((a * x for a, x in zip(row, solution)), zero)
                 for row in matrix] == rhs
+
+
+# -- solve_exact against sympy's ranks -----------------------------------------
+
+
+def _check_random_system(rng):
+    """Solve a random system over Q whose shape (square, over- or
+    under-determined) and coefficient rank vary, with a right-hand side in
+    the column space or not; check the outcome against sympy's ranks of A
+    and [A | b].  Returns (shape, outcome)."""
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+    # half the systems have a chance of full column rank
+    inner = min(nrows, ncols) if rng.random() < 0.5 else rng.randint(0, min(nrows, ncols))
+
+    def entry():
+        return Fraction(rng.choice([0, rng.randint(-5, 5), rng.randint(-5, 5)]),
+                        rng.randint(1, 4))
+
+    left = [[entry() for _ in range(inner)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(inner)]
+    matrix = [[sum((left[i][k] * right[k][j] for k in range(inner)), Fraction(0))
+               for j in range(ncols)] for i in range(nrows)]
+    if rng.random() < 0.5:
+        x = [entry() for _ in range(ncols)]
+        rhs = [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in matrix]
+    else:
+        rhs = [entry() for _ in range(nrows)]
+    a = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                      for row in matrix])
+    b = sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in rhs])
+    rank_a, rank_ab = a.rank(), a.row_join(b).rank()
+    shape = "square" if nrows == ncols else "over" if nrows > ncols else "under"
+    system = LinearSystem(matrix, rhs)
+    if rank_ab > rank_a:
+        with pytest.raises(InconsistentSystemError):
+            solve_exact(system)
+        return shape, "inconsistent"
+    if rank_a < ncols:
+        with pytest.raises(UnderdeterminedSystemError) as exc:
+            solve_exact(system)
+        assert exc.value.rank == rank_a
+        return shape, "underdetermined"
+    solution = solve_exact(system)
+    assert [sum((v * s for v, s in zip(row, solution)), Fraction(0))
+            for row in matrix] == rhs
+    return shape, "unique"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_solve_exact_outcome_matches_sympy_ranks(rng):
+    _check_random_system(rng)
+
+
+def test_random_systems_cover_every_shape_and_outcome():
+    seen = {_check_random_system(random.Random(seed)) for seed in range(400)}
+    assert seen >= {(shape, outcome) for shape in ("square", "over", "under")
+                    for outcome in ("inconsistent", "underdetermined")}
+    assert {("square", "unique"), ("over", "unique")} <= seen
