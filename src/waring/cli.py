@@ -2,7 +2,7 @@
 
 Verbs: rank, decompose, bound, verify, survey, hf.
 Exit codes: 0 success, 1 parse/validation error, 2 verification failure,
-3 resource bound exceeded.
+3 resource bound exceeded, 141 (128 + SIGPIPE) stdout closed early.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 
@@ -20,6 +21,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_VERIFY = 2
 EXIT_RESOURCE = 3
+EXIT_PIPE = 141
 
 
 def _print_json(obj):
@@ -283,7 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`waring ... | head -1`): not bad input;
+        # point stdout at devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

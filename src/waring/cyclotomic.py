@@ -123,7 +123,8 @@ def cyclic_lift(x: "CyclotomicNumber", order: int, scale=1) -> dict:
 
     order must be a multiple of x.order, and scale a multiple of
     x.denominator.  A rational multiple of a root of unity lifts to a single
-    exponent, so multiplying by it is an index shift.
+    exponent, so multiplying by it is an index shift; for even x.order its
+    integer is positive, as -zeta^k = zeta^(k + x.order/2).
     """
     if order % x.order != 0:
         raise DivisibilityError(
@@ -138,8 +139,10 @@ def cyclic_lift(x: "CyclotomicNumber", order: int, scale=1) -> dict:
     factor = scale // den
     root = _root_rows(x.order).get(tuple(v // g for v in ints))
     if root is not None:
-        k, sign = root
-        return {k * step: factor * g * sign}
+        k, value = root[0], factor * g * root[1]
+        if value < 0 and x.order % 2 == 0:
+            k, value = (k + x.order // 2) % x.order, -value
+        return {k * step: value}
     return {k * step: factor * v for k, v in enumerate(ints) if v}
 
 

@@ -25,6 +25,16 @@ residual modulo Phi_N once, N the lcm of the orders of the terms that reach
 that monomial (so blocks in different fields never meet in one large
 field).  That single reduction is exact: t -> zeta_N is a ring map onto
 Q(zeta_N), so a residual vanishes in the field iff its reduction is zero.
+
+A cyclic term, whose nonzero coordinates lift to single powers q_i t^(e_i)
+(every grid term does), adds multinomial(d; b) * prod q_i^(b_i) *
+G t^(g + <e, b>) at x^b for each power G t^g of its gamma's lift.  For the
+cyclic terms of one order N, support and moduli q, coordinate i has period
+p_i = N / gcd(N, its exponents e_i), so their sum at x^b only needs
+P_r = sum_j G_j t^(g_j + <e_j, r>), r = b mod p: an exact identity about
+the input.  Each P_r is reduced modulo Phi_N once, and each monomial costs
+one scaling, or none when P_r is 0 (a grid block has rank(M) classes).
+Terms with any other coordinate add one product per monomial.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
 from .cyclotomic import CyclotomicNumber, cyclic_lift, cyclic_mul, \
     cyclotomic_embed, euler_phi, reduce_mod_phi
@@ -48,6 +58,12 @@ from .rank import ResourceLimitError, rank_coprime_sum, rank_monomial
 # On a 2-vCPU VM x1*x2^4*x3^6 (2.5e7) takes 1.6 s, x1*x2^4*x3^8 (5.2e7)
 # 3.0 s, and x1^12*x2^12*x3^12 (7.0e8) more than 60 s.
 MAX_SOLVE_COST = 10 ** 8
+
+# Admission cap for verification: the largest N for which it builds Phi_N
+# and the power table of Q(zeta_N), whose cost grows about as N^2 (0.07 s
+# at N = 1000, 1.4 s at 5000).  A decompose output under MAX_SOLVE_COST
+# has N <= rank < 465 in every block, since rank^3 <= 10^8.
+MAX_FIELD_ORDER = 10 ** 3
 
 
 class DecompositionSolveError(RuntimeError):
@@ -226,36 +242,20 @@ def verify_decomposition(form: CoprimeForm,
 
     scale, lifted = _lift(decomposition, target.values())
     residual = _residual(target, lifted, d, len(variables), scale)
-    expansion_matches = True
-    mismatches = []
-    for exps in sorted(residual):
-        if not _vanishes(residual[exps]):
-            expansion_matches = False
-            actual = _coefficient(decomposition, lifted, scale, exps)
-            mismatches.append((_monomial_text(variables, exps),
-                               str(target.get(exps, Fraction(0))), str(actual)))
-            if len(mismatches) >= 10:
-                break
+    bad = (exps for exps in sorted(residual) if not _vanishes(residual[exps]))
+    mismatches = tuple((_monomial_text(variables, exps), str(target.get(exps, Fraction(0))),
+                        str(_coefficient(decomposition, lifted, scale, exps)))
+                       for exps in itertools.islice(bad, 10))
 
     blocks = {}
-    for t, (order, _, powers) in zip(decomposition.terms, lifted):
-        blocks.setdefault(t.block, []).append(
-            (order, {i: p[1] for i, p in powers.items()}))
-    dependent_pair = None
-    for block, linear in blocks.items():
-        for i in range(len(linear)):
-            for j in range(i + 1, len(linear)):
-                if _dependent(linear[i], linear[j]):
-                    dependent_pair = (block, i, j)
-                    break
-            if dependent_pair:
-                break
-        if dependent_pair:
-            break
+    for t, (order, _, bases) in zip(decomposition.terms, lifted):
+        blocks.setdefault(t.block, []).append((order, bases))
+    dependent_pair = next(((block, *pair) for block, forms in blocks.items()
+                           if (pair := _first_dependent_pair(forms))), None)
 
     return VerificationReport(
-        expansion_matches=expansion_matches,
-        mismatches=tuple(mismatches),
+        expansion_matches=not mismatches,
+        mismatches=mismatches,
         blocks_independent=dependent_pair is None,
         dependent_pair=dependent_pair,
         term_count=len(decomposition.terms),
@@ -269,53 +269,92 @@ def _lift(decomposition, target_coeffs):
     Returns the common denominator D, the lcm of the target's denominators
     and of den(gamma) * E^d per term, where E is the lcm of the term's
     linear-coefficient denominators; and per term (N, the lift of
-    D / E^d * gamma, {i: [(E * c_i)^a for a = 0 .. d]} over its nonzero
-    linear coefficients c_i), so each product gamma * prod (E * c_i)^(a_i)
-    with sum a_i = d is D times its value.
+    D / E^d * gamma, {i: lift of E * c_i} over its nonzero linear
+    coefficients c_i), so each product gamma * prod (E * c_i)^(a_i) with
+    sum a_i = d is D times its value.
     """
     d = decomposition.degree
     terms = decomposition.terms
+    orders = [lcm(t.gamma.order, *(c.order for c in t.linear if c)) for t in terms]
+    # the largest fields a residual, a mismatch or a dependence test meets:
+    # each term's, and the lcm over the terms that share a variable
+    worst = max([1, *orders, *(lcm(*(n for t, n in zip(terms, orders) if t.linear[i]))
+                               for i in range(len(decomposition.variables)))])
+    if worst > MAX_FIELD_ORDER:
+        raise ResourceLimitError(f"verifying needs the field Q(zeta_{worst}), above "
+                                 f"the field order cap {MAX_FIELD_ORDER}")
     dens = [lcm(*(c.denominator for c in t.linear)) for t in terms]
     scale = lcm(*(c.denominator for c in target_coeffs),
                 *(t.gamma.denominator * e ** d for t, e in zip(terms, dens)))
-    lifted = []
-    for t, e in zip(terms, dens):
-        order = lcm(t.gamma.order, *(c.order for c in t.linear if c))
-        powers = {}
-        for i, c in enumerate(t.linear):
-            if c:
-                base = cyclic_lift(c, order, e)
-                row = [{0: 1}]
-                for _ in range(d):
-                    row.append(cyclic_mul(row[-1], base, order))
-                powers[i] = row
-        lifted.append((order, cyclic_lift(t.gamma, order, scale // e ** d), powers))
-    return scale, lifted
+    return scale, [
+        (order, cyclic_lift(t.gamma, order, scale // e ** d),
+         {i: cyclic_lift(c, order, e) for i, c in enumerate(t.linear) if c})
+        for t, e, order in zip(terms, dens, orders)]
+
+
+def _powers(base, d, order):
+    """[base^a for a = 0 .. d] in Z[t]/(t^order - 1); the powers of a
+    single-exponent q * t^k are the index shifts q^a * t^(k a)."""
+    if len(base) == 1:
+        (k, q), = base.items()
+        return [{k * a % order: q ** a} for a in range(d + 1)]
+    row = [{0: 1}]
+    for _ in range(d):
+        row.append(cyclic_mul(row[-1], base, order))
+    return row
 
 
 def _residual(target, lifted, d, n, scale):
-    """D * (expansion - target) per monomial, accumulated one monomial of
-    one term at a time, as {N: sparse {exponent: int} map} over the orders
-    N of the contributing terms (the target counts as order 1)."""
+    """D * (expansion - target) per monomial, as {N: sparse {exponent: int}
+    map} over the orders N of the contributing terms (the target counts as
+    order 1).  Cyclic terms add one reduced class sum per monomial, as the
+    module docstring explains; the others add one product each."""
     residual = {}
-    for order, gamma, powers in lifted:
-        if not gamma or not powers:
+
+    def add(support, alpha, order, lift, m):
+        exps = [0] * n
+        for i, a in zip(support, alpha):
+            exps[i] = a
+        bucket = residual.setdefault(tuple(exps), {}).setdefault(order, {})
+        for k, v in lift.items():
+            bucket[k] = bucket.get(k, 0) + m * v
+
+    groups = {}
+    for order, gamma, bases in lifted:
+        if not gamma or not bases:
             continue
-        support = list(powers)
+        support = tuple(bases)
+        if all(len(b) == 1 for b in bases.values()):
+            ks, qs = zip(*(next(iter(b.items())) for b in bases.values()))
+            groups.setdefault((order, support, qs), []).extend(
+                (g, c, ks) for g, c in gamma.items())
+            continue
+        powers = [_powers(bases[i], d, order) for i in support]
         for alpha in compositions(d, len(support)):
             acc = gamma
-            exps = [0] * n
-            for i, a in zip(support, alpha):
+            for row, a in zip(powers, alpha):
                 if a:
-                    acc = cyclic_mul(acc, powers[i][a], order)
-                    exps[i] = a
-            bucket = residual.setdefault(tuple(exps), {}).setdefault(order, {})
-            m = multinomial(d, alpha)
-            for k, v in acc.items():
-                bucket[k] = bucket.get(k, 0) + m * v
+                    acc = cyclic_mul(acc, row[a], order)
+            add(support, alpha, order, acc, multinomial(d, alpha))
+
+    for (order, support, qs), members in groups.items():
+        periods = [order // gcd(order, *col) for col in zip(*(ks for *_, ks in members))]
+        classes = {}
+        for alpha in compositions(d, len(support)):
+            r = tuple(a % p for a, p in zip(alpha, periods))
+            if r not in classes:
+                total = {}
+                for g, c, ks in members:
+                    k = (g + sum(x * y for x, y in zip(ks, r))) % order
+                    total[k] = total.get(k, 0) + c
+                classes[r] = {k: v for k, v in enumerate(
+                    reduce_mod_phi(total.items(), order)) if v}
+            if classes[r]:
+                add(support, alpha, order, classes[r],
+                    multinomial(d, alpha) * prod(q ** a for q, a in zip(qs, alpha)))
+
     for exps, c in target.items():
-        bucket = residual.setdefault(exps, {}).setdefault(1, {})
-        bucket[0] = bucket.get(0, 0) - int(scale * c)
+        add(range(n), exps, 1, {0: -1}, int(scale * c))
     return residual
 
 
@@ -346,23 +385,56 @@ def _coefficient(decomposition, lifted, scale, exps):
     printed value keeps that field.
     """
     d = decomposition.degree
-    total = Fraction(0)
     if sum(exps) != d:
-        return total
+        return Fraction(0)
     used = [i for i, a in enumerate(exps) if a]
-    m = multinomial(d, exps)
-    for t, (order, gamma, powers) in zip(decomposition.terms, lifted):
-        if not gamma or any(i not in powers for i in used):
+    total_field, total = 1, []     # scale / multinomial(d; exps) times the running sum
+    for t, (order, gamma, bases) in zip(decomposition.terms, lifted):
+        if not gamma or any(i not in bases for i in used):
             continue
         field = lcm(t.gamma.order, *(t.linear[i].order for i in used))
         step = order // field
         acc = gamma
         for i in used:
-            acc = cyclic_mul(acc, powers[i][exps[i]], order)
+            acc = cyclic_mul(acc, _powers(bases[i], exps[i], order)[-1], order)
         coords = reduce_mod_phi(((k // step, v) for k, v in acc.items()), field)
-        value = CyclotomicNumber(field, [Fraction(m * v, scale) for v in coords])
-        total = total + value if total else value
-    return total
+        if any(total):
+            both = lcm(total_field, field)
+            promoted = (reduce_mod_phi(_stretch(dict(enumerate(c)), both // f).items(), both)
+                        for c, f in ((total, total_field), (coords, field)))
+            coords, field = [x + y for x, y in zip(*promoted)], both
+        total_field, total = field, coords
+    m = multinomial(d, exps)
+    return CyclotomicNumber(total_field, [Fraction(m * v, scale) for v in total])
+
+
+def _first_dependent_pair(forms):
+    """The first pair (i, j), i < j, in loop order, of linearly dependent
+    lifted forms (N, {index: lift} over their nonzero coefficients), or None.
+    Forms of single-exponent lifts are dependent iff their `_ratio_key`s
+    are equal, so one pass finds the pair; other blocks test every pair."""
+    keys = [_ratio_key(form) for form in forms]
+    if None in keys:
+        return next(((i, j) for i in range(len(forms)) for j in range(i + 1, len(forms))
+                     if _dependent(forms[i], forms[j])), None)
+    first = {}
+    pairs = [(first.setdefault(key, j), j) for j, key in enumerate(keys)]
+    return min((pair for pair in pairs if pair[0] < pair[1]), default=None)
+
+
+def _ratio_key(form):
+    """A nonzero form of single powers q_i t^(k_i), the complex numbers
+    q_i exp(2 pi i k_i / N), up to a complex scalar: per coordinate, |q_i|
+    over the gcd of all |q_i|, and the angle k_i / N (plus a half turn if
+    q_i < 0) less the first one's, mod 1.  None for any other form."""
+    order, bases = form
+    if not bases or any(len(b) != 1 for b in bases.values()):
+        return None
+    coords = [(i, *next(iter(b.items()))) for i, b in bases.items()]
+    size = gcd(*(q for *_, q in coords))
+    angles = [2 * k + order * (q < 0) for _, k, q in coords]
+    return tuple((i, abs(q) // size, Fraction((a - angles[0]) % (2 * order), 2 * order))
+                 for (i, _, q), a in zip(coords, angles))
 
 
 def _dependent(u, v) -> bool:

@@ -16,7 +16,8 @@ import json
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber
-from .decompose import DecompositionTerm, PowerSumDecomposition
+from .decompose import MAX_FIELD_ORDER, DecompositionTerm, PowerSumDecomposition
+from .rank import ResourceLimitError
 
 
 def fraction_to_str(q: Fraction) -> str:
@@ -46,13 +47,26 @@ def _positive_int(obj, key, where):
     return obj[key]
 
 
-def cyclo_from_json(obj: dict, where: str = "number") -> CyclotomicNumber:
+def cyclo_from_json(obj: dict, where: str = "number", seen=None) -> CyclotomicNumber:
+    """Load one number.  `seen` maps (order, coeffs) to numbers already
+    loaded, so a file's repeated numbers are parsed once.  An order above
+    MAX_FIELD_ORDER raises ResourceLimitError before its field is built."""
     order = _positive_int(obj, "order", where)
     coeffs = _field(obj, "coeffs", where, list)
+    if order > MAX_FIELD_ORDER:
+        raise ResourceLimitError(f"{where}.order: field order {order} is above "
+                                 f"the verification cap {MAX_FIELD_ORDER}")
+    seen = {} if seen is None else seen
+    key = (order, tuple(coeffs))
     try:
-        return CyclotomicNumber(order, coeffs)
+        return seen[key]
+    except (KeyError, TypeError):      # TypeError: an unhashable entry, refused below
+        pass
+    try:
+        seen[key] = CyclotomicNumber(order, coeffs)
     except (TypeError, ValueError, ZeroDivisionError):
         raise ValueError(f"{where}.coeffs: expected rationals, got {coeffs}") from None
+    return seen[key]
 
 
 def decomposition_to_json(d: PowerSumDecomposition) -> dict:
@@ -79,18 +93,19 @@ def decomposition_from_json(obj: dict) -> PowerSumDecomposition:
     if not all(type(v) is str for v in variables):
         raise ValueError("decomposition.variables: expected a list of names")
     terms = []
+    seen = {}
     for j, t in enumerate(_field(obj, "terms", "decomposition", list)):
         where = f"terms[{j}]"
-        gamma = cyclo_from_json(_field(t, "gamma", where), f"{where}.gamma")
+        gamma = cyclo_from_json(_field(t, "gamma", where), f"{where}.gamma", seen)
         linear = _field(t, "linear", where, list)
         if len(linear) != len(variables):
             raise ValueError(f"{where}.linear: expected {len(variables)} entries, "
                              f"one per variable, got {len(linear)}")
         terms.append(DecompositionTerm(
             gamma=gamma,
-            linear=tuple(cyclo_from_json(c, f"{where}.linear") for c in linear),
+            linear=tuple(cyclo_from_json(c, f"{where}.linear", seen) for c in linear),
             block=_field(t, "block", where, int),
-            point=tuple(cyclo_from_json(c, f"{where}.point")
+            point=tuple(cyclo_from_json(c, f"{where}.point", seen)
                         for c in _field(t, "point", where, list))))
     return PowerSumDecomposition(degree, tuple(variables), tuple(terms))
 

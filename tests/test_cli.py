@@ -281,3 +281,76 @@ def test_bound_over_the_cell_cap_exits_3(capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "1030301" in err and "200000" in err
     assert "Traceback" not in err
+
+
+def _decomposition_file(tmp_path, text, order):
+    """`text`'s decomposition with every number re-expressed in Q(zeta_order)."""
+    from waring import decompose_form, parse_form, serialize
+    dec = decompose_form(parse_form(text))
+    data = serialize.decomposition_to_json(dec)
+    for t in data["terms"]:
+        for key in ("linear", "point"):
+            t[key] = [serialize.cyclo_to_json(serialize.cyclo_from_json(c).promote(order))
+                      for c in t[key]]
+        t["gamma"] = serialize.cyclo_to_json(
+            serialize.cyclo_from_json(t["gamma"]).promote(order))
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_verify_over_the_field_order_cap_exits_3(capsys, tmp_path, monkeypatch):
+    """A huge `order` is refused before its Phi_N is built."""
+    from waring import cyclotomic
+    real_phi = cyclotomic.euler_phi
+
+    def small_fields_only(n):
+        assert n <= 1000, f"built Q(zeta_{n})"
+        return real_phi(n)
+
+    data = json.loads(_decomposition_file(tmp_path, "x1*x2", 2).read_text())
+    data["terms"][0]["gamma"] = {"order": 100000, "coeffs": ["1"]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(cyclotomic, "euler_phi", small_fields_only)
+    code, out, err = run(capsys, "verify", "x1*x2", str(path))
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "100000" in err and "1000" in err
+    assert "Traceback" not in err
+
+
+def test_verify_just_under_the_field_order_cap_still_runs(capsys, tmp_path):
+    path = _decomposition_file(tmp_path, "x1*x2^4", 1000)
+    code, out, _ = run(capsys, "verify", "x1*x2^4", str(path))
+    assert code == 0
+    assert out.endswith("PASS\n")
+
+
+def test_verify_of_a_missing_file_exits_1(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", "x1*x2", str(tmp_path / "missing.json"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_a_closed_stdout_exits_141_quietly():
+    """`waring hf ... | head -1`: the reader takes one line and closes the
+    pipe while more than a pipe buffer of output is still to come."""
+    import os
+    import subprocess
+    import sys
+
+    import waring
+    src = os.path.dirname(os.path.dirname(os.path.abspath(waring.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "waring.cli", "hf", "x1^2,x2^3", "--tmax", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"HF(0) = 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -3,20 +3,26 @@ expansion, which fixes the exact report content (including the field each
 printed value lives in), and sympy `expand` modulo sympy's Phi_N."""
 
 import dataclasses
+from fractions import Fraction
 from math import lcm
 
+import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from waring import decompose
 from waring.cyclotomic import CyclotomicNumber, euler_phi
 from waring.decompose import (
     DecompositionTerm,
     PowerSumDecomposition,
     decompose_form,
+    least_variable_check,
     verify_decomposition,
 )
 from waring.forms import CoprimeForm, Monomial, parse_form
+from waring.rank import ResourceLimitError, rank_coprime_sum
+from waring.serialize import decomposition_from_json, decomposition_to_json
 from waring.polynomials import Polynomial, compositions, poly_pow_linear
 
 ORDERS = (1, 2, 3, 4, 6, 12)
@@ -287,3 +293,197 @@ def test_blocks_in_different_fields_are_reduced_in_their_own_fields(monkeypatch)
     terms[-1] = dataclasses.replace(terms[-1], gamma=tampered)
     report = assert_matches_oracle(form, _repack(dec, terms))
     assert [m[0] for m in report.mismatches] == ["x8^2", "x7*x8", "x7^2"]
+
+
+# -- the residue-class path: cyclic terms ---------------------------------------
+#
+# A term is cyclic when every nonzero coordinate is a rational times a root
+# of unity.  Verification sums those by residue class (one member per power
+# of the gamma) and finds dependent pairs by key; the oracle above expands
+# term by term and tests every pair of forms by its minors.
+
+moduli = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2),
+                          Fraction(1, 3)])
+
+
+def _root(order, k, q=1):
+    """q * zeta_order^k."""
+    return CyclotomicNumber.zeta(order, k) * q
+
+
+def _term(gamma, linear, block=0):
+    return DecompositionTerm(gamma=gamma, linear=tuple(linear), block=block,
+                             point=tuple(linear))
+
+
+@st.composite
+def cyclic_problems(draw):
+    """A random form and a decomposition of mostly cyclic terms.  Terms are
+    drawn from one to three shapes (order, support, moduli), so several
+    share a residue-class group and groups meet at monomials; moduli other
+    than +-1; coordinates negated (a folded root -zeta^k, in odd and even
+    orders); zero gammas; later terms that repeat an earlier form times a
+    cyclic scalar, possibly in a larger field (dependent pairs, mixed
+    orders in a block); and at most one general number."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 4))
+    variables = tuple(f"x{i}" for i in range(1, n + 1))
+    exps = draw(st.sampled_from(list(compositions(d, n))))
+    mono = Monomial([v for v, e in zip(variables, exps) if e], [e for e in exps if e])
+    form = CoprimeForm([(draw(nonzero), mono)], variables)
+    shapes = []
+    for _ in range(draw(st.integers(1, 3))):
+        support = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        shapes.append((draw(st.sampled_from((1, 2, 3, 4, 5, 6))), support,
+                       [draw(moduli) for _ in variables]))
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        block = draw(st.integers(0, 1))
+        if terms and draw(st.integers(0, 3)) == 0:
+            old = draw(st.sampled_from(terms))
+            order = old.gamma.order * draw(st.sampled_from((1, 2, 3)))
+            lam = _root(order, draw(st.integers(0, order - 1)), draw(moduli))
+            linear = [c * lam for c in old.linear]
+        else:
+            order, support, qs = draw(st.sampled_from(shapes))
+            linear = [_root(order, draw(st.integers(0, order - 1)),
+                            q * draw(st.sampled_from((1, 1, -1))))
+                      if i in support else CyclotomicNumber.from_rational(0, order)
+                      for i, q in enumerate(qs)]
+        gamma = _root(order, draw(st.integers(0, order - 1)), draw(moduli)) \
+            if draw(st.integers(0, 4)) else CyclotomicNumber.from_rational(0, order)
+        terms.append(_term(gamma, linear, block))
+    if draw(st.integers(0, 2)) == 0:
+        j = draw(st.integers(0, len(terms) - 1))
+        t = terms[j]
+        general = draw(cyclotomic(t.gamma.order))
+        if draw(st.booleans()):
+            terms[j] = dataclasses.replace(t, gamma=general)
+        else:
+            k = draw(st.integers(0, n - 1))
+            terms[j] = dataclasses.replace(
+                t, linear=t.linear[:k] + (general,) + t.linear[k + 1:])
+    return form, PowerSumDecomposition(d, variables, tuple(terms))
+
+
+@SETTINGS
+@given(cyclic_problems())
+def test_cyclic_decompositions_match_the_oracle(problem):
+    assert_matches_oracle(*problem)
+
+
+@SETTINGS
+@given(st.sampled_from(["x1*x2^2", "x1^2*x2^2", "x1*x2*x3", "2/3*x1*x2^3", "x1^3",
+                        "x1*x2^2 + 5*x3^3", "x1^2*x2^2 + x3*x4^3", "x1*x2^4 - x3^2*x4^3"]),
+       st.data())
+def test_rescaled_true_decompositions_match_the_oracle(text, data):
+    """Rescale terms of a true decomposition by cyclic scalars,
+    L -> lam * L and gamma -> gamma / lam^d, which keeps every term cyclic
+    and the sum unchanged: moduli other than +-1, folded signs, and orders
+    mixed within a block.  Then add a cancelling pair (a dependent pair), a
+    zero-gamma term, a zero form, or a general number added to one gamma."""
+    form = parse_form(text)
+    dec = decompose_form(form)
+    d = dec.degree
+    terms = list(dec.terms)
+    for j, t in enumerate(terms):
+        if data.draw(st.booleans()):
+            order = t.gamma.order * data.draw(st.sampled_from((1, 2, 3)))
+            k = data.draw(st.integers(0, order - 1))
+            q = data.draw(moduli)
+            terms[j] = dataclasses.replace(
+                t, gamma=t.gamma * _root(order, -k * d, 1 / q ** d),
+                linear=tuple(c * _root(order, k, q) for c in t.linear))
+    extra = data.draw(st.sampled_from(("none", "pair", "zero gamma", "zero form", "general")))
+    j = data.draw(st.integers(0, len(terms) - 1))
+    t = terms[j]
+    if extra == "pair":
+        g = _root(t.gamma.order, data.draw(st.integers(0, 5)), data.draw(moduli))
+        terms[j + 1:j + 1] = [dataclasses.replace(t, gamma=g), dataclasses.replace(t, gamma=-g)]
+    elif extra == "zero gamma":
+        terms.insert(j, dataclasses.replace(t, gamma=t.gamma * 0))
+    elif extra == "zero form":
+        terms.insert(j, dataclasses.replace(t, linear=tuple(c * 0 for c in t.linear)))
+    elif extra == "general":
+        delta = data.draw(cyclotomic(t.gamma.order).filter(bool))
+        terms[j] = dataclasses.replace(t, gamma=t.gamma + delta)
+    report = assert_matches_oracle(form, _repack(dec, terms))
+    assert report.expansion_matches == (extra != "general")
+
+
+def test_a_true_grid_block_adds_nothing_off_its_monomial():
+    """Each residue class of the grid x1*x2^2*x3^3 but that of the monomial
+    itself sums to zero, so the residual holds that one monomial only."""
+    form = parse_form("x1*x2^2*x3^3")
+    dec = decompose_form(form)
+    scale, lifted = decompose._lift(dec, [Fraction(1)])
+    residual = decompose._residual({(1, 2, 3): Fraction(1)}, lifted, 6, 3, scale)
+    assert list(residual) == [(1, 2, 3)]
+    assert decompose._vanishes(residual[(1, 2, 3)])
+
+
+def test_the_first_dependent_pair_is_the_first_in_loop_order():
+    """Forms A, B, 2B, -A: the pair (0, 3) comes before (1, 2)."""
+    a = (_root(6, 0), _root(6, 1, 2))
+    b = (_root(6, 0), _root(6, 5, -1))
+    dec = PowerSumDecomposition(2, ("x1", "x2"), (
+        _term(_root(6, 1), a), _term(_root(6, 2), b),
+        _term(_root(6, 3), [c * 2 for c in b]), _term(_root(6, 4), [-c for c in a])))
+    report = assert_matches_oracle(parse_form("x1*x2"), dec)
+    assert report.dependent_pair == (0, 0, 3)
+
+
+def test_a_negated_coordinate_is_a_half_turn():
+    """x1 + x2 and x1 - x2 are independent, x1 - x2 and -x1 + x2 are not;
+    in Q(zeta_3), -zeta_3 is no power of zeta_3 and stays a sign, while
+    Q(zeta_6) writes the same form with -1 = zeta_6^3."""
+    one, minus = _root(1, 0), _root(1, 0, -1)
+    rational = [(one, one), (one, minus), (minus, one)]
+    mixed = [(_root(3, 0), _root(3, 1)), (_root(3, 0), _root(3, 1, -1)),
+             (_root(6, 3), _root(6, 2))]
+    for forms in (rational, mixed):
+        dec = PowerSumDecomposition(2, ("x1", "x2"), tuple(_term(one, f) for f in forms))
+        assert assert_matches_oracle(parse_form("x1*x2"), dec).dependent_pair == (0, 1, 2)
+
+
+def test_fields_meeting_above_the_cap_are_refused_before_they_are_built(monkeypatch):
+    """Q(zeta_25) and Q(zeta_49) meet at x1^2 in Q(zeta_1225)."""
+    from waring import cyclotomic
+    real_phi = cyclotomic.euler_phi
+
+    def small_fields_only(n):
+        assert n <= decompose.MAX_FIELD_ORDER, f"built Q(zeta_{n})"
+        return real_phi(n)
+
+    one25, one49 = _root(25, 0), _root(49, 0)
+    monkeypatch.setattr(cyclotomic, "euler_phi", small_fields_only)
+    for terms in ([_term(one25, [one25]), _term(one49, [one49])],
+                  [_term(one25, [one49])]):
+        with pytest.raises(ResourceLimitError, match="1225"):
+            verify_decomposition(parse_form("x1^2"),
+                                 PowerSumDecomposition(2, ("x1",), tuple(terms)))
+
+
+# -- rank against the verified decomposition ------------------------------------
+
+@st.composite
+def coprime_sums(draw):
+    """A sum of one to three pairwise coprime monomials of one degree d <= 5,
+    each with positive exponents on one to three variables of its own."""
+    d = draw(st.integers(1, 5))
+    terms, names = [], iter(f"x{i}" for i in range(1, 10))
+    for _ in range(draw(st.integers(1, 3))):
+        exps = draw(st.sampled_from([c for k in (1, 2, 3)
+                                     for c in compositions(d, k) if all(c)]))
+        terms.append((draw(nonzero), Monomial([next(names) for _ in exps], list(exps))))
+    return CoprimeForm(terms)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(coprime_sums())
+def test_rank_equals_the_length_of_a_verified_decomposition(form):
+    dec = decompose_form(form)
+    assert len(dec.terms) == rank_coprime_sum(form)
+    for candidate in (dec, decomposition_from_json(decomposition_to_json(dec))):
+        assert verify_decomposition(form, candidate).passed
+        assert least_variable_check(form, candidate).passed
