@@ -162,10 +162,11 @@ class CyclotomicNumber:
     """An element of Q(zeta_N), immutable after construction.
 
     Binary operations accept ints, Fractions and elements of other cyclotomic
-    fields; mixed orders are promoted to the lcm field.
+    fields; mixed orders are promoted to the lcm field.  The integer
+    coordinates are computed on first use and kept in `_ints`.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "coeffs", "_ints")
 
     def __init__(self, order: int, coeffs):
         deg = euler_phi(order)
@@ -317,13 +318,18 @@ class CyclotomicNumber:
     @property
     def denominator(self) -> int:
         """lcm of the coordinate denominators."""
-        return lcm(*(c.denominator for c in self.coeffs))
+        return self._integer_coords()[0]
 
     def _integer_coords(self):
-        """(D, [D * c for c in coeffs]) with D the denominator, so the
-        coordinates are integers."""
-        den = self.denominator
-        return den, [c.numerator * (den // c.denominator) for c in self.coeffs]
+        """(D, the tuple of D * c over coeffs) with D the denominator, so
+        the coordinates are integers; computed once per number."""
+        try:
+            return self._ints
+        except AttributeError:
+            den = lcm(*(c.denominator for c in self.coeffs))
+            ints = den, tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+            object.__setattr__(self, "_ints", ints)
+            return ints
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])

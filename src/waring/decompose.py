@@ -2,13 +2,13 @@
 
 For a monomial x_0^a_0 x_1^a_1 ... x_n^a_n with a_0 least, the apolar point
 set is the grid [1 : e_1 : ... : e_n] with e_i ranging over the (a_i+1)-th
-roots of unity.  The scalars gamma come from an exact square solve over
-Q(zeta_N), N = lcm of the root orders, with one row per character of
-prod mu_(a_i+1): the monomials x^b with b_i <= a_i for i >= 1.  That
-determines them, because:
+roots of unity.  The scalars gamma solve the square system with one row per
+character of prod mu_(a_i+1): the monomials x^b with b_i <= a_i for
+i >= 1.  That determines them, because:
 
 - the kept matrix is diag(multinomials) times the character table of the
-  grid, so it is invertible;
+  grid, the Kronecker product V_1 x ... x V_n of the tables
+  V_i[b][k] = zeta_(a_i+1)^(k b), so it is invertible;
 - a dropped row beta is mult(beta) / mult(b) times the kept row
   b = beta mod (a_i+1), as e_i^beta_i only depends on beta_i mod (a_i+1);
 - every right-hand side is 0 except at b = a, and no dropped row falls in
@@ -16,6 +16,10 @@ determines them, because:
   sum_(i>=1) beta_i > sum_(i>=1) a_i + a_0 = d, since a_i >= a_0.
 
 So the unique solution of the square system solves every monomial row.
+Its right-hand side is c * e_a = c * (e_(a_1) x ... x e_(a_n)), so the
+solution is c / mult(a) times the Kronecker product of the solutions y_i
+of V_i y_i = e_(a_i): one (a_i+1)-square solve in Q(zeta_(a_i+1)) per
+variable, its values promoted to Q(zeta_N), N = lcm of the root orders.
 `waring decompose` still verifies the result in full.  A sum of coprime
 monomials is decomposed blockwise and the blocks concatenated.
 
@@ -53,10 +57,11 @@ from .polynomials import compositions, multinomial
 from .rank import ResourceLimitError, rank_coprime_sum, rank_monomial
 
 # Admission cap for `decompose_form`, in units of rank(M)^3 * phi(N)^2 summed
-# over the blocks M (N the block's field order): a square solve makes about
-# rank^3 / 3 products in Q(zeta_N), each about phi(N)^2 rational products.
-# On a 2-vCPU VM x1*x2^4*x3^6 (2.5e7) takes 1.6 s, x1*x2^4*x3^8 (5.2e7)
-# 3.0 s, and x1^12*x2^12*x3^12 (7.0e8) more than 60 s.
+# over the blocks M (N the block's field order): the cost of one square solve
+# of the full character system in Q(zeta_N).  `solve_gammas` no longer pays
+# it (it solves one (a_i+1)-square system per variable), so the cap is a
+# conservative estimate: on a 2-vCPU VM x1*x2^4*x3^8 (5.2e7) decomposes in
+# 0.03 s and the refused x1^12*x2^12*x3^12 (7.0e8) would take 0.08 s.
 MAX_SOLVE_COST = 10 ** 8
 
 # Admission cap for verification: the largest N for which it builds Phi_N
@@ -86,21 +91,16 @@ class PowerSumDecomposition:
     terms: tuple
 
 
-def _grid(monomial: Monomial):
-    """Root exponents (k_i over the sorted non-least variables, k_i < a_i + 1)
-    of every apolar grid point, in lexicographic order."""
-    return itertools.product(*(range(a + 1) for _, a in monomial.sorted_items[1:]))
-
-
 def decomposition_points(monomial: Monomial):
-    """All apolar grid points for a monomial, in lexicographic root-exponent
-    order; coordinates are aligned to the monomial's input variable order,
-    with 1 on the least-exponent variable."""
+    """All apolar grid points for a monomial, in lexicographic order of the
+    root exponents k_i < a_i + 1 over the sorted non-least variables;
+    coordinates are aligned to the monomial's input variable order, with 1
+    on the least-exponent variable."""
     order = decomposition_field_order(monomial)
     items = monomial.sorted_items
     positions = [monomial.variables.index(v) for v, _ in items]
     points = []
-    for root_exps in _grid(monomial):
+    for root_exps in itertools.product(*(range(a + 1) for _, a in items[1:])):
         coords = [None] * monomial.n
         coords[positions[0]] = CyclotomicNumber.from_rational(1, order)
         for (_, a), pos, k in zip(items[1:], positions[1:], root_exps):
@@ -111,41 +111,32 @@ def decomposition_points(monomial: Monomial):
 
 def solve_gammas(monomial: Monomial, coefficient=Fraction(1)) -> PowerSumDecomposition:
     """Decompose coefficient * M as a sum of rank(M) powers of the grid linear
-    forms, by an exact solve of the square character system.
-
-    Rows and columns are both indexed by the grid: row b is the monomial
-    with exponents b_i <= a_i on the non-least variables (and d - sum b on
-    the least one), and its entry at the point with root exponents k is
-    multinomial(d; b) * zeta_N^(sum k_i b_i N / (a_i+1)).  The right-hand
-    side is the coefficient at b = a and zero elsewhere.  The module
-    docstring explains why the remaining monomial rows then hold too.
+    forms: gamma_k = coefficient / multinomial(d; a) * prod_i y_i[k_i], where
+    V_i y_i = e_(a_i) is solved exactly in Q(zeta_(a_i+1)), once per distinct
+    a_i.  The module docstring explains why these gammas solve the square
+    character system and every other monomial row.
     """
     coefficient = Fraction(coefficient)
     if coefficient == 0:
         raise ValueError("coefficient must be nonzero")
     d = monomial.degree
     order = decomposition_field_order(monomial)
-    rest = monomial.sorted_items[1:]
-    steps = [order // (a + 1) for _, a in rest]
-    target = tuple(a for _, a in rest)
-    grid = list(_grid(monomial))
-
-    matrix = []
-    rhs = []
-    zero = CyclotomicNumber.from_rational(0, order)
-    for b in grid:
-        mult = multinomial(d, (d - sum(b),) + b)
-        weights = [e * step for e, step in zip(b, steps)]
-        matrix.append([
-            CyclotomicNumber.zeta(order, sum(k * w for k, w in zip(ks, weights)), mult)
-            for ks in grid])
-        rhs.append(CyclotomicNumber.from_rational(coefficient, order)
-                   if b == target else zero)
-    try:
-        gammas = solve_exact(LinearSystem(matrix, rhs))
-    except (InconsistentSystemError, UnderdeterminedSystemError) as exc:
-        raise DecompositionSolveError(
-            f"gamma system for {monomial} has no unique solution: {exc}") from exc
+    exps = [a for _, a in monomial.sorted_items]
+    factors = {}
+    for a in exps[1:]:
+        if a not in factors:
+            matrix = [[CyclotomicNumber.zeta(a + 1, k * b) for k in range(a + 1)]
+                      for b in range(a + 1)]
+            rhs = [CyclotomicNumber.from_rational(int(b == a), a + 1) for b in range(a + 1)]
+            try:
+                factors[a] = [y.promote(order) for y in solve_exact(LinearSystem(matrix, rhs))]
+            except (InconsistentSystemError, UnderdeterminedSystemError) as exc:
+                raise DecompositionSolveError(
+                    f"gamma system for {monomial} has no unique solution: {exc}") from exc
+    # the Kronecker product, built one variable at a time in grid order
+    gammas = [CyclotomicNumber.from_rational(coefficient / multinomial(d, exps), order)]
+    for a in exps[1:]:
+        gammas = [g * y for g in gammas for y in factors[a]]
     terms = tuple(
         DecompositionTerm(gamma=g, linear=coords, block=0, point=coords)
         for g, coords in zip(gammas, decomposition_points(monomial)))

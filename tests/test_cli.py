@@ -354,3 +354,37 @@ def test_a_closed_stdout_exits_141_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+def _sweep_monomials():
+    """The acceptance sweep: every monomial in 2 <= n <= 4 variables of
+    degree <= 8, exponents nondecreasing (44 monomials)."""
+    def partitions(d, n, least=1):
+        if n == 1:
+            yield from [(d,)] if d >= least else []
+            return
+        for first in range(least, d // n + 1):
+            for rest in partitions(d - first, n - 1, first):
+                yield (first,) + rest
+    return ["*".join(f"x{i}" if a == 1 else f"x{i}^{a}" for i, a in enumerate(exps, 1))
+            for n in (2, 3, 4) for d in range(n, 9) for exps in partitions(d, n)]
+
+
+# sha256 of the `decompose` output below, recorded before the per-variable
+# gamma solve replaced the full character system; any other way of computing
+# the gammas must print the same decompositions
+DECOMPOSE_OUTPUT_SHA256 = "b01f299ac51aa64ec7ea397298f44367c1b09c74f49b3bddc116f1cbd345ae33"
+
+
+def test_decompose_output_is_pinned(capsys):
+    import hashlib
+    forms = _sweep_monomials() + ["3/2*x1*x2^2 - 2/5*x3^3",
+                                  "-7/3*x1^2*x2^3 + 1/4*x3*x4^4 + 5/6*x5^5",
+                                  "2/9*x1*x2*x3*x4 - 11/7*x5^2*x6^2 + x7*x8^3"]
+    assert len(forms) == 47
+    digest = hashlib.sha256()
+    for form in forms:
+        for argv in (("decompose", form), ("decompose", form, "--json")):
+            code, out, _ = run(capsys, *argv)
+            digest.update(json.dumps([argv, code, out]).encode())
+    assert digest.hexdigest() == DECOMPOSE_OUTPUT_SHA256

@@ -122,6 +122,17 @@ def test_immutable():
         z.order = 5
 
 
+def test_integer_coordinates_are_computed_once_and_stay_read_only():
+    x = CyclotomicNumber(12, [Fraction(1, 6), Fraction(-3, 4), 0, Fraction(5, 2)])
+    first = x._integer_coords()
+    assert first == (12, (2, -9, 0, 30)) and x.denominator == 12
+    assert x._integer_coords() is first
+    with pytest.raises(AttributeError):
+        x._ints = (1, (0, 0, 0, 0))
+    assert x._integer_coords() is first
+    assert cyclic_lift(x, 24, 12) == {0: 2, 2: -9, 6: 30}
+
+
 def _from_lift(lifted, order, scale):
     return CyclotomicNumber(order, [Fraction(v, scale)
                                     for v in reduce_mod_phi(lifted.items(), order)])

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial, prod
@@ -16,7 +17,9 @@ from waring.decompose import (
     solve_gammas,
     verify_decomposition,
 )
-from waring.forms import CoprimeForm, Monomial, parse_form
+from waring.forms import CoprimeForm, Monomial, decomposition_field_order, parse_form
+from waring.linalg import LinearSystem, solve_exact
+from waring.polynomials import multinomial
 from waring.rank import rank_coprime_sum, rank_monomial
 
 
@@ -237,3 +240,72 @@ def test_solve_cost_cap_raises_before_any_solve():
     # rank 169 over Q(zeta_13): 169^3 * 12^2 = 7.0e8, over the cap
     with pytest.raises(ResourceLimitError, match="cap"):
         decompose_form(parse_form("x1^12*x2^12*x3^12"))
+
+
+# -- the factored solve against the full square character system ----------------
+
+
+def _character_system(monomial, coefficient):
+    """The square character system over Q(zeta_N), rows and columns indexed by
+    the grid: row b has entry multinomial(d; b) * zeta_N^(sum k_i b_i N / (a_i+1))
+    at the point with root exponents k, and right-hand side coefficient at
+    b = a, zero elsewhere."""
+    d = monomial.degree
+    order = decomposition_field_order(monomial)
+    rest = monomial.sorted_items[1:]
+    steps = [order // (a + 1) for _, a in rest]
+    target = tuple(a for _, a in rest)
+    grid = list(itertools.product(*(range(a + 1) for _, a in rest)))
+    matrix, rhs = [], []
+    for b in grid:
+        mult = multinomial(d, (d - sum(b),) + b)
+        weights = [e * step for e, step in zip(b, steps)]
+        matrix.append([CyclotomicNumber.zeta(order, sum(k * w for k, w in zip(ks, weights)),
+                                             mult) for ks in grid])
+        rhs.append(CyclotomicNumber.from_rational(coefficient if b == target else 0, order))
+    return LinearSystem(matrix, rhs)
+
+
+def _small_monomials():
+    """Every monomial in at most 3 variables of degree at most 6, exponents
+    in every order, with a rational coefficient."""
+    out = []
+    for n in (1, 2, 3):
+        for exps in itertools.product(range(1, 7), repeat=n):
+            if sum(exps) <= 6:
+                coefficient = Fraction((-1) ** len(out) * (len(out) + 2), 2 * len(out) + 3)
+                out.append((Monomial([f"x{i}" for i in range(1, n + 1)], exps), coefficient))
+    return out
+
+
+def test_factored_gammas_equal_the_full_character_solve():
+    cases = _small_monomials()
+    assert len(cases) == 41
+    for monomial, coefficient in cases:
+        gammas = [t.gamma for t in solve_gammas(monomial, coefficient).terms]
+        assert gammas == solve_exact(_character_system(monomial, coefficient)), monomial
+
+
+def test_decompose_solves_one_small_system_per_distinct_exponent(monkeypatch):
+    from waring import decompose
+    systems = []
+
+    def recording(system):
+        systems.append(system)
+        return solve_exact(system)
+
+    monkeypatch.setattr(decompose, "solve_exact", recording)
+    forms = [CoprimeForm([(c, m)]) for m, c in _small_monomials()] + [parse_form(text) for text in (
+        "x1*x2^4*x3^8", "x1^2*x2^2*x3^2*x4^2", "3/2*x1*x2^2 - 2/5*x3^3",
+        "x1^2*x2^2*x3^2*x4^2 - 7/3*x5*x6*x7^6", "x1 + x2")]
+    for form in forms:
+        systems.clear()
+        decompose_form(form)
+        # one system per distinct non-least exponent a_i of each block, in
+        # increasing order: a_i + 1 square rows over Q(zeta_(a_i+1))
+        expected = [] if form.degree == 1 else [
+            a for m in form.monomials for a in sorted(set(e for _, e in m.sorted_items[1:]))]
+        assert [len(s.matrix) - 1 for s in systems] == expected, form
+        for s, a in zip(systems, expected):
+            assert all(len(row) == a + 1 for row in s.matrix)
+            assert {x.order for x in [*itertools.chain(*s.matrix), *s.rhs]} == {a + 1}
