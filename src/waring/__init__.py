@@ -18,7 +18,6 @@ from .linalg import (
 from .polynomials import Polynomial, apply_differential, poly_pow_linear
 from .forms import (
     CoprimeForm,
-    HomogeneousForm,
     MixedDegreeError,
     Monomial,
     MonomialIdeal,

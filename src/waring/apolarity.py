@@ -81,19 +81,19 @@ def catalecticant(form, t: int) -> CatalecticantMatrix:
         raise ValueError(f"differentiation degree {t} outside 0..{d}")
     entries = {}
     for m, c in form.terms.items():
-        if not c:
-            continue
         for beta in _divisors_of_degree(m, t):
             # d/dx^beta applied to x^m leaves x^(m - beta) with a falling
             # factorial per variable
             alpha = tuple(a - b for a, b in zip(m, beta))
             entries.setdefault(alpha, {})[beta] = c * prod(map(perm, m, beta))
-    return CatalecticantMatrix(t, d, len(form.variables), entries)
+    return CatalecticantMatrix(t, d, form.num_vars, entries)
 
 
 def catalecticant_lower_bound(form, t_max=None) -> int:
     """max_t rank of the catalecticant: a lower bound for the Waring rank,
     because an apolar set of s points forces every catalecticant rank <= s.
+    `form` is a CoprimeForm or a nonzero homogeneous Polynomial, such as the
+    output of `apply_differential` (see `forms.as_homogeneous`).
 
     Raises ResourceLimitError, before building any catalecticant, when the
     estimated cell count `bound_cells(form)` exceeds MAX_BOUND_CELLS."""
@@ -292,6 +292,4 @@ def random_claim_configuration(rng, max_r=3, max_block=3, max_exp=4):
 
 def annihilator_membership(operator: Polynomial, form) -> bool:
     """True iff the operator kills the form under the differentiation action."""
-    form = as_homogeneous(form)
-    target = Polynomial(len(form.variables), form.terms)
-    return apply_differential(operator, target).is_zero()
+    return apply_differential(operator, as_homogeneous(form)).is_zero()

@@ -65,19 +65,15 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    try:
-        form = forms.parse_form(args.form)
-        source = form
-    except ValueError:
-        # non-coprime input: lower bounds still apply, ranks do not
-        source = forms.parse_homogeneous(args.form)
+    form = forms.parse_homogeneous(args.form)
+    if not forms.is_coprime_sum(form):
+        # lower bounds still apply, ranks do not
         print("note: input is not a coprime sum; reporting a lower bound only",
               file=sys.stderr)
-    t_max = args.tmax
-    bound = apolarity.catalecticant_lower_bound(source, t_max)
+    bound = apolarity.catalecticant_lower_bound(form, args.tmax)
     if args.json:
         _print_json({"form": args.form, "lower_bound": bound,
-                     "t_max": t_max if t_max is not None else source.degree})
+                     "t_max": args.tmax if args.tmax is not None else form.degree})
     else:
         print(bound)
     return EXIT_OK
@@ -120,8 +116,7 @@ def cmd_survey(args) -> int:
     elif args.d is not None:
         degrees = [args.d]
     else:
-        print("survey needs a degree, --range or --ratio", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError("survey needs a degree, --range or --ratio")
     header = ["d", "max_monomial_rank", "witness", "generic_rank", "exceptional"]
     rows = []
     for d in degrees:
@@ -168,8 +163,7 @@ def cmd_hf(args) -> int:
             failures += not report.passed
         return EXIT_OK if failures == 0 else EXIT_VERIFY
     if not args.generators:
-        print("hf needs generators, --claim or --claim-random", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError("hf needs generators, --claim or --claim-random")
     ideal = _parse_generators(args.generators)
     t_max = args.tmax if args.tmax is not None else 10
     table = apolarity.hf_table(ideal, t_max)
@@ -241,9 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="verified minimal power-sum decomposition")
     p.add_argument("form")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true")
-    group.add_argument("--pretty", action="store_true")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("bound", help="catalecticant lower bound for the rank")

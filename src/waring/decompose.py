@@ -53,7 +53,7 @@ from .cyclotomic import CyclotomicNumber, cyclic_lift, cyclic_mul, \
 from .forms import CoprimeForm, Monomial, decomposition_field_order
 from .linalg import LinearSystem, solve_exact, \
     InconsistentSystemError, UnderdeterminedSystemError
-from .polynomials import compositions, multinomial
+from .polynomials import compositions, monomial_text, multinomial
 from .rank import ResourceLimitError, rank_coprime_sum, rank_monomial
 
 # Admission cap for `decompose_form`, in units of rank(M)^3 * phi(N)^2 summed
@@ -201,11 +201,6 @@ class VerificationReport:
             and self.term_count_matches
 
 
-def _monomial_text(variables, exps) -> str:
-    return "*".join(v if e == 1 else f"{v}^{e}"
-                    for v, e in zip(variables, exps) if e) or "1"
-
-
 def verify_decomposition(form: CoprimeForm,
                          decomposition: PowerSumDecomposition) -> VerificationReport:
     """Exactly expand the decomposition and diff it against the form; also
@@ -234,7 +229,7 @@ def verify_decomposition(form: CoprimeForm,
     scale, lifted = _lift(decomposition, target.values())
     residual = _residual(target, lifted, d, len(variables), scale)
     bad = (exps for exps in sorted(residual) if not _vanishes(residual[exps]))
-    mismatches = tuple((_monomial_text(variables, exps), str(target.get(exps, Fraction(0))),
+    mismatches = tuple((monomial_text(variables, exps), str(target.get(exps, Fraction(0))),
                         str(_coefficient(decomposition, lifted, scale, exps)))
                        for exps in itertools.islice(bad, 10))
 

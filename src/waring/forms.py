@@ -15,11 +15,10 @@ Whitespace is insignificant.  Examples: "x1^2*x2 + x3^3", "3/2*x*y*z",
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .polynomials import Polynomial
+from .polynomials import Polynomial, monomial_text
 
 
 class ParseError(ValueError):
@@ -104,10 +103,9 @@ class Monomial:
         return set(self.variables)
 
     def as_polynomial(self, namespace, coeff=Fraction(1)) -> Polynomial:
-        exps = [0] * len(namespace)
-        for v, e in zip(self.variables, self.exponents):
-            exps[list(namespace).index(v)] = e
-        return Polynomial.monomial(exps, coeff)
+        index = {v: i for i, v in enumerate(namespace)}
+        return Polynomial.monomial(
+            _exponent_tuple(zip(self.variables, self.exponents), index), coeff)
 
     def __eq__(self, other):
         return (isinstance(other, Monomial)
@@ -118,8 +116,7 @@ class Monomial:
         return hash((self.variables, self.exponents))
 
     def __str__(self):
-        return "*".join(v if e == 1 else f"{v}^{e}"
-                        for v, e in zip(self.variables, self.exponents))
+        return monomial_text(self.variables, self.exponents)
 
     def __repr__(self):
         return f"Monomial({self})"
@@ -216,10 +213,7 @@ class MonomialIdeal:
                 and self.generators == other.generators)
 
     def __repr__(self):
-        gens = ", ".join(
-            "*".join(f"{self.names[i]}^{e}" if e > 1 else self.names[i]
-                     for i, e in enumerate(g) if e) or "1"
-            for g in self.generators)
+        gens = ", ".join(monomial_text(self.names, g) for g in self.generators)
         return f"MonomialIdeal({gens})"
 
 
@@ -376,50 +370,45 @@ def parse_form(text: str) -> CoprimeForm:
     return CoprimeForm(terms)
 
 
-@dataclass(frozen=True)
-class HomogeneousForm:
-    """A homogeneous polynomial with rational coefficients, for bound-only
-    commands; monomials need not be coprime or distinct in the input."""
-
-    variables: tuple
-    terms: dict  # exponent tuple -> Fraction
-    degree: int
-
-
-def parse_homogeneous(text: str) -> HomogeneousForm:
-    """Relaxed parse: merges like terms, allows shared variables, but still
-    requires all monomials to have one common degree."""
+def parse_homogeneous(text: str) -> Polynomial:
+    """Relaxed parse, for bound-only commands: merges like terms, allows
+    shared variables, but still requires all monomials to have one common
+    degree.  Variable i is the i-th name in the canonical order."""
     raw = _parse_terms(text)
     variables, keys = _namespace([exps for _, exps in raw])
     if not variables:
         raise ParseError("constant input has no variables", 0)
-    degree = None
-    merged = {}
+    degree, merged = sum(keys[0]), {}
     for (coeff, _), key in zip(raw, keys):
-        d = sum(key)
-        if degree is None:
-            degree = d
-        elif d != degree:
-            raise MixedDegreeError(degree, d)
+        if sum(key) != degree:
+            raise MixedDegreeError(degree, sum(key))
         merged[key] = merged.get(key, Fraction(0)) + coeff
-    merged = {k: v for k, v in merged.items() if v}
-    if not merged:
+    form = Polynomial(len(variables), merged)
+    if form.is_zero():
         raise ValueError("the form cancels to zero")
-    return HomogeneousForm(variables, merged, degree)
+    return form
 
 
-def as_homogeneous(form) -> HomogeneousForm:
-    """A form as a HomogeneousForm over its own namespace.  A CoprimeForm's
+def as_homogeneous(form) -> Polynomial:
+    """A form as a Polynomial over its own namespace.  A CoprimeForm's
     (coefficient, Monomial) pairs become exponent tuples directly: coprime
-    monomials are distinct, so nothing merges."""
-    if isinstance(form, HomogeneousForm):
-        return form
-    if not isinstance(form, CoprimeForm):
+    monomials are distinct, so nothing merges.  A Polynomial passes through
+    if it is nonzero and homogeneous."""
+    if isinstance(form, CoprimeForm):
+        index = {v: i for i, v in enumerate(form.variables)}
+        return Polynomial(len(form.variables), {
+            _exponent_tuple(zip(m.variables, m.exponents), index): c
+            for c, m in form.terms})
+    if not isinstance(form, Polynomial):
         raise TypeError(f"expected a form, got {type(form).__name__}")
-    index = {v: i for i, v in enumerate(form.variables)}
-    terms = {_exponent_tuple(zip(m.variables, m.exponents), index): c
-             for c, m in form.terms}
-    return HomogeneousForm(form.variables, terms, form.degree)
+    if form.is_zero() or not form.is_homogeneous():
+        raise ValueError("expected a nonzero homogeneous polynomial")
+    return form
+
+
+def is_coprime_sum(form: Polynomial) -> bool:
+    """True iff no two terms of the form share a variable."""
+    return all(sum(map(bool, column)) <= 1 for column in zip(*form.terms))
 
 
 def parse_generators(text: str) -> MonomialIdeal:

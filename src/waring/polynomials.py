@@ -21,6 +21,12 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def monomial_text(names, exps) -> str:
+    """The monomial with exponents `exps` over `names`, as in "x1*x2^3";
+    "1" for the constant monomial."""
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e) or "1"
+
+
 def multinomial(d: int, alpha) -> int:
     out = factorial(d)
     for a in alpha:
@@ -59,6 +65,7 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
@@ -111,13 +118,10 @@ class Polynomial:
     def __repr__(self):
         if not self.terms:
             return "Polynomial(0)"
-        bits = []
-        for exps in sorted(self.terms, reverse=True):
-            mono = "*".join(
-                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                for i, e in enumerate(exps) if e) or "1"
-            bits.append(f"({self.terms[exps]})*{mono}")
-        return "Polynomial(" + " + ".join(bits) + ")"
+        names = [f"x{i + 1}" for i in range(self.num_vars)]
+        return "Polynomial(" + " + ".join(
+            f"({self.terms[exps]})*{monomial_text(names, exps)}"
+            for exps in sorted(self.terms, reverse=True)) + ")"
 
 
 def poly_pow_linear(linear_coeffs, d: int) -> Polynomial:

@@ -1,7 +1,7 @@
 """Lossless JSON serialization for forms and decompositions.
 
 Schema:
-  rational            "p/q" or "p"
+  rational            "p/q" or "p" (a JSON int is also read)
   CyclotomicNumber    {"order": N, "coeffs": ["p/q", ...]}
   linear form         ordered coefficient array aligned to a declared
                       variable list
@@ -13,6 +13,7 @@ Schema:
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber
@@ -47,10 +48,26 @@ def _positive_int(obj, key, where):
     return obj[key]
 
 
+_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
+
+
+def _rational(entry) -> Fraction:
+    """A coefficient entry: a JSON int (not a bool) or a "p" or "p/q" string.
+    Floats and exponent notation are refused, so every number loads exactly."""
+    if type(entry) is int:
+        return Fraction(entry)
+    match = type(entry) is str and _RATIONAL.fullmatch(entry)
+    if not match:
+        raise ValueError(entry)
+    return Fraction(int(match[1]), int(match[2] or 1))
+
+
 def cyclo_from_json(obj: dict, where: str = "number", seen=None) -> CyclotomicNumber:
     """Load one number.  `seen` maps (order, coeffs) to numbers already
-    loaded, so a file's repeated numbers are parsed once.  An order above
-    MAX_FIELD_ORDER raises ResourceLimitError before its field is built."""
+    loaded, so a file's repeated numbers are parsed and checked once; a
+    number with JSON-int entries is left out, since `true` or `1.0` would
+    match it as a key.  An order above MAX_FIELD_ORDER raises
+    ResourceLimitError before its field is built."""
     order = _positive_int(obj, "order", where)
     coeffs = _field(obj, "coeffs", where, list)
     if order > MAX_FIELD_ORDER:
@@ -63,10 +80,12 @@ def cyclo_from_json(obj: dict, where: str = "number", seen=None) -> CyclotomicNu
     except (KeyError, TypeError):      # TypeError: an unhashable entry, refused below
         pass
     try:
-        seen[key] = CyclotomicNumber(order, coeffs)
-    except (TypeError, ValueError, ZeroDivisionError):
+        number = CyclotomicNumber(order, [_rational(c) for c in coeffs])
+    except (ValueError, ZeroDivisionError):
         raise ValueError(f"{where}.coeffs: expected rationals, got {coeffs}") from None
-    return seen[key]
+    if int not in map(type, coeffs):
+        seen[key] = number
+    return number
 
 
 def decomposition_to_json(d: PowerSumDecomposition) -> dict:
@@ -92,6 +111,8 @@ def decomposition_from_json(obj: dict) -> PowerSumDecomposition:
     variables = _field(obj, "variables", "decomposition", list)
     if not all(type(v) is str for v in variables):
         raise ValueError("decomposition.variables: expected a list of names")
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"decomposition.variables: repeated name in {variables}")
     terms = []
     seen = {}
     for j, t in enumerate(_field(obj, "terms", "decomposition", list)):

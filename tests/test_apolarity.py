@@ -23,9 +23,9 @@ from waring.apolarity import (
     total_multiplicity,
     verify_claim_identity,
 )
-from waring.forms import HomogeneousForm, MonomialIdeal, parse_form, \
-    parse_homogeneous, perp_generators
-from waring.polynomials import Polynomial
+from waring.forms import MonomialIdeal, as_homogeneous, parse_form, \
+    parse_homogeneous, perp_generators, pure_power
+from waring.polynomials import Polynomial, apply_differential
 from waring.rank import rank_monomial
 
 
@@ -48,6 +48,40 @@ def test_catalecticant_bound_pure_power():
 def test_catalecticant_accepts_non_coprime_input():
     form = parse_homogeneous("x1^2*x2 + x1*x2^2")
     assert catalecticant_lower_bound(form) >= 2
+
+
+@pytest.mark.parametrize("parse, text, i, derivative", [
+    (parse_form, "x1*x2^2*x3^3", 0, "x2^2*x3^3"),
+    (parse_form, "x1*x2^2*x3^3", 2, "3*x1*x2^2*x3^2"),
+    (parse_form, "x1^2*x2 + x3^3", 0, "2*x1*x2"),
+    (parse_form, "x1^2*x2 + x3^3", 2, "3*x3^2"),
+    (parse_form, "2*a^2*b^3 - 1/2*c^5", 2, "-5/2*c^4"),
+    (parse_homogeneous, "x1^2*x2 + x1*x2^2", 0, "2*x1*x2 + x2^2"),
+    (parse_homogeneous, "x1^2*x2 + x1*x2^2", 1, "x1^2 + 2*x1*x2"),
+    (parse_homogeneous, "x1*x2 + x2*x3 + x1*x3", 1, "x1 + x3"),
+    (parse_homogeneous, "x1^3 - 3*x1*x2^2", 0, "3*x1^2 - 3*x2^2"),
+    (parse_homogeneous, "x1^3 - 3*x1*x2^2", 1, "-6*x1*x2"),
+    (parse_homogeneous, "x1^2*x2^2 + x2^2*x3^2", 1, "2*x1^2*x2 + 2*x2*x3^2"),
+])
+def test_the_bound_of_a_derivative_equals_the_bound_of_its_text(parse, text, i, derivative):
+    form = as_homogeneous(parse(text))
+    op = Polynomial.monomial(pure_power(form.num_vars, i, 1))
+    applied = apply_differential(op, form)
+    assert as_homogeneous(applied) is applied
+    assert catalecticant_lower_bound(applied) == \
+        catalecticant_lower_bound(parse_homogeneous(derivative))
+
+
+def test_the_bound_rejects_zero_and_non_homogeneous_polynomials():
+    form = as_homogeneous(parse_form("x1^2*x2"))
+    zero = apply_differential(Polynomial.monomial((3, 0)), form)
+    assert zero.is_zero()
+    mixed = Polynomial(2, {(1, 0): Fraction(1), (2, 1): Fraction(1)})
+    for poly in (zero, mixed):
+        with pytest.raises(ValueError):
+            catalecticant_lower_bound(poly)
+        with pytest.raises(ValueError):
+            catalecticant(poly, 1)
 
 
 def test_catalecticant_symmetry():
@@ -113,13 +147,13 @@ def _homogeneous_forms(draw):
              for exps, c in sympy.Poly(expr, *xs).terms() if c}
     if not terms:
         terms = {(d,) + (0,) * (n - 1): Fraction(1)}
-    return HomogeneousForm(tuple(str(x) for x in xs), terms, d)
+    return Polynomial(len(xs), terms)
 
 
 def _dense_sympy_rank(form, t):
     """Rank of every cell (alpha, beta), |alpha| = d - t, |beta| = t, of the
     catalecticant, built densely and ranked by sympy."""
-    n, d = len(form.variables), form.degree
+    n, d = form.num_vars, form.degree
     cells = []
     for alpha in _exponents(n, d - t):
         row = []

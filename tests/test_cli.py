@@ -94,6 +94,31 @@ def test_bound_non_coprime_flagged(capsys):
     assert "lower bound only" in err
 
 
+@pytest.mark.parametrize("text, bound, note", [
+    ("x1*x2 + x1*x2", "2\n", ""),
+    ("0*x1 + x2", "1\n", ""),
+    ("x1^2*x2 + x1*x2^2", "2\n",
+     "note: input is not a coprime sum; reporting a lower bound only\n"),
+])
+def test_bound_notes_only_shared_variables_of_the_merged_form(capsys, text, bound, note):
+    assert run(capsys, "bound", text) == (0, bound, note)
+
+
+def test_decompose_has_no_pretty_flag(capsys):
+    code, out, err = run(capsys, "decompose", "x1*x2", "--pretty")
+    assert code == 1
+    assert out == ""
+    assert err == "error: unrecognized arguments: --pretty\n"
+
+
+@pytest.mark.parametrize("argv", [("survey", "3"), ("hf",)])
+def test_a_missing_argument_prints_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_survey_single_degree(capsys):
     code, out, _ = run(capsys, "survey", "3", "7")
     assert code == 0
@@ -154,7 +179,23 @@ def test_byte_identical_output(capsys):
          "linear": [{"order": 1, "coeffs": ["1"]}, {"order": 1, "coeffs": ["1"]}],
          "block": 0}]}, "'point'"),
     ([{"degree": 2}], "expected a JSON object"),
-], ids=["degree-only", "order-string", "missing-point", "top-level-list"])
+    ({"degree": 2, "variables": ["x1", "x2"], "terms": [
+        {"gamma": {"order": 1, "coeffs": [0.1]}, "linear": [], "block": 0,
+         "point": []}]}, "terms[0].gamma.coeffs"),
+    ({"degree": 2, "variables": ["x1", "x2"], "terms": [
+        {"gamma": {"order": 1, "coeffs": [True]}, "linear": [], "block": 0,
+         "point": []}]}, "terms[0].gamma.coeffs"),
+    ({"degree": 2, "variables": ["x1", "x2"], "terms": [
+        {"gamma": {"order": 1, "coeffs": ["1e3"]}, "linear": [], "block": 0,
+         "point": []}]}, "terms[0].gamma.coeffs"),
+    ({"degree": 2, "variables": ["x1", "x2"], "terms": [
+        {"gamma": {"order": 1, "coeffs": [1]},
+         "linear": [{"order": 1, "coeffs": [True]}, {"order": 1, "coeffs": [1]}],
+         "block": 0, "point": []}]}, "terms[0].linear"),
+    ({"degree": 2, "variables": ["x1", "x1"], "terms": []}, "decomposition.variables"),
+], ids=["degree-only", "order-string", "missing-point", "top-level-list",
+        "float-coefficient", "bool-coefficient", "exponent-string",
+        "bool-after-an-equal-int", "repeated-variable"])
 def test_verify_rejects_malformed_json(capsys, tmp_path, payload, field):
     path = tmp_path / "dec.json"
     path.write_text(json.dumps(payload))

@@ -14,6 +14,7 @@ from waring.forms import (
     ci_point_ideal,
     decomposition_field_order,
     drop_unused_variables,
+    is_coprime_sum,
     parse_form,
     parse_homogeneous,
     perp_generators,
@@ -155,6 +156,14 @@ def test_parse_homogeneous_allows_overlap():
 def test_parse_homogeneous_rejects_cancellation():
     with pytest.raises(ValueError):
         parse_homogeneous("x1*x2 - x1*x2")
+
+
+def test_is_coprime_sum_reads_the_merged_form():
+    assert isinstance(parse_homogeneous("x1*x2"), Polynomial)
+    for text, coprime in [("x1*x2 + x1*x2", True), ("0*x1 + x2", True),
+                          ("x1^2*x2 + x3^3", True), ("x1^2*x2 + x1*x2^2", False),
+                          ("a*b - a*c", False)]:
+        assert is_coprime_sum(parse_homogeneous(text)) is coprime, text
 
 
 def test_monomial_ideal_minimalizes():

@@ -34,7 +34,7 @@ def test_three_variable_cube():
     p = poly_pow_linear([Fraction(1)] * 3, 3)
     assert len(p.terms) == 10
     assert p.coefficient((1, 1, 1)) == 6
-    assert p.is_homogeneous() and p.degree() == 3
+    assert p.is_homogeneous() and p.degree == 3
 
 
 def test_sign_bookkeeping():
@@ -110,4 +110,4 @@ def test_polynomial_rejects_bad_terms():
 def test_zero_coefficients_dropped():
     p = Polynomial(2, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
     assert (1, 0) not in p.terms
-    assert p.degree() == 1
+    assert p.degree == 1
