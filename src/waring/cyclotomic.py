@@ -2,16 +2,15 @@
 
 Elements are represented by their coordinates in the power basis
 1, zeta, ..., zeta^(phi(N)-1) of Q[z]/Phi_N(z), where Phi_N is the N-th
-cyclotomic polynomial.  All coefficients are `fractions.Fraction`, so no
-rounding ever occurs.  Phi_N is irreducible over Q, hence this quotient is a
-field and every nonzero element is invertible.
+cyclotomic polynomial, stored as integers over one positive denominator in
+lowest terms, so no rounding ever occurs and every operation works on
+integers.  Phi_N is irreducible over Q, hence this quotient is a field; the
+inverse of x is the product of its other Galois conjugates divided by its
+norm, a rational.
 
 `cyclic_lift`, `cyclic_mul` and `reduce_mod_phi` compute with integer
 coefficients in Z[t]/(t^N - 1) instead, which t -> zeta_N maps onto
 Q(zeta_N); one reduction modulo Phi_N at the end gives the exact result.
-`CyclotomicNumber.__mul__` also multiplies integers: it convolves the
-coordinates scaled by den(a) and den(b), reduces once modulo Phi_N and
-makes one Fraction per output coordinate.
 """
 
 from __future__ import annotations
@@ -25,24 +24,13 @@ class DivisibilityError(ValueError):
     """A requested root order does not divide the ambient field order."""
 
 
-def _trim(coeffs):
-    end = len(coeffs)
-    while end > 0 and coeffs[end - 1] == 0:
-        end -= 1
-    return coeffs[:end]
-
-
 def _poly_div_exact(num, den):
-    """Divide integer polynomials (constant term first); division must be exact."""
+    """Divide an integer polynomial by a monic one (constant terms first);
+    the division must be exact."""
     num = list(num)
-    den = _trim(list(den))
     out = [0] * (len(num) - len(den) + 1)
     for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1] != 0:
-            raise ArithmeticError("inexact polynomial division")
-        q = c // den[-1]
-        out[i] = q
+        q = out[i] = num[i + len(den) - 1]
         for j, d in enumerate(den):
             num[i + j] -= q * d
     if any(num):
@@ -161,35 +149,49 @@ def cyclic_mul(a: dict, b: dict, order: int) -> dict:
 class CyclotomicNumber:
     """An element of Q(zeta_N), immutable after construction.
 
-    Binary operations accept ints, Fractions and elements of other cyclotomic
-    fields; mixed orders are promoted to the lcm field.  The integer
-    coordinates are computed on first use and kept in `_ints`.
+    Stored once, as `_ints = (D, ints)`: the coordinates are ints / D with
+    D > 0 and gcd(D, *ints) == 1, so equal numbers of one field have equal
+    `_ints`.  Binary operations accept ints, Fractions and elements of other
+    cyclotomic fields; mixed orders are promoted to the lcm field.
     """
 
-    __slots__ = ("order", "coeffs", "_ints")
+    __slots__ = ("order", "_ints")
 
     def __init__(self, order: int, coeffs):
-        deg = euler_phi(order)
-        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        if len(coeffs) > deg:
-            coeffs = [Fraction(c) for c in reduce_mod_phi(enumerate(coeffs), order)]
-        else:
-            coeffs += [Fraction(0)] * (deg - len(coeffs))
+        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        self._set(order, den, reduce_mod_phi(
+            ((k, c.numerator * (den // c.denominator)) for k, c in enumerate(coeffs)), order))
+
+    def _set(self, order, den, ints):
+        g = gcd(den, *ints)
+        if g != 1:
+            den, ints = den // g, [v // g for v in ints]
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "_ints", (den, tuple(ints)))
+
+    @classmethod
+    def _normalised(cls, order, den, ints) -> "CyclotomicNumber":
+        """The number ints / den of Q(zeta_order), den > 0, ints of length
+        phi(order), reduced to lowest terms."""
+        x = object.__new__(cls)
+        x._set(order, den, ints)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicNumber is immutable")
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CyclotomicNumber":
-        return cls(order, [Fraction(value)])
+        return cls.zeta(order, 0, value)
 
     @classmethod
     def zeta(cls, order: int, power: int = 1, scale=1) -> "CyclotomicNumber":
         """scale * zeta_order^power, a rational multiple of one row of the
         power table."""
-        return cls(order, [scale * r for r in _power_table(order)[power % order]])
+        q = Fraction(scale)
+        return cls._normalised(order, q.denominator,
+                               [q.numerator * r for r in _power_table(order)[power % order]])
 
     # -- field structure ---------------------------------------------------
 
@@ -201,13 +203,12 @@ class CyclotomicNumber:
             raise DivisibilityError(
                 f"cannot embed Q(zeta_{self.order}) into Q(zeta_{order})")
         step = order // self.order
-        return CyclotomicNumber(order, reduce_mod_phi(
-            ((k * step, c) for k, c in enumerate(self.coeffs)), order))
+        den, ints = self._ints
+        return self._normalised(order, den, reduce_mod_phi(
+            ((k * step, v) for k, v in enumerate(ints)), order))
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicNumber):
-            if other.order == self.order:
-                return self, other
             n = lcm(self.order, other.order)
             return self.promote(n), other.promote(n)
         if isinstance(other, (int, Fraction)):
@@ -215,68 +216,62 @@ class CyclotomicNumber:
         return self, NotImplemented
 
     def __add__(self, other):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return CyclotomicNumber(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return self._add(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return CyclotomicNumber(self.order, [-c for c in self.coeffs])
-
     def __sub__(self, other):
+        return self._add(other, -1)
+
+    def _add(self, other, sign):
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return CyclotomicNumber(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        (da, xs), (db, ys) = a._ints, b._ints
+        den = lcm(da, db)
+        ma, mb = den // da, sign * (den // db)
+        return self._normalised(a.order, den, [x * ma + y * mb for x, y in zip(xs, ys)])
+
+    def __neg__(self):
+        den, ints = self._ints
+        return self._normalised(self.order, den, [-v for v in ints])
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CyclotomicNumber(self.order, [c * q for c in self.coeffs])
+            den, ints = self._ints
+            return self._normalised(self.order, den * other.denominator,
+                                    [v * other.numerator for v in ints])
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        da, xs = a._integer_coords()
-        db, ys = b._integer_coords()
-        conv = [0] * (2 * len(xs) - 1)
-        for i, x in enumerate(xs):
-            if x:
-                for j, y in enumerate(ys):
-                    if y:
-                        conv[i + j] += x * y
-        den = da * db
-        return CyclotomicNumber(a.order, [
-            Fraction(v, den) for v in reduce_mod_phi(enumerate(conv), a.order)])
+        (da, xs), (db, ys) = a._ints, b._ints
+        return self._normalised(a.order, da * db, _mul_mod_phi(xs, ys, a.order))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm against
-        Phi_N in Q[x]."""
+        """Multiplicative inverse: for x = v / D, the product P of the other
+        Galois conjugates sigma_k(v), k prime to N, has v * P = the norm of
+        v, a nonzero integer, so 1 / x = D * P / norm(v)."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = _trim(list(self.coeffs))
-        # Bezout: u*a + v*phi = gcd; phi irreducible so gcd is a nonzero constant
-        r0, r1 = phi, a
-        u0, u1 = [Fraction(0)], [Fraction(1)]
-        while len(_trim(r1)) > 1:
-            q, rem = _poly_divmod_q(r0, r1)
-            r0, r1 = r1, rem
-            u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        g = _trim(r1)[0]
-        inv = [c / g for c in u1]
-        return CyclotomicNumber(self.order, reduce_mod_phi(enumerate(inv), self.order))
+        n = self.order
+        den, ints = self._ints
+        rest = [1] + [0] * (len(ints) - 1)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                rest = _mul_mod_phi(rest, reduce_mod_phi(
+                    ((i * k % n, v) for i, v in enumerate(ints)), n), n)
+        norm = _mul_mod_phi(ints, rest, n)[0]
+        sign = 1 if norm > 0 else -1
+        return self._normalised(n, sign * norm, [sign * den * v for v in rest])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CyclotomicNumber(self.order, [c / q for c in self.coeffs])
+            return self * (1 / Fraction(other))
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
@@ -300,103 +295,86 @@ class CyclotomicNumber:
     # -- predicates and conversions ----------------------------------------
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self._ints[1])
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(other, 1)
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
         a, b = self._coerce(other)
-        return a.coeffs == b.coeffs
+        return NotImplemented if b is NotImplemented else a._ints == b._ints
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+        """The hash of Tr(x) / phi(N), which promote leaves unchanged and which
+        is x itself for a rational, so equal numbers hash equal in any field
+        and a rational hashes like its Fraction."""
+        den, ints = self._ints
+        return hash(Fraction(sum(w * v for w, v in zip(_traces(self.order), ints)),
+                             den * len(ints)))
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coordinates in the power basis, as Fractions."""
+        den, ints = self._ints
+        return tuple(Fraction(v, den) for v in ints)
 
     @property
     def denominator(self) -> int:
         """lcm of the coordinate denominators."""
-        return self._integer_coords()[0]
+        return self._ints[0]
 
     def _integer_coords(self):
-        """(D, the tuple of D * c over coeffs) with D the denominator, so
-        the coordinates are integers; computed once per number."""
-        try:
-            return self._ints
-        except AttributeError:
-            den = lcm(*(c.denominator for c in self.coeffs))
-            ints = den, tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
-            object.__setattr__(self, "_ints", ints)
-            return ints
+        """(D, the tuple of D * c over the coordinates c), D the denominator."""
+        return self._ints
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self._ints[1][1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        den, ints = self._ints
+        return Fraction(ints[0], den)
 
     def __repr__(self):
         return f"CyclotomicNumber(order={self.order}, {str(self)!r})"
 
     def __str__(self):
-        if not self:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
+        den, ints = self._ints
+        out = ""
+        for k, v in enumerate(ints):
+            if not v:
                 continue
-            if k == 0:
-                parts.append(str(c))
-            else:
+            text = fraction_text(abs(v), den)
+            if k:
                 sym = f"z{self.order}" if k == 1 else f"z{self.order}^{k}"
-                if c == 1:
-                    parts.append(sym)
-                elif c == -1:
-                    parts.append(f"-{sym}")
-                else:
-                    parts.append(f"{c}*{sym}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+                text = sym if text == "1" else f"{text}*{sym}"
+            out += (" - " if v < 0 else " + ") + text if out else ("-" if v < 0 else "") + text
+        return out or "0"
 
 
-def _poly_divmod_q(num, den):
-    """Polynomial division over Q; returns (quotient, remainder)."""
-    num = list(num)
-    den = _trim(list(den))
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(num) < len(den):
-        return [Fraction(0)], num
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] / den[-1]
-        q[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    return q, num[: len(den) - 1] or [Fraction(0)]
+def fraction_text(num: int, den: int) -> str:
+    """num / den (den > 0) in lowest terms, as "p/q", or "p" when q is 1."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
+def _mul_mod_phi(xs, ys, order):
+    """The product of two coordinate vectors of Q(zeta_order), reduced modulo
+    Phi_order; integer input gives integer output."""
+    conv = [0] * (2 * len(xs) - 1)
+    for i, x in enumerate(xs):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+            for j, y in enumerate(ys):
+                if y:
+                    conv[i + j] += x * y
+    return reduce_mod_phi(enumerate(conv), order)
 
 
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+@lru_cache(maxsize=None)
+def _traces(order: int) -> tuple[int, ...]:
+    """Tr(zeta_order^k) over Q for k < phi(order): mu(n) * phi(order) / phi(n)
+    with n = order / gcd(order, k) and the Moebius function mu(n) = -Phi_n[-2]."""
+    phi = euler_phi(order)
+    return tuple(-cyclotomic_polynomial(n)[-2] * (phi // euler_phi(n))
+                 for n in (order // gcd(order, k) for k in range(phi)))
 
 
 def cyclotomic_embed(root_order: int, power: int, field_order: int) -> CyclotomicNumber:
@@ -407,5 +385,4 @@ def cyclotomic_embed(root_order: int, power: int, field_order: int) -> Cyclotomi
     if field_order % root_order != 0:
         raise DivisibilityError(
             f"root order {root_order} does not divide field order {field_order}")
-    step = field_order // root_order
-    return CyclotomicNumber.zeta(field_order, (step * power) % field_order)
+    return CyclotomicNumber.zeta(field_order, field_order // root_order * power)

@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
 from .cyclotomic import CyclotomicNumber, cyclic_lift, cyclic_mul, \
     cyclotomic_embed, euler_phi, reduce_mod_phi
@@ -69,6 +69,12 @@ MAX_SOLVE_COST = 10 ** 8
 # at N = 1000, 1.4 s at 5000).  A decompose output under MAX_SOLVE_COST
 # has N <= rank < 465 in every block, since rank^3 <= 10^8.
 MAX_FIELD_ORDER = 10 ** 3
+
+# Admission cap for verification, in steps counted before any expansion:
+# compositions of d per group of cyclic terms and per other term, plus the
+# pairs tested in blocks with a non-cyclic form.  A step costs up to 12 us
+# (2 vCPUs); x1*...*x9, the largest block decompose admits, takes 24,310.
+MAX_VERIFY_STEPS = 10 ** 6
 
 
 class DecompositionSolveError(RuntimeError):
@@ -227,15 +233,17 @@ def verify_decomposition(form: CoprimeForm,
         target[tuple(exps)] = c
 
     scale, lifted = _lift(decomposition, target.values())
-    residual = _residual(target, lifted, d, len(variables), scale)
+    blocks = {}
+    for t, (order, _, bases) in zip(decomposition.terms, lifted):
+        blocks.setdefault(t.block, []).append((order, bases))
+    pairs = sum(len(forms) * (len(forms) - 1) // 2 for forms in blocks.values()
+                if not all(_cyclic(bases) for _, bases in forms))
+    residual = _residual(target, lifted, d, len(variables), scale, pairs)
     bad = (exps for exps in sorted(residual) if not _vanishes(residual[exps]))
     mismatches = tuple((monomial_text(variables, exps), str(target.get(exps, Fraction(0))),
                         str(_coefficient(decomposition, lifted, scale, exps)))
                        for exps in itertools.islice(bad, 10))
 
-    blocks = {}
-    for t, (order, _, bases) in zip(decomposition.terms, lifted):
-        blocks.setdefault(t.block, []).append((order, bases))
     dependent_pair = next(((block, *pair) for block, forms in blocks.items()
                            if (pair := _first_dependent_pair(forms))), None)
 
@@ -290,11 +298,19 @@ def _powers(base, d, order):
     return row
 
 
-def _residual(target, lifted, d, n, scale):
+def _cyclic(bases) -> bool:
+    """Whether a lifted linear form {index: lift} is nonzero and each of its
+    coordinates lifts to a single power q t^k."""
+    return bool(bases) and all(len(b) == 1 for b in bases.values())
+
+
+def _residual(target, lifted, d, n, scale, pairs=0):
     """D * (expansion - target) per monomial, as {N: sparse {exponent: int}
     map} over the orders N of the contributing terms (the target counts as
     order 1).  Cyclic terms add one reduced class sum per monomial, as the
-    module docstring explains; the others add one product each."""
+    module docstring explains; the others add one product each.  Raises
+    ResourceLimitError, before expanding, when the compositions to expand
+    and the `pairs` the caller will test exceed MAX_VERIFY_STEPS."""
     residual = {}
 
     def add(support, alpha, order, lift, m):
@@ -305,16 +321,21 @@ def _residual(target, lifted, d, n, scale):
         for k, v in lift.items():
             bucket[k] = bucket.get(k, 0) + m * v
 
-    groups = {}
+    groups, general = {}, []
     for order, gamma, bases in lifted:
-        if not gamma or not bases:
-            continue
-        support = tuple(bases)
-        if all(len(b) == 1 for b in bases.values()):
+        if gamma and _cyclic(bases):
             ks, qs = zip(*(next(iter(b.items())) for b in bases.values()))
-            groups.setdefault((order, support, qs), []).extend(
+            groups.setdefault((order, tuple(bases), qs), []).extend(
                 (g, c, ks) for g, c in gamma.items())
-            continue
+        elif gamma and bases:
+            general.append((order, gamma, bases))
+    steps = pairs + sum(comb(d + len(support) - 1, d) for _, support, _ in groups) \
+        + sum(comb(d + len(bases) - 1, d) for *_, bases in general)
+    if steps > MAX_VERIFY_STEPS:
+        raise ResourceLimitError(f"verifying takes {steps:.1e} steps (compositions and "
+                                 f"pairs), above the step cap {MAX_VERIFY_STEPS:.0e}")
+    for order, gamma, bases in general:
+        support = tuple(bases)
         powers = [_powers(bases[i], d, order) for i in support]
         for alpha in compositions(d, len(support)):
             acc = gamma
@@ -374,7 +395,7 @@ def _coefficient(decomposition, lifted, scale, exps):
     if sum(exps) != d:
         return Fraction(0)
     used = [i for i, a in enumerate(exps) if a]
-    total_field, total = 1, []     # scale / multinomial(d; exps) times the running sum
+    total_field, total = 1, [0]    # scale / multinomial(d; exps) times the running sum
     for t, (order, gamma, bases) in zip(decomposition.terms, lifted):
         if not gamma or any(i not in bases for i in used):
             continue
@@ -391,7 +412,7 @@ def _coefficient(decomposition, lifted, scale, exps):
             coords, field = [x + y for x, y in zip(*promoted)], both
         total_field, total = field, coords
     m = multinomial(d, exps)
-    return CyclotomicNumber(total_field, [Fraction(m * v, scale) for v in total])
+    return CyclotomicNumber._normalised(total_field, scale, [m * v for v in total])
 
 
 def _first_dependent_pair(forms):
@@ -414,7 +435,7 @@ def _ratio_key(form):
     over the gcd of all |q_i|, and the angle k_i / N (plus a half turn if
     q_i < 0) less the first one's, mod 1.  None for any other form."""
     order, bases = form
-    if not bases or any(len(b) != 1 for b in bases.values()):
+    if not _cyclic(bases):
         return None
     coords = [(i, *next(iter(b.items()))) for i, b in bases.items()]
     size = gcd(*(q for *_, q in coords))

@@ -5,7 +5,7 @@ and truthiness as a zero test (`fractions.Fraction` and `CyclotomicNumber`
 both qualify).  No numerical pivoting is needed over an exact field.  Each
 pivot is inverted at most once and the reciprocal reused for every row it
 reduces (and, in `solve_exact`, for back substitution), since a cyclotomic
-inverse is a Euclid run over Q.
+inverse in Q(zeta_N) multiplies phi(N) - 1 Galois conjugates.
 
 One elimination, `_reduce`, works on sparse rows {column: nonzero value}
 and serves every caller: `sparse_rank` counts its pivot rows, `matrix_rank`

@@ -16,18 +16,19 @@ import json
 import re
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, fraction_text
 from .decompose import MAX_FIELD_ORDER, DecompositionTerm, PowerSumDecomposition
 from .rank import ResourceLimitError
 
 
 def fraction_to_str(q: Fraction) -> str:
     q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return fraction_text(q.numerator, q.denominator)
 
 
 def cyclo_to_json(x: CyclotomicNumber) -> dict:
-    return {"order": x.order, "coeffs": [fraction_to_str(c) for c in x.coeffs]}
+    den, ints = x._integer_coords()
+    return {"order": x.order, "coeffs": [fraction_text(v, den) for v in ints]}
 
 
 def _field(obj, key, where, kind=None):
@@ -139,9 +140,8 @@ def dumps(obj) -> str:
 
 
 def pretty_cyclo(x: CyclotomicNumber) -> str:
-    """Human rendering: plain rationals for order <= 2, zN^k tokens otherwise."""
-    if x.is_rational():
-        return fraction_to_str(x.rational_value())
+    """Human rendering: a plain rational for a rational number, zN^k tokens
+    otherwise."""
     return str(x)
 
 

@@ -429,3 +429,22 @@ def test_decompose_output_is_pinned(capsys):
             code, out, _ = run(capsys, *argv)
             digest.update(json.dumps([argv, code, out]).encode())
     assert digest.hexdigest() == DECOMPOSE_OUTPUT_SHA256
+
+
+def test_verify_over_the_step_cap_exits_3_at_once(capsys, tmp_path):
+    """One term with every coordinate 1 for x1*...*x9*x10^21 (degree 30)
+    would expand C(39, 9) ~ 2.1e8 compositions; it is refused before any."""
+    import time
+    names = [f"x{i}" for i in range(1, 11)]
+    one = {"order": 1, "coeffs": ["1"]}
+    path = tmp_path / "one_term.json"
+    path.write_text(json.dumps({"degree": 30, "variables": names, "terms": [
+        {"gamma": one, "linear": [one] * 10, "block": 0, "point": [one] * 10}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "*".join(names) + "^21", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "2.1e+08" in err and "step cap" in err
+    assert "Traceback" not in err

@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from waring.cyclotomic import (
@@ -228,3 +228,97 @@ def test_cyclotomic_polynomial_matches_sympy_up_to_order_200():
     for n in range(1, 201):
         coeffs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
         assert cyclotomic_polynomial(n) == tuple(int(c) for c in reversed(coeffs)), n
+
+
+# -- one stored form: integers over one denominator, Galois-norm inverse ------
+
+
+def test_one_value_has_one_stored_form_however_it_is_built():
+    """-3/2 * zeta_12^5 = 3/2 * z - 3/2 * z^3 in Q(zeta_12), where
+    Phi_12 = z^4 - z^2 + 1, built every way the class allows."""
+    x = CyclotomicNumber.zeta(12, 5, Fraction(-3, 2))
+    two = CyclotomicNumber.from_rational(2, 12)
+    built = [
+        CyclotomicNumber(12, [0, Fraction(3, 2), 0, Fraction(-3, 2)]),
+        CyclotomicNumber(12, [Fraction(0, 7), Fraction(6, 4), 0, "-3/2"]),
+        CyclotomicNumber(12, [0, 0, 0, 0, 0, Fraction(-3, 2)]),
+        CyclotomicNumber.zeta(12, 17, Fraction(-6, 4)),
+        CyclotomicNumber.zeta(4, 3, Fraction(-3, 2)).promote(12)
+        * CyclotomicNumber.zeta(3, 2).promote(12),
+        CyclotomicNumber.zeta(4, 3) * CyclotomicNumber.zeta(3, 2) * Fraction(-3, 2),
+        (x + x) / 2, (x * 4 - x) / Fraction(3), -(-x), x - 0, 0 + x, x * two / two,
+        x.inverse().inverse(), 1 / (1 / x),
+    ]
+    assert x._integer_coords() == (2, (0, 3, 0, -3))
+    for y in built:
+        assert y.order == 12 and y._integer_coords() == x._integer_coords()
+    for zero in (x - x, CyclotomicNumber(12, [Fraction(0, 5)]), x * 0):
+        assert zero._integer_coords() == (1, (0, 0, 0, 0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_factor_pairs())
+def test_stored_form_is_lowest_terms_and_canonical(pair):
+    a, b = pair
+    for x in (a, b, a + b, a - b, a * b, -a, a * Fraction(-7, 3), (a + b) - b):
+        den, ints = x._integer_coords()
+        assert den > 0 and gcd(den, *ints) == 1
+        assert x.denominator == den and x.coeffs == tuple(Fraction(v, den) for v in ints)
+    assert ((a + b) - b).promote(lcm(a.order, b.order))._integer_coords() == \
+        a.promote(lcm(a.order, b.order))._integer_coords()
+
+
+@st.composite
+def _sparse_nonzero(draw):
+    """A nonzero element of Q(zeta_N), N <= 60, with up to four nonzero
+    coordinates of small height, so sympy's Euclid stays fast."""
+    order = draw(st.one_of(st.sampled_from([37, 41, 59, 60]), st.integers(1, 60)))
+    coords = [Fraction(0)] * euler_phi(order)
+    for k in draw(st.lists(st.integers(0, len(coords) - 1), min_size=1, max_size=4,
+                           unique=True)):
+        coords[k] = draw(st.fractions(-9, 9, max_denominator=6).filter(bool))
+    return CyclotomicNumber(order, coords)
+
+
+def _sympy_inverse(x):
+    """Coordinates of 1/x from sympy's inverse modulo cyclotomic_poly(N)."""
+    z = sympy.Symbol("z")
+    f = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(x.coeffs)],
+                   z, domain=sympy.QQ)
+    inv = f.invert(sympy.Poly(sympy.cyclotomic_poly(x.order, z), z, domain=sympy.QQ))
+    coords = [Fraction(int(c.p), int(c.q)) for c in reversed(inv.all_coeffs())]
+    return coords + [Fraction(0)] * (euler_phi(x.order) - len(coords))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_sparse_nonzero())
+@example(CyclotomicNumber(37, [Fraction(1, 2), 0, 3, 0, 0, -1]))
+@example(CyclotomicNumber(41, [0, 1] + [0] * 37 + [Fraction(-5, 3)]))
+@example(CyclotomicNumber(59, [2, Fraction(1, 6), 0, 0, 0, 0, 0, -1]))
+@example(CyclotomicNumber(60, [1, -1, 0, Fraction(7, 4), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2]))
+def test_norm_inverse_matches_sympy_invert_modulo_phi(x):
+    inv = x.inverse()
+    assert list(inv.coeffs) == _sympy_inverse(x)
+    assert x * inv == 1
+
+
+def test_equal_numbers_hash_equal_across_fields():
+    pairs = [(cyclotomic_embed(3, 1, 3), cyclotomic_embed(3, 1, 6)),
+             (cyclotomic_embed(5, 1, 5), cyclotomic_embed(5, 1, 10)),
+             (cyclotomic_embed(4, 3, 4) * Fraction(2, 3),
+              cyclotomic_embed(4, 3, 12) * Fraction(2, 3)),
+             (CyclotomicNumber.from_rational(Fraction(-3, 4), 1),
+              CyclotomicNumber.from_rational(Fraction(-3, 4), 35))]
+    rng = random.Random(11)
+    for order in range(1, 40):
+        x = _random_element(rng, order)
+        pairs += [(x, x.promote(k * order)) for k in (2, 3, 5)]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+    assert len({cyclotomic_embed(6, k, 6) for k in range(6)} | {-1, 1}) == 6
+    # a rational hashes like its Fraction, so dicts mix the two
+    assert hash(CyclotomicNumber.from_rational(Fraction(-3, 4), 12)) == hash(Fraction(-3, 4))
+    assert {Fraction(-3, 4): "q"}[CyclotomicNumber.from_rational(Fraction(-3, 4), 12)] == "q"

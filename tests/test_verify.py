@@ -487,3 +487,40 @@ def test_rank_equals_the_length_of_a_verified_decomposition(form):
     for candidate in (dec, decomposition_from_json(decomposition_to_json(dec))):
         assert verify_decomposition(form, candidate).passed
         assert least_variable_check(form, candidate).passed
+
+
+def _steps_at_cap(monkeypatch, form, dec, steps):
+    """Verification runs with the step cap at `steps` and is refused, before
+    any expansion, with the cap one lower."""
+    monkeypatch.setattr(decompose, "MAX_VERIFY_STEPS", steps)
+    report = verify_decomposition(form, dec)
+    monkeypatch.setattr(decompose, "MAX_VERIFY_STEPS", steps - 1)
+    monkeypatch.setattr(decompose, "_powers", None)    # any expansion would fail
+    with pytest.raises(ResourceLimitError, match="step cap"):
+        verify_decomposition(form, dec)
+    return report
+
+
+def test_the_largest_decompose_block_is_under_the_verify_step_cap(monkeypatch):
+    """x1*...*x9: 256 cyclic terms in one group take C(17, 8) compositions,
+    and its pairs are tested in one pass, not one by one."""
+    form = parse_form("*".join(f"x{i}" for i in range(1, 10)))
+    dec = decompose_form(form)
+    assert 24310 <= decompose.MAX_VERIFY_STEPS
+    assert _steps_at_cap(monkeypatch, form, dec, 24310).passed
+
+
+def test_a_block_with_a_general_form_counts_its_pairs(monkeypatch):
+    """x1*x2^2 has three cyclic terms in one group: C(4, 1) = 4 steps.  With
+    one linear form made general, the other two still form that group (4),
+    the general term adds its own 4 compositions, and the block its 3 pairs."""
+    form = parse_form("x1*x2^2")
+    dec = decompose_form(form)
+    assert _steps_at_cap(monkeypatch, form, dec, 4).passed
+    monkeypatch.undo()
+    terms = list(dec.terms)
+    linear = list(terms[0].linear)
+    linear[1] = linear[1] + CyclotomicNumber(3, ["1/2", "1"])
+    terms[0] = dataclasses.replace(terms[0], linear=tuple(linear))
+    tampered = dataclasses.replace(dec, terms=tuple(terms))
+    assert not _steps_at_cap(monkeypatch, form, tampered, 4 + 4 + 3).passed
