@@ -34,6 +34,7 @@ from .rank import (
     GenericRank,
     asymptotic_ratio_report,
     generic_rank,
+    max_monomial_rank,
     max_monomial_rank_3vars,
     quadratic_form_rank,
     rank_coprime_sum,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import random
@@ -120,9 +121,9 @@ def cmd_survey(args) -> int:
     header = ["d", "max_monomial_rank", "witness", "generic_rank", "exceptional"]
     rows = []
     for d in degrees:
-        result = rank.survey_max_monomial_rank(args.n, d, args.max_enum)
+        value, witness = rank.max_monomial_rank(args.n, d, args.max_enum)
         generic = rank.generic_rank(args.n, d)
-        rows.append([d, result.value, str(result.witness), generic.value,
+        rows.append([d, value, str(witness), generic.value,
                      "yes" if generic.exceptional else "no"])
     _emit_table(header, rows, csv=args.csv)
     return EXIT_OK
@@ -169,7 +170,7 @@ def cmd_hf(args) -> int:
     table = apolarity.hf_table(ideal, t_max)
     if args.json:
         _print_json({"generators": args.generators, "values": table,
-                     "partial_sums": [sum(table[:i + 1]) for i in range(len(table))]})
+                     "partial_sums": list(itertools.accumulate(table))})
     else:
         for t, v in enumerate(table):
             print(f"HF({t}) = {v}")

@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, lcm, log10, prod
 
 from .cyclotomic import CyclotomicNumber, cyclic_lift, cyclic_mul, \
     cyclotomic_embed, euler_phi, reduce_mod_phi
@@ -241,7 +241,7 @@ def verify_decomposition(form: CoprimeForm,
     residual = _residual(target, lifted, d, len(variables), scale, pairs)
     bad = (exps for exps in sorted(residual) if not _vanishes(residual[exps]))
     mismatches = tuple((monomial_text(variables, exps), str(target.get(exps, Fraction(0))),
-                        str(_coefficient(decomposition, lifted, scale, exps)))
+                        _bounded_text(_coefficient(decomposition, lifted, scale, exps)))
                        for exps in itertools.islice(bad, 10))
 
     dependent_pair = next(((block, *pair) for block, forms in blocks.items()
@@ -254,6 +254,16 @@ def verify_decomposition(form: CoprimeForm,
         dependent_pair=dependent_pair,
         term_count=len(decomposition.terms),
         expected_rank=rank_coprime_sum(form))
+
+
+def _bounded_text(x) -> str:
+    """str(x), or the size of x when its integers are too long for str()."""
+    try:
+        return str(x)
+    except ValueError:      # past sys.get_int_max_str_digits()
+        den, ints = x._integer_coords()
+        digits = int(max(den, *map(abs, ints)).bit_length() * log10(2)) + 1
+        return f"<a number of Q(zeta_{x.order}) with integers of about {digits} digits>"
 
 
 def _lift(decomposition, target_coeffs):

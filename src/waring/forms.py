@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
+from operator import ge
 
 from .polynomials import Polynomial, monomial_text
 
@@ -218,14 +219,16 @@ class MonomialIdeal:
 
 
 def minimalize(gens):
-    """Drop generators divisible by another generator."""
-    out = []
-    for g in gens:
-        if any(h != g and all(a >= b for a, b in zip(g, h)) for h in gens):
-            continue
-        if g not in out:
-            out.append(g)
-    return out
+    """Drop repeated generators and those divisible by another generator;
+    the rest keep their input order.  A divisor has no larger degree, so one
+    pass in order of degree tests each generator against those kept."""
+    gens = list(dict.fromkeys(gens))
+    kept = []
+    for g in sorted(gens, key=sum):
+        if not any(all(map(ge, g, h)) for h in kept):
+            kept.append(g)
+    kept = set(kept)
+    return [g for g in gens if g in kept]
 
 
 # -- parsing -----------------------------------------------------------------

@@ -111,6 +111,33 @@ def _partitions_at_most(d: int, parts: int):
         yield from rec(d, k, 1)
 
 
+def max_monomial_rank(n: int, d: int, max_enum: int = 10 ** 6):
+    """Maximum of rank_monomial over the degree-d monomials in at most n
+    variables, with a witness, by a scan over the part count k and the least
+    part m: with those fixed, prod(a_i + 1) over the other k - 1 parts is
+    largest when they are balanced over d - m.  The scan runs in the brute
+    force's order (k, then the tuple) and keeps only strict improvements, so
+    the witness is `survey_max_monomial_rank`'s first maximiser.
+
+    Raises EnumerationLimitError when the scan's 1 + sum_{2<=k<=min(n,d)} d // k
+    candidates exceed max_enum, before any is built."""
+    if n < 1 or d < 1:
+        raise ValueError("n and d must be positive")
+    parts = min(n, d)
+    count = 1 + sum(d // k for k in range(2, parts + 1))
+    if count > max_enum:
+        raise EnumerationLimitError(count, max_enum)
+    best = (1, (d,))
+    for k in range(2, parts + 1):
+        for m in range(1, d // k + 1):
+            q, r = divmod(d - m, k - 1)
+            value = (q + 1) ** (k - 1 - r) * (q + 2) ** r
+            if value > best[0]:
+                best = (value, (m,) + (q,) * (k - 1 - r) + (q + 1,) * r)
+    value, exps = best
+    return value, Monomial([f"x{i + 1}" for i in range(len(exps))], list(exps))
+
+
 @dataclass(frozen=True)
 class SurveyResult:
     value: int
@@ -120,7 +147,8 @@ class SurveyResult:
 
 def survey_max_monomial_rank(n: int, d: int, max_enum: int = 10 ** 6) -> SurveyResult:
     """Brute-force maximum of rank_monomial over all degree-d monomials in at
-    most n variables; independent oracle for the closed forms."""
+    most n variables; independent oracle for `max_monomial_rank` and the
+    closed forms."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
     table = []

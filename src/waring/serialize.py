@@ -15,8 +15,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import lcm
 
-from .cyclotomic import CyclotomicNumber, fraction_text
+from .cyclotomic import CyclotomicNumber, fraction_text, reduce_mod_phi
 from .decompose import MAX_FIELD_ORDER, DecompositionTerm, PowerSumDecomposition
 from .rank import ResourceLimitError
 
@@ -52,15 +53,16 @@ def _positive_int(obj, key, where):
 _RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
-def _rational(entry) -> Fraction:
-    """A coefficient entry: a JSON int (not a bool) or a "p" or "p/q" string.
-    Floats and exponent notation are refused, so every number loads exactly."""
+def _rational(entry) -> tuple:
+    """A coefficient entry as (p, q) with q > 0: a JSON int (not a bool) or a
+    "p" or "p/q" string.  Floats and exponent notation are refused, so every
+    number loads exactly."""
     if type(entry) is int:
-        return Fraction(entry)
+        return entry, 1
     match = type(entry) is str and _RATIONAL.fullmatch(entry)
-    if not match:
+    if not match or match[2] and not int(match[2]):
         raise ValueError(entry)
-    return Fraction(int(match[1]), int(match[2] or 1))
+    return int(match[1]), int(match[2] or 1)
 
 
 def cyclo_from_json(obj: dict, where: str = "number", seen=None) -> CyclotomicNumber:
@@ -81,9 +83,12 @@ def cyclo_from_json(obj: dict, where: str = "number", seen=None) -> CyclotomicNu
     except (KeyError, TypeError):      # TypeError: an unhashable entry, refused below
         pass
     try:
-        number = CyclotomicNumber(order, [_rational(c) for c in coeffs])
-    except (ValueError, ZeroDivisionError):
+        pairs = [_rational(c) for c in coeffs]
+    except ValueError:
         raise ValueError(f"{where}.coeffs: expected rationals, got {coeffs}") from None
+    den = lcm(*(q for _, q in pairs))
+    number = CyclotomicNumber._normalised(order, den, reduce_mod_phi(
+        ((k, p * (den // q)) for k, (p, q) in enumerate(pairs)), order))
     if int not in map(type, coeffs):
         seen[key] = number
     return number

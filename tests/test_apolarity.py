@@ -6,10 +6,11 @@ from math import factorial, prod
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from waring.apolarity import (
+    MAX_HF_STEPS,
     ClaimPreconditionError,
     annihilator_membership,
     catalecticant,
@@ -363,3 +364,71 @@ def test_bound_cell_cap_is_checked_before_any_catalecticant(monkeypatch):
     with pytest.raises(ResourceLimitError):
         apolarity.catalecticant_lower_bound(parse_homogeneous(str(over)), 1)
     assert built == []
+
+
+# -- Hilbert functions from the Hilbert-series numerator, against enumeration ---
+
+def _standard_monomial_levels(ideal, t_max):
+    """The standard monomials of each degree 0..t_max, level by level: the
+    one-variable multiples of a level that lie outside the ideal form the
+    next (the enumeration the numerator replaced)."""
+    one = (0,) * ideal.num_vars
+    levels = [set() if ideal.contains_monomial(one) else {one}]
+    for _ in range(t_max):
+        levels.append({m[:i] + (m[i] + 1,) + m[i + 1:] for m in levels[-1]
+                       for i in range(ideal.num_vars)
+                       if not ideal.contains_monomial(m[:i] + (m[i] + 1,) + m[i + 1:])})
+    return levels
+
+
+def _enumerated_length(ideal):
+    total, t = 0, 0
+    while level := _standard_monomial_levels(ideal, t)[t]:
+        total += len(level)
+        t += 1
+    return total
+
+
+@st.composite
+def _monomial_ideals(draw):
+    n = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=6))
+    if draw(st.booleans()):     # a power of every variable: a finite quotient
+        gens += [pure_power(n, i, draw(st.integers(1, 6))) for i in range(n)]
+    return MonomialIdeal(n, gens)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_monomial_ideals(), st.integers(0, 14))
+@example(MonomialIdeal(3, [(0, 0, 0)]), 6)              # the unit ideal
+@example(MonomialIdeal(3, []), 6)                       # the whole ring
+@example(MonomialIdeal(2, [(1, 1)]), 14)                # infinite quotient
+def test_hf_from_the_numerator_equals_the_enumeration(ideal, t_max):
+    levels = _standard_monomial_levels(ideal, t_max)
+    assert hf_table(ideal, t_max) == [len(level) for level in levels]
+    assert hf_monomial_quotient(ideal, t_max) == len(levels[t_max])
+    if ideal.contains_power_of_every_variable():
+        assert total_multiplicity(ideal) == _enumerated_length(ideal)
+
+
+def test_hf_of_five_twentieth_powers_to_degree_100():
+    ideal = MonomialIdeal(5, [pure_power(5, i, 20) for i in range(5)])
+    table = hf_table(ideal, 100)
+    assert sum(table) == total_multiplicity(ideal) == 20 ** 5
+    assert table[95] == 1 and table[96:] == [0] * 5
+
+
+def test_hf_table_cap_is_checked_before_the_numerator(monkeypatch):
+    from waring import apolarity
+    from waring.rank import ResourceLimitError
+    calls = []
+    monkeypatch.setattr(apolarity, "hilbert_numerator",
+                        lambda ideal: calls.append(ideal) or {0: 1})
+    ideal = MonomialIdeal(4, [(1, 1, 0, 0)])
+    at_cap = MAX_HF_STEPS // 4 - 1          # (t_max + 1) * 4 steps
+    assert len(apolarity.hf_table(ideal, at_cap)) == at_cap + 1
+    assert len(calls) == 1
+    with pytest.raises(ResourceLimitError, match=str(MAX_HF_STEPS + 4)):
+        apolarity.hf_table(ideal, at_cap + 1)
+    assert len(calls) == 1

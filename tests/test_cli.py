@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -448,3 +449,33 @@ def test_verify_over_the_step_cap_exits_3_at_once(capsys, tmp_path):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "2.1e+08" in err and "step cap" in err
     assert "Traceback" not in err
+
+
+def test_hf_refuses_a_long_table_with_its_estimate(capsys):
+    code, out, err = run(capsys, "hf", "x1^2,x2^3", "--tmax", "100000")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "200002 running-sum steps" in err
+
+
+def test_verify_prints_an_oversized_mismatch_by_its_size(capsys, tmp_path):
+    # (2 + z3)^20000 has coordinates of 4,772 digits, past the 4,300 that
+    # str() of an int allows by default
+    dec = {"degree": 20000, "variables": ["x1"],
+           "terms": [{"gamma": {"order": 1, "coeffs": ["1"]},
+                      "linear": [{"order": 3, "coeffs": ["2", "1"]}],
+                      "block": 0, "point": []}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dec))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "verify", "x1^20000", str(path))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert err == ""
+    assert ("  mismatch at x1^20000: expected 1, got <a number of Q(zeta_3) "
+            "with integers of about 4772 digits>") in out.splitlines()
+    assert out.splitlines()[-1] == "FAIL"

@@ -15,6 +15,7 @@ from waring.forms import (
     decomposition_field_order,
     drop_unused_variables,
     is_coprime_sum,
+    minimalize,
     parse_form,
     parse_homogeneous,
     perp_generators,
@@ -216,3 +217,22 @@ def test_both_parsers_give_the_same_catalecticant_bound(form):
     text = render_form(form)
     assert catalecticant_lower_bound(parse_form(text)) == \
         catalecticant_lower_bound(parse_homogeneous(text))
+
+
+def _all_pairs_minimalize(gens):
+    """The quadratic minimalize the one-pass version replaced: each
+    generator against every other."""
+    out = []
+    for g in gens:
+        if any(h != g and all(a >= b for a, b in zip(g, h)) for h in gens):
+            continue
+        if g not in out:
+            out.append(g)
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=12)))
+def test_minimalize_equals_the_all_pairs_version(gens):
+    assert minimalize(gens) == _all_pairs_minimalize(gens)

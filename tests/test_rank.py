@@ -9,6 +9,7 @@ from waring.rank import (
     EnumerationLimitError,
     asymptotic_ratio_report,
     generic_rank,
+    max_monomial_rank,
     max_monomial_rank_3vars,
     quadratic_form_rank,
     rank_coprime_sum,
@@ -158,3 +159,18 @@ def test_ratio_report_four_vars():
     last = report.rows[-1]
     assert abs(last.ratio - report.limit) <= report.limit * Fraction(5, 100)
     assert report.limit <= 1
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_balanced_scan_equals_the_brute_force_survey(n):
+    for d in range(1, 31):
+        survey = survey_max_monomial_rank(n, d)
+        assert max_monomial_rank(n, d) == (survey.value, survey.witness), (n, d)
+
+
+def test_balanced_scan_counts_its_candidates_before_scanning():
+    # one candidate with one part, then d // k for k = 2, 3, 4 parts
+    with pytest.raises(EnumerationLimitError) as refused:
+        max_monomial_rank(4, 30, max_enum=32)
+    assert refused.value.count == 1 + 15 + 10 + 7
+    assert max_monomial_rank(4, 30, max_enum=33)[0] == 10 * 11 * 11

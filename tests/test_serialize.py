@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from waring.cyclotomic import CyclotomicNumber, cyclotomic_embed
 from waring.decompose import decompose_form, verify_decomposition
 from waring.forms import parse_form
@@ -66,3 +68,20 @@ def test_pretty_decomposition_mentions_blocks():
     form = parse_form("x1*x2 + x3^2")
     text = pretty_decomposition(decompose_form(form))
     assert "[block 0]" in text and "[block 1]" in text
+
+
+def test_cyclo_from_json_reads_integer_pairs_in_lowest_terms():
+    # entries out of lowest terms, longer than phi(N), and JSON ints load to
+    # the number the Fraction constructor gives, in its one stored form
+    for order, coeffs in [(12, ["2/4", "-3/6", "0", "5", 7]), (3, ["4/6", "8/12", 2]),
+                          (1, []), (5, ["-10/15"] * 6)]:
+        number = cyclo_from_json({"order": order, "coeffs": coeffs})
+        expected = CyclotomicNumber(order, [Fraction(c) for c in coeffs])
+        assert number == expected
+        assert number._integer_coords() == expected._integer_coords()
+
+
+@pytest.mark.parametrize("entry", ["1/0", "0/00", 1.5, True, "1e3", "1/-2", "+1", [1]])
+def test_cyclo_from_json_refuses_inexact_entries(entry):
+    with pytest.raises(ValueError, match="expected rationals"):
+        cyclo_from_json({"order": 3, "coeffs": ["1", entry]}, seen={})
