@@ -43,6 +43,10 @@ MAX_BOUND_CELLS = 2 * 10 ** 5
 # prints 2 * 10^5 lines in one variable in 0.7 s on a 2-vCPU VM.
 MAX_HF_STEPS = 2 * 10 ** 5
 
+# Admission cap for `hf --claim-random COUNT`, checked before the first
+# configuration: 1000 of them take about 1 s on a 2-vCPU VM.
+MAX_CLAIM_CONFIGS = 1000
+
 
 @dataclass(frozen=True)
 class CatalecticantMatrix:

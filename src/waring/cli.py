@@ -102,6 +102,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_survey(args) -> int:
+    degrees = args.range or args.d and range(args.d, args.d + 1)
+    if not (args.ratio or degrees):
+        raise ValueError("survey needs a degree, --range or --ratio")
+    # the whole output, counted before the first row
+    size = rank.ratio_size(args.n, args.kmax) if args.ratio else rank.survey_size(args.n, degrees)
+    if size > rank.MAX_SURVEY_SIZE:
+        raise ResourceLimitError(f"the survey would print an estimated output of size "
+                                 f"{size}, above the cap {rank.MAX_SURVEY_SIZE}")
     if args.ratio:
         report = rank.asymptotic_ratio_report(args.n, args.kmax)
         header = ["k", "d", "max_monomial_rank", "generic_rank", "ratio"]
@@ -112,16 +120,10 @@ def cmd_survey(args) -> int:
               f"{serialize.fraction_to_str(report.limit)}"
               f" = {float(report.limit):.6f}")
         return EXIT_OK
-    if args.range:
-        degrees = args.range
-    elif args.d is not None:
-        degrees = [args.d]
-    else:
-        raise ValueError("survey needs a degree, --range or --ratio")
     header = ["d", "max_monomial_rank", "witness", "generic_rank", "exceptional"]
     rows = []
     for d in degrees:
-        value, witness = rank.max_monomial_rank(args.n, d, args.max_enum)
+        value, witness = rank.max_monomial_rank(args.n, d)
         generic = rank.generic_rank(args.n, d)
         rows.append([d, value, str(witness), generic.value,
                      "yes" if generic.exceptional else "no"])
@@ -154,6 +156,9 @@ def cmd_hf(args) -> int:
         _print_claim(report)
         return EXIT_OK if report.passed else EXIT_VERIFY
     if args.claim_random:
+        if args.claim_random > apolarity.MAX_CLAIM_CONFIGS:
+            raise ResourceLimitError(f"{args.claim_random} random configurations are "
+                                     f"above the cap {apolarity.MAX_CLAIM_CONFIGS}")
         rng = random.Random(args.seed)
         failures = 0
         for i in range(args.claim_random):
@@ -251,13 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("survey", help="maximal monomial ranks vs the generic rank")
-    p.add_argument("n", type=int)
-    p.add_argument("d", type=int, nargs="?")
+    p.add_argument("n", type=_int_at_least(1))
+    p.add_argument("d", type=_int_at_least(1), nargs="?")
     p.add_argument("--range", type=_degree_range, help="degree range lo:hi")
     p.add_argument("--ratio", action="store_true",
                    help="convergence table toward n!/(n-1)^(n-1)")
     p.add_argument("--kmax", type=_int_at_least(1), default=50)
-    p.add_argument("--max-enum", type=int, default=10 ** 6)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_survey)
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from operator import ge
 
-from .polynomials import Polynomial, monomial_text
+from .polynomials import Polynomial, monomial_text, signed_text
 
 
 class ParseError(ValueError):
@@ -100,9 +100,6 @@ class Monomial:
     def least_variable(self) -> str:
         return self.sorted_items[0][0]
 
-    def support(self):
-        return set(self.variables)
-
     def as_polynomial(self, namespace, coeff=Fraction(1)) -> Polynomial:
         index = {v: i for i, v in enumerate(namespace)}
         return Polynomial.monomial(
@@ -137,19 +134,21 @@ class CoprimeForm:
         for _, m in terms[1:]:
             if m.degree != d:
                 raise MixedDegreeError(d, m.degree)
-        for i in range(len(terms)):
-            for j in range(i + 1, len(terms)):
-                shared = terms[i][1].support() & terms[j][1].support()
-                if shared:
-                    v = min(shared, key=_variable_key)
-                    raise NonCoprimeError(v, str(terms[i][1]), str(terms[j][1]))
-        used = set()
-        for _, m in terms:
-            used |= m.support()
+        # the terms holding each variable, ascending: the least sharing pair
+        # of terms is the least (L[0], L[1]), its shared variables those with it
+        holders = {}
+        for i, (_, m) in enumerate(terms):
+            for v in m.variables:
+                holders.setdefault(v, []).append(i)
+        shared = [(L[0], L[1], _variable_key(v), v)
+                  for v, L in holders.items() if len(L) > 1]
+        if shared:
+            i, j, _, v = min(shared)
+            raise NonCoprimeError(v, str(terms[i][1]), str(terms[j][1]))
         if variables is None:
-            variables = sorted(used, key=_variable_key)
+            variables = sorted(holders, key=_variable_key)
         else:
-            missing = used - set(variables)
+            missing = holders.keys() - set(variables)
             if missing:
                 raise ValueError(f"namespace is missing variables {sorted(missing)}")
         self.terms = terms
@@ -430,16 +429,8 @@ def parse_generators(text: str) -> MonomialIdeal:
 def render_form(form: CoprimeForm) -> str:
     """Canonical text rendering; parse_form(render_form(F)) == F up to
     namespace pruning."""
-    parts = []
-    for coeff, mono in form.terms:
-        body = str(mono)
-        mag = abs(coeff)
-        piece = body if mag == 1 else f"{mag}*{body}"
-        if not parts:
-            parts.append(piece if coeff > 0 else f"-{piece}")
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + piece)
-    return " ".join(parts)
+    return signed_text((c < 0, str(m) if abs(c) == 1 else f"{abs(c)}*{m}")
+                       for c, m in form.terms)
 
 
 # -- apolarity-side constructions ---------------------------------------------

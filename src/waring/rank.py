@@ -4,6 +4,16 @@ For a monomial x_1^a_1 ... x_n^a_n with 1 <= a_1 <= ... <= a_n the rank is
 prod_{i>=2}(a_i + 1) (and 1 when n = 1); for a sum of pairwise coprime
 monomials of degree d >= 2 the rank is the sum of the monomial ranks, while
 every degree-1 form has rank 1.
+
+The largest monomial rank in degree d over at most n variables belongs, with
+k = min(n, d), to x1 * (x2 ... xk)^b, the b balanced over d - 1 (x1^d if
+k = 1), and up to order to no other exponents a_1 <= ... <= a_j:
+- if j < k, splitting a part a >= 2 other than a_1 into 1 and a - 1 raises
+  the rank by a factor a(a_1 + 1)/(a + 1) >= 2a/(a + 1) > 1 (from 1 to d
+  for a lone part d), so all k parts are used;
+- a least part of 1 leaves the most, d - 1, to the other parts;
+- balanced parts maximise prod(a_i + 1): moving 1 from a part a to a part
+  b <= a - 2 turns (a + 1)(b + 1) into a(b + 2), larger by a - b - 1 > 0.
 """
 
 from __future__ import annotations
@@ -73,13 +83,7 @@ def max_monomial_rank_3vars(d: int):
     ((d+1)/2)^2 for odd d and (d/2)(d/2+1) for even d."""
     if d <= 2:
         raise ValueError(f"degree must exceed 2, got {d}")
-    if d % 2:
-        value = ((d + 1) // 2) ** 2
-        witness = Monomial(["x1", "x2", "x3"], [1, (d - 1) // 2, (d - 1) // 2])
-    else:
-        value = (d // 2) * (d // 2 + 1)
-        witness = Monomial(["x1", "x2", "x3"], [1, d // 2 - 1, d // 2])
-    return value, witness
+    return max_monomial_rank(3, d)
 
 
 class ResourceLimitError(RuntimeError):
@@ -111,31 +115,17 @@ def _partitions_at_most(d: int, parts: int):
         yield from rec(d, k, 1)
 
 
-def max_monomial_rank(n: int, d: int, max_enum: int = 10 ** 6):
+def max_monomial_rank(n: int, d: int):
     """Maximum of rank_monomial over the degree-d monomials in at most n
-    variables, with a witness, by a scan over the part count k and the least
-    part m: with those fixed, prod(a_i + 1) over the other k - 1 parts is
-    largest when they are balanced over d - m.  The scan runs in the brute
-    force's order (k, then the tuple) and keeps only strict improvements, so
-    the witness is `survey_max_monomial_rank`'s first maximiser.
-
-    Raises EnumerationLimitError when the scan's 1 + sum_{2<=k<=min(n,d)} d // k
-    candidates exceed max_enum, before any is built."""
+    variables, with its witness, the unique maximiser up to order (proved in
+    the module docstring): the same as `survey_max_monomial_rank`'s."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    parts = min(n, d)
-    count = 1 + sum(d // k for k in range(2, parts + 1))
-    if count > max_enum:
-        raise EnumerationLimitError(count, max_enum)
-    best = (1, (d,))
-    for k in range(2, parts + 1):
-        for m in range(1, d // k + 1):
-            q, r = divmod(d - m, k - 1)
-            value = (q + 1) ** (k - 1 - r) * (q + 2) ** r
-            if value > best[0]:
-                best = (value, (m,) + (q,) * (k - 1 - r) + (q + 1,) * r)
-    value, exps = best
-    return value, Monomial([f"x{i + 1}" for i in range(len(exps))], list(exps))
+    k = min(n, d)
+    q, r = divmod(d - 1, max(k - 1, 1))  # d - 1 balanced over the k - 1 parts after x1
+    exps = [1] + [q] * (k - 1 - r) + [q + 1] * r if k > 1 else [d]
+    witness = Monomial([f"x{i + 1}" for i in range(k)], exps)
+    return rank_monomial(witness), witness
 
 
 @dataclass(frozen=True)
@@ -195,3 +185,30 @@ def asymptotic_ratio_report(n: int, k_max: int) -> RatioReport:
         rows.append(RatioRow(k, d, mono_rank, gen, Fraction(mono_rank, gen)))
     limit = Fraction(factorial(n), (n - 1) ** (n - 1))
     return RatioReport(n, limit, rows)
+
+
+# Admission cap for `survey`, in output size: 1 per witness variable and b per
+# integer below 2^b.  Each row costs at least 2b for its integers, so every
+# integer admitted is below 2^14000, within Python's int-to-str limit.
+MAX_SURVEY_SIZE = 28_000
+
+
+def _rank_bits(n: int, d: int) -> int:
+    """b with every rank in degree d and n variables below 2^b: a rank is at
+    most C(n+d-1, j), j = min(n-1, d), below 2^(n+d) and at most (n+d)^j."""
+    return min(n + d, min(n - 1, d) * (n + d).bit_length() + 1)
+
+
+def survey_size(n: int, degrees: range) -> int:
+    """Output size of `survey n` over `degrees`, as rows times the largest
+    row: a witness of min(n, d) variables and two ranks."""
+    d = degrees[-1]
+    return len(degrees) * (min(n, d) + 2 * _rank_bits(n, d))
+
+
+def ratio_size(n: int, k_max: int) -> int:
+    """Output size of `survey n --ratio`: k_max rows of two ranks and their
+    ratio at d <= (n-1)k_max + 1, and n!, (n-1)^(n-1) < 2^(n * bit_length(n))."""
+    if n < 3:
+        raise ValueError("the comparison needs n >= 3")
+    return 4 * k_max * _rank_bits(n, (n - 1) * k_max + 1) + 2 * n * n.bit_length()

@@ -140,9 +140,29 @@ def test_survey_ratio(capsys):
     assert "24/27" in out or "8/9" in out
 
 
-def test_survey_resource_exit_code(capsys):
-    code, _, err = run(capsys, "survey", "4", "30", "--max-enum", "5")
-    assert code == 3
+@pytest.mark.parametrize("argv, size", [
+    # rows times (min(n, d) witness variables + two ranks of b bits) at the
+    # largest d, b = min(n + d, min(n - 1, d) * bit_length(n + d) + 1)
+    (("survey", "3", "--range", "1:100000000"), 10 ** 8 * (3 + 2 * (2 * 27 + 1))),
+    (("survey", "10000", "10000"), 10000 + 2 * 20000),
+    # k_max rows of four integers of b bits at d = (n - 1) * k_max + 1, and
+    # the limit's two integers of n * bit_length(n) bits
+    (("survey", "4", "--ratio", "--kmax", "100000000"),
+     4 * 10 ** 8 * (3 * 29 + 1) + 2 * 4 * 3),
+    (("survey", "2000", "--ratio", "--kmax", "3"), 4 * 3 * (2000 + 5998) + 2 * 2000 * 11),
+])
+def test_survey_refuses_its_estimated_output_size(capsys, argv, size):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (f"error: the survey would print an estimated output of size {size}, "
+                   f"above the cap 28000\n")
+
+
+def test_survey_admits_one_row_of_3000_variables(capsys):
+    code, out, err = run(capsys, "survey", "3000", "3000")
+    assert (code, err) == (0, "")
+    row = out.splitlines()[1].split()
+    assert row[0] == "3000" and row[2].count("*") == 2999
 
 
 def test_hf_table(capsys):
@@ -162,6 +182,12 @@ def test_hf_claim_random(capsys):
     code, out, _ = run(capsys, "hf", "--claim-random", "5", "--seed", "3")
     assert code == 0
     assert out.count("pass") == 5
+
+
+def test_hf_claim_random_count_is_capped(capsys):
+    code, out, err = run(capsys, "hf", "--claim-random", "1001")
+    assert (code, out) == (3, "")
+    assert err == "error: 1001 random configurations are above the cap 1000\n"
 
 
 def test_byte_identical_output(capsys):

@@ -45,6 +45,38 @@ def test_parse_non_coprime_names_variable():
     assert exc.value.variable == "x2"
 
 
+def test_parse_non_coprime_names_the_least_pair_of_terms():
+    # (x1*x3, x3^2) is the least pair (i, j); (x2^2, x2*x4) has the least j
+    with pytest.raises(NonCoprimeError) as exc:
+        parse_form("x1*x3 + x2^2 + x2*x4 + x3^2")
+    assert str(exc.value) == "monomials x1*x3 and x3^2 share the variable x3"
+
+
+_NAMES = ("x1", "x2", "x9", "x10", "a", "b")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=3, unique=True),
+                min_size=2, max_size=5))
+def test_non_coprime_error_names_the_first_sharing_pair(supports):
+    # every monomial has degree 3; the reference is the all-pairs scan
+    terms = [(1, Monomial(v, [4 - len(v)] + [1] * (len(v) - 1))) for v in supports]
+    expected = None
+    for i, j in ((i, j) for i in range(len(terms)) for j in range(i + 1, len(terms))):
+        shared = set(supports[i]) & set(supports[j])
+        if shared:
+            v = min(shared, key=lambda name: (not name.startswith("x"),
+                                              int(name[1:]) if name[0] == "x" else 0, name))
+            expected = f"monomials {terms[i][1]} and {terms[j][1]} share the variable {v}"
+            break
+    if expected is None:
+        CoprimeForm(terms)
+    else:
+        with pytest.raises(NonCoprimeError) as exc:
+            CoprimeForm(terms)
+        assert str(exc.value) == expected
+
+
 def test_parse_mixed_degrees():
     with pytest.raises(MixedDegreeError) as exc:
         parse_form("x1^2 + x2^3")

@@ -14,7 +14,9 @@ from waring.rank import (
     quadratic_form_rank,
     rank_coprime_sum,
     rank_monomial,
+    ratio_size,
     survey_max_monomial_rank,
+    survey_size,
 )
 
 
@@ -168,9 +170,26 @@ def test_balanced_scan_equals_the_brute_force_survey(n):
         assert max_monomial_rank(n, d) == (survey.value, survey.witness), (n, d)
 
 
-def test_balanced_scan_counts_its_candidates_before_scanning():
-    # one candidate with one part, then d // k for k = 2, 3, 4 parts
-    with pytest.raises(EnumerationLimitError) as refused:
-        max_monomial_rank(4, 30, max_enum=32)
-    assert refused.value.count == 1 + 15 + 10 + 7
-    assert max_monomial_rank(4, 30, max_enum=33)[0] == 10 * 11 * 11
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 40])
+def test_survey_size_bounds_every_row(n):
+    for d in range(1, 41):
+        value, witness = max_monomial_rank(n, d)
+        bits = (survey_size(n, range(d, d + 1)) - witness.n) // 2
+        assert max(value, generic_rank(n, d).value).bit_length() <= bits, (n, d)
+    for lo, hi in itertools.combinations_with_replacement(range(1, 13), 2):
+        rows = range(lo, hi + 1)
+        assert survey_size(n, rows) == len(rows) * survey_size(n, range(hi, hi + 1))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_ratio_size_bounds_every_row(n):
+    limit_bits = n * n.bit_length()
+    for k_max in range(1, 12):
+        bits = (ratio_size(n, k_max) - 2 * limit_bits) // (4 * k_max)
+        report = asymptotic_ratio_report(n, k_max)
+        for row in report.rows:
+            printed = (row.monomial_rank, row.generic_rank,
+                       row.ratio.numerator, row.ratio.denominator)
+            assert max(printed).bit_length() <= bits, (n, k_max, row.k)
+        limit = report.limit
+        assert max(limit.numerator, limit.denominator).bit_length() <= limit_bits
