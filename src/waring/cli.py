@@ -102,14 +102,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    degrees = args.range or args.d and range(args.d, args.d + 1)
-    if not (args.ratio or degrees):
-        raise ValueError("survey needs a degree, --range or --ratio")
-    # the whole output, counted before the first row
-    size = rank.ratio_size(args.n, args.kmax) if args.ratio else rank.survey_size(args.n, degrees)
-    if size > rank.MAX_SURVEY_SIZE:
-        raise ResourceLimitError(f"the survey would print an estimated output of size "
-                                 f"{size}, above the cap {rank.MAX_SURVEY_SIZE}")
     if args.ratio:
         report = rank.asymptotic_ratio_report(args.n, args.kmax)
         header = ["k", "d", "max_monomial_rank", "generic_rank", "ratio"]
@@ -120,6 +112,13 @@ def cmd_survey(args) -> int:
               f"{serialize.fraction_to_str(report.limit)}"
               f" = {float(report.limit):.6f}")
         return EXIT_OK
+    if args.range:
+        degrees = args.range
+    elif args.d is not None:
+        degrees = [args.d]
+    else:
+        raise ValueError("survey needs a degree, --range or --ratio")
+    rank.survey_size(args.n, degrees)
     header = ["d", "max_monomial_rank", "witness", "generic_rank", "exceptional"]
     rows = []
     for d in degrees:

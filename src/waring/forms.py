@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from operator import ge
 
-from .polynomials import Polynomial, monomial_text, signed_text
+from .polynomials import Polynomial, monomial_text
 
 
 class ParseError(ValueError):
@@ -429,8 +429,16 @@ def parse_generators(text: str) -> MonomialIdeal:
 def render_form(form: CoprimeForm) -> str:
     """Canonical text rendering; parse_form(render_form(F)) == F up to
     namespace pruning."""
-    return signed_text((c < 0, str(m) if abs(c) == 1 else f"{abs(c)}*{m}")
-                       for c, m in form.terms)
+    parts = []
+    for coeff, mono in form.terms:
+        body = str(mono)
+        mag = abs(coeff)
+        piece = body if mag == 1 else f"{mag}*{body}"
+        if not parts:
+            parts.append(piece if coeff > 0 else f"-{piece}")
+        else:
+            parts.append(("+ " if coeff > 0 else "- ") + piece)
+    return " ".join(parts)
 
 
 # -- apolarity-side constructions ---------------------------------------------

@@ -8,7 +8,7 @@ Zero coefficients are never stored.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, perm, prod
+from math import factorial, perm
 
 
 def compositions(total: int, parts: int):
@@ -25,12 +25,6 @@ def monomial_text(names, exps) -> str:
     """The monomial with exponents `exps` over `names`, as in "x1*x2^3";
     "1" for the constant monomial."""
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e) or "1"
-
-
-def signed_text(pieces) -> str:
-    """(negative, text) pairs joined as "a - b + c", a leading "-" bare."""
-    return " ".join((("- " if neg else "+ ") if i else "-" * neg) + text
-                    for i, (neg, text) in enumerate(pieces))
 
 
 def multinomial(d: int, alpha) -> int:
@@ -118,7 +112,8 @@ class Polynomial:
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
                 and self.num_vars == other.num_vars
-                and self.terms == other.terms)
+                and self.terms.keys() == other.terms.keys()
+                and all(self.terms[e] == other.terms[e] for e in self.terms))
 
     def __repr__(self):
         if not self.terms:
@@ -139,12 +134,14 @@ def poly_pow_linear(linear_coeffs, d: int) -> Polynomial:
         return Polynomial.zero(n)
     terms = {}
     for alpha in compositions(d, len(support)):
-        value = multinomial(d, alpha)
+        coeff = multinomial(d, alpha)
+        value = coeff
+        for j, a in zip(support, alpha):
+            if a:
+                value = linear_coeffs[j] ** a * value
         exps = [0] * n
         for j, a in zip(support, alpha):
             exps[j] = a
-            if a:
-                value = linear_coeffs[j] ** a * value
         terms[tuple(exps)] = value
     return Polynomial(n, terms)
 
@@ -164,7 +161,11 @@ def apply_differential(operator: Polynomial, target: Polynomial) -> Polynomial:
         for alpha, ca in target.terms.items():
             if any(a < b for a, b in zip(alpha, beta)):
                 continue
+            factor = 1
+            for a, b in zip(alpha, beta):
+                if b:
+                    factor *= perm(a, b)
             exps = tuple(a - b for a, b in zip(alpha, beta))
-            contrib = ca * cb * prod(map(perm, alpha, beta))
+            contrib = ca * cb * factor
             result[exps] = result.get(exps, Fraction(0)) + contrib
     return Polynomial(n, result)

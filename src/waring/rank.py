@@ -177,6 +177,7 @@ def asymptotic_ratio_report(n: int, k_max: int) -> RatioReport:
     d = (n-1)k + 1; the limiting constant is n!/(n-1)^(n-1)."""
     if n < 3:
         raise ValueError("the comparison needs n >= 3")
+    survey_size(n, range(n, (n - 1) * k_max + 2, n - 1), ratio=True)
     rows = []
     for k in range(1, k_max + 1):
         d = (n - 1) * k + 1
@@ -187,28 +188,34 @@ def asymptotic_ratio_report(n: int, k_max: int) -> RatioReport:
     return RatioReport(n, limit, rows)
 
 
-# Admission cap for `survey`, in output size: 1 per witness variable and b per
-# integer below 2^b.  Each row costs at least 2b for its integers, so every
-# integer admitted is below 2^14000, within Python's int-to-str limit.
-MAX_SURVEY_SIZE = 28_000
+# Admission caps for `survey`, checked before the first row.  Every printed
+# integer must be below 2^14000 (4,215 digits; Python prints at most 4,300).
+# The size counts 1 per witness variable and b per integer below 2^b.  On a
+# 2-vCPU VM, `survey 1 --range 1:50000` (the row cap) and `survey 1200 --range
+# 1:1200` (size 4.9 * 10^6) each take 1.0 s of command wall time.
+MAX_SURVEY_BITS = 14_000
+MAX_SURVEY_ROWS = 5 * 10 ** 4
+MAX_SURVEY_SIZE = 5 * 10 ** 6
 
 
-def _rank_bits(n: int, d: int) -> int:
-    """b with every rank in degree d and n variables below 2^b: a rank is at
-    most C(n+d-1, j), j = min(n-1, d), below 2^(n+d) and at most (n+d)^j."""
-    return min(n + d, min(n - 1, d) * (n + d).bit_length() + 1)
-
-
-def survey_size(n: int, degrees: range) -> int:
-    """Output size of `survey n` over `degrees`, as rows times the largest
-    row: a witness of min(n, d) variables and two ranks."""
-    d = degrees[-1]
-    return len(degrees) * (min(n, d) + 2 * _rank_bits(n, d))
-
-
-def ratio_size(n: int, k_max: int) -> int:
-    """Output size of `survey n --ratio`: k_max rows of two ranks and their
-    ratio at d <= (n-1)k_max + 1, and n!, (n-1)^(n-1) < 2^(n * bit_length(n))."""
-    if n < 3:
-        raise ValueError("the comparison needs n >= 3")
-    return 4 * k_max * _rank_bits(n, (n - 1) * k_max + 1) + 2 * n * n.bit_length()
+def survey_size(n: int, degrees, ratio: bool = False) -> int:
+    """Output size of a survey table over `degrees`, refused with
+    ResourceLimitError above the caps.  A row prints two ranks and either a
+    witness of min(n, d) variables or, in the ratio table, the ratio's two
+    integers; the ratio table's limit line prints n! and (n-1)^(n-1), both
+    below 2^(n * bit_length(n))."""
+    if len(degrees) > MAX_SURVEY_ROWS:
+        raise ResourceLimitError(f"the survey would print {len(degrees)} rows, "
+                                 f"above the cap {MAX_SURVEY_ROWS}")
+    # every rank in degree d is below 2^b: it is at most C(n+d-1, j),
+    # j = min(n-1, d), which is below 2^(n+d) and at most (n+d)^j
+    bits = [min(n + d, min(n - 1, d) * (n + d).bit_length() + 1) for d in degrees]
+    largest = max(bits + [ratio * n * n.bit_length()])
+    if largest > MAX_SURVEY_BITS:
+        raise ResourceLimitError(f"the survey would print an integer of up to {largest} "
+                                 f"bits, above the cap {MAX_SURVEY_BITS}")
+    size = sum(2 * b + (2 * b if ratio else min(n, d)) for d, b in zip(degrees, bits))
+    if size > MAX_SURVEY_SIZE:
+        raise ResourceLimitError(f"the survey would print an estimated output of size "
+                                 f"{size}, above the cap {MAX_SURVEY_SIZE}")
+    return size

@@ -19,7 +19,6 @@ from math import lcm
 
 from .cyclotomic import CyclotomicNumber, fraction_text, reduce_mod_phi
 from .decompose import MAX_FIELD_ORDER, DecompositionTerm, PowerSumDecomposition
-from .polynomials import signed_text
 from .rank import ResourceLimitError
 
 
@@ -157,12 +156,20 @@ def pretty_linear(variables, coeffs) -> str:
         if not c:
             continue
         text = pretty_cyclo(c)
-        if any(op in text[1:] for op in "+-") or "/" in text or "*" in text:
-            parts.append((False, f"({text})*{v}"))
+        if text == "1":
+            piece, negative = v, False
+        elif text == "-1":
+            piece, negative = v, True
+        elif any(op in text[1:] for op in "+-") or "/" in text or "*" in text:
+            piece, negative = f"({text})*{v}", False
         else:
-            magnitude = text.lstrip("-")
-            parts.append((text != magnitude, v if magnitude == "1" else f"{magnitude}*{v}"))
-    return signed_text(parts) or "0"
+            negative = text.startswith("-")
+            piece = f"{text.lstrip('-')}*{v}"
+        if not parts:
+            parts.append(("-" if negative else "") + piece)
+        else:
+            parts.append(("- " if negative else "+ ") + piece)
+    return " ".join(parts) if parts else "0"
 
 
 def pretty_decomposition(d: PowerSumDecomposition) -> str:

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -140,29 +141,33 @@ def test_survey_ratio(capsys):
     assert "24/27" in out or "8/9" in out
 
 
-@pytest.mark.parametrize("argv, size", [
-    # rows times (min(n, d) witness variables + two ranks of b bits) at the
-    # largest d, b = min(n + d, min(n - 1, d) * bit_length(n + d) + 1)
-    (("survey", "3", "--range", "1:100000000"), 10 ** 8 * (3 + 2 * (2 * 27 + 1))),
-    (("survey", "10000", "10000"), 10000 + 2 * 20000),
-    # k_max rows of four integers of b bits at d = (n - 1) * k_max + 1, and
-    # the limit's two integers of n * bit_length(n) bits
-    (("survey", "4", "--ratio", "--kmax", "100000000"),
-     4 * 10 ** 8 * (3 * 29 + 1) + 2 * 4 * 3),
-    (("survey", "2000", "--ratio", "--kmax", "3"), 4 * 3 * (2000 + 5998) + 2 * 2000 * 11),
+@pytest.mark.parametrize("argv, estimate, cap", [
+    (("survey", "3", "--range", "1:100000000"), r"(\d+) rows", 5 * 10 ** 4),
+    (("survey", "4", "--ratio", "--kmax", "100000000"), r"(\d+) rows", 5 * 10 ** 4),
+    (("survey", "10000", "10000"), r"an integer of up to (\d+) bits", 14000),
+    # the limit line's 1999^1999 has 21,920 bits
+    (("survey", "2000", "--ratio", "--kmax", "3"), r"an integer of up to (\d+) bits", 14000),
+    (("survey", "2000", "--range", "1:2000"), r"an estimated output of size (\d+)", 5 * 10 ** 6),
 ])
-def test_survey_refuses_its_estimated_output_size(capsys, argv, size):
+def test_survey_refuses_its_estimated_output(capsys, argv, estimate, cap):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
-    assert err == (f"error: the survey would print an estimated output of size {size}, "
-                   f"above the cap 28000\n")
+    named = re.fullmatch(f"error: the survey would print {estimate}, above the cap {cap}\n", err)
+    assert named and int(named[1]) > cap
 
 
-def test_survey_admits_one_row_of_3000_variables(capsys):
-    code, out, err = run(capsys, "survey", "3000", "3000")
+@pytest.mark.parametrize("argv, rows, last", [
+    (("survey", "3000", "3000"), 1,
+     ["3000", str(2 ** 2999), "*".join(f"x{i}" for i in range(1, 3001))]),
+    (("survey", "3", "--range", "1:1000"), 1000, ["1000", "250500", "x1*x2^499*x3^500"]),
+    (("survey", "15", "--ratio"), 50, ["50", "701", str(51 ** 14)]),
+    (("survey", "50", "--range", "1:100"), 100, ["100"]),
+])
+def test_survey_admits_wide_rows_and_long_tables(capsys, argv, rows, last):
+    code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    row = out.splitlines()[1].split()
-    assert row[0] == "3000" and row[2].count("*") == 2999
+    table = [line.split() for line in out.splitlines() if not line.startswith("#")]
+    assert len(table) == rows + 1 and table[-1][:len(last)] == last
 
 
 def test_hf_table(capsys):

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from waring import rank
 from waring.forms import CoprimeForm, Monomial, parse_form
 from waring.rank import (
     EnumerationLimitError,
+    ResourceLimitError,
     asymptotic_ratio_report,
     generic_rank,
     max_monomial_rank,
@@ -14,7 +16,6 @@ from waring.rank import (
     quadratic_form_rank,
     rank_coprime_sum,
     rank_monomial,
-    ratio_size,
     survey_max_monomial_rank,
     survey_size,
 )
@@ -171,25 +172,32 @@ def test_balanced_scan_equals_the_brute_force_survey(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 40])
-def test_survey_size_bounds_every_row(n):
+def test_survey_size_bounds_every_printed_row(n, monkeypatch):
+    # the size counts 1 per witness variable and per bit of each printed rank
+    printed = {}
     for d in range(1, 41):
         value, witness = max_monomial_rank(n, d)
-        bits = (survey_size(n, range(d, d + 1)) - witness.n) // 2
-        assert max(value, generic_rank(n, d).value).bit_length() <= bits, (n, d)
-    for lo, hi in itertools.combinations_with_replacement(range(1, 13), 2):
-        rows = range(lo, hi + 1)
-        assert survey_size(n, rows) == len(rows) * survey_size(n, range(hi, hi + 1))
+        ranks = (value, generic_rank(n, d).value)
+        printed[d] = witness.n + sum(r.bit_length() for r in ranks)
+        monkeypatch.setattr(rank, "MAX_SURVEY_BITS", max(ranks).bit_length() - 1)
+        with pytest.raises(ResourceLimitError, match="bits"):
+            survey_size(n, range(d, d + 1))
+    monkeypatch.undo()
+    for lo, hi in itertools.combinations_with_replacement(range(1, 41), 2):
+        assert survey_size(n, range(lo, hi + 1)) >= sum(printed[d] for d in range(lo, hi + 1))
 
 
 @pytest.mark.parametrize("n", range(3, 9))
-def test_ratio_size_bounds_every_row(n):
-    limit_bits = n * n.bit_length()
+def test_ratio_report_refuses_below_its_printed_size(n, monkeypatch):
     for k_max in range(1, 12):
-        bits = (ratio_size(n, k_max) - 2 * limit_bits) // (4 * k_max)
         report = asymptotic_ratio_report(n, k_max)
-        for row in report.rows:
-            printed = (row.monomial_rank, row.generic_rank,
-                       row.ratio.numerator, row.ratio.denominator)
-            assert max(printed).bit_length() <= bits, (n, k_max, row.k)
-        limit = report.limit
-        assert max(limit.numerator, limit.denominator).bit_length() <= limit_bits
+        rows = [(r.monomial_rank, r.generic_rank, r.ratio.numerator, r.ratio.denominator)
+                for r in report.rows]
+        bits = [x.bit_length() for row in rows for x in row]
+        limit_bits = max(report.limit.numerator, report.limit.denominator).bit_length()
+        for cap, value, kind in (("MAX_SURVEY_SIZE", sum(bits), "size"),
+                                 ("MAX_SURVEY_BITS", max(bits + [limit_bits]), "bits")):
+            monkeypatch.setattr(rank, cap, value - 1)
+            with pytest.raises(ResourceLimitError, match=kind):
+                asymptotic_ratio_report(n, k_max)
+            monkeypatch.undo()
