@@ -15,7 +15,7 @@ from waring import (
     rank_monomial,
     verify_decomposition,
 )
-from waring.serialize import decomposition_from_json, decomposition_to_json, dumps
+from waring.serialize import decomposition_from_json, dumps
 
 
 def main():
@@ -32,7 +32,7 @@ def main():
           f"expansion matches: {report.expansion_matches}; "
           f"all checks: {report.passed}")
 
-    blob = dumps(decomposition_to_json(dec))
+    blob = dumps(dec)
     back = decomposition_from_json(json.loads(blob))
     print(f"  JSON round trip is exact: {back == dec} "
           f"({len(blob)} bytes, deterministic)")

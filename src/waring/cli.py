@@ -58,7 +58,7 @@ def cmd_decompose(args) -> int:
             print(f"  {mono}: expected {want}, got {got}", file=sys.stderr)
         return EXIT_VERIFY
     if args.json:
-        _print_json(serialize.decomposition_to_json(dec))
+        _print_json(dec)
     else:
         print(f"rank {len(dec.terms)} decomposition of {form}:")
         print(serialize.pretty_decomposition(dec))
@@ -83,7 +83,11 @@ def cmd_bound(args) -> int:
 def cmd_verify(args) -> int:
     form = forms.parse_form(args.form)
     with open(args.decomposition) as fh:
-        dec = serialize.decomposition_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.decomposition}: JSON nested too deeply") from None
+    dec = serialize.decomposition_from_json(obj)
     report = decompose.verify_decomposition(form, dec)
     print(f"expansion matches: {report.expansion_matches}")
     for mono, want, got in report.mismatches:

@@ -19,6 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .polynomials import signed_sum
+
 
 class DivisibilityError(ValueError):
     """A requested root order does not divide the ambient field order."""
@@ -338,16 +340,15 @@ class CyclotomicNumber:
 
     def __str__(self):
         den, ints = self._ints
-        out = ""
+        pieces = []
         for k, v in enumerate(ints):
-            if not v:
-                continue
-            text = fraction_text(abs(v), den)
-            if k:
-                sym = f"z{self.order}" if k == 1 else f"z{self.order}^{k}"
-                text = sym if text == "1" else f"{text}*{sym}"
-            out += (" - " if v < 0 else " + ") + text if out else ("-" if v < 0 else "") + text
-        return out or "0"
+            if v:
+                text = fraction_text(abs(v), den)
+                if k:
+                    sym = f"z{self.order}" if k == 1 else f"z{self.order}^{k}"
+                    text = sym if text == "1" else f"{text}*{sym}"
+                pieces.append((v < 0, text))
+        return signed_sum(pieces)
 
 
 def fraction_text(num: int, den: int) -> str:

@@ -27,6 +27,18 @@ def monomial_text(names, exps) -> str:
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e) or "1"
 
 
+def signed_sum(pieces) -> str:
+    """(negative, text) pieces, each text nonempty, joined as "a - b + c",
+    with a leading "-" on a negative first piece; "0" for no pieces."""
+    out = ""
+    for negative, text in pieces:
+        if out:
+            out += (" - " if negative else " + ") + text
+        else:
+            out = ("-" if negative else "") + text
+    return out or "0"
+
+
 def multinomial(d: int, alpha) -> int:
     out = factorial(d)
     for a in alpha:

@@ -8,6 +8,12 @@ Schema:
   decomposition       {"degree": d, "variables": [...],
                        "terms": [{"gamma": ..., "linear": [...],
                                   "block": i, "point": [...]}]}
+
+`dumps` writes a PowerSumDecomposition straight from its numbers, and its
+bytes are those of `json.dumps(schema, indent=2, sort_keys=True)` for the
+schema above, so `waring decompose --json` (README: "minimal decomposition")
+prints what it always printed.  Each distinct number is rendered once per
+indentation depth.  Every other object goes through that `json.dumps` call.
 """
 
 from __future__ import annotations
@@ -15,10 +21,12 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import lcm
 
 from .cyclotomic import CyclotomicNumber, fraction_text, reduce_mod_phi
 from .decompose import MAX_FIELD_ORDER, DecompositionTerm, PowerSumDecomposition
+from .polynomials import signed_sum
 from .rank import ResourceLimitError
 
 
@@ -28,8 +36,7 @@ def fraction_to_str(q: Fraction) -> str:
 
 
 def cyclo_to_json(x: CyclotomicNumber) -> dict:
-    den, ints = x._integer_coords()
-    return {"order": x.order, "coeffs": [fraction_text(v, den) for v in ints]}
+    return json.loads(_number_text(x, ""))
 
 
 def _field(obj, key, where, kind=None):
@@ -95,19 +102,7 @@ def cyclo_from_json(obj: dict, where: str = "number", seen=None) -> CyclotomicNu
 
 
 def decomposition_to_json(d: PowerSumDecomposition) -> dict:
-    return {
-        "degree": d.degree,
-        "variables": list(d.variables),
-        "terms": [
-            {
-                "gamma": cyclo_to_json(t.gamma),
-                "linear": [cyclo_to_json(c) for c in t.linear],
-                "block": t.block,
-                "point": [cyclo_to_json(c) for c in t.point],
-            }
-            for t in d.terms
-        ],
-    }
+    return json.loads(dumps(d))
 
 
 def decomposition_from_json(obj: dict) -> PowerSumDecomposition:
@@ -138,7 +133,48 @@ def decomposition_from_json(obj: dict) -> PowerSumDecomposition:
 
 
 def dumps(obj) -> str:
+    """obj as JSON with sorted keys, indented by 2."""
+    if isinstance(obj, PowerSumDecomposition):
+        return _decomposition_text(obj)
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _number_text(x: CyclotomicNumber, pad: str) -> str:
+    """The JSON object of one number, its closing brace indented by pad."""
+    den, ints = x._ints
+    return (f'{{\n{pad}  "coeffs": [\n{pad}    "'
+            + f'",\n{pad}    "'.join([fraction_text(v, den) for v in ints])
+            + f'"\n{pad}  ],\n{pad}  "order": {x.order}\n{pad}}}')
+
+
+def _array(items, pad: str) -> str:
+    """The JSON array of already written items, closed at indentation pad."""
+    if not items:
+        return "[]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
+def _decomposition_text(d: PowerSumDecomposition) -> str:
+    """`dumps` of a decomposition: fields in sorted order, a term's fields
+    indented by 6 and the numbers in its arrays by 8; each distinct number
+    at each indentation is written once."""
+    memo = {}
+
+    def number(x, pad):
+        key = (x.order, x._ints, pad)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _number_text(x, pad)
+        return text
+
+    p6, p8 = " " * 6, " " * 8
+    terms = [f'{{\n{p6}"block": {t.block},\n{p6}"gamma": {number(t.gamma, p6)},\n'
+             f'{p6}"linear": {_array([number(c, p8) for c in t.linear], p6)},\n'
+             f'{p6}"point": {_array([number(c, p8) for c in t.point], p6)}\n    }}'
+             for t in d.terms]
+    names = [encode_basestring_ascii(v) for v in d.variables]
+    return (f'{{\n  "degree": {d.degree},\n  "terms": {_array(terms, "  ")},\n'
+            f'  "variables": {_array(names, "  ")}\n}}')
 
 
 # -- pretty printing -------------------------------------------------------------
@@ -151,25 +187,15 @@ def pretty_cyclo(x: CyclotomicNumber) -> str:
 
 
 def pretty_linear(variables, coeffs) -> str:
-    parts = []
-    for v, c in zip(variables, coeffs):
-        if not c:
-            continue
+    def piece(v, c):
         text = pretty_cyclo(c)
-        if text == "1":
-            piece, negative = v, False
-        elif text == "-1":
-            piece, negative = v, True
-        elif any(op in text[1:] for op in "+-") or "/" in text or "*" in text:
-            piece, negative = f"({text})*{v}", False
-        else:
-            negative = text.startswith("-")
-            piece = f"{text.lstrip('-')}*{v}"
-        if not parts:
-            parts.append(("-" if negative else "") + piece)
-        else:
-            parts.append(("- " if negative else "+ ") + piece)
-    return " ".join(parts) if parts else "0"
+        if text in ("1", "-1"):
+            return text == "-1", v
+        if any(op in text[1:] for op in "+-") or "/" in text or "*" in text:
+            return False, f"({text})*{v}"
+        return text.startswith("-"), f"{text.lstrip('-')}*{v}"
+
+    return signed_sum(piece(v, c) for v, c in zip(variables, coeffs) if c)
 
 
 def pretty_decomposition(d: PowerSumDecomposition) -> str:

@@ -510,3 +510,24 @@ def test_verify_prints_an_oversized_mismatch_by_its_size(capsys, tmp_path):
     assert ("  mismatch at x1^20000: expected 1, got <a number of Q(zeta_3) "
             "with integers of about 4772 digits>") in out.splitlines()
     assert out.splitlines()[-1] == "FAIL"
+
+
+def test_verify_of_deeply_nested_json_exits_1_with_one_line(tmp_path):
+    """200,000 nested `[` overflow the JSON decoder's recursion; the command
+    reports bad input in one line instead of a traceback."""
+    import os
+    import subprocess
+
+    import waring
+    src = os.path.dirname(os.path.dirname(os.path.abspath(waring.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    proc = subprocess.run([sys.executable, "-m", "waring.cli", "verify", "x1*x2", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ") and "nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr

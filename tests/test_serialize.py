@@ -2,10 +2,17 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from waring.cyclotomic import CyclotomicNumber, cyclotomic_embed
-from waring.decompose import decompose_form, verify_decomposition
-from waring.forms import parse_form
+from waring.cyclotomic import CyclotomicNumber, cyclotomic_embed, fraction_text
+from waring.decompose import (
+    DecompositionTerm,
+    PowerSumDecomposition,
+    decompose_form,
+    verify_decomposition,
+)
+from waring.forms import CoprimeForm, Monomial, parse_form
 from waring.serialize import (
     cyclo_from_json,
     cyclo_to_json,
@@ -85,3 +92,71 @@ def test_cyclo_from_json_reads_integer_pairs_in_lowest_terms():
 def test_cyclo_from_json_refuses_inexact_entries(entry):
     with pytest.raises(ValueError, match="expected rationals"):
         cyclo_from_json({"order": 3, "coeffs": ["1", entry]}, seen={})
+
+
+# -- the decomposition writer against json.dumps of the schema dict ------------
+
+
+def _reference_number(x):
+    den, ints = x._integer_coords()
+    return {"order": x.order, "coeffs": [fraction_text(v, den) for v in ints]}
+
+
+def _reference(d):
+    """The schema as a dict, built field by field (the oracle for `dumps`)."""
+    return {
+        "degree": d.degree,
+        "variables": list(d.variables),
+        "terms": [
+            {
+                "gamma": _reference_number(t.gamma),
+                "linear": [_reference_number(c) for c in t.linear],
+                "block": t.block,
+                "point": [_reference_number(c) for c in t.point],
+            }
+            for t in d.terms
+        ],
+    }
+
+
+@st.composite
+def _coprime_sums(draw):
+    """1-3 monomials of one degree 1-6 over disjoint variables, each in at
+    most 3 variables, with nonzero rational coefficients of either sign."""
+    degree = draw(st.integers(1, 6))
+    names = iter(draw(st.permutations([f"x{i}" for i in range(1, 10)])))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        cuts = draw(st.sets(st.integers(1, max(degree - 1, 1)), max_size=min(2, degree - 1)))
+        bounds = [0, *sorted(cuts), degree]
+        exps = [b - a for a, b in zip(bounds, bounds[1:])]
+        coefficient = draw(st.fractions(min_value=-5, max_value=5, max_denominator=50)
+                           .filter(bool))
+        terms.append((coefficient, Monomial([next(names) for _ in exps], exps)))
+    return CoprimeForm(terms)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_coprime_sums())
+def test_dumps_writes_the_schema_bytes_of_json_dumps(form):
+    dec = decompose_form(form)
+    text = dumps(dec)
+    assert text == json.dumps(_reference(dec), indent=2, sort_keys=True)
+    assert decomposition_from_json(json.loads(text)) == dec
+    assert decomposition_to_json(dec) == _reference(dec)
+
+
+def test_dumps_escapes_names_and_writes_empty_arrays():
+    half = CyclotomicNumber.from_rational(Fraction(-1, 2), 4)
+    zeta = cyclotomic_embed(4, 1, 4)
+    names = ("é", 'a"b', "tab\there", "☃")
+    dec = PowerSumDecomposition(3, names, (
+        DecompositionTerm(gamma=half, linear=(zeta, half, zeta, half), block=0,
+                          point=(half, zeta)),
+        DecompositionTerm(gamma=zeta, linear=(half,) * 4, block=1, point=())))
+    for d in (dec, PowerSumDecomposition(1, (), ())):
+        text = dumps(d)
+        assert text == json.dumps(_reference(d), indent=2, sort_keys=True)
+        assert text.isascii()
+        assert decomposition_from_json(json.loads(text)) == d
