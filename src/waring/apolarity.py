@@ -1,11 +1,10 @@
 """Hilbert functions, catalecticant matrices, and the intersection identity
 used by the rank additivity proof.
 
-A catalecticant is built from the form's support: a term c * x^m fills
-only the cells (m - beta, beta) with beta <= m and |beta| = t, and two terms
-never share a cell, so the matrix holds only its nonzero cells and is ranked
-by sparse elimination.  For a monomial those cells are its degree-t
-divisors, one per row and column.
+For one term, or a coprime sum at 1 <= t <= d-1, a catalecticant's rank is
+the number of its nonzero cells, counted without building them (the flattening
+bound of Landsberg and Teitler, FoCM 2010; see `CatalecticantMatrix`).  Any
+other catalecticant is built from its nonzero cells and ranked by elimination.
 
 Hilbert functions of monomial-ideal quotients come from the numerator of
 the Hilbert series, HS(T/I) = N(t) / (1 - t)^n, computed by the pivot
@@ -26,15 +25,16 @@ from itertools import accumulate, product
 from math import comb, perm, prod
 
 from .forms import CoprimeForm, MonomialIdeal, as_homogeneous, dual_names, \
-    minimalize, pure_power
+    is_coprime_sum, minimalize, pure_power
 from .linalg import sparse_rank
 from .polynomials import Polynomial, apply_differential, compositions
 from .rank import ResourceLimitError
 
 # Admission cap for `catalecticant_lower_bound`, in nonzero catalecticant
 # cells over all degrees t: a term c * x^m fills prod(m_i + 1) of them.  On
-# a 2-vCPU VM 97,336 cells take 0.8 s and 195,112 cells 1.7 s, while
-# x1^100*x2^100*x3^100 (1.03M cells) takes 10.7 s.
+# a 2-vCPU VM elimination took 0.8 s on 97,336 cells, 1.7 s on 195,112 and
+# 10.7 s on x1^100*x2^100*x3^100's 1.03M.  Only elimination builds cells, so
+# for counted monomials and coprime sums the cap is conservative.
 MAX_BOUND_CELLS = 2 * 10 ** 5
 
 # Admission cap for `hf_table`, in running-sum steps: a table to degree t_max
@@ -56,14 +56,19 @@ class CatalecticantMatrix:
     col operator (degree t) applied to the form; its rank is the Hilbert
     function of the perp-ideal quotient in degree t.  `entries` is sparse:
     {row monomial: {col monomial: value}} over the nonzero cells only, keyed
-    by exponent tuples.  The full row and column index sets are built on
-    first access.
+    by exponent tuples, built on first access like the full index sets.
+
+    `rank` counts the cells for one term, or a coprime sum at 1 <= t <= d-1.
+    Term c * x^m fills the nonzero cells (m - beta, beta), beta <= m, and the
+    row m - beta fixes beta; a row shared with term x^m' divides gcd(x^m, x^m')
+    and has degree d - t >= 1, so the terms share a variable (columns likewise,
+    as t >= 1).  No two cells share a row or column: the rank is their number.
     """
 
     t: int
     degree: int
     num_vars: int
-    entries: dict
+    form: Polynomial
 
     @cached_property
     def row_monomials(self) -> tuple:
@@ -75,7 +80,19 @@ class CatalecticantMatrix:
         """Every exponent tuple of degree t."""
         return tuple(compositions(self.t, self.num_vars))
 
+    @cached_property
+    def entries(self) -> dict:
+        """d/dx^beta of c * x^m is c * prod(perm(m_i, beta_i)) * x^(m - beta)."""
+        entries = {}
+        for m, c in self.form.terms.items():
+            for beta in _divisors_of_degree(m, self.t):
+                alpha = tuple(a - b for a, b in zip(m, beta))
+                entries.setdefault(alpha, {})[beta] = c * prod(map(perm, m, beta))
+        return entries
+
     def rank(self) -> int:
+        if len(self.form.terms) == 1 or 0 < self.t < self.degree and is_coprime_sum(self.form):
+            return sum(_divisor_count(m, self.t) for m in self.form.terms)
         return sparse_rank(self.entries.values())
 
 
@@ -88,19 +105,22 @@ def _divisors_of_degree(m, t):
             yield beta + (rest,)
 
 
+def _divisor_count(m, t) -> int:
+    """#{beta <= m : |beta| = t}, that is HF(t) of T/(X_i^(m_i + 1)) over
+    the k nonzero m_i, from its numerator prod(1 - s^(m_i + 1))."""
+    m = [a for a in m if a]
+    numerator = {0: 1}
+    for a in m:
+        numerator = _plus_shifted(numerator, numerator, a + 1, -1)
+    k = len(m)
+    return sum(c * comb(t - j + k - 1, k - 1) for j, c in numerator.items() if j <= t) if k else 1
+
+
 def catalecticant(form, t: int) -> CatalecticantMatrix:
     form = as_homogeneous(form)
-    d = form.degree
-    if not 0 <= t <= d:
-        raise ValueError(f"differentiation degree {t} outside 0..{d}")
-    entries = {}
-    for m, c in form.terms.items():
-        for beta in _divisors_of_degree(m, t):
-            # d/dx^beta applied to x^m leaves x^(m - beta) with a falling
-            # factorial per variable
-            alpha = tuple(a - b for a, b in zip(m, beta))
-            entries.setdefault(alpha, {})[beta] = c * prod(map(perm, m, beta))
-    return CatalecticantMatrix(t, d, form.num_vars, entries)
+    if not 0 <= t <= form.degree:
+        raise ValueError(f"differentiation degree {t} outside 0..{form.degree}")
+    return CatalecticantMatrix(t, form.degree, form.num_vars, form)
 
 
 def catalecticant_lower_bound(form, t_max=None) -> int:

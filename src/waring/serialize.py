@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import lcm
@@ -92,7 +93,8 @@ def cyclo_from_json(obj: dict, where: str = "number", seen=None) -> CyclotomicNu
     try:
         pairs = [_rational(c) for c in coeffs]
     except ValueError:
-        raise ValueError(f"{where}.coeffs: expected rationals, got {coeffs}") from None
+        raise ValueError(f"{where}.coeffs: expected rationals, got "
+                         f"{reprlib.repr(coeffs)}") from None
     den = lcm(*(q for _, q in pairs))
     number = CyclotomicNumber._normalised(order, den, reduce_mod_phi(
         ((k, p * (den // q)) for k, (p, q) in enumerate(pairs)), order))

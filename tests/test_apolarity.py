@@ -26,6 +26,7 @@ from waring.apolarity import (
 )
 from waring.forms import MonomialIdeal, as_homogeneous, parse_form, \
     parse_homogeneous, perp_generators, pure_power
+from waring.linalg import sparse_rank
 from waring.polynomials import Polynomial, apply_differential
 from waring.rank import rank_monomial
 
@@ -216,6 +217,37 @@ def test_catalecticant_ranks_match_the_closed_forms():
                                           if sum(e) == d - 1)[::-1]
         assert len(cat.col_monomials) == n
 
+
+
+@st.composite
+def _coprime_sums(draw):
+    """One to three blocks of one degree d <= 10, each a monomial in 1-4
+    variables of its own with a nonzero rational coefficient of either sign."""
+    d = draw(st.integers(1, 10))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        cuts = sorted(draw(st.sets(st.integers(1, max(d - 1, 1)), max_size=min(3, d - 1))))
+        coeff = draw(st.fractions(-5, 5, max_denominator=7).filter(bool))
+        blocks.append(([b - a for a, b in zip([0] + cuts, cuts + [d])], coeff))
+    n = sum(len(exps) for exps, _ in blocks)
+    terms, start = {}, 0
+    for exps, coeff in blocks:
+        terms[(0,) * start + tuple(exps) + (0,) * (n - start - len(exps))] = coeff
+        start += len(exps)
+    return Polynomial(n, terms)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_coprime_sums())
+def test_counted_rank_equals_the_elimination_it_replaces(form):
+    d = form.degree
+    for t in range(d + 1):
+        cat = catalecticant(form, t)
+        rank = cat.rank()
+        if len(form.terms) == 1 or 0 < t < d:
+            # counted: no cell was built
+            assert "entries" not in vars(cat), (form, t)
+        assert rank == sparse_rank(cat.entries.values()), (form, t)
 
 def test_hf_monomial_quotient_square_gens():
     J = MonomialIdeal(2, [(2, 0), (0, 2)])

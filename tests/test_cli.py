@@ -463,6 +463,32 @@ def test_decompose_output_is_pinned(capsys):
     assert digest.hexdigest() == DECOMPOSE_OUTPUT_SHA256
 
 
+# sha256 of the `bound` runs below, recorded while every catalecticant was
+# still ranked by elimination; ranking coprime input by counting divisors
+# must print the same bounds
+BOUND_OUTPUT_SHA256 = "1dbcb1d5a3d2afa612d9ea8cad6c7abd639a36c1f2ca9677de09ac9480c016b7"
+
+
+def test_bound_output_is_pinned(capsys):
+    import hashlib
+    forms = _sweep_monomials() + [
+        "3/2*x1*x2^2 - 2/5*x3^3",
+        "-7/3*x1^2*x2^3 + 1/4*x3*x4^4 + 5/6*x5^5",
+        "2/9*x1*x2*x3*x4 - 11/7*x5^2*x6^2 + x7*x8^3",
+        # not coprime sums: elimination, and a note on stderr
+        "x1^2*x2 + x1*x2^2",
+        "x1^4 + 4*x1^3*x2 + 6*x1^2*x2^2 + 4*x1*x2^3 + x2^4",
+        "x1*x2*x3 + x2*x3*x4 - 1/2*x1^3"]
+    assert len(forms) == 50
+    digest = hashlib.sha256()
+    for form in forms:
+        for argv in (("bound", form), ("bound", form, "--json"),
+                     ("bound", form, "--tmax", "2")):
+            code, out, err = run(capsys, *argv)
+            digest.update(json.dumps([argv, code, out, err]).encode())
+    assert digest.hexdigest() == BOUND_OUTPUT_SHA256
+
+
 def test_verify_over_the_step_cap_exits_3_at_once(capsys, tmp_path):
     """One term with every coordinate 1 for x1*...*x9*x10^21 (degree 30)
     would expand C(39, 9) ~ 2.1e8 compositions; it is refused before any."""
@@ -531,3 +557,18 @@ def test_verify_of_deeply_nested_json_exits_1_with_one_line(tmp_path):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ") and "nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_verify_cuts_a_long_bad_coefficient_short(capsys, tmp_path):
+    """A bad coeffs entry of 5,001 characters is reported cut short, in one
+    line."""
+    one = {"order": 1, "coeffs": ["1"]}
+    bad = {"order": 3, "coeffs": ["1", "x" + "7" * 5000]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"degree": 2, "variables": ["x1", "x2"], "terms": [
+        {"gamma": bad, "linear": [one, one], "block": 0, "point": [one]}]}))
+    code, out, err = run(capsys, "verify", "x1*x2", str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and len(err) < 300
+    assert err.startswith("error: terms[0].gamma.coeffs: expected rationals, got ['1', 'x7")
+    assert "Traceback" not in err
