@@ -12,10 +12,9 @@ from .linalg import (
     InconsistentSystemError,
     LinearSystem,
     UnderdeterminedSystemError,
-    matrix_rank,
     solve_exact,
 )
-from .polynomials import Polynomial, apply_differential, poly_pow_linear
+from .polynomials import Polynomial, apply_differential
 from .forms import (
     CoprimeForm,
     MixedDegreeError,
@@ -23,8 +22,6 @@ from .forms import (
     MonomialIdeal,
     NonCoprimeError,
     ParseError,
-    ci_point_ideal,
-    drop_unused_variables,
     parse_form,
     parse_homogeneous,
     perp_generators,
@@ -46,8 +43,6 @@ from .apolarity import (
     catalecticant,
     catalecticant_lower_bound,
     claim_ideals,
-    hf_monomial_quotient,
-    hf_sum_complete_intersection,
     hf_table,
     annihilator_membership,
     intersect_monomial_ideals,

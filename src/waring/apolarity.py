@@ -21,20 +21,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from fractions import Fraction
 from itertools import accumulate, product
-from math import comb, perm, prod
+from math import comb, prod
 
 from .forms import CoprimeForm, MonomialIdeal, as_homogeneous, dual_names, \
     is_coprime_sum, minimalize, pure_power
 from .linalg import sparse_rank
-from .polynomials import Polynomial, apply_differential, compositions
+from .polynomials import Polynomial, apply_differential, compositions, multinomial
 from .rank import ResourceLimitError
 
 # Admission cap for `catalecticant_lower_bound`, in nonzero catalecticant
 # cells over all degrees t: a term c * x^m fills prod(m_i + 1) of them.  On
-# a 2-vCPU VM elimination took 0.8 s on 97,336 cells, 1.7 s on 195,112 and
-# 10.7 s on x1^100*x2^100*x3^100's 1.03M.  Only elimination builds cells, so
-# for counted monomials and coprime sums the cap is conservative.
+# a 2-vCPU VM, building and eliminating all of them took 0.6 s on 93,276
+# cells (x1^35*x2^35*x3^35 + x1^36*x2^34*x3^35), 1.4 s on 194,626 (the same
+# at 45), 2.0 s on x1^66000 + x1^65999*x2's 198,001 and 8.2 s on 1.06M (the
+# same at 80).  Only elimination builds cells, so for counted monomials and
+# coprime sums the cap is conservative.
 MAX_BOUND_CELLS = 2 * 10 ** 5
 
 # Admission cap for `hf_table`, in running-sum steps: a table to degree t_max
@@ -52,11 +55,14 @@ MAX_CLAIM_CONFIGS = 1000
 class CatalecticantMatrix:
     """The pairing of degree-t operators against a degree-d form.
 
-    entry(row, col) is the coefficient of the row monomial (degree d-t) in the
-    col operator (degree t) applied to the form; its rank is the Hilbert
-    function of the perp-ideal quotient in degree t.  `entries` is sparse:
-    {row monomial: {col monomial: value}} over the nonzero cells only, keyed
-    by exponent tuples, built on first access like the full index sets.
+    Cell (alpha, beta) is the coefficient of x^alpha (degree d-t) in the
+    operator X^beta (degree t) applied to the form, times alpha!/d!: for a
+    term c * x^m with m = alpha + beta that is c / multinomial(d; m), the
+    divided-power catalecticant.  Scaling each row by a nonzero constant
+    leaves the rank, the Hilbert function of the perp-ideal quotient in
+    degree t, unchanged.  `entries` is sparse: {row monomial: {col monomial:
+    value}} over the nonzero cells only, keyed by exponent tuples, built on
+    first access like the full index sets.
 
     `rank` counts the cells for one term, or a coprime sum at 1 <= t <= d-1.
     Term c * x^m fills the nonzero cells (m - beta, beta), beta <= m, and the
@@ -82,12 +88,14 @@ class CatalecticantMatrix:
 
     @cached_property
     def entries(self) -> dict:
-        """d/dx^beta of c * x^m is c * prod(perm(m_i, beta_i)) * x^(m - beta)."""
+        """Term c * x^m fills every cell (m - beta, beta) with the one value
+        c / multinomial(d; m)."""
         entries = {}
         for m, c in self.form.terms.items():
+            value = c * Fraction(1, multinomial(self.degree, m))
             for beta in _divisors_of_degree(m, self.t):
                 alpha = tuple(a - b for a, b in zip(m, beta))
-                entries.setdefault(alpha, {})[beta] = c * prod(map(perm, m, beta))
+                entries.setdefault(alpha, {})[beta] = value
         return entries
 
     def rank(self) -> int:
@@ -97,9 +105,13 @@ class CatalecticantMatrix:
 
 
 def _divisors_of_degree(m, t):
-    """Exponent tuples beta <= m (entrywise) with sum(beta) == t."""
+    """Exponent tuples beta <= m (entrywise) with sum(beta) == t, in
+    lexicographic order.  The other coordinates hold at most sum(m) - m_i,
+    so beta_i >= m_i - (sum(m) - t); with that floor, two variables scan
+    only divisors."""
+    other = sum(m) - t
     *head, last = m
-    for beta in product(*(range(min(a, t) + 1) for a in head)):
+    for beta in product(*(range(max(0, a - other), min(a, t) + 1) for a in head)):
         rest = t - sum(beta)
         if 0 <= rest <= last:
             yield beta + (rest,)
@@ -223,13 +235,6 @@ def _plus_shifted(a: dict, b: dict, shift: int, scale: int = 1) -> dict:
     return out
 
 
-def hf_monomial_quotient(ideal: MonomialIdeal, t: int) -> int:
-    """HF(T/J, t): the number of degree-t monomials outside J."""
-    if t < 0:
-        raise ValueError("degree must be non-negative")
-    return hf_table(ideal, t)[t]
-
-
 def hf_table(ideal: MonomialIdeal, t_max: int):
     """HF(T/J, t) for t = 0..t_max: the coefficients of N(t) up to t_max,
     run through n running sums (one per factor 1/(1 - t)).  Raises
@@ -261,22 +266,6 @@ def total_multiplicity(ideal: MonomialIdeal) -> int:
                          "power among the generators")
     n = ideal.num_vars
     return (-1) ** n * sum(c * comb(k, n) for k, c in hilbert_numerator(ideal).items())
-
-
-def hf_sum_complete_intersection(exponents) -> int:
-    """Total Hilbert-function sum of T/(X_1^(a_1+1), ..., X_n^(a_n+1)): the
-    closed form prod(a_i + 1), cross-checked against direct counting."""
-    exponents = [int(a) for a in exponents]
-    if any(a < 1 for a in exponents):
-        raise ValueError("exponents must be positive")
-    closed = prod(a + 1 for a in exponents)
-    n = len(exponents)
-    gens = [pure_power(n, i, a + 1) for i, a in enumerate(exponents)]
-    counted = total_multiplicity(MonomialIdeal(n, gens))
-    if counted != closed:
-        raise AssertionError(
-            f"complete-intersection count {counted} != closed form {closed}")
-    return closed
 
 
 def intersect_monomial_ideals(ideals) -> MonomialIdeal:

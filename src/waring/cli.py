@@ -32,6 +32,9 @@ def _print_json(obj):
 def cmd_rank(args) -> int:
     form = forms.parse_form(args.form)
     total = rank.rank_coprime_sum(form)
+    if total.bit_length() > rank.MAX_SURVEY_BITS:
+        raise ResourceLimitError(f"the rank has {total.bit_length()} bits, above the "
+                                 f"cap {rank.MAX_SURVEY_BITS} on a printed integer")
     breakdown = [{"monomial": str(m), "rank": rank.rank_monomial(m)}
                  for m in form.monomials]
     if args.json:

@@ -100,11 +100,6 @@ class Monomial:
     def least_variable(self) -> str:
         return self.sorted_items[0][0]
 
-    def as_polynomial(self, namespace, coeff=Fraction(1)) -> Polynomial:
-        index = {v: i for i, v in enumerate(namespace)}
-        return Polynomial.monomial(
-            _exponent_tuple(zip(self.variables, self.exponents), index), coeff)
-
     def __eq__(self, other):
         return (isinstance(other, Monomial)
                 and self.variables == other.variables
@@ -193,11 +188,6 @@ class MonomialIdeal:
         self.generators = tuple(sorted(minimalize(gens)))
         self.names = tuple(names) if names else tuple(
             f"X{i + 1}" for i in range(num_vars))
-
-    def contains_monomial(self, exps) -> bool:
-        exps = tuple(exps)
-        return any(all(e >= g for e, g in zip(exps, gen))
-                   for gen in self.generators)
 
     def contains_power_of_every_variable(self) -> bool:
         covered = [False] * self.num_vars
@@ -453,28 +443,6 @@ def dual_names(variables) -> tuple:
     a -> A."""
     return tuple(f"X{v[1:]}" if v.startswith("x") and v[1:].isdigit() else v.upper()
                  for v in variables)
-
-
-def ci_point_ideal(monomial: Monomial):
-    """Binomial generators X_j^(a_j+1) - X_1^(a_j+1) (sorted view, j >= 2) of
-    the complete-intersection point ideal inside the perp ideal.
-
-    Returned as Polynomials in the dual variables, aligned to the monomial's
-    input variable order.  Empty for a single variable."""
-    if monomial.n == 1:
-        return []
-    order = sorted(range(monomial.n),
-                   key=lambda i: (monomial.exponents[i], i))
-    n, first = monomial.n, order[0]
-    return [Polynomial(n, {pure_power(n, i, monomial.exponents[i] + 1): Fraction(1),
-                           pure_power(n, first, monomial.exponents[i] + 1): Fraction(-1)})
-            for i in order[1:]]
-
-
-def drop_unused_variables(form: CoprimeForm) -> CoprimeForm:
-    """Restrict the namespace to the variables actually appearing; the rank is
-    unchanged by removing unused variables."""
-    return CoprimeForm(form.terms)
 
 
 def decomposition_field_order(monomial: Monomial) -> int:

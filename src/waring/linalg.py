@@ -8,9 +8,8 @@ reduces (and, in `solve_exact`, for back substitution), since a cyclotomic
 inverse in Q(zeta_N) multiplies phi(N) - 1 Galois conjugates.
 
 One elimination, `_reduce`, works on sparse rows {column: nonzero value}
-and serves every caller: `sparse_rank` counts its pivot rows, `matrix_rank`
-drops the zeros of a dense matrix and calls `sparse_rank`, and `solve_exact`
-reduces the augmented rows [A | b] and back-substitutes.
+and serves every caller: `sparse_rank` counts its pivot rows, and
+`solve_exact` reduces the augmented rows [A | b] and back-substitutes.
 """
 
 from __future__ import annotations
@@ -91,11 +90,6 @@ def sparse_rank(rows) -> int:
     the nonzero entries; columns may be any mutually comparable keys.  The
     input rows are not changed."""
     return len(_reduce(rows))
-
-
-def matrix_rank(matrix) -> int:
-    """Rank of a dense matrix over an exact field."""
-    return sparse_rank({j: x for j, x in enumerate(row) if x} for row in matrix)
 
 
 def solve_exact(system: LinearSystem):

@@ -8,7 +8,7 @@ Zero coefficients are never stored.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, perm
+from math import comb, perm
 
 
 def compositions(total: int, parts: int):
@@ -40,9 +40,11 @@ def signed_sum(pieces) -> str:
 
 
 def multinomial(d: int, alpha) -> int:
-    out = factorial(d)
+    """d! / prod(a!) for `alpha` summing to d, as a product of binomials."""
+    out = 1
     for a in alpha:
-        out //= factorial(a)
+        out *= comb(d, a)
+        d -= a
     return out
 
 
@@ -108,19 +110,6 @@ class Polynomial:
             return Polynomial.zero(self.num_vars)
         return Polynomial(self.num_vars, {e: c * scalar for e, c in self.terms.items()})
 
-    def evaluate(self, point):
-        """Evaluate at a point given as a sequence of scalars."""
-        if len(point) != self.num_vars:
-            raise ValueError("point length mismatch")
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for p, e in zip(point, exps):
-                if e:
-                    value = value * p ** e
-            total = value + total
-        return total
-
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
                 and self.num_vars == other.num_vars
@@ -134,28 +123,6 @@ class Polynomial:
         return "Polynomial(" + " + ".join(
             f"({self.terms[exps]})*{monomial_text(names, exps)}"
             for exps in sorted(self.terms, reverse=True)) + ")"
-
-
-def poly_pow_linear(linear_coeffs, d: int) -> Polynomial:
-    """Expand (sum_j c_j x_j)^d exactly via the multinomial theorem."""
-    n = len(linear_coeffs)
-    if d < 1:
-        raise ValueError("exponent d must be positive")
-    support = [j for j, c in enumerate(linear_coeffs) if c]
-    if not support:
-        return Polynomial.zero(n)
-    terms = {}
-    for alpha in compositions(d, len(support)):
-        coeff = multinomial(d, alpha)
-        value = coeff
-        for j, a in zip(support, alpha):
-            if a:
-                value = linear_coeffs[j] ** a * value
-        exps = [0] * n
-        for j, a in zip(support, alpha):
-            exps[j] = a
-        terms[tuple(exps)] = value
-    return Polynomial(n, terms)
 
 
 def apply_differential(operator: Polynomial, target: Polynomial) -> Polynomial:

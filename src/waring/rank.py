@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .forms import CoprimeForm, Monomial
-from .linalg import matrix_rank
+from .linalg import sparse_rank
 
 
 def rank_monomial(monomial: Monomial) -> int:
@@ -41,21 +41,19 @@ def rank_coprime_sum(form: CoprimeForm) -> int:
 
 def quadratic_form_rank(form: CoprimeForm) -> int:
     """Rank of the symmetric coefficient matrix of a degree-2 form, by exact
-    elimination over Q.  Independent cross-check for the d = 2 case."""
+    elimination over Q.  Independent cross-check for the d = 2 case.  The
+    monomials are coprime, so each row, keyed by variable, holds one entry:
+    c on the diagonal for c * x^2, c/2 off it for c * x * y."""
     if form.degree != 2:
         raise ValueError("quadratic_form_rank needs a degree-2 form")
-    n = len(form.variables)
-    index = {v: i for i, v in enumerate(form.variables)}
-    A = [[Fraction(0)] * n for _ in range(n)]
+    rows = []
     for coeff, mono in form.terms:
         if mono.n == 1:
-            i = index[mono.variables[0]]
-            A[i][i] += coeff
+            rows.append({mono.variables[0]: coeff})
         else:
-            i, j = (index[v] for v in mono.variables)
-            A[i][j] += coeff / 2
-            A[j][i] += coeff / 2
-    return matrix_rank(A)
+            x, y = mono.variables
+            rows += [{y: coeff / 2}, {x: coeff / 2}]
+    return sparse_rank(rows)
 
 
 # Alexander-Hirschowitz exceptional pairs, where the true generic rank exceeds
@@ -189,7 +187,8 @@ def asymptotic_ratio_report(n: int, k_max: int) -> RatioReport:
 
 
 # Admission caps for `survey`, checked before the first row.  Every printed
-# integer must be below 2^14000 (4,215 digits; Python prints at most 4,300).
+# integer must be below 2^14000 (4,215 digits; Python prints at most 4,300);
+# `rank` refuses a larger rank by the same MAX_SURVEY_BITS.
 # The size counts 1 per witness variable and b per integer below 2^b.  On a
 # 2-vCPU VM, `survey 1 --range 1:50000` (the row cap) and `survey 1200 --range
 # 1:1200` (size 4.9 * 10^6) each take 1.0 s of command wall time.

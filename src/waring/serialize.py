@@ -182,15 +182,9 @@ def _decomposition_text(d: PowerSumDecomposition) -> str:
 # -- pretty printing -------------------------------------------------------------
 
 
-def pretty_cyclo(x: CyclotomicNumber) -> str:
-    """Human rendering: a plain rational for a rational number, zN^k tokens
-    otherwise."""
-    return str(x)
-
-
 def pretty_linear(variables, coeffs) -> str:
     def piece(v, c):
-        text = pretty_cyclo(c)
+        text = str(c)
         if text in ("1", "-1"):
             return text == "-1", v
         if any(op in text[1:] for op in "+-") or "/" in text or "*" in text:
@@ -203,7 +197,7 @@ def pretty_linear(variables, coeffs) -> str:
 def pretty_decomposition(d: PowerSumDecomposition) -> str:
     lines = []
     for t in d.terms:
-        gamma = pretty_cyclo(t.gamma)
+        gamma = str(t.gamma)
         if any(op in gamma[1:] for op in "+-") or "*" in gamma:
             gamma = f"({gamma})"
         lines.append(f"{gamma} * ({pretty_linear(d.variables, t.linear)})^{d.degree}"

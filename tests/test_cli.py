@@ -538,9 +538,9 @@ def test_verify_prints_an_oversized_mismatch_by_its_size(capsys, tmp_path):
     assert out.splitlines()[-1] == "FAIL"
 
 
-def test_verify_of_deeply_nested_json_exits_1_with_one_line(tmp_path):
-    """200,000 nested `[` overflow the JSON decoder's recursion; the command
-    reports bad input in one line instead of a traceback."""
+def _run_process(*argv, timeout=60):
+    """`waring ARGV` in a fresh interpreter that imports this checkout's
+    package; returns the finished process, with text output."""
     import os
     import subprocess
 
@@ -548,10 +548,16 @@ def test_verify_of_deeply_nested_json_exits_1_with_one_line(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(waring.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "waring.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_verify_of_deeply_nested_json_exits_1_with_one_line(tmp_path):
+    """200,000 nested `[` overflow the JSON decoder's recursion; the command
+    reports bad input in one line instead of a traceback."""
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000)
-    proc = subprocess.run([sys.executable, "-m", "waring.cli", "verify", "x1*x2", str(path)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_process("verify", "x1*x2", str(path))
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
@@ -572,3 +578,29 @@ def test_verify_cuts_a_long_bad_coefficient_short(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and len(err) < 300
     assert err.startswith("error: terms[0].gamma.coeffs: expected rationals, got ['1', 'x7")
     assert "Traceback" not in err
+
+
+def test_bound_of_a_long_binary_form_takes_seconds_not_minutes():
+    """18,001 catalecticant cells whose falling-factorial values would have
+    thousands of digits: each term fills its cells with one value, and for
+    two variables only divisors are enumerated."""
+    import time
+    start = time.perf_counter()
+    proc = _run_process("bound", "x1^6000 + x1^5999*x2", timeout=30)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (0, "2\n")
+    assert elapsed < 5, f"bound took {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize("last, code", [(4215, 0), (4399, 3)])
+def test_rank_refuses_a_rank_it_cannot_print(capsys, last, code):
+    """x1*x2^9*...*x_last^9 has rank 10^(last - 1): 13,999 bits print, and
+    14,610 bits, past Python's int-to-str limit, are refused in one line."""
+    text = "*".join(["x1"] + [f"x{i}^9" for i in range(2, last + 1)])
+    returned, out, err = run(capsys, "rank", text)
+    assert returned == code
+    if code:
+        assert out == ""
+        assert err == "error: the rank has 14610 bits, above the cap 14000 on a printed integer\n"
+    else:
+        assert out.splitlines()[0] == str(10 ** (last - 1))

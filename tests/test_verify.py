@@ -11,6 +11,7 @@ import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference import poly_pow_linear
 from waring import decompose
 from waring.cyclotomic import CyclotomicNumber, euler_phi
 from waring.decompose import (
@@ -23,7 +24,7 @@ from waring.decompose import (
 from waring.forms import CoprimeForm, Monomial, parse_form
 from waring.rank import ResourceLimitError, rank_coprime_sum
 from waring.serialize import decomposition_from_json, decomposition_to_json
-from waring.polynomials import Polynomial, compositions, poly_pow_linear
+from waring.polynomials import Polynomial, compositions
 
 ORDERS = (1, 2, 3, 4, 6, 12)
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
