@@ -59,4 +59,6 @@ from .decompose import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the classes and functions imported above; the submodules are not callable
+__all__ = [name for name, value in globals().items()
+           if callable(value) and not name.startswith("_")]

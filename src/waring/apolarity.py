@@ -31,13 +31,13 @@ from .linalg import sparse_rank
 from .polynomials import Polynomial, apply_differential, compositions, multinomial
 from .rank import ResourceLimitError
 
-# Admission cap for `catalecticant_lower_bound`, in nonzero catalecticant
-# cells over all degrees t: a term c * x^m fills prod(m_i + 1) of them.  On
-# a 2-vCPU VM, building and eliminating all of them took 0.6 s on 93,276
-# cells (x1^35*x2^35*x3^35 + x1^36*x2^34*x3^35), 1.4 s on 194,626 (the same
-# at 45), 2.0 s on x1^66000 + x1^65999*x2's 198,001 and 8.2 s on 1.06M (the
-# same at 80).  Only elimination builds cells, so for counted monomials and
-# coprime sums the cap is conservative.
+# Admission cap for `catalecticant_lower_bound`, in units of the work that
+# runs.  Counted ranks (one term, or a coprime sum) cost t_max times the sum
+# over the terms of 2^k, k the term's variables: each count expands
+# prod(1 - s^(m_i + 1)), at most 2^k coefficients at about 1 us each on a
+# 2-vCPU VM.  Elimination costs the nonzero cells over all degrees t,
+# prod(m_i + 1) for a term c * x^m: 2.0 s on x1^66000 + x1^65999*x2's
+# 198,001 cells, 8.2 s on 1.06M (x1^80*x2^80*x3^80 + x1^81*x2^79*x3^80).
 MAX_BOUND_CELLS = 2 * 10 ** 5
 
 # Admission cap for `hf_table`, in running-sum steps: a table to degree t_max
@@ -142,7 +142,7 @@ def catalecticant_lower_bound(form, t_max=None) -> int:
     output of `apply_differential` (see `forms.as_homogeneous`).
 
     Raises ResourceLimitError, before building any catalecticant, when the
-    estimated cell count `bound_cells(form)` exceeds MAX_BOUND_CELLS."""
+    estimated work (see MAX_BOUND_CELLS) exceeds that cap."""
     form = as_homogeneous(form)
     if t_max is None:
         t_max = form.degree
@@ -150,12 +150,16 @@ def catalecticant_lower_bound(form, t_max=None) -> int:
         raise ValueError(f"t_max must be at least 1, got {t_max}")
     if t_max > form.degree:
         raise ValueError(f"t_max {t_max} exceeds degree {form.degree}")
-    cells = bound_cells(form)
-    if cells > MAX_BOUND_CELLS:
+    if len(form.terms) == 1 or is_coprime_sum(form):
+        cost = t_max * sum(2 ** sum(map(bool, m)) for m in form.terms)
+        unit = f"counting steps ({t_max} times the sum over terms of 2^k, k its variables)"
+    else:
+        cost = bound_cells(form)
+        unit = "nonzero cells (the sum over terms of prod(m_i + 1))"
+    if cost > MAX_BOUND_CELLS:
         raise ResourceLimitError(
-            f"the catalecticants of this form have an estimated {cells} nonzero "
-            f"cells (the sum over terms of prod(m_i + 1)), above the cap "
-            f"{MAX_BOUND_CELLS}")
+            f"the catalecticants of this form take an estimated {cost} {unit}, "
+            f"above the cap {MAX_BOUND_CELLS}")
     return max(catalecticant(form, t).rank() for t in range(1, t_max + 1))
 
 

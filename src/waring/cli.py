@@ -70,11 +70,11 @@ def cmd_decompose(args) -> int:
 
 def cmd_bound(args) -> int:
     form = forms.parse_homogeneous(args.form)
+    bound = apolarity.catalecticant_lower_bound(form, args.tmax)
     if not forms.is_coprime_sum(form):
         # lower bounds still apply, ranks do not
         print("note: input is not a coprime sum; reporting a lower bound only",
               file=sys.stderr)
-    bound = apolarity.catalecticant_lower_bound(form, args.tmax)
     if args.json:
         _print_json({"form": args.form, "lower_bound": bound,
                      "t_max": args.tmax if args.tmax is not None else form.degree})

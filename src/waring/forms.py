@@ -1,20 +1,23 @@
 """Monomials, validated sums of pairwise coprime monomials, and perp ideals.
 
-The parser accepts the grammar
+Forms are read in the grammar
 
-    form    := term (('+'|'-') term)*
-    term    := (rational '*')? factor ('*' factor)*
-    factor  := variable ('^' integer)?
+    form    := term | form '+' term | form '-' term
+    term    := ['-'] [rational '*'] factor | term '*' factor
+    factor  := variable ['^' integer]
     variable:= 'x' integer | letter
-    rational:= integer ('/' positive-integer)?
+    rational:= integer ['/' positive-integer]
 
-Whitespace is insignificant.  Examples: "x1^2*x2 + x3^3", "3/2*x*y*z",
-"a^2*b - 5*c^3".
+No rule nests a form inside another, so the grammar is regular: each term is
+scanned by anchored regular expressions.  Whitespace is insignificant, and an
+integer literal may have at most `sys.get_int_max_str_digits()` digits (4300
+by default).  Examples: "x1^2*x2 + x3^3", "3/2*x*y*z", "a^2*b - 5*c^3".
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 from operator import ge
@@ -222,99 +225,28 @@ def minimalize(gens):
 
 # -- parsing -----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>x\d+|[A-Za-z])|(?P<op>[-+*/^()]))")
+# Each term is scanned by anchored matches: an optional '-' and coefficient,
+# factors each with its trailing '*', then the separator before the next term.
+_COEFFICIENT = re.compile(r"\s*(-?)\s*(?:(\d+)\s*(?:/\s*(\d+)\s*)?\*)?")
+_FACTOR = re.compile(r"\s*(x\d+|[A-Za-z])(?:\s*\^\s*(\d+))?(\s*\*)?")
+_SEPARATOR = re.compile(r"\s*([-+]|\Z)")
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}",
-                             len(text) - len(stripped))
-        if m.lastgroup:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    # trailing whitespace only
-    return tokens
+def _integer(match, group: int) -> int:
+    """A matched integer literal; one longer than the interpreter converts
+    (`sys.get_int_max_str_digits()`) is a ParseError."""
+    try:
+        return int(match[group])
+    except ValueError:
+        raise ParseError(
+            f"integer literal of {len(match[group])} digits is longer than the "
+            f"limit of {sys.get_int_max_str_digits()} digits", match.start(group)) from None
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
-
-    def take(self, kind=None, value=None):
-        tok = self.peek()
-        if tok[0] is None:
-            raise ParseError("unexpected end of input", tok[2])
-        if kind and tok[0] != kind or value and tok[1] != value:
-            raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
-        self.i += 1
-        return tok
-
-    def parse(self):
-        terms = [self.term(sign=1)]
-        while True:
-            kind, value, pos = self.peek()
-            if kind is None:
-                return terms
-            if kind != "op" or value not in "+-":
-                raise ParseError(f"expected '+' or '-', got {value!r}", pos)
-            self.take()
-            terms.append(self.term(sign=-1 if value == "-" else 1))
-
-    def term(self, sign: int):
-        coeff = Fraction(sign)
-        factors = []
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "-":
-            # tolerated leading sign inside a term, e.g. "-x1*x2"
-            self.take()
-            coeff = -coeff
-            kind, value, pos = self.peek()
-        if kind == "int":
-            self.take()
-            num = int(value)
-            den = 1
-            if self.peek()[:2] == ("op", "/"):
-                self.take()
-                dtok = self.take("int")
-                den = int(dtok[1])
-                if den == 0:
-                    raise ParseError("zero denominator", dtok[2])
-            coeff *= Fraction(num, den)
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "*":
-                self.take()
-            elif kind is None or (kind == "op" and value in "+-"):
-                raise ParseError("constant term is not a monomial", pos)
-            else:
-                raise ParseError(f"expected '*' after coefficient, got {value!r}", pos)
-        while True:
-            factors.append(self.factor())
-            if self.peek()[:2] == ("op", "*"):
-                self.take()
-                continue
-            break
-        return coeff, factors
-
-    def factor(self):
-        tok = self.take("var")
-        name = tok[1]
-        exp = 1
-        if self.peek()[:2] == ("op", "^"):
-            self.take()
-            exp = int(self.take("int")[1])
-        return name, exp, tok[2]
+def _unexpected(text: str, pos: int, expected: str) -> ParseError:
+    rest = text[pos:].lstrip()
+    found = repr(rest[0]) if rest else "end of input"
+    return ParseError(f"expected {expected}, got {found}", len(text) - len(rest))
 
 
 def _parse_terms(text: str):
@@ -322,15 +254,31 @@ def _parse_terms(text: str):
 
     Repeated factors multiply; exponent-0 factors are dropped (they denote the
     constant 1 and do not enlarge the variable set)."""
-    raw = _Parser(text).parse()
-    out = []
-    for coeff, factors in raw:
-        exps = {}
-        for name, exp, _pos in factors:
+    terms, pos, sign = [], 0, 1
+    while True:
+        m = _COEFFICIENT.match(text, pos)
+        coeff = Fraction(-sign if m[1] else sign)
+        if m[2]:
+            den = _integer(m, 3) if m[3] else 1
+            if not den:
+                raise ParseError("zero denominator", m.start(3))
+            coeff *= Fraction(_integer(m, 2), den)
+        exps, pos, more = {}, m.end(), True
+        while more:
+            f = _FACTOR.match(text, pos)
+            if not f:
+                raise _unexpected(text, pos, "a variable")
+            exp = _integer(f, 2) if f[2] else 1
             if exp:
-                exps[name] = exps.get(name, 0) + exp
-        out.append((coeff, exps))
-    return out
+                exps[f[1]] = exps.get(f[1], 0) + exp
+            pos, more = f.end(), f[3]
+        terms.append((coeff, exps))
+        m = _SEPARATOR.match(text, pos)
+        if not m:
+            raise _unexpected(text, pos, "'*', '+', '-' or the end")
+        if not m[1]:
+            return terms
+        sign, pos = -1 if m[1] == "-" else 1, m.end()
 
 
 def _exponent_tuple(pairs, index) -> tuple:

@@ -1,11 +1,13 @@
 """Reference implementations that only tests use: a term-by-term expansion
 of linear-form powers, point evaluation, the complete-intersection point
-ideal of a monomial, and monomial-ideal membership.  They check the package
-from the outside and are not part of it."""
+ideal of a monomial, monomial-ideal membership, and a tokenizer with a
+recursive-descent parser for forms.  They check the package from the outside
+and are not part of it."""
 
+import re
 from fractions import Fraction
 
-from waring.forms import pure_power
+from waring.forms import ParseError, pure_power
 from waring.polynomials import Polynomial, compositions, multinomial
 
 
@@ -69,3 +71,115 @@ def ci_point_ideal(monomial):
 def contains_monomial(ideal, exps) -> bool:
     """Whether x^exps lies in the monomial ideal: some generator divides it."""
     return any(all(e >= g for e, g in zip(exps, gen)) for gen in ideal.generators)
+
+
+# -- forms by tokens and recursive descent ------------------------------------
+
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>x\d+|[A-Za-z])|(?P<op>[-+*/^()]))")
+
+
+def _tokenize(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m or m.end() == m.start():
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(f"unexpected character {stripped[0]!r}",
+                             len(text) - len(stripped))
+        if m.lastgroup:
+            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+        pos = m.end()
+    # trailing whitespace only
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
+
+    def take(self, kind=None, value=None):
+        tok = self.peek()
+        if tok[0] is None:
+            raise ParseError("unexpected end of input", tok[2])
+        if kind and tok[0] != kind or value and tok[1] != value:
+            raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+        self.i += 1
+        return tok
+
+    def parse(self):
+        terms = [self.term(sign=1)]
+        while True:
+            kind, value, pos = self.peek()
+            if kind is None:
+                return terms
+            if kind != "op" or value not in "+-":
+                raise ParseError(f"expected '+' or '-', got {value!r}", pos)
+            self.take()
+            terms.append(self.term(sign=-1 if value == "-" else 1))
+
+    def term(self, sign: int):
+        coeff = Fraction(sign)
+        factors = []
+        kind, value, pos = self.peek()
+        if kind == "op" and value == "-":
+            # tolerated leading sign inside a term, e.g. "-x1*x2"
+            self.take()
+            coeff = -coeff
+            kind, value, pos = self.peek()
+        if kind == "int":
+            self.take()
+            num = int(value)
+            den = 1
+            if self.peek()[:2] == ("op", "/"):
+                self.take()
+                dtok = self.take("int")
+                den = int(dtok[1])
+                if den == 0:
+                    raise ParseError("zero denominator", dtok[2])
+            coeff *= Fraction(num, den)
+            kind, value, pos = self.peek()
+            if kind == "op" and value == "*":
+                self.take()
+            elif kind is None or (kind == "op" and value in "+-"):
+                raise ParseError("constant term is not a monomial", pos)
+            else:
+                raise ParseError(f"expected '*' after coefficient, got {value!r}", pos)
+        while True:
+            factors.append(self.factor())
+            if self.peek()[:2] == ("op", "*"):
+                self.take()
+                continue
+            break
+        return coeff, factors
+
+    def factor(self):
+        tok = self.take("var")
+        name = tok[1]
+        exp = 1
+        if self.peek()[:2] == ("op", "^"):
+            self.take()
+            exp = int(self.take("int")[1])
+        return name, exp, tok[2]
+
+
+def parse_terms(text: str):
+    """Parse into a list of (coefficient, merged {variable: exponent}) pairs,
+    by tokens and recursive descent (the parser the package's regular-expression
+    scan replaced).  Repeated factors multiply; exponent-0 factors are dropped."""
+    raw = _Parser(text).parse()
+    out = []
+    for coeff, factors in raw:
+        exps = {}
+        for name, exp, _pos in factors:
+            if exp:
+                exps[name] = exps.get(name, 0) + exp
+        out.append((coeff, exps))
+    return out

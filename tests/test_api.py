@@ -20,33 +20,26 @@ PUBLIC_NAMES = [
     "PowerSumDecomposition",
     "UnderdeterminedSystemError",
     "annihilator_membership",
-    "apolarity",
     "apply_differential",
     "asymptotic_ratio_report",
     "catalecticant",
     "catalecticant_lower_bound",
     "claim_ideals",
-    "cyclotomic",
     "cyclotomic_embed",
     "cyclotomic_polynomial",
-    "decompose",
     "decompose_form",
     "decomposition_points",
     "euler_phi",
-    "forms",
     "generic_rank",
     "hf_table",
     "intersect_monomial_ideals",
     "least_variable_check",
-    "linalg",
     "max_monomial_rank",
     "max_monomial_rank_3vars",
     "parse_form",
     "parse_homogeneous",
     "perp_generators",
-    "polynomials",
     "quadratic_form_rank",
-    "rank",
     "rank_coprime_sum",
     "rank_monomial",
     "render_form",

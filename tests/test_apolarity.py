@@ -387,18 +387,32 @@ def test_bound_cell_cap_is_checked_before_any_catalecticant(monkeypatch):
     stub = SimpleNamespace(rank=lambda: 0)
     monkeypatch.setattr(apolarity, "catalecticant",
                         lambda form, t: built.append(t) or stub)
-    at_cap = parse_form("x1^19*x2^99*x3^99")     # 20 * 100 * 100 cells
-    over = parse_form("x1^2*x2^162*x3^408")      # 3 * 163 * 409 cells
+    # ranked by elimination: the nonzero cells over all degrees
+    at_cap = parse_homogeneous("x1^99*x2^999 + x1^99*x3^999")    # 2 * 100 * 1000
+    over = parse_homogeneous("x1^100*x2^100*x3^100 + x1^101*x2^99*x3^100")
     assert apolarity.bound_cells(at_cap) == apolarity.MAX_BOUND_CELLS
-    assert apolarity.bound_cells(over) == apolarity.MAX_BOUND_CELLS + 1
+    assert apolarity.bound_cells(over) == 101 ** 3 + 102 * 100 * 101 == 2060501
     apolarity.catalecticant_lower_bound(at_cap)
     assert built == list(range(1, at_cap.degree + 1))
     built.clear()
-    with pytest.raises(ResourceLimitError, match="200001"):
+    with pytest.raises(ResourceLimitError, match="2060501"):
         apolarity.catalecticant_lower_bound(over)
     with pytest.raises(ResourceLimitError):
-        apolarity.catalecticant_lower_bound(parse_homogeneous(str(over)), 1)
+        apolarity.catalecticant_lower_bound(over, 1)
+    # counted: t_max times the sum over terms of 2^k, k the term's variables
+    apolarity.catalecticant_lower_bound(parse_form("x1^49999*x2"))    # 50000 * 4
+    assert built == list(range(1, 50001))
+    built.clear()
+    with pytest.raises(ResourceLimitError, match="200004"):
+        apolarity.catalecticant_lower_bound(parse_form("x1^50000*x2"))
+    with pytest.raises(ResourceLimitError, match="800004"):
+        apolarity.catalecticant_lower_bound(parse_homogeneous("x1^200000*x2"))
+    coprime = parse_form("x1^33333*x2 + x3^33334")
+    with pytest.raises(ResourceLimitError, match="200004"):    # 33334 * (4 + 2)
+        apolarity.catalecticant_lower_bound(coprime)
     assert built == []
+    apolarity.catalecticant_lower_bound(coprime, 33333)     # 33333 * 6
+    assert built == list(range(1, 33334))
 
 
 # -- Hilbert functions from the Hilbert-series numerator, against enumeration ---

@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import time
 
 import pytest
 
@@ -43,6 +44,20 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "rank", "x1 ++ x2")
     assert code == 1
     assert "position" in err
+
+
+@pytest.mark.parametrize("text, digits", [
+    ("x1^" + "9" * 5000, 5000),
+    ("1" + "0" * 5000 + "*x1^2*x2", 5001),
+])
+def test_an_integer_literal_over_the_digit_limit_exits_1_with_one_line(capsys, text, digits):
+    code, out, err = run(capsys, "rank", text)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{digits} digits" in err and f"{sys.get_int_max_str_digits()} digits" in err
+    assert "set_int_max_str_digits" not in err
 
 
 def test_decompose_four_cubes(capsys):
@@ -347,13 +362,25 @@ def test_the_parser_is_built_once_and_reused(capsys):
 
 
 def test_bound_over_the_cell_cap_exits_3(capsys):
-    # 101^3 = 1,030,301 nonzero catalecticant cells, refused before any is built
-    code, out, err = run(capsys, "bound", "x1^100*x2^100*x3^100")
-    assert code == 3
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: ") and "1030301" in err and "200000" in err
-    assert "Traceback" not in err
+    # 2,060,501 nonzero cells to eliminate, or 200,001 * 4 counting steps
+    for form, estimate in [("x1^100*x2^100*x3^100 + x1^101*x2^99*x3^100", "2060501"),
+                           ("x1^200000*x2", "800004")]:
+        code, out, err = run(capsys, "bound", form)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and estimate in err and "200000" in err
+        assert "Traceback" not in err
+
+
+def test_bound_counts_a_monomial_over_a_million_cells_at_once(capsys):
+    # x1^100*x2^100*x3^100 has 101^3 = 1,030,301 nonzero catalecticant cells,
+    # but its ranks are counted: 300 degrees of 2^3 steps each
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "bound", "x1^100*x2^100*x3^100")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out == "7651\n"     # #{(a, b, c) <= 100 : a + b + c = 150}
 
 
 def _decomposition_file(tmp_path, text, order):

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from reference import as_polynomial, ci_point_ideal, contains_monomial
 from waring.forms import (
     CoprimeForm,
@@ -12,6 +13,7 @@ from waring.forms import (
     MonomialIdeal,
     NonCoprimeError,
     ParseError,
+    _parse_terms,
     decomposition_field_order,
     is_coprime_sum,
     minimalize,
@@ -248,6 +250,60 @@ def test_both_parsers_give_the_same_catalecticant_bound(form):
     text = render_form(form)
     assert catalecticant_lower_bound(parse_form(text)) == \
         catalecticant_lower_bound(parse_homogeneous(text))
+
+
+_TOKENS = ["x1", "x12", "x", "y", "a", "Q", "0", "1", "7", "12", "007",
+           "^", "*", "/", "+", "-", " ", "(", ".", "\t"]
+
+
+@st.composite
+def _form_like(draw):
+    """Token strings near the grammar: signed terms of an optional rational
+    coefficient and factors with optional exponents, with optional spaces
+    between tokens, and now and then one token swapped for any other."""
+    tokens = []
+    for i in range(draw(st.integers(1, 3))):
+        if i:
+            tokens.append(draw(st.sampled_from("+-")))
+        if draw(st.booleans()):
+            tokens.append("-")
+        if draw(st.booleans()):
+            tokens.append(draw(st.sampled_from(["0", "3", "12", "007"])))
+            if draw(st.booleans()):
+                tokens += ["/", draw(st.sampled_from(["0", "1", "4", "05"]))]
+            tokens.append("*")
+        for j in range(draw(st.integers(1, 3))):
+            if j:
+                tokens.append("*")
+            tokens.append(draw(st.sampled_from(["x1", "x12", "x", "y", "a"])))
+            if draw(st.booleans()):
+                tokens += ["^", draw(st.sampled_from(["0", "1", "2", "10"]))]
+    if draw(st.booleans()):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_TOKENS))
+    return "".join(t + draw(st.sampled_from(["", "", " "])) for t in tokens)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join),
+                 _form_like()))
+@example("x1 - -x2")
+@example("-3/4*x^0*y*y^2 +  5 * a")
+@example("x1^2 ++ x2^2")
+@example("3 + x1")
+@example("x1y")
+@example("x 1")
+@example("(x1)")
+@example("")
+def test_the_scan_reads_forms_as_the_recursive_descent_parser(text):
+    try:
+        expected = reference.parse_terms(text)
+    except ParseError:
+        with pytest.raises(ParseError):
+            _parse_terms(text)
+    else:
+        # the order of the variables is part of the result
+        assert [(c, list(e.items())) for c, e in _parse_terms(text)] == \
+            [(c, list(e.items())) for c, e in expected]
 
 
 def _all_pairs_minimalize(gens):
