@@ -3,8 +3,9 @@ used by the rank additivity proof.
 
 For one term, or a coprime sum at 1 <= t <= d-1, a catalecticant's rank is
 the number of its nonzero cells, counted without building them (the flattening
-bound of Landsberg and Teitler, FoCM 2010; see `CatalecticantMatrix`).  Any
-other catalecticant is built from its nonzero cells and ranked by elimination.
+bound of Landsberg and Teitler, FoCM 2010; see `CatalecticantMatrix`), and at
+t = 0 or d, a single row or column, it is 1.  Any other catalecticant is built
+from its nonzero cells and ranked by elimination.
 
 Hilbert functions of monomial-ideal quotients come from the numerator of
 the Hilbert series, HS(T/I) = N(t) / (1 - t)^n, computed by the pivot
@@ -19,6 +20,7 @@ number of standard monomials.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -69,6 +71,9 @@ class CatalecticantMatrix:
     row m - beta fixes beta; a row shared with term x^m' divides gcd(x^m, x^m')
     and has degree d - t >= 1, so the terms share a variable (columns likewise,
     as t >= 1).  No two cells share a row or column: the rank is their number.
+    At t = 0 or d the matrix is one column or one row of a nonzero form, of
+    rank 1.  The counts read each term's nonzero positions, which the form
+    finds once for all degrees (`Polynomial.supports`).
     """
 
     t: int
@@ -99,9 +104,12 @@ class CatalecticantMatrix:
         return entries
 
     def rank(self) -> int:
-        if len(self.form.terms) == 1 or 0 < self.t < self.degree and is_coprime_sum(self.form):
-            return sum(_divisor_count(m, self.t) for m in self.form.terms)
-        return sparse_rank(self.entries.values())
+        if self.t in (0, self.degree):
+            return 1        # a single row or column, of a nonzero form
+        if not is_coprime_sum(self.form):
+            return sparse_rank(self.entries.values())
+        return sum(n * _divisor_count(k, numerator, self.t)
+                   for n, k, numerator in _term_shapes(self.form))
 
 
 def _divisors_of_degree(m, t):
@@ -117,22 +125,34 @@ def _divisors_of_degree(m, t):
             yield beta + (rest,)
 
 
-def _divisor_count(m, t) -> int:
+def _term_shapes(form):
+    """(n, k, N) over the distinct multisets of the k nonzero exponents m_i
+    of the form's terms: n terms share the multiset, and
+    N = prod(1 - s^(m_i + 1)) is the numerator of the Hilbert series of
+    T/(X_i^(m_i + 1))."""
+    shapes = Counter(tuple(sorted(m[i] for i in support))
+                     for m, support in zip(form.terms, form.supports))
+    counted = []
+    for shape, n in shapes.items():
+        numerator = {0: 1}
+        for a in shape:
+            numerator = _plus_shifted(numerator, numerator, a + 1, -1)
+        counted.append((n, len(shape), numerator))
+    return counted
+
+
+def _divisor_count(k, numerator, t) -> int:
     """#{beta <= m : |beta| = t}, that is HF(t) of T/(X_i^(m_i + 1)) over
-    the k nonzero m_i, from its numerator prod(1 - s^(m_i + 1))."""
-    m = [a for a in m if a]
-    numerator = {0: 1}
-    for a in m:
-        numerator = _plus_shifted(numerator, numerator, a + 1, -1)
-    k = len(m)
+    the k nonzero m_i, from its numerator."""
     return sum(c * comb(t - j + k - 1, k - 1) for j, c in numerator.items() if j <= t) if k else 1
 
 
 def catalecticant(form, t: int) -> CatalecticantMatrix:
     form = as_homogeneous(form)
-    if not 0 <= t <= form.degree:
-        raise ValueError(f"differentiation degree {t} outside 0..{form.degree}")
-    return CatalecticantMatrix(t, form.degree, form.num_vars, form)
+    d = sum(next(iter(form.terms)))     # any term's degree, as the form is homogeneous
+    if not 0 <= t <= d:
+        raise ValueError(f"differentiation degree {t} outside 0..{d}")
+    return CatalecticantMatrix(t, d, form.num_vars, form)
 
 
 def catalecticant_lower_bound(form, t_max=None) -> int:
@@ -150,8 +170,8 @@ def catalecticant_lower_bound(form, t_max=None) -> int:
         raise ValueError(f"t_max must be at least 1, got {t_max}")
     if t_max > form.degree:
         raise ValueError(f"t_max {t_max} exceeds degree {form.degree}")
-    if len(form.terms) == 1 or is_coprime_sum(form):
-        cost = t_max * sum(2 ** sum(map(bool, m)) for m in form.terms)
+    if is_coprime_sum(form):
+        cost = t_max * sum(2 ** len(support) for support in form.supports)
         unit = f"counting steps ({t_max} times the sum over terms of 2^k, k its variables)"
     else:
         cost = bound_cells(form)

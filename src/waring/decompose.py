@@ -39,6 +39,13 @@ P_r = sum_j G_j t^(g_j + <e_j, r>), r = b mod p: an exact identity about
 the input.  Each P_r is reduced modulo Phi_N once, and each monomial costs
 one scaling, or none when P_r is 0 (a grid block has rank(M) classes).
 Terms with any other coordinate add one product per monomial.
+
+A mismatch prints the coefficient in the field of the terms that reach it:
+each run of terms in the running field F is summed in Z[t]/(t^F - 1) and
+reduced modulo Phi_F once, when a term of another field arrives or at the
+end.  Two cyclic linear forms are dependent iff their polar-form keys are
+equal, so only the pairs with a zero or general form are tested one by
+one, by their minors.
 """
 
 from __future__ import annotations
@@ -71,8 +78,9 @@ MAX_SOLVE_COST = 10 ** 8
 MAX_FIELD_ORDER = 10 ** 3
 
 # Admission cap for verification, in steps counted before any expansion:
-# compositions of d per group of cyclic terms and per other term, plus the
-# pairs tested in blocks with a non-cyclic form.  A step costs up to 12 us
+# compositions of d per group of cyclic terms and per other term, plus every
+# pair of a block with a non-cyclic form, an upper bound on the pairs tested
+# one by one (those with a non-cyclic form).  A step costs up to 12 us
 # (2 vCPUs); x1*...*x9, the largest block decompose admits, takes 24,310.
 MAX_VERIFY_STEPS = 10 ** 6
 
@@ -275,7 +283,8 @@ def _lift(decomposition, target_coeffs):
     linear-coefficient denominators; and per term (N, the lift of
     D / E^d * gamma, {i: lift of E * c_i} over its nonzero linear
     coefficients c_i), so each product gamma * prod (E * c_i)^(a_i) with
-    sum a_i = d is D times its value.
+    sum a_i = d is D times its value.  Each distinct (number, N, scale) is
+    lifted once; terms share the lifts, which nothing mutates.
     """
     d = decomposition.degree
     terms = decomposition.terms
@@ -290,18 +299,36 @@ def _lift(decomposition, target_coeffs):
     dens = [lcm(*(c.denominator for c in t.linear)) for t in terms]
     scale = lcm(*(c.denominator for c in target_coeffs),
                 *(t.gamma.denominator * e ** d for t, e in zip(terms, dens)))
+    table = {}
+
+    def lift(x, order, factor):
+        key = (x.order, x._integer_coords(), order, factor)
+        if key not in table:
+            table[key] = cyclic_lift(x, order, factor)
+        return table[key]
+
     return scale, [
-        (order, cyclic_lift(t.gamma, order, scale // e ** d),
-         {i: cyclic_lift(c, order, e) for i, c in enumerate(t.linear) if c})
+        (order, lift(t.gamma, order, scale // e ** d),
+         {i: lift(c, order, e) for i, c in enumerate(t.linear) if c})
         for t, e, order in zip(terms, dens, orders)]
 
 
-def _powers(base, d, order):
-    """[base^a for a = 0 .. d] in Z[t]/(t^order - 1); the powers of a
-    single-exponent q * t^k are the index shifts q^a * t^(k a)."""
+def _power(base, a, order):
+    """base^a in Z[t]/(t^order - 1); the a-th power of a single-exponent
+    q * t^k is the index shift q^a * t^(k a)."""
     if len(base) == 1:
         (k, q), = base.items()
-        return [{k * a % order: q ** a} for a in range(d + 1)]
+        return {k * a % order: q ** a}
+    acc = {0: 1}
+    for _ in range(a):
+        acc = cyclic_mul(acc, base, order)
+    return acc
+
+
+def _powers(base, d, order):
+    """[base^a for a = 0 .. d] in Z[t]/(t^order - 1)."""
+    if len(base) == 1:
+        return [_power(base, a, order) for a in range(d + 1)]
     row = [{0: 1}]
     for _ in range(d):
         row.append(cyclic_mul(row[-1], base, order))
@@ -355,14 +382,20 @@ def _residual(target, lifted, d, n, scale, pairs=0):
             add(support, alpha, order, acc, multinomial(d, alpha))
 
     for (order, support, qs), members in groups.items():
-        periods = [order // gcd(order, *col) for col in zip(*(ks for *_, ks in members))]
+        base, values, ks = zip(*members)
+        columns = list(zip(*ks))
+        periods = [order // gcd(order, *col) for col in columns]
         classes = {}
         for alpha in compositions(d, len(support)):
             r = tuple(a % p for a, p in zip(alpha, periods))
             if r not in classes:
+                exps = base      # g + <ks, r> per member, one column at a time
+                for col, a in zip(columns, r):
+                    if a:
+                        exps = [e + a * x for e, x in zip(exps, col)]
                 total = {}
-                for g, c, ks in members:
-                    k = (g + sum(x * y for x, y in zip(ks, r))) % order
+                for k, c in zip(exps, values):
+                    k %= order
                     total[k] = total.get(k, 0) + c
                 classes[r] = {k: v for k, v in enumerate(
                     reduce_mod_phi(total.items(), order)) if v}
@@ -397,61 +430,84 @@ def _coefficient(decomposition, lifted, scale, exps):
 
     A term's contribution lies in the field M generated by its gamma and
     the linear coefficients the monomial uses; its lift only has exponents
-    divisible by N/M, so it reduces modulo Phi_M directly.  The running sum
+    divisible by N/M, so it is a lift into Z[t]/(t^M - 1).  The running sum
     lies in the lcm of the fields added since it was last zero, and the
-    printed value keeps that field.
+    printed value keeps that field.  So a run of terms in the running field
+    F adds up in Z[t]/(t^F - 1), and the sum is reduced modulo Phi_F once:
+    when a term of another field arrives (to tell whether it is zero) and at
+    the end.
     """
     d = decomposition.degree
     if sum(exps) != d:
         return Fraction(0)
     used = [i for i, a in enumerate(exps) if a]
-    total_field, total = 1, [0]    # scale / multinomial(d; exps) times the running sum
+    field, run = 1, {}    # scale / multinomial(d; exps) times the running sum, lifted
     for t, (order, gamma, bases) in zip(decomposition.terms, lifted):
         if not gamma or any(i not in bases for i in used):
             continue
-        field = lcm(t.gamma.order, *(t.linear[i].order for i in used))
-        step = order // field
+        term_field = lcm(t.gamma.order, *(t.linear[i].order for i in used))
+        if term_field != field:
+            coords = reduce_mod_phi(run.items(), field)
+            if any(coords):
+                both = lcm(field, term_field)
+                run = {k * (both // field): v for k, v in enumerate(coords) if v}
+                field = both
+            else:
+                field, run = term_field, {}
         acc = gamma
         for i in used:
-            acc = cyclic_mul(acc, _powers(bases[i], exps[i], order)[-1], order)
-        coords = reduce_mod_phi(((k // step, v) for k, v in acc.items()), field)
-        if any(total):
-            both = lcm(total_field, field)
-            promoted = (reduce_mod_phi(_stretch(dict(enumerate(c)), both // f).items(), both)
-                        for c, f in ((total, total_field), (coords, field)))
-            coords, field = [x + y for x, y in zip(*promoted)], both
-        total_field, total = field, coords
+            acc = cyclic_mul(acc, _power(bases[i], exps[i], order), order)
+        step, stretch = order // term_field, field // term_field
+        for k, v in acc.items():
+            k = k // step * stretch
+            run[k] = run.get(k, 0) + v
     m = multinomial(d, exps)
-    return CyclotomicNumber._normalised(total_field, scale, [m * v for v in total])
+    return CyclotomicNumber._normalised(
+        field, scale, [m * v for v in reduce_mod_phi(run.items(), field)])
 
 
 def _first_dependent_pair(forms):
     """The first pair (i, j), i < j, in loop order, of linearly dependent
     lifted forms (N, {index: lift} over their nonzero coefficients), or None.
-    Forms of single-exponent lifts are dependent iff their `_ratio_key`s
-    are equal, so one pass finds the pair; other blocks test every pair."""
+    Two forms of single-exponent lifts are dependent iff their `_ratio_key`s
+    are equal, so only pairs with another form (a zero or general one) are
+    tested one by one: O(n k) tests for k such forms of n."""
     keys = [_ratio_key(form) for form in forms]
-    if None in keys:
-        return next(((i, j) for i in range(len(forms)) for j in range(i + 1, len(forms))
-                     if _dependent(forms[i], forms[j])), None)
-    first = {}
-    pairs = [(first.setdefault(key, j), j) for j, key in enumerate(keys)]
-    return min((pair for pair in pairs if pair[0] < pair[1]), default=None)
+    others = [j for j, key in enumerate(keys) if key is None]
+    same, last = {}, {}      # the next form with the same key, by index
+    for j in reversed(range(len(forms))):
+        if keys[j] is not None:
+            same[j], last[keys[j]] = last.get(keys[j]), j
+    for i, key in enumerate(keys):
+        if key is None:
+            j, tested = None, range(i + 1, len(forms))
+        else:
+            j = same[i]
+            tested = (k for k in others if i < k and (j is None or k < j))
+        j = next((k for k in tested if _dependent(forms[i], forms[k])), j)
+        if j is not None:
+            return i, j
+    return None
 
 
 def _ratio_key(form):
     """A nonzero form of single powers q_i t^(k_i), the complex numbers
     q_i exp(2 pi i k_i / N), up to a complex scalar: per coordinate, |q_i|
     over the gcd of all |q_i|, and the angle k_i / N (plus a half turn if
-    q_i < 0) less the first one's, mod 1.  None for any other form."""
+    q_i < 0) less the first one's, mod 1, as a reduced pair (numerator,
+    denominator).  None for any other form."""
     order, bases = form
     if not _cyclic(bases):
         return None
     coords = [(i, *next(iter(b.items()))) for i, b in bases.items()]
     size = gcd(*(q for *_, q in coords))
     angles = [2 * k + order * (q < 0) for _, k, q in coords]
-    return tuple((i, abs(q) // size, Fraction((a - angles[0]) % (2 * order), 2 * order))
-                 for (i, _, q), a in zip(coords, angles))
+    key = []
+    for (i, _, q), a in zip(coords, angles):
+        a = (a - angles[0]) % (2 * order)
+        g = gcd(a, 2 * order)
+        key.append((i, abs(q) // size, a // g, 2 * order // g))
+    return tuple(key)
 
 
 def _dependent(u, v) -> bool:

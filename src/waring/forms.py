@@ -243,20 +243,22 @@ def _integer(match, group: int) -> int:
             f"limit of {sys.get_int_max_str_digits()} digits", match.start(group)) from None
 
 
-def _unexpected(text: str, pos: int, expected: str) -> ParseError:
-    rest = text[pos:].lstrip()
+def _unexpected(text: str, pos: int, end: int, expected: str) -> ParseError:
+    rest = text[pos:end].lstrip()
     found = repr(rest[0]) if rest else "end of input"
-    return ParseError(f"expected {expected}, got {found}", len(text) - len(rest))
+    return ParseError(f"expected {expected}, got {found}", end - len(rest))
 
 
-def _parse_terms(text: str):
-    """Parse into a list of (coefficient, merged {variable: exponent}) pairs.
+def _parse_terms(text: str, pos: int = 0, end: int | None = None):
+    """Parse text[pos:end] into a list of (coefficient, merged {variable:
+    exponent}) pairs; error positions count from the start of `text`.
 
     Repeated factors multiply; exponent-0 factors are dropped (they denote the
     constant 1 and do not enlarge the variable set)."""
-    terms, pos, sign = [], 0, 1
+    end = len(text) if end is None else end
+    terms, sign = [], 1
     while True:
-        m = _COEFFICIENT.match(text, pos)
+        m = _COEFFICIENT.match(text, pos, end)
         coeff = Fraction(-sign if m[1] else sign)
         if m[2]:
             den = _integer(m, 3) if m[3] else 1
@@ -265,17 +267,17 @@ def _parse_terms(text: str):
             coeff *= Fraction(_integer(m, 2), den)
         exps, pos, more = {}, m.end(), True
         while more:
-            f = _FACTOR.match(text, pos)
+            f = _FACTOR.match(text, pos, end)
             if not f:
-                raise _unexpected(text, pos, "a variable")
+                raise _unexpected(text, pos, end, "a variable")
             exp = _integer(f, 2) if f[2] else 1
             if exp:
                 exps[f[1]] = exps.get(f[1], 0) + exp
             pos, more = f.end(), f[3]
         terms.append((coeff, exps))
-        m = _SEPARATOR.match(text, pos)
+        m = _SEPARATOR.match(text, pos, end)
         if not m:
-            raise _unexpected(text, pos, "'*', '+', '-' or the end")
+            raise _unexpected(text, pos, end, "'*', '+', '-' or the end")
         if not m[1]:
             return terms
         sign, pos = -1 if m[1] == "-" else 1, m.end()
@@ -348,18 +350,25 @@ def as_homogeneous(form) -> Polynomial:
 
 def is_coprime_sum(form: Polynomial) -> bool:
     """True iff no two terms of the form share a variable."""
-    return all(sum(map(bool, column)) <= 1 for column in zip(*form.terms))
+    seen = set()
+    for support in form.supports:
+        if not seen.isdisjoint(support):
+            return False
+        seen.update(support)
+    return True
 
 
 def parse_generators(text: str) -> MonomialIdeal:
     """Comma-separated monomial generators, e.g. 'x1^2, x2^2', as a monomial
     ideal over the variables they use, named as in the input."""
-    gen_terms = []
+    gen_terms, start = [], 0
     for chunk in text.split(","):
-        parsed = _parse_terms(chunk)
+        parsed = _parse_terms(text, start, start + len(chunk))
         if len(parsed) != 1 or parsed[0][0] != 1:
-            raise ParseError(f"generator {chunk.strip()!r} must be a plain monomial", 0)
+            raise ParseError(f"generator {chunk.strip()!r} must be a plain monomial",
+                             start + len(chunk) - len(chunk.lstrip()))
         gen_terms.append(parsed[0][1])
+        start += len(chunk) + 1
     variables, gens = _namespace(gen_terms)
     return MonomialIdeal(len(variables), gens, names=variables)
 

@@ -8,6 +8,7 @@ Zero coefficients are never stored.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
 from math import comb, perm
 
 
@@ -51,7 +52,7 @@ def multinomial(d: int, alpha) -> int:
 class Polynomial:
     """A sparse polynomial over a fixed number of variables."""
 
-    __slots__ = ("num_vars", "terms")
+    __slots__ = ("num_vars", "terms", "_supports")
 
     def __init__(self, num_vars: int, terms=None):
         if num_vars < 1:
@@ -67,6 +68,7 @@ class Polynomial:
                 clean[tuple(exps)] = coeff
         self.num_vars = num_vars
         self.terms = clean
+        self._supports = None
 
     @classmethod
     def zero(cls, num_vars: int) -> "Polynomial":
@@ -83,6 +85,14 @@ class Polynomial:
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
+
+    @property
+    def supports(self) -> tuple:
+        """Per term, in the order of `terms`, the positions of its nonzero
+        exponents; found on first use, as the terms never change."""
+        if self._supports is None:
+            self._supports = tuple(tuple(compress(count(), e)) for e in self.terms)
+        return self._supports
 
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}

@@ -1,12 +1,15 @@
 """Reference implementations that only tests use: a term-by-term expansion
 of linear-form powers, point evaluation, the complete-intersection point
-ideal of a monomial, monomial-ideal membership, and a tokenizer with a
-recursive-descent parser for forms.  They check the package from the outside
-and are not part of it."""
+ideal of a monomial, monomial-ideal membership, a tokenizer with a
+recursive-descent parser for forms, a term-by-term mismatch coefficient and
+an all-pairs dependence scan.  They check the package from the outside and
+are not part of it."""
 
 import re
 from fractions import Fraction
+from math import lcm
 
+from waring.cyclotomic import CyclotomicNumber, cyclic_mul, reduce_mod_phi
 from waring.forms import ParseError, pure_power
 from waring.polynomials import Polynomial, compositions, multinomial
 
@@ -183,3 +186,48 @@ def parse_terms(text: str):
                 exps[name] = exps.get(name, 0) + exp
         out.append((coeff, exps))
     return out
+
+
+# -- verification, one term or one pair at a time -----------------------------
+
+def _stretch(lift, step):
+    return {k * step: v for k, v in lift.items()}
+
+
+def coefficient(decomposition, lifted, scale, exps):
+    """The coefficient of x^exps in the expansion, added up term by term from
+    the lifts of `decompose._lift` (the verifier's mismatch value before it
+    summed each field run once).  Each term's contribution is reduced modulo
+    Phi_M of its own field M; the running sum is promoted to the lcm field
+    whenever it is nonzero, and restarts in the next term's field when it is
+    zero."""
+    d = decomposition.degree
+    if sum(exps) != d:
+        return Fraction(0)
+    used = [i for i, a in enumerate(exps) if a]
+    total_field, total = 1, [0]
+    for t, (order, gamma, bases) in zip(decomposition.terms, lifted):
+        if not gamma or any(i not in bases for i in used):
+            continue
+        field = lcm(t.gamma.order, *(t.linear[i].order for i in used))
+        step = order // field
+        acc = gamma
+        for i in used:
+            for _ in range(exps[i]):
+                acc = cyclic_mul(acc, bases[i], order)
+        coords = reduce_mod_phi(((k // step, v) for k, v in acc.items()), field)
+        if any(total):
+            both = lcm(total_field, field)
+            promoted = (reduce_mod_phi(_stretch(dict(enumerate(c)), both // f).items(), both)
+                        for c, f in ((total, total_field), (coords, field)))
+            coords, field = [x + y for x, y in zip(*promoted)], both
+        total_field, total = field, coords
+    m = multinomial(d, exps)
+    return CyclotomicNumber._normalised(total_field, scale, [m * v for v in total])
+
+
+def first_dependent_pair(forms, dependent):
+    """The first pair (i, j), i < j, in loop order, of forms for which
+    `dependent` holds, testing every pair."""
+    return next(((i, j) for i in range(len(forms)) for j in range(i + 1, len(forms))
+                 if dependent(forms[i], forms[j])), None)

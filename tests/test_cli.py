@@ -631,3 +631,29 @@ def test_rank_refuses_a_rank_it_cannot_print(capsys, last, code):
         assert err == "error: the rank has 14610 bits, above the cap 14000 on a printed integer\n"
     else:
         assert out.splitlines()[0] == str(10 ** (last - 1))
+
+
+@pytest.mark.parametrize("generators, message", [
+    ("x1^2,x2^3 @", "expected '*', '+', '-' or the end, got '@' (at position 10)"),
+    ("x1^2, 2*x2^3", "generator '2*x2^3' must be a plain monomial (at position 6)"),
+    ("x1^2,x2^3 + x3", "generator 'x2^3 + x3' must be a plain monomial (at position 5)"),
+])
+def test_hf_generator_errors_count_positions_in_the_whole_argument(capsys, generators, message):
+    """Each comma-separated generator is parsed where it stands, so a
+    position counts from the start of the argument, not of its chunk."""
+    code, out, err = run(capsys, "hf", generators)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_bound_of_wide_sums_takes_seconds():
+    """x1 + ... + x2000 has the single-row degree t = d = 1 only, and
+    x1^200 + ... + x500^200, at the cap, counts 200 degrees from one
+    numerator; neither builds a cell, and each runs one coprime test."""
+    import time
+    for text, bound in ((" + ".join(f"x{i}" for i in range(1, 2001)), 1),
+                        (" + ".join(f"x{i}^200" for i in range(1, 501)), 500)):
+        start = time.perf_counter()
+        proc = _run_process("bound", text, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{bound}\n", "")
+        assert elapsed < 4, f"bound took {elapsed:.1f} s"

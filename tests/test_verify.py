@@ -11,6 +11,7 @@ import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference
 from reference import poly_pow_linear
 from waring import decompose
 from waring.cyclotomic import CyclotomicNumber, euler_phi
@@ -525,3 +526,108 @@ def test_a_block_with_a_general_form_counts_its_pairs(monkeypatch):
     terms[0] = dataclasses.replace(terms[0], linear=tuple(linear))
     tampered = dataclasses.replace(dec, terms=tuple(terms))
     assert not _steps_at_cap(monkeypatch, form, tampered, 4 + 4 + 3).passed
+
+
+# -- each exact step once, against the step-by-step oracles ---------------------
+
+@st.composite
+def dependence_blocks(draw):
+    """Two to eight linear forms in up to three variables: cyclic forms,
+    cyclic multiples of earlier ones (possibly in a larger field), general
+    multiples lam * v of earlier forms (dependent, but no longer cyclic),
+    general forms and zero forms."""
+    n = draw(st.integers(1, 3))
+    forms = []
+    for _ in range(draw(st.integers(2, 8))):
+        kind = draw(st.sampled_from(("cyclic", "cyclic", "copy", "multiple",
+                                     "general", "zero")))
+        if kind in ("copy", "multiple") and forms:
+            old = draw(st.sampled_from(forms))
+            if kind == "copy":
+                order = max(c.order for c in old) * draw(st.sampled_from((1, 2, 3)))
+                lam = _root(order, draw(st.integers(0, order - 1)), draw(moduli))
+            else:
+                lam = draw(cyclotomic().filter(bool))
+            forms.append([c * lam for c in old])
+        elif kind == "general":
+            forms.append([draw(cyclotomic()) for _ in range(n)])
+        elif kind == "zero":
+            forms.append([CyclotomicNumber.from_rational(0, 1)] * n)
+        else:
+            order = draw(st.sampled_from(ORDERS))
+            forms.append([_root(order, draw(st.integers(0, order - 1)), draw(moduli))
+                          if draw(st.integers(0, 3)) else CyclotomicNumber.from_rational(0, 1)
+                          for _ in range(n)])
+    return PowerSumDecomposition(
+        1, tuple(f"x{i}" for i in range(1, n + 1)),
+        tuple(_term(_root(1, 0), linear) for linear in forms))
+
+
+@SETTINGS
+@given(dependence_blocks())
+def test_the_first_dependent_pair_equals_the_all_pairs_scan(dec):
+    """Pairs of cyclic forms are matched by key; every pair with a zero or
+    general form is tested by its minors.  The first pair in loop order is
+    the one that testing every pair by its minors finds."""
+    _, lifted = decompose._lift(dec, [Fraction(1)])
+    forms = [(order, bases) for order, _, bases in lifted]
+    assert decompose._first_dependent_pair(forms) == \
+        reference.first_dependent_pair(forms, decompose._dependent)
+
+
+def test_a_general_multiple_of_a_cyclic_form_is_found_dependent():
+    """(1 + 2 z3) * (x1 + z3 x2) is not cyclic, but dependent on x1 + z3 x2."""
+    v = [_root(3, 0), _root(3, 1)]
+    lam = CyclotomicNumber(3, [1, 2])
+    w = [_root(6, 0), _root(6, 5)]
+    dec = PowerSumDecomposition(1, ("x1", "x2"), tuple(
+        _term(_root(1, 0), linear) for linear in (w, v, [c * lam for c in v])))
+    _, lifted = decompose._lift(dec, [Fraction(1)])
+    assert decompose._first_dependent_pair([(o, b) for o, _, b in lifted]) == (1, 2)
+
+
+@st.composite
+def mixed_field_decompositions(draw):
+    """A true decomposition with its terms re-expressed in larger fields,
+    rescaled by roots of unity, tampered with general numbers, and with
+    cancelling pairs g L^d, -g L^d inserted whose two gammas lie in
+    different fields, so partial sums vanish and restart in other fields."""
+    form = parse_form(draw(st.sampled_from(
+        ["x1*x2", "x1*x2^2", "x1^2*x2^2", "x1*x2*x3", "x1*x2 + x3^2",
+         "x1*x2^2 - 2*x3*x4^2", "x1 + 2*x2"])))
+    dec = decompose_form(form)
+    d = dec.degree
+    terms = []
+    for t in dec.terms:
+        kind = draw(st.sampled_from(("keep", "promote", "rescale", "tamper", "pair")))
+        order = t.gamma.order * draw(st.sampled_from((1, 2, 3, 4)))
+        if kind == "promote":
+            t = dataclasses.replace(t, gamma=t.gamma.promote(order),
+                                    linear=tuple(c.promote(order) if c else c
+                                                 for c in t.linear))
+        elif kind == "rescale":
+            k = draw(st.integers(0, order - 1))
+            t = dataclasses.replace(t, gamma=t.gamma * _root(order, -k * d),
+                                    linear=tuple(c * _root(order, k) for c in t.linear))
+        elif kind == "tamper":
+            t = dataclasses.replace(t, gamma=t.gamma + draw(cyclotomic(order)))
+        elif kind == "pair":
+            g = draw(cyclotomic(draw(st.sampled_from(ORDERS))).filter(bool))
+            other = order * draw(st.sampled_from((1, 2, 3)))
+            terms.append(dataclasses.replace(t, gamma=g))
+            terms.append(dataclasses.replace(t, gamma=-g.promote(lcm(g.order, other))))
+        terms.insert(draw(st.integers(0, len(terms))), t)
+    return form, _repack(dec, terms)
+
+
+@SETTINGS
+@given(mixed_field_decompositions())
+def test_each_field_run_reduced_once_equals_the_term_by_term_sum(problem):
+    """The coefficient at every monomial of degree d: its value and the field
+    it prints in are those of reducing and promoting term by term."""
+    form, dec = problem
+    scale, lifted = decompose._lift(dec, [c for c, _ in form.terms])
+    for exps in compositions(dec.degree, len(dec.variables)):
+        got = decompose._coefficient(dec, lifted, scale, exps)
+        want = reference.coefficient(dec, lifted, scale, exps)
+        assert (got.order, str(got)) == (want.order, str(want)), exps
