@@ -2,10 +2,10 @@
 used by the rank additivity proof.
 
 For one term, or a coprime sum at 1 <= t <= d-1, a catalecticant's rank is
-the number of its nonzero cells, counted without building them (the flattening
-bound of Landsberg and Teitler, FoCM 2010; see `CatalecticantMatrix`), and at
-t = 0 or d, a single row or column, it is 1.  Any other catalecticant is built
-from its nonzero cells and ranked by elimination.
+the number of its nonzero cells, counted unbuilt (the flattening bound of
+Landsberg and Teitler, FoCM 2010; see `CatalecticantMatrix`), and at t = 0 or
+d it is 1; any other is built and ranked by elimination.  The lower bound
+ranks only the degrees that can hold the maximum.
 
 Hilbert functions of monomial-ideal quotients come from the numerator of
 the Hilbert series, HS(T/I) = N(t) / (1 - t)^n, computed by the pivot
@@ -20,7 +20,6 @@ number of standard monomials.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -33,13 +32,14 @@ from .linalg import sparse_rank
 from .polynomials import Polynomial, apply_differential, compositions, multinomial
 from .rank import ResourceLimitError
 
-# Admission cap for `catalecticant_lower_bound`, in units of the work that
-# runs.  Counted ranks (one term, or a coprime sum) cost t_max times the sum
-# over the terms of 2^k, k the term's variables: each count expands
-# prod(1 - s^(m_i + 1)), at most 2^k coefficients at about 1 us each on a
-# 2-vCPU VM.  Elimination costs the nonzero cells over all degrees t,
-# prod(m_i + 1) for a term c * x^m: 2.0 s on x1^66000 + x1^65999*x2's
-# 198,001 cells, 8.2 s on 1.06M (x1^80*x2^80*x3^80 + x1^81*x2^79*x3^80).
+# Admission cap for `catalecticant_lower_bound`, in units of work priced
+# before any catalecticant is built, upper bounds on the work that runs.
+# Counted ranks (one term, or a coprime sum): t_max times the sum over the
+# terms of 2^k, k the term's variables, though one degree is counted, each
+# term expanding prod(1 - s^(m_i + 1)) at about 1 us per coefficient (2
+# vCPUs).  Elimination: the nonzero cells over all degrees, prod(m_i + 1) per
+# term c * x^m, though only t <= d/2 is built; x1^66000 + x1^65999*x2 has
+# 198,001 and takes 1.0 s.
 MAX_BOUND_CELLS = 2 * 10 ** 5
 
 # Admission cap for `hf_table`, in running-sum steps: a table to degree t_max
@@ -70,10 +70,10 @@ class CatalecticantMatrix:
     Term c * x^m fills the nonzero cells (m - beta, beta), beta <= m, and the
     row m - beta fixes beta; a row shared with term x^m' divides gcd(x^m, x^m')
     and has degree d - t >= 1, so the terms share a variable (columns likewise,
-    as t >= 1).  No two cells share a row or column: the rank is their number.
-    At t = 0 or d the matrix is one column or one row of a nonzero form, of
-    rank 1.  The counts read each term's nonzero positions, which the form
-    finds once for all degrees (`Polynomial.supports`).
+    as t >= 1).  No two cells share a row or column: the rank is their number,
+    the sum over the terms of the coefficient of s^t in prod(1 + ... + s^m_i)
+    over the term's nonzero exponents (`Polynomial.supports`).  At t = 0 or d
+    the matrix is one column or one row of a nonzero form, of rank 1.
     """
 
     t: int
@@ -108,8 +108,8 @@ class CatalecticantMatrix:
             return 1        # a single row or column, of a nonzero form
         if not is_coprime_sum(self.form):
             return sparse_rank(self.entries.values())
-        return sum(n * _divisor_count(k, numerator, self.t)
-                   for n, k, numerator in _term_shapes(self.form))
+        return sum(_divisor_count([m[i] for i in support], self.t)
+                   for m, support in zip(self.form.terms, self.form.supports))
 
 
 def _divisors_of_degree(m, t):
@@ -125,26 +125,14 @@ def _divisors_of_degree(m, t):
             yield beta + (rest,)
 
 
-def _term_shapes(form):
-    """(n, k, N) over the distinct multisets of the k nonzero exponents m_i
-    of the form's terms: n terms share the multiset, and
-    N = prod(1 - s^(m_i + 1)) is the numerator of the Hilbert series of
-    T/(X_i^(m_i + 1))."""
-    shapes = Counter(tuple(sorted(m[i] for i in support))
-                     for m, support in zip(form.terms, form.supports))
-    counted = []
-    for shape, n in shapes.items():
-        numerator = {0: 1}
-        for a in shape:
-            numerator = _plus_shifted(numerator, numerator, a + 1, -1)
-        counted.append((n, len(shape), numerator))
-    return counted
-
-
-def _divisor_count(k, numerator, t) -> int:
-    """#{beta <= m : |beta| = t}, that is HF(t) of T/(X_i^(m_i + 1)) over
-    the k nonzero m_i, from its numerator."""
-    return sum(c * comb(t - j + k - 1, k - 1) for j, c in numerator.items() if j <= t) if k else 1
+def _divisor_count(exponents, t) -> int:
+    """#{beta <= m : |beta| = t} over the nonzero exponents m_i, that is
+    HF(t) of T/(X_i^(m_i + 1)), from its numerator prod(1 - s^(m_i + 1))."""
+    numerator = {0: 1}
+    for a in exponents:
+        numerator = _plus_shifted(numerator, numerator, a + 1, -1)
+    k = len(exponents)
+    return sum(c * comb(t - j + k - 1, k - 1) for j, c in numerator.items() if j <= t)
 
 
 def catalecticant(form, t: int) -> CatalecticantMatrix:
@@ -161,16 +149,24 @@ def catalecticant_lower_bound(form, t_max=None) -> int:
     `form` is a CoprimeForm or a nonzero homogeneous Polynomial, such as the
     output of `apply_differential` (see `forms.as_homogeneous`).
 
+    Only t <= d/2 is ranked, as C_(d-t) is the transpose of C_t.  A counted
+    form (one term, or a coprime sum) is ranked at min(t_max, d // 2) alone:
+    its rank at t sums over the terms the coefficient of s^t in prod(1 + s +
+    ... + s^m_i), each symmetric and unimodal about d/2 (Stanley, "Log-concave
+    and unimodal sequences in algebra, combinatorics, and geometry", 1989).
+
     Raises ResourceLimitError, before building any catalecticant, when the
     estimated work (see MAX_BOUND_CELLS) exceeds that cap."""
     form = as_homogeneous(form)
+    d = form.degree
     if t_max is None:
-        t_max = form.degree
+        t_max = d
     if t_max < 1:
         raise ValueError(f"t_max must be at least 1, got {t_max}")
-    if t_max > form.degree:
-        raise ValueError(f"t_max {t_max} exceeds degree {form.degree}")
-    if is_coprime_sum(form):
+    if t_max > d:
+        raise ValueError(f"t_max {t_max} exceeds degree {d}")
+    counted = is_coprime_sum(form)
+    if counted:
         cost = t_max * sum(2 ** len(support) for support in form.supports)
         unit = f"counting steps ({t_max} times the sum over terms of 2^k, k its variables)"
     else:
@@ -180,7 +176,9 @@ def catalecticant_lower_bound(form, t_max=None) -> int:
         raise ResourceLimitError(
             f"the catalecticants of this form take an estimated {cost} {unit}, "
             f"above the cap {MAX_BOUND_CELLS}")
-    return max(catalecticant(form, t).rank() for t in range(1, t_max + 1))
+    top = min(t_max, d // 2)     # 0 only for d = 1, whose C_0 has rank 1
+    return max(catalecticant(form, t).rank()
+               for t in ((top,) if counted else range(1, top + 1)))
 
 
 def bound_cells(form) -> int:

@@ -78,10 +78,10 @@ MAX_SOLVE_COST = 10 ** 8
 MAX_FIELD_ORDER = 10 ** 3
 
 # Admission cap for verification, in steps counted before any expansion:
-# compositions of d per group of cyclic terms and per other term, plus every
-# pair of a block with a non-cyclic form, an upper bound on the pairs tested
-# one by one (those with a non-cyclic form).  A step costs up to 12 us
-# (2 vCPUs); x1*...*x9, the largest block decompose admits, takes 24,310.
+# compositions of d per group of cyclic terms and per other term, plus
+# min(n k, n (n - 1) / 2) per block of n forms, k of them zero or general,
+# an upper bound on the pairs tested one by one (those with such a form).
+# A step costs up to 12 us (2 vCPUs); x1*...*x9 takes 24,310.
 MAX_VERIFY_STEPS = 10 ** 6
 
 
@@ -244,8 +244,8 @@ def verify_decomposition(form: CoprimeForm,
     blocks = {}
     for t, (order, _, bases) in zip(decomposition.terms, lifted):
         blocks.setdefault(t.block, []).append((order, bases))
-    pairs = sum(len(forms) * (len(forms) - 1) // 2 for forms in blocks.values()
-                if not all(_cyclic(bases) for _, bases in forms))
+    pairs = sum(min(len(forms) * sum(not _cyclic(bases) for _, bases in forms),
+                    len(forms) * (len(forms) - 1) // 2) for forms in blocks.values())
     residual = _residual(target, lifted, d, len(variables), scale, pairs)
     bad = (exps for exps in sorted(residual) if not _vanishes(residual[exps]))
     mismatches = tuple((monomial_text(variables, exps), str(target.get(exps, Fraction(0))),

@@ -62,7 +62,7 @@ class Polynomial:
             if len(exps) != num_vars:
                 raise ValueError(
                     f"exponent tuple {exps} has length {len(exps)}, expected {num_vars}")
-            if any(e < 0 for e in exps):
+            if min(exps) < 0:
                 raise ValueError(f"negative exponent in {exps}")
             if coeff:
                 clean[tuple(exps)] = coeff

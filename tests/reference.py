@@ -1,16 +1,17 @@
 """Reference implementations that only tests use: a term-by-term expansion
 of linear-form powers, point evaluation, the complete-intersection point
 ideal of a monomial, monomial-ideal membership, a tokenizer with a
-recursive-descent parser for forms, a term-by-term mismatch coefficient and
-an all-pairs dependence scan.  They check the package from the outside and
-are not part of it."""
+recursive-descent parser for forms, a term-by-term mismatch coefficient, an
+all-pairs dependence scan and a catalecticant bound over every degree.  They
+check the package from the outside and are not part of it."""
 
 import re
 from fractions import Fraction
 from math import lcm
 
+from waring.apolarity import catalecticant
 from waring.cyclotomic import CyclotomicNumber, cyclic_mul, reduce_mod_phi
-from waring.forms import ParseError, pure_power
+from waring.forms import ParseError, as_homogeneous, pure_power
 from waring.polynomials import Polynomial, compositions, multinomial
 
 
@@ -231,3 +232,13 @@ def first_dependent_pair(forms, dependent):
     `dependent` holds, testing every pair."""
     return next(((i, j) for i in range(len(forms)) for j in range(i + 1, len(forms))
                  if dependent(forms[i], forms[j])), None)
+
+
+# -- catalecticant bounds, every degree ranked ----------------------------------
+
+def all_degrees_bound(form, t_max=None) -> int:
+    """max over t = 1..t_max (default d) of the catalecticant rank, ranking
+    every degree (the loop that `catalecticant_lower_bound` cut to t <= d/2)."""
+    form = as_homogeneous(form)
+    t_max = form.degree if t_max is None else t_max
+    return max(catalecticant(form, t).rank() for t in range(1, t_max + 1))

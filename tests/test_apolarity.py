@@ -9,7 +9,7 @@ import sympy
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from reference import contains_monomial
+from reference import all_degrees_bound, contains_monomial
 from waring.apolarity import (
     MAX_HF_STEPS,
     ClaimPreconditionError,
@@ -248,6 +248,33 @@ def test_counted_rank_equals_the_elimination_it_replaces(form):
             assert "entries" not in vars(cat), (form, t)
         assert rank == sparse_rank(cat.entries.values()), (form, t)
 
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(_coprime_sums(), _homogeneous_forms()), st.integers(0, 10))
+@example(parse_homogeneous("x1 + 2*x2"), 0)                # d = 1
+@example(parse_homogeneous("x1 + 2*x2"), 1)
+@example(parse_homogeneous("x1^2 + x1*x2"), 0)             # d = 2, shared x1
+@example(parse_homogeneous("x1*x2"), 1)
+@example(parse_homogeneous("x1^2*x2 + x1*x2^2"), 0)        # odd d
+@example(parse_homogeneous("x1^4*x2^3 + x1*x2^6"), 2)      # t_max below d/2
+@example(parse_homogeneous("x1^2*x2^3 + x3^5"), 1)
+@example(parse_homogeneous("x1^2*x2^3 + x3^5"), 4)
+def test_the_bound_equals_the_maximum_over_every_degree(form, cut):
+    """t_max is None for cut 0 and otherwise runs over 1..d."""
+    t_max = None if cut == 0 else 1 + (cut - 1) % form.degree
+    assert catalecticant_lower_bound(form, t_max) == all_degrees_bound(form, t_max)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_coprime_sums())
+def test_counted_ranks_are_symmetric_and_rise_to_the_middle(form):
+    d = form.degree
+    ranks = [catalecticant(form, t).rank() for t in range(1, d)]     # t = 1..d-1
+    assert ranks == ranks[::-1], form
+    assert ranks[:d // 2] == sorted(ranks[:d // 2]), form
+
+
 def test_hf_monomial_quotient_square_gens():
     J = MonomialIdeal(2, [(2, 0), (0, 2)])
     assert hf_table(J, 3) == [1, 2, 1, 0]
@@ -393,7 +420,7 @@ def test_bound_cell_cap_is_checked_before_any_catalecticant(monkeypatch):
     assert apolarity.bound_cells(at_cap) == apolarity.MAX_BOUND_CELLS
     assert apolarity.bound_cells(over) == 101 ** 3 + 102 * 100 * 101 == 2060501
     apolarity.catalecticant_lower_bound(at_cap)
-    assert built == list(range(1, at_cap.degree + 1))
+    assert built == list(range(1, at_cap.degree // 2 + 1))
     built.clear()
     with pytest.raises(ResourceLimitError, match="2060501"):
         apolarity.catalecticant_lower_bound(over)
@@ -401,7 +428,7 @@ def test_bound_cell_cap_is_checked_before_any_catalecticant(monkeypatch):
         apolarity.catalecticant_lower_bound(over, 1)
     # counted: t_max times the sum over terms of 2^k, k the term's variables
     apolarity.catalecticant_lower_bound(parse_form("x1^49999*x2"))    # 50000 * 4
-    assert built == list(range(1, 50001))
+    assert built == [25000]
     built.clear()
     with pytest.raises(ResourceLimitError, match="200004"):
         apolarity.catalecticant_lower_bound(parse_form("x1^50000*x2"))
@@ -412,7 +439,7 @@ def test_bound_cell_cap_is_checked_before_any_catalecticant(monkeypatch):
         apolarity.catalecticant_lower_bound(coprime)
     assert built == []
     apolarity.catalecticant_lower_bound(coprime, 33333)     # 33333 * 6
-    assert built == list(range(1, 33334))
+    assert built == [16667]
 
 
 # -- Hilbert functions from the Hilbert-series numerator, against enumeration ---

@@ -646,9 +646,9 @@ def test_hf_generator_errors_count_positions_in_the_whole_argument(capsys, gener
 
 
 def test_bound_of_wide_sums_takes_seconds():
-    """x1 + ... + x2000 has the single-row degree t = d = 1 only, and
-    x1^200 + ... + x500^200, at the cap, counts 200 degrees from one
-    numerator; neither builds a cell, and each runs one coprime test."""
+    """x1 + ... + x2000 has degree 1, where the bound is 1, and x1^200 + ...
+    + x500^200, at the cap, is counted at the one degree t = 100; neither
+    builds a cell."""
     import time
     for text, bound in ((" + ".join(f"x{i}" for i in range(1, 2001)), 1),
                         (" + ".join(f"x{i}^200" for i in range(1, 501)), 500)):

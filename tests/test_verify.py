@@ -528,6 +528,21 @@ def test_a_block_with_a_general_form_counts_its_pairs(monkeypatch):
     assert not _steps_at_cap(monkeypatch, form, tampered, 4 + 4 + 3).passed
 
 
+def test_a_wide_block_with_a_general_form_counts_only_the_pairs_it_tests(monkeypatch):
+    """x1*...*x9 with one linear form made general: its other 255 terms still
+    form one group (C(17, 8) = 24310 steps), the general term adds its own
+    24310 compositions, and the block n k = 256 pairs for its k = 1 general
+    form of n = 256, not all 32,640."""
+    form = parse_form("*".join(f"x{i}" for i in range(1, 10)))
+    dec = decompose_form(form)
+    terms = list(dec.terms)
+    linear = list(terms[0].linear)
+    linear[1] = linear[1] + CyclotomicNumber(3, ["1/2", "1"])
+    terms[0] = dataclasses.replace(terms[0], linear=tuple(linear))
+    tampered = dataclasses.replace(dec, terms=tuple(terms))
+    assert not _steps_at_cap(monkeypatch, form, tampered, 24310 + 24310 + 256).passed
+
+
 # -- each exact step once, against the step-by-step oracles ---------------------
 
 @st.composite
