@@ -25,6 +25,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, product
 from math import comb, prod
+from operator import ge
 
 from .forms import CoprimeForm, MonomialIdeal, as_homogeneous, dual_names, \
     is_coprime_sum, minimalize, pure_power
@@ -291,7 +292,10 @@ def total_multiplicity(ideal: MonomialIdeal) -> int:
 
 
 def intersect_monomial_ideals(ideals) -> MonomialIdeal:
-    """Intersection, via pairwise LCMs of generators, iterated and minimalized."""
+    """Intersection, via pairwise LCMs of generators, iterated and minimalized.
+    A generator that lies in the other ideal divides every LCM it forms, so
+    it is kept as it is, and LCMs are taken only between the generators of
+    each ideal that lie outside the other."""
     ideals = list(ideals)
     if not ideals:
         raise ValueError("need at least one ideal")
@@ -300,9 +304,19 @@ def intersect_monomial_ideals(ideals) -> MonomialIdeal:
         raise ValueError("ideals must share the ambient ring")
     gens = list(ideals[0].generators)
     for other in ideals[1:]:
-        gens = minimalize([tuple(max(a, b) for a, b in zip(g, h))
-                           for g in gens for h in other.generators])
+        inside, outside = _split_by_membership(gens, other.generators)
+        other_inside, other_outside = _split_by_membership(other.generators, gens)
+        gens = minimalize(inside + other_inside + [
+            tuple(map(max, g, h)) for g in outside for h in other_outside])
     return MonomialIdeal(num_vars, gens, ideals[0].names)
+
+
+def _split_by_membership(gens, ideal_gens):
+    """(the gens that some generator in ideal_gens divides, the others)."""
+    inside, outside = [], []
+    for g in gens:
+        (inside if any(all(map(ge, g, h)) for h in ideal_gens) else outside).append(g)
+    return inside, outside
 
 
 # -- the intersection identity --------------------------------------------------

@@ -211,6 +211,8 @@ class CyclotomicNumber:
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicNumber):
+            if other.order == self.order:
+                return self, other
             n = lcm(self.order, other.order)
             return self.promote(n), other.promote(n)
         if isinstance(other, (int, Fraction)):

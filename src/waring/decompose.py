@@ -19,9 +19,15 @@ So the unique solution of the square system solves every monomial row.
 Its right-hand side is c * e_a = c * (e_(a_1) x ... x e_(a_n)), so the
 solution is c / mult(a) times the Kronecker product of the solutions y_i
 of V_i y_i = e_(a_i): one (a_i+1)-square solve in Q(zeta_(a_i+1)) per
-variable, its values promoted to Q(zeta_N), N = lcm of the root orders.
-`waring decompose` still verifies the result in full.  A sum of coprime
-monomials is decomposed blockwise and the blocks concatenated.
+distinct exponent, against the character table V_(a_i+1), built once per
+root order and shared as a tuple of tuples.  Each y_i[k] is lifted once
+into Z[t]/(t^N - 1), N = lcm of the root orders, with its denominator
+split off (a root-of-unity multiple lifts to one power, see below), the
+Kronecker product is taken of the lifts in grid order (an index shift per
+factor), and each gamma is reduced modulo Phi_N once.  The grid points
+share one list of roots per variable.  `waring decompose` still verifies
+the result in full.  A sum of coprime monomials is decomposed blockwise
+and the blocks concatenated.
 
 Verification expands sum gamma_j L_j^d with integer coefficients in
 Z[t]/(t^N - 1) over one common denominator, and reduces each monomial's
@@ -53,6 +59,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm, log10, prod
 
 from .cyclotomic import CyclotomicNumber, cyclic_lift, cyclic_mul, \
@@ -105,30 +112,40 @@ class PowerSumDecomposition:
     terms: tuple
 
 
+@lru_cache(maxsize=16)
+def _character_table(m: int) -> tuple:
+    """The character table V_m[b][k] = zeta_m^(k b), b, k < m, of the m-th
+    roots of unity, as a tuple of tuples over Q(zeta_m).  Every gamma solve
+    of root order m shares it; `solve_exact` does not change its matrix."""
+    return tuple(tuple(CyclotomicNumber.zeta(m, k * b) for k in range(m))
+                 for b in range(m))
+
+
 def decomposition_points(monomial: Monomial):
     """All apolar grid points for a monomial, in lexicographic order of the
     root exponents k_i < a_i + 1 over the sorted non-least variables;
     coordinates are aligned to the monomial's input variable order, with 1
-    on the least-exponent variable."""
+    on the least-exponent variable.  The points share one 1 and one list of
+    the a_i + 1 roots per non-least variable."""
     order = decomposition_field_order(monomial)
     items = monomial.sorted_items
     positions = [monomial.variables.index(v) for v, _ in items]
-    points = []
-    for root_exps in itertools.product(*(range(a + 1) for _, a in items[1:])):
-        coords = [None] * monomial.n
-        coords[positions[0]] = CyclotomicNumber.from_rational(1, order)
-        for (_, a), pos, k in zip(items[1:], positions[1:], root_exps):
-            coords[pos] = cyclotomic_embed(a + 1, k, order)
-        points.append(tuple(coords))
-    return points
+    where = sorted(range(monomial.n), key=positions.__getitem__)
+    roots = [[CyclotomicNumber.from_rational(1, order)],
+             *([cyclotomic_embed(a + 1, k, order) for k in range(a + 1)]
+               for _, a in items[1:])]
+    return [tuple(coords[i] for i in where) for coords in itertools.product(*roots)]
 
 
 def solve_gammas(monomial: Monomial, coefficient=Fraction(1)) -> PowerSumDecomposition:
     """Decompose coefficient * M as a sum of rank(M) powers of the grid linear
     forms: gamma_k = coefficient / multinomial(d; a) * prod_i y_i[k_i], where
     V_i y_i = e_(a_i) is solved exactly in Q(zeta_(a_i+1)), once per distinct
-    a_i.  The module docstring explains why these gammas solve the square
-    character system and every other monomial row.
+    a_i, against the cached character table V_i.  Each y_i[k] is lifted once
+    into Z[t]/(t^N - 1) over its denominator; a gamma is the product of its
+    factors' lifts, over the product of their denominators, reduced modulo
+    Phi_N and normalised once.  The module docstring explains why these
+    gammas solve the square character system and every other monomial row.
     """
     coefficient = Fraction(coefficient)
     if coefficient == 0:
@@ -139,21 +156,26 @@ def solve_gammas(monomial: Monomial, coefficient=Fraction(1)) -> PowerSumDecompo
     factors = {}
     for a in exps[1:]:
         if a not in factors:
-            matrix = [[CyclotomicNumber.zeta(a + 1, k * b) for k in range(a + 1)]
-                      for b in range(a + 1)]
-            rhs = [CyclotomicNumber.from_rational(int(b == a), a + 1) for b in range(a + 1)]
+            table = _character_table(a + 1)
+            # e_a: zeros, then table[0][0] = zeta^0 = 1
+            rhs = [CyclotomicNumber.from_rational(0, a + 1)] * a + [table[0][0]]
             try:
-                factors[a] = [y.promote(order) for y in solve_exact(LinearSystem(matrix, rhs))]
+                ys = solve_exact(LinearSystem(table, rhs))
             except (InconsistentSystemError, UnderdeterminedSystemError) as exc:
                 raise DecompositionSolveError(
                     f"gamma system for {monomial} has no unique solution: {exc}") from exc
-    # the Kronecker product, built one variable at a time in grid order
-    gammas = [CyclotomicNumber.from_rational(coefficient / multinomial(d, exps), order)]
+            factors[a] = [(cyclic_lift(y, order, y.denominator), y.denominator) for y in ys]
+    # the Kronecker product of the lifts, one variable at a time in grid
+    # order, each with the product of its denominators
+    scale = coefficient / multinomial(d, exps)
+    lifts = [({0: scale.numerator}, scale.denominator)]
     for a in exps[1:]:
-        gammas = [g * y for g in gammas for y in factors[a]]
+        lifts = [(cyclic_mul(g, y, order), den * e) for g, den in lifts for y, e in factors[a]]
     terms = tuple(
-        DecompositionTerm(gamma=g, linear=coords, block=0, point=coords)
-        for g, coords in zip(gammas, decomposition_points(monomial)))
+        DecompositionTerm(
+            gamma=CyclotomicNumber._normalised(order, den, reduce_mod_phi(g.items(), order)),
+            linear=coords, block=0, point=coords)
+        for (g, den), coords in zip(lifts, decomposition_points(monomial)))
     return PowerSumDecomposition(d, monomial.variables, terms)
 
 

@@ -2,8 +2,9 @@
 of linear-form powers, point evaluation, the complete-intersection point
 ideal of a monomial, monomial-ideal membership, a tokenizer with a
 recursive-descent parser for forms, a term-by-term mismatch coefficient, an
-all-pairs dependence scan and a catalecticant bound over every degree.  They
-check the package from the outside and are not part of it."""
+all-pairs dependence scan, a catalecticant bound over every degree and the
+plain pairwise-LCM intersection of monomial ideals.  They check the package
+from the outside and are not part of it."""
 
 import re
 from fractions import Fraction
@@ -11,7 +12,8 @@ from math import lcm
 
 from waring.apolarity import catalecticant
 from waring.cyclotomic import CyclotomicNumber, cyclic_mul, reduce_mod_phi
-from waring.forms import ParseError, as_homogeneous, pure_power
+from waring.forms import MonomialIdeal, ParseError, as_homogeneous, minimalize, \
+    pure_power
 from waring.polynomials import Polynomial, compositions, multinomial
 
 
@@ -242,3 +244,15 @@ def all_degrees_bound(form, t_max=None) -> int:
     form = as_homogeneous(form)
     t_max = form.degree if t_max is None else t_max
     return max(catalecticant(form, t).rank() for t in range(1, t_max + 1))
+
+
+# -- monomial ideals, every pair of generators joined ---------------------------
+
+def pairwise_lcm_intersection(ideals) -> MonomialIdeal:
+    """J_1 cap ... cap J_r as the minimalized LCMs of every pair of
+    generators, one ideal at a time."""
+    gens = list(ideals[0].generators)
+    for other in ideals[1:]:
+        gens = minimalize([tuple(max(a, b) for a, b in zip(g, h))
+                           for g in gens for h in other.generators])
+    return MonomialIdeal(ideals[0].num_vars, gens)

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from reference import all_degrees_bound, contains_monomial
+from reference import all_degrees_bound, contains_monomial, pairwise_lcm_intersection
 from waring.apolarity import (
     MAX_HF_STEPS,
     ClaimPreconditionError,
@@ -326,6 +326,28 @@ def test_intersection_of_ideals():
     J2 = MonomialIdeal(2, [(2, 0), (0, 1)])
     meet = intersect_monomial_ideals([J1, J2])
     assert meet.generators == ((0, 2), (1, 1), (2, 0))
+
+
+@st.composite
+def _ideal_families(draw):
+    """1 to 4 monomial ideals in 1 to 4 shared variables, each with 0 to 5
+    generators of exponents at most 4: the zero ideal (no generator) and
+    the unit ideal (the generator 0) included."""
+    n = draw(st.integers(1, 4))
+    gens = st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=5)
+    return [MonomialIdeal(n, g) for g in draw(st.lists(gens, min_size=1, max_size=4))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_ideal_families())
+@example([MonomialIdeal(2, []), MonomialIdeal(2, [(1, 0), (0, 2)])])       # zero
+@example([MonomialIdeal(2, [(1, 0), (0, 2)]), MonomialIdeal(2, [])])
+@example([MonomialIdeal(2, [(0, 0)]), MonomialIdeal(2, [(1, 0), (0, 2)])])  # unit
+@example([MonomialIdeal(2, [(2, 1), (0, 3)]), MonomialIdeal(2, [(0, 0)])])
+@example([MonomialIdeal(3, [(0, 0, 0)]), MonomialIdeal(3, [(0, 0, 0)])])
+@example([MonomialIdeal(2, [(1, 1)]), MonomialIdeal(2, [(2, 0), (0, 2), (1, 1)])])
+def test_intersection_equals_the_pairwise_lcm_product(ideals):
+    assert intersect_monomial_ideals(ideals) == pairwise_lcm_intersection(ideals)
 
 
 def test_claim_identity_trivial_r1():

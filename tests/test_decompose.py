@@ -309,3 +309,80 @@ def test_decompose_solves_one_small_system_per_distinct_exponent(monkeypatch):
         for s, a in zip(systems, expected):
             assert all(len(row) == a + 1 for row in s.matrix)
             assert {x.order for x in [*itertools.chain(*s.matrix), *s.rhs]} == {a + 1}
+
+
+# -- the gamma build around the solve ------------------------------------------
+
+_BUILD_FORMS = ("x1^3", "x1*x2^2", "x1*x2^4*x3^8", "x3^2*x1^5*x2^2", "x1^2*x2^2*x3^2*x4^2",
+                "3/2*x1*x2^2 - 2/5*x3^3", "x1^2*x2^2*x3^2*x4^2 - 7/3*x5*x6*x7^6")
+
+
+def test_decompose_multiplies_cyclotomic_numbers_only_inside_the_solve(monkeypatch):
+    """The gammas are products of lifted factors and the points share their
+    roots, so no CyclotomicNumber product runs outside `solve_exact`."""
+    from waring import decompose
+    counts = {True: 0, False: 0}     # inside a solve -> products
+    depth = [0]
+    multiply = CyclotomicNumber.__mul__
+
+    def counting(self, other):
+        counts[depth[0] > 0] += 1
+        return multiply(self, other)
+
+    def solving(system):
+        depth[0] += 1
+        try:
+            return solve_exact(system)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", counting)
+    monkeypatch.setattr(CyclotomicNumber, "__rmul__", counting)
+    monkeypatch.setattr(decompose, "solve_exact", solving)
+    for text in _BUILD_FORMS:
+        counts[True] = counts[False] = 0
+        decompose_form(parse_form(text))
+        assert counts[False] == 0, text
+        assert counts[True] > 0 or text == "x1^3", text
+
+
+def test_grid_points_share_one_root_per_variable_and_power(monkeypatch):
+    from waring import decompose
+    built = []
+
+    def recording(root_order, power, field_order):
+        built.append((root_order, power))
+        return cyclotomic_embed(root_order, power, field_order)
+
+    monkeypatch.setattr(decompose, "cyclotomic_embed", recording)
+    for text in _BUILD_FORMS:
+        form = parse_form(text)
+        built.clear()
+        dec = decompose_form(form)
+        assert sorted(built) == sorted((a + 1, k) for m in form.monomials
+                                       for _, a in m.sorted_items[1:] for k in range(a + 1))
+        for block, (_, m) in enumerate(form.terms):
+            points = [t.point for t in dec.terms if t.block == block]
+            for j, (v, a) in enumerate(m.sorted_items):
+                objects = {id(p[m.variables.index(v)]) for p in points}
+                assert len(objects) == (a + 1 if j else 1), (text, v)
+
+
+def test_character_tables_are_shared_tuples_the_solve_leaves_unchanged():
+    from waring.decompose import _character_table
+
+    def fresh(m):
+        return tuple(tuple(CyclotomicNumber.zeta(m, k * b) for k in range(m))
+                     for b in range(m))
+
+    tables = {m: _character_table(m) for m in (2, 3, 5, 7, 9)}
+    for m, table in tables.items():
+        assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
+        assert _character_table(m) is table
+    forms = [parse_form(text) for text in _BUILD_FORMS]
+    first = [decompose_form(form) for form in forms]
+    second = [decompose_form(form) for form in forms]
+    assert first == second
+    for m, table in tables.items():
+        assert _character_table(m) is table
+        assert table == fresh(m)
