@@ -91,6 +91,7 @@ def cmd_verify(args) -> int:
         except RecursionError:
             raise ValueError(f"{args.decomposition}: JSON nested too deeply") from None
     dec = serialize.decomposition_from_json(obj)
+    decompose.check_blocks(form, dec)
     report = decompose.verify_decomposition(form, dec)
     print(f"expansion matches: {report.expansion_matches}")
     for mono, want, got in report.mismatches:

@@ -30,11 +30,14 @@ the result in full.  A sum of coprime monomials is decomposed blockwise
 and the blocks concatenated.
 
 Verification expands sum gamma_j L_j^d with integer coefficients in
-Z[t]/(t^N - 1) over one common denominator, and reduces each monomial's
-residual modulo Phi_N once, N the lcm of the orders of the terms that reach
-that monomial (so blocks in different fields never meet in one large
-field).  That single reduction is exact: t -> zeta_N is a ring map onto
-Q(zeta_N), so a residual vanishes in the field iff its reduction is zero.
+Z[t]/(t^N - 1) over one common denominator.  One pass over each term's
+coordinates finds its nonzero ones, its order, its denominator and the
+largest fields it meets, and each distinct number is lifted once per
+(order, scale).  Each monomial's residual is reduced modulo Phi_N once,
+N the lcm of the orders of the terms that reach that monomial (so blocks
+in different fields never meet in one large field).  That single
+reduction is exact: t -> zeta_N is a ring map onto Q(zeta_N), so a
+residual vanishes in the field iff its reduction is zero.
 
 A cyclic term, whose nonzero coordinates lift to single powers q_i t^(e_i)
 (every grid term does), adds multinomial(d; b) * prod q_i^(b_i) *
@@ -49,9 +52,13 @@ Terms with any other coordinate add one product per monomial.
 A mismatch prints the coefficient in the field of the terms that reach it:
 each run of terms in the running field F is summed in Z[t]/(t^F - 1) and
 reduced modulo Phi_F once, when a term of another field arrives or at the
-end.  Two cyclic linear forms are dependent iff their polar-form keys are
-equal, so only the pairs with a zero or general form are tested one by
-one, by their minors.
+end.  A term whose coordinates at x^b are single powers q_i t^(k_i) adds
+its gamma's lift shifted by sum k_i b_i and scaled by prod q_i^(b_i), with
+no product.  Two cyclic linear forms are dependent iff their polar-form
+keys are equal: per coordinate, the modulus over the gcd of the moduli and
+the angle less the first one's, an integer in units of 1/(2L), L the lcm
+of the block's orders.  So only the pairs with a zero or general form are
+tested one by one, by their minors.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, log10, prod
+from operator import mod
 
 from .cyclotomic import CyclotomicNumber, cyclic_lift, cyclic_mul, \
     cyclotomic_embed, euler_phi, reduce_mod_phi
@@ -305,34 +313,44 @@ def _lift(decomposition, target_coeffs):
     linear-coefficient denominators; and per term (N, the lift of
     D / E^d * gamma, {i: lift of E * c_i} over its nonzero linear
     coefficients c_i), so each product gamma * prod (E * c_i)^(a_i) with
-    sum a_i = d is D times its value.  Each distinct (number, N, scale) is
-    lifted once; terms share the lifts, which nothing mutates.
+    sum a_i = d is D times its value.  One pass over each term's
+    coordinates finds its nonzero ones, N, E and the per-variable field
+    lcms.  Each distinct (number, N, scale), keyed by value, is lifted once;
+    terms share the lifts, which nothing mutates.
     """
     d = decomposition.degree
-    terms = decomposition.terms
-    orders = [lcm(t.gamma.order, *(c.order for c in t.linear if c)) for t in terms]
     # the largest fields a residual, a mismatch or a dependence test meets:
     # each term's, and the lcm over the terms that share a variable
-    worst = max([1, *orders, *(lcm(*(n for t, n in zip(terms, orders) if t.linear[i]))
-                               for i in range(len(decomposition.variables)))])
-    if worst > MAX_FIELD_ORDER:
-        raise ResourceLimitError(f"verifying needs the field Q(zeta_{worst}), above "
+    worst = [1] * len(decomposition.variables)
+    shapes = []             # per term: (gamma, N, E, its nonzero (i, c))
+    for t in decomposition.terms:
+        order, den, used = t.gamma.order, 1, []
+        for i, c in enumerate(t.linear):
+            c_den, ints = c._ints
+            if any(ints):
+                used.append((i, c))
+                order, den = lcm(order, c.order), lcm(den, c_den)
+        for i, _ in used:
+            worst[i] = lcm(worst[i], order)
+        shapes.append((t.gamma, order, den, used))
+    top = max([1, *worst, *(order for _, order, _, _ in shapes)])
+    if top > MAX_FIELD_ORDER:
+        raise ResourceLimitError(f"verifying needs the field Q(zeta_{top}), above "
                                  f"the field order cap {MAX_FIELD_ORDER}")
-    dens = [lcm(*(c.denominator for c in t.linear)) for t in terms]
     scale = lcm(*(c.denominator for c in target_coeffs),
-                *(t.gamma.denominator * e ** d for t, e in zip(terms, dens)))
+                *(gamma.denominator * e ** d for gamma, _, e, _ in shapes))
     table = {}
 
     def lift(x, order, factor):
-        key = (x.order, x._integer_coords(), order, factor)
-        if key not in table:
-            table[key] = cyclic_lift(x, order, factor)
-        return table[key]
+        key = (x.order, x._ints, order, factor)
+        value = table.get(key)
+        if value is None:
+            value = table[key] = cyclic_lift(x, order, factor)
+        return value
 
-    return scale, [
-        (order, lift(t.gamma, order, scale // e ** d),
-         {i: lift(c, order, e) for i, c in enumerate(t.linear) if c})
-        for t, e, order in zip(terms, dens, orders)]
+    return scale, [(order, lift(gamma, order, scale // e ** d),
+                    {i: lift(c, order, e) for i, c in used})
+                   for gamma, order, e, used in shapes]
 
 
 def _power(base, a, order):
@@ -360,7 +378,7 @@ def _powers(base, d, order):
 def _cyclic(bases) -> bool:
     """Whether a lifted linear form {index: lift} is nonzero and each of its
     coordinates lifts to a single power q t^k."""
-    return bool(bases) and all(len(b) == 1 for b in bases.values())
+    return bool(bases) and max(map(len, bases.values())) == 1
 
 
 def _residual(target, lifted, d, n, scale, pairs=0):
@@ -383,7 +401,7 @@ def _residual(target, lifted, d, n, scale, pairs=0):
     groups, general = {}, []
     for order, gamma, bases in lifted:
         if gamma and _cyclic(bases):
-            ks, qs = zip(*(next(iter(b.items())) for b in bases.values()))
+            ks, qs = zip(*[kq for b in bases.values() for kq in b.items()])
             groups.setdefault((order, tuple(bases), qs), []).extend(
                 (g, c, ks) for g, c in gamma.items())
         elif gamma and bases:
@@ -409,7 +427,7 @@ def _residual(target, lifted, d, n, scale, pairs=0):
         periods = [order // gcd(order, *col) for col in columns]
         classes = {}
         for alpha in compositions(d, len(support)):
-            r = tuple(a % p for a, p in zip(alpha, periods))
+            r = tuple(map(mod, alpha, periods))
             if r not in classes:
                 exps = base      # g + <ks, r> per member, one column at a time
                 for col, a in zip(columns, r):
@@ -463,11 +481,12 @@ def _coefficient(decomposition, lifted, scale, exps):
     if sum(exps) != d:
         return Fraction(0)
     used = [i for i, a in enumerate(exps) if a]
+    need = set(used)
     field, run = 1, {}    # scale / multinomial(d; exps) times the running sum, lifted
     for t, (order, gamma, bases) in zip(decomposition.terms, lifted):
-        if not gamma or any(i not in bases for i in used):
+        if not gamma or not bases.keys() >= need:
             continue
-        term_field = lcm(t.gamma.order, *(t.linear[i].order for i in used))
+        term_field = lcm(t.gamma.order, *[t.linear[i].order for i in used])
         if term_field != field:
             coords = reduce_mod_phi(run.items(), field)
             if any(coords):
@@ -476,9 +495,17 @@ def _coefficient(decomposition, lifted, scale, exps):
                 field = both
             else:
                 field, run = term_field, {}
-        acc = gamma
-        for i in used:
-            acc = cyclic_mul(acc, _power(bases[i], exps[i], order), order)
+        if all(len(bases[i]) == 1 for i in used):
+            # single powers q_i t^(k_i): an index shift and one scaling
+            shift, factor = 0, 1
+            for i in used:
+                (k, q), = bases[i].items()
+                shift, factor = shift + k * exps[i], factor * q ** exps[i]
+            acc = {(k + shift) % order: factor * v for k, v in gamma.items()}
+        else:
+            acc = gamma
+            for i in used:
+                acc = cyclic_mul(acc, _power(bases[i], exps[i], order), order)
         step, stretch = order // term_field, field // term_field
         for k, v in acc.items():
             k = k // step * stretch
@@ -494,7 +521,8 @@ def _first_dependent_pair(forms):
     Two forms of single-exponent lifts are dependent iff their `_ratio_key`s
     are equal, so only pairs with another form (a zero or general one) are
     tested one by one: O(n k) tests for k such forms of n."""
-    keys = [_ratio_key(form) for form in forms]
+    turn = 2 * lcm(*(order for order, _ in forms))
+    keys = [_ratio_key(form, turn) for form in forms]
     others = [j for j, key in enumerate(keys) if key is None]
     same, last = {}, {}      # the next form with the same key, by index
     for j in reversed(range(len(forms))):
@@ -512,24 +540,21 @@ def _first_dependent_pair(forms):
     return None
 
 
-def _ratio_key(form):
+def _ratio_key(form, turn):
     """A nonzero form of single powers q_i t^(k_i), the complex numbers
     q_i exp(2 pi i k_i / N), up to a complex scalar: per coordinate, |q_i|
     over the gcd of all |q_i|, and the angle k_i / N (plus a half turn if
-    q_i < 0) less the first one's, mod 1, as a reduced pair (numerator,
-    denominator).  None for any other form."""
+    q_i < 0) less the first one's, mod 1, as an integer in units of 1/turn;
+    turn is twice a common multiple of the orders N compared.  None for any
+    other form."""
     order, bases = form
     if not _cyclic(bases):
         return None
-    coords = [(i, *next(iter(b.items()))) for i, b in bases.items()]
-    size = gcd(*(q for *_, q in coords))
-    angles = [2 * k + order * (q < 0) for _, k, q in coords]
-    key = []
-    for (i, _, q), a in zip(coords, angles):
-        a = (a - angles[0]) % (2 * order)
-        g = gcd(a, 2 * order)
-        key.append((i, abs(q) // size, a // g, 2 * order // g))
-    return tuple(key)
+    step = turn // (2 * order)
+    coords = [(i, (2 * k + order * (q < 0)) * step, q)
+              for i, b in bases.items() for k, q in b.items()]
+    size, first = gcd(*(q for *_, q in coords)), coords[0][1]
+    return tuple((i, abs(q) // size, (a - first) % turn) for i, a, q in coords)
 
 
 def _dependent(u, v) -> bool:
@@ -560,6 +585,18 @@ class LeastVariableReport:
     passed: bool
 
 
+def check_blocks(form: CoprimeForm, decomposition: PowerSumDecomposition) -> None:
+    """Raise a ValueError naming the first term whose block is not one of
+    the form's.  A degree-1 form is one linear form for every block, so its
+    terms are not checked."""
+    if form.degree > 1:
+        blocks = range(len(form.terms))
+        for i, t in enumerate(decomposition.terms):
+            if t.block not in blocks:
+                raise ValueError(f"term {i} names block {t.block}, but the "
+                                 f"form has {len(blocks)} blocks")
+
+
 def least_variable_check(form: CoprimeForm,
                          decomposition: PowerSumDecomposition) -> LeastVariableReport:
     """Every linear form in block i must involve the least-exponent variable
@@ -568,6 +605,7 @@ def least_variable_check(form: CoprimeForm,
     not involved."""
     if len(decomposition.terms) != rank_coprime_sum(form):
         raise ValueError("decomposition length does not equal the rank")
+    check_blocks(form, decomposition)
     index = {v: i for i, v in enumerate(decomposition.variables)}
     entries = []
     if form.degree == 1:
@@ -576,12 +614,7 @@ def least_variable_check(form: CoprimeForm,
             v = m.least_variable
             entries.append((0, block, v, v in index and bool(t.linear[index[v]])))
     else:
-        least = {block: m.least_variable
-                 for block, (_, m) in enumerate(form.terms)}
         for i, t in enumerate(decomposition.terms):
-            if t.block not in least:
-                raise ValueError(f"term {i} names block {t.block}, but the "
-                                 f"form has {len(least)} blocks")
-            v = least[t.block]
+            v = form.terms[t.block][1].least_variable
             entries.append((i, t.block, v, v in index and bool(t.linear[index[v]])))
     return LeastVariableReport(tuple(entries), all(e[3] for e in entries))

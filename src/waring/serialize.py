@@ -14,6 +14,11 @@ bytes are those of `json.dumps(schema, indent=2, sort_keys=True)` for the
 schema above, so `waring decompose --json` (README: "minimal decomposition")
 prints what it always printed.  Each distinct number is rendered once per
 indentation depth.  Every other object goes through that `json.dumps` call.
+
+`decomposition_from_json` checks every field and parses each distinct
+number and each distinct coefficient string once per file: a repeated
+number is found in a per-file memo before its fields are checked again,
+and an error names its field (`terms[j].linear`) only when it is raised.
 """
 
 from __future__ import annotations
@@ -61,37 +66,46 @@ def _positive_int(obj, key, where):
 _RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
-def _rational(entry) -> tuple:
+def _rational(entry, seen) -> tuple:
     """A coefficient entry as (p, q) with q > 0: a JSON int (not a bool) or a
     "p" or "p/q" string.  Floats and exponent notation are refused, so every
-    number loads exactly."""
+    number loads exactly.  `seen` maps strings already read to their pair."""
     if type(entry) is int:
         return entry, 1
+    if type(entry) is str and entry in seen:
+        return seen[entry]
     match = type(entry) is str and _RATIONAL.fullmatch(entry)
     if not match or match[2] and not int(match[2]):
         raise ValueError(entry)
-    return int(match[1]), int(match[2] or 1)
+    pair = seen[entry] = int(match[1]), int(match[2] or 1)
+    return pair
 
 
 def cyclo_from_json(obj: dict, where: str = "number", seen=None) -> CyclotomicNumber:
-    """Load one number.  `seen` maps (order, coeffs) to numbers already
-    loaded, so a file's repeated numbers are parsed and checked once; a
-    number with JSON-int entries is left out, since `true` or `1.0` would
-    match it as a key.  An order above MAX_FIELD_ORDER raises
-    ResourceLimitError before its field is built."""
+    """Load one number.  `seen` is a per-file memo: it maps each coefficient
+    string to its (p, q), and each (order, coeffs) already loaded to its
+    number, so a file's repeated strings and numbers are parsed once.  A
+    repeated number is looked up before any field is checked; the memo
+    keeps only numbers with string entries, and a lookup needs an int order
+    and a list of coeffs, so `true` or `1.0` never matches a key.  An order
+    above MAX_FIELD_ORDER raises ResourceLimitError before its field is
+    built."""
+    if seen is None:
+        seen = {}
+    else:
+        try:
+            order, coeffs = obj["order"], obj["coeffs"]
+            if type(order) is int and type(coeffs) is list:
+                return seen[order, tuple(coeffs)]
+        except (KeyError, TypeError):   # not a repeat, or malformed: checked below
+            pass
     order = _positive_int(obj, "order", where)
     coeffs = _field(obj, "coeffs", where, list)
     if order > MAX_FIELD_ORDER:
         raise ResourceLimitError(f"{where}.order: field order {order} is above "
                                  f"the verification cap {MAX_FIELD_ORDER}")
-    seen = {} if seen is None else seen
-    key = (order, tuple(coeffs))
     try:
-        return seen[key]
-    except (KeyError, TypeError):      # TypeError: an unhashable entry, refused below
-        pass
-    try:
-        pairs = [_rational(c) for c in coeffs]
+        pairs = [_rational(c, seen) for c in coeffs]
     except ValueError:
         raise ValueError(f"{where}.coeffs: expected rationals, got "
                          f"{reprlib.repr(coeffs)}") from None
@@ -99,7 +113,7 @@ def cyclo_from_json(obj: dict, where: str = "number", seen=None) -> CyclotomicNu
     number = CyclotomicNumber._normalised(order, den, reduce_mod_phi(
         ((k, p * (den // q)) for k, (p, q) in enumerate(pairs)), order))
     if int not in map(type, coeffs):
-        seen[key] = number
+        seen[order, tuple(coeffs)] = number
     return number
 
 
@@ -109,28 +123,31 @@ def decomposition_to_json(d: PowerSumDecomposition) -> dict:
 
 def decomposition_from_json(obj: dict) -> PowerSumDecomposition:
     """Load a decomposition, validating the schema first: a malformed file
-    raises a ValueError that names the offending field."""
+    raises a ValueError that names the offending field.  Each distinct
+    number and coefficient string is parsed once per file."""
     degree = _positive_int(obj, "degree", "decomposition")
     variables = _field(obj, "variables", "decomposition", list)
     if not all(type(v) is str for v in variables):
         raise ValueError("decomposition.variables: expected a list of names")
     if len(set(variables)) != len(variables):
         raise ValueError(f"decomposition.variables: repeated name in {variables}")
-    terms = []
-    seen = {}
+    n = len(variables)
+    terms, seen = [], {"0": (0, 1)}
     for j, t in enumerate(_field(obj, "terms", "decomposition", list)):
-        where = f"terms[{j}]"
-        gamma = cyclo_from_json(_field(t, "gamma", where), f"{where}.gamma", seen)
-        linear = _field(t, "linear", where, list)
-        if len(linear) != len(variables):
-            raise ValueError(f"{where}.linear: expected {len(variables)} entries, "
-                             f"one per variable, got {len(linear)}")
-        terms.append(DecompositionTerm(
-            gamma=gamma,
-            linear=tuple(cyclo_from_json(c, f"{where}.linear", seen) for c in linear),
-            block=_field(t, "block", where, int),
-            point=tuple(cyclo_from_json(c, f"{where}.point", seen)
-                        for c in _field(t, "point", where, list))))
+        try:        # the messages name fields relative to the term
+            gamma = cyclo_from_json(_field(t, "gamma", ""), ".gamma", seen)
+            linear = _field(t, "linear", "", list)
+            if len(linear) != n:
+                raise ValueError(f".linear: expected {n} entries, one per variable, "
+                                 f"got {len(linear)}")
+            terms.append(DecompositionTerm(
+                gamma=gamma,
+                linear=tuple([cyclo_from_json(c, ".linear", seen) for c in linear]),
+                block=_field(t, "block", "", int),
+                point=tuple([cyclo_from_json(c, ".point", seen)
+                             for c in _field(t, "point", "", list)])))
+        except (ValueError, ResourceLimitError) as exc:
+            raise type(exc)(f"terms[{j}]{exc}") from None
     return PowerSumDecomposition(degree, tuple(variables), tuple(terms))
 
 

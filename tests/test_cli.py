@@ -274,6 +274,21 @@ def test_verify_rejects_an_unknown_block(capsys, tmp_path):
     assert err == "error: term 1 names block 7, but the form has 1 blocks\n"
 
 
+@pytest.mark.parametrize("drop_a_term", [False, True])
+def test_verify_checks_blocks_before_printing_a_report(capsys, tmp_path, drop_a_term):
+    """A term naming a block the form lacks is one error line and exit 1,
+    with nothing on stdout, whether or not the term count is also wrong."""
+    code, out, _ = run(capsys, "decompose", "x1*x2^2", "--json")
+    data = json.loads(out)
+    data["terms"][0]["block"] = 5
+    if drop_a_term:
+        data["terms"].pop()
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "x1*x2^2", str(path))
+    assert (code, out, err) == (1, "", "error: term 0 names block 5, but the form has 1 blocks\n")
+
+
 def test_verify_reports_a_least_variable_outside_the_namespace(capsys, tmp_path):
     code, out, _ = run(capsys, "decompose", "x1*x2", "--json")
     data = json.loads(out)

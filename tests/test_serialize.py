@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from waring.cyclotomic import CyclotomicNumber, cyclotomic_embed, fraction_text
 from waring.decompose import (
+    MAX_FIELD_ORDER,
     DecompositionTerm,
     PowerSumDecomposition,
     decompose_form,
     verify_decomposition,
 )
 from waring.forms import CoprimeForm, Monomial, parse_form
+from waring.rank import ResourceLimitError
 from waring.serialize import (
     cyclo_from_json,
     cyclo_to_json,
@@ -91,6 +93,59 @@ def test_cyclo_from_json_reads_integer_pairs_in_lowest_terms():
 def test_cyclo_from_json_refuses_inexact_entries(entry):
     with pytest.raises(ValueError, match="expected rationals"):
         cyclo_from_json({"order": 3, "coeffs": ["1", entry]}, seen={})
+
+
+# -- the per-file memo: a repeat is looked up before any field check ----------
+
+def _file(*gammas):
+    """A one-variable degree-1 decomposition file with the given gammas."""
+    one = {"order": 1, "coeffs": ["1"]}
+    return {"degree": 1, "variables": ["x1"],
+            "terms": [{"gamma": g, "linear": [one], "block": 0, "point": []}
+                      for g in gammas]}
+
+
+def _refusal(obj):
+    with pytest.raises((ValueError, ResourceLimitError)) as info:
+        decomposition_from_json(obj)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("valid, malformed", [
+    ({"order": 1, "coeffs": ["1"]}, {"order": True, "coeffs": ["1"]}),
+    ({"order": 1, "coeffs": ["1"]}, {"order": 1.0, "coeffs": ["1"]}),
+    ({"order": 3, "coeffs": [1, 0]}, {"order": 3, "coeffs": [1.0, 0]}),
+    ({"order": 3, "coeffs": ["1", "0"]}, {"order": 3, "coeffs": [1.0, "0"]}),
+    ({"order": 3, "coeffs": [1, 0]}, {"order": 3, "coeffs": [True, 0]}),
+    ({"order": 3, "coeffs": ["1000", "0"]}, {"order": 3, "coeffs": ["1e3", "0"]}),
+    ({"order": 3, "coeffs": ["1", "0"]}, {"order": 3, "coeffs": [["1"], "0"]}),
+    ({"order": 1, "coeffs": ["1"]}, {"order": MAX_FIELD_ORDER + 1, "coeffs": ["1"]}),
+])
+def test_a_malformed_number_after_a_look_alike_is_refused_as_a_first_one(valid, malformed):
+    """A malformed number right after a valid one whose memo key compares
+    equal (true == 1 == 1.0) is refused with the message it gets when it
+    comes first, or after an unrelated number."""
+    first = _refusal(_file(malformed))
+    assert first[1].startswith("terms[0].gamma")
+    unrelated = {"order": 4, "coeffs": ["0", "2"]}
+    for before in (valid, unrelated):
+        assert _refusal(_file(before, malformed)) == \
+            (first[0], first[1].replace("terms[0]", "terms[1]", 1))
+    # the same malformed number twice is refused at its first occurrence
+    assert _refusal(_file(valid, malformed, malformed))[1].startswith("terms[1].gamma")
+
+
+def test_numbers_with_json_int_entries_load_equal_to_their_string_forms():
+    """Int entries never share the memo with strings, in either order."""
+    ints = {"order": 6, "coeffs": [1, -2]}
+    strings = {"order": 6, "coeffs": ["1", "-2"]}
+    halves = {"order": 6, "coeffs": ["2/2", "-4/2"]}
+    dec = decomposition_from_json(_file(ints, strings, ints, halves, strings))
+    gammas = [t.gamma for t in dec.terms]
+    expected = CyclotomicNumber(6, [1, -2])
+    assert all(g == expected and g._integer_coords() == expected._integer_coords()
+               for g in gammas)
+    assert dec.terms[1].gamma is dec.terms[4].gamma
 
 
 # -- the decomposition writer against json.dumps of the schema dict ------------

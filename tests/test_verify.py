@@ -646,3 +646,83 @@ def test_each_field_run_reduced_once_equals_the_term_by_term_sum(problem):
         got = decompose._coefficient(dec, lifted, scale, exps)
         want = reference.coefficient(dec, lifted, scale, exps)
         assert (got.order, str(got)) == (want.order, str(want)), exps
+
+
+# -- integer angle keys and index shifts ----------------------------------------
+
+@st.composite
+def root_multiple_blocks(draw):
+    """Two to eight cyclic forms in two or three variables over Q(zeta_3),
+    Q(zeta_6) and Q(zeta_12): fresh ones, with moduli of either sign, and
+    earlier ones times a root of unity or a negative rational, so equal
+    forms up to a scalar meet in different fields."""
+    n = draw(st.integers(2, 3))
+    forms = []
+    for _ in range(draw(st.integers(2, 8))):
+        order = draw(st.sampled_from((3, 6, 12)))
+        if forms and draw(st.booleans()):
+            old = draw(st.sampled_from(forms))
+            lam = draw(st.one_of(st.builds(_root, st.just(order), st.integers(0, order - 1)),
+                                 st.sampled_from((Fraction(-1), Fraction(-3, 2)))))
+            forms.append([c * lam for c in old])
+        else:
+            coords = [_root(order, draw(st.integers(0, order - 1)), draw(moduli))
+                      if draw(st.integers(0, 4)) else CyclotomicNumber.from_rational(0, order)
+                      for _ in range(n)]
+            forms.append(coords if any(coords) else [_root(order, 0)] + coords[1:])
+    return PowerSumDecomposition(
+        1, tuple(f"x{i}" for i in range(1, n + 1)),
+        tuple(_term(_root(1, 0), linear) for linear in forms))
+
+
+@SETTINGS
+@given(root_multiple_blocks())
+def test_angle_keys_find_the_pairs_the_minors_find(dec):
+    """Forms of Q(zeta_3), Q(zeta_6) and Q(zeta_12) equal up to a root or a
+    negative scalar: two keys are equal iff the minors vanish, and the first
+    dependent pair is the all-pairs scan's."""
+    _, lifted = decompose._lift(dec, [Fraction(1)])
+    forms = [(order, bases) for order, _, bases in lifted]
+    turn = 2 * lcm(*(order for order, _ in forms))
+    keys = [decompose._ratio_key(form, turn) for form in forms]
+    assert None not in keys
+    for i, u in enumerate(forms):
+        for j in range(i + 1, len(forms)):
+            assert (keys[i] == keys[j]) == decompose._dependent(u, forms[j]), (i, j)
+    assert decompose._first_dependent_pair(forms) == \
+        reference.first_dependent_pair(forms, decompose._dependent)
+
+
+@st.composite
+def negative_single_power_decompositions(draw):
+    """Terms whose coordinates are q zeta_N^k with q < 0 (or zero), in odd
+    orders, where the lift keeps the sign, and even ones, where it becomes a
+    half turn; gammas of every kind; and at most one general coordinate."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 4))
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        order = draw(st.sampled_from((3, 5, 4, 6, 12)))
+        linear = [_root(order, draw(st.integers(0, order - 1)),
+                        -draw(st.sampled_from((Fraction(1), Fraction(2), Fraction(3, 2)))))
+                  if draw(st.integers(0, 3)) else CyclotomicNumber.from_rational(0, order)
+                  for _ in range(n)]
+        terms.append(_term(draw(cyclotomic(order)), linear))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(terms) - 1))
+        linear = list(terms[j].linear)
+        linear[0] = draw(cyclotomic(terms[j].gamma.order))
+        terms[j] = _term(terms[j].gamma, linear)
+    return PowerSumDecomposition(d, tuple(f"x{i}" for i in range(1, n + 1)), tuple(terms))
+
+
+@SETTINGS
+@given(negative_single_power_decompositions())
+def test_index_shifts_give_the_term_by_term_coefficient(dec):
+    """A term of single powers q_i t^(k_i) adds its gamma shifted and scaled:
+    the value and field at every monomial are those of multiplying out."""
+    scale, lifted = decompose._lift(dec, [Fraction(1)])
+    for exps in compositions(dec.degree, len(dec.variables)):
+        got = decompose._coefficient(dec, lifted, scale, exps)
+        want = reference.coefficient(dec, lifted, scale, exps)
+        assert (got.order, str(got)) == (want.order, str(want)), exps
