@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate, product
-from math import comb, prod
+from itertools import accumulate
+from math import comb
 from operator import ge
 
 from .forms import CoprimeForm, MonomialIdeal, as_homogeneous, dual_names, \
@@ -33,14 +33,12 @@ from .linalg import sparse_rank
 from .polynomials import Polynomial, apply_differential, compositions, multinomial
 from .rank import ResourceLimitError
 
-# Admission cap for `catalecticant_lower_bound`, in units of work priced
-# before any catalecticant is built, upper bounds on the work that runs.
-# Counted ranks (one term, or a coprime sum): t_max times the sum over the
-# terms of 2^k, k the term's variables, though one degree is counted, each
-# term expanding prod(1 - s^(m_i + 1)) at about 1 us per coefficient (2
-# vCPUs).  Elimination: the nonzero cells over all degrees, prod(m_i + 1) per
-# term c * x^m, though only t <= d/2 is built; x1^66000 + x1^65999*x2 has
-# 198,001 and takes 1.0 s.
+# Admission cap for `catalecticant_lower_bound`, in units of the work that
+# runs, priced before any catalecticant is built.  Counted ranks (one term,
+# or a coprime sum): k binomials per term of k variables, multiplied into a
+# numerator at most min(2^k, d + k + 1) long.  Elimination: the nonzero cells
+# of the degrees t <= min(t_max, d/2) it builds (`bound_cells`), 199,500 for
+# x1^133000 + x1^132999*x2, which takes 2.0 s (2 vCPUs).
 MAX_BOUND_CELLS = 2 * 10 ** 5
 
 # Admission cap for `hf_table`, in running-sum steps: a table to degree t_max
@@ -115,15 +113,23 @@ class CatalecticantMatrix:
 
 def _divisors_of_degree(m, t):
     """Exponent tuples beta <= m (entrywise) with sum(beta) == t, in
-    lexicographic order.  The other coordinates hold at most sum(m) - m_i,
-    so beta_i >= m_i - (sum(m) - t); with that floor, two variables scan
-    only divisors."""
-    other = sum(m) - t
-    *head, last = m
-    for beta in product(*(range(max(0, a - other), min(a, t) + 1) for a in head)):
-        rest = t - sum(beta)
-        if 0 <= rest <= last:
-            yield beta + (rest,)
+    lexicographic order: each step raises the last coordinate that can grow
+    and refills the rest with their least reachable values."""
+    after = list(accumulate(reversed(m), initial=0))[::-1]    # sum(m[i:])
+    beta, j, left = [0] * len(m), 0, t
+    while j >= 0 and 0 <= left <= after[j]:
+        for j in range(j, len(m)):      # the least fill of beta[j:] summing to left
+            b = left - after[j + 1]
+            beta[j] = b = b if b > 0 else 0
+            left -= b
+        yield tuple(beta)
+        j, left = len(m) - 1, 0
+        while j >= 0 and (beta[j] == m[j] or not left):
+            left += beta[j]
+            j -= 1
+        if j >= 0:
+            beta[j] += 1
+            j, left = j + 1, left - 1
 
 
 def _divisor_count(exponents, t) -> int:
@@ -166,26 +172,29 @@ def catalecticant_lower_bound(form, t_max=None) -> int:
         raise ValueError(f"t_max must be at least 1, got {t_max}")
     if t_max > d:
         raise ValueError(f"t_max {t_max} exceeds degree {d}")
+    top = min(t_max, d // 2)     # 0 only for d = 1, whose C_0 has rank 1
     counted = is_coprime_sum(form)
     if counted:
-        cost = t_max * sum(2 ** len(support) for support in form.supports)
-        unit = f"counting steps ({t_max} times the sum over terms of 2^k, k its variables)"
+        cost = sum(len(s) * min(2 ** len(s), d + len(s) + 1) for s in form.supports)
+        unit = "counting steps (k * min(2^k, d + k + 1) per term of k variables)"
     else:
-        cost = bound_cells(form)
-        unit = "nonzero cells (the sum over terms of prod(m_i + 1))"
+        cost = bound_cells(form, top)
+        unit = f"nonzero cells (of the degrees 1 <= t <= {top})"
     if cost > MAX_BOUND_CELLS:
         raise ResourceLimitError(
             f"the catalecticants of this form take an estimated {cost} {unit}, "
             f"above the cap {MAX_BOUND_CELLS}")
-    top = min(t_max, d // 2)     # 0 only for d = 1, whose C_0 has rank 1
     return max(catalecticant(form, t).rank()
                for t in ((top,) if counted else range(1, top + 1)))
 
 
-def bound_cells(form) -> int:
-    """The nonzero cells of all catalecticants of a form, over every degree
-    t: sum over its terms c * x^m of prod(m_i + 1), the divisors of x^m."""
-    return sum(prod(a + 1 for a in m) for m in as_homogeneous(form).terms)
+def bound_cells(form, t_max=None) -> int:
+    """The nonzero cells elimination builds, of the degrees 1 <= t <= top =
+    min(t_max, d/2): the divisors x^beta of each term c * x^m with
+    1 <= |beta| <= top, those of degree top of x^m * y^top less beta = 0."""
+    form = as_homogeneous(form)
+    top = min(form.degree if t_max is None else t_max, form.degree // 2)
+    return sum(_divisor_count([a for a in m if a] + [top], top) - 1 for m in form.terms)
 
 
 # -- Hilbert functions of monomial quotients -----------------------------------

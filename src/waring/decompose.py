@@ -19,25 +19,17 @@ So the unique solution of the square system solves every monomial row.
 Its right-hand side is c * e_a = c * (e_(a_1) x ... x e_(a_n)), so the
 solution is c / mult(a) times the Kronecker product of the solutions y_i
 of V_i y_i = e_(a_i): one (a_i+1)-square solve in Q(zeta_(a_i+1)) per
-distinct exponent, against the character table V_(a_i+1), built once per
-root order and shared as a tuple of tuples.  Each y_i[k] is lifted once
-into Z[t]/(t^N - 1), N = lcm of the root orders, with its denominator
-split off (a root-of-unity multiple lifts to one power, see below), the
-Kronecker product is taken of the lifts in grid order (an index shift per
-factor), and each gamma is reduced modulo Phi_N once.  The grid points
-share one list of roots per variable.  `waring decompose` still verifies
+distinct exponent (see `solve_gammas`).  `waring decompose` still verifies
 the result in full.  A sum of coprime monomials is decomposed blockwise
 and the blocks concatenated.
 
 Verification expands sum gamma_j L_j^d with integer coefficients in
-Z[t]/(t^N - 1) over one common denominator.  One pass over each term's
-coordinates finds its nonzero ones, its order, its denominator and the
-largest fields it meets, and each distinct number is lifted once per
-(order, scale).  Each monomial's residual is reduced modulo Phi_N once,
-N the lcm of the orders of the terms that reach that monomial (so blocks
-in different fields never meet in one large field).  That single
-reduction is exact: t -> zeta_N is a ring map onto Q(zeta_N), so a
-residual vanishes in the field iff its reduction is zero.
+Z[t]/(t^N - 1) over one common denominator, reading one plan (`_lift`):
+each term lifted and classified once, the cyclic groups, the blocks and
+the price, checked before any expansion (`decompose_form` reads the same
+price off the exponents first).  Each monomial's residual is reduced
+modulo Phi_N once, N the lcm of the orders of the terms that reach it:
+exact, as t -> zeta_N is a ring map onto Q(zeta_N).
 
 A cyclic term, whose nonzero coordinates lift to single powers q_i t^(e_i)
 (every grid term does), adds multinomial(d; b) * prod q_i^(b_i) *
@@ -52,9 +44,7 @@ Terms with any other coordinate add one product per monomial.
 A mismatch prints the coefficient in the field of the terms that reach it:
 each run of terms in the running field F is summed in Z[t]/(t^F - 1) and
 reduced modulo Phi_F once, when a term of another field arrives or at the
-end.  A term whose coordinates at x^b are single powers q_i t^(k_i) adds
-its gamma's lift shifted by sum k_i b_i and scaled by prod q_i^(b_i), with
-no product.  Two cyclic linear forms are dependent iff their polar-form
+end.  Two cyclic linear forms are dependent iff their polar-form
 keys are equal: per coordinate, the modulus over the gcd of the moduli and
 the angle less the first one's, an integer in units of 1/(2L), L the lcm
 of the block's orders.  So only the pairs with a zero or general form are
@@ -64,6 +54,7 @@ tested one by one, by their minors.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -78,25 +69,18 @@ from .linalg import LinearSystem, solve_exact, \
 from .polynomials import compositions, monomial_text, multinomial
 from .rank import ResourceLimitError, rank_coprime_sum, rank_monomial
 
-# Admission cap for `decompose_form`, in units of rank(M)^3 * phi(N)^2 summed
-# over the blocks M (N the block's field order): the cost of one square solve
-# of the full character system in Q(zeta_N).  `solve_gammas` no longer pays
-# it (it solves one (a_i+1)-square system per variable), so the cap is a
-# conservative estimate: on a 2-vCPU VM x1*x2^4*x3^8 (5.2e7) decomposes in
-# 0.03 s and the refused x1^12*x2^12*x3^12 (7.0e8) would take 0.08 s.
+# Admission cap for `decompose_form`: (a+1)^3 * phi(a+1)^2 per block and
+# distinct exponent a but the least, for the solve over Q(zeta_(a+1)) that
+# runs.  On a 2-vCPU VM x1*x2^36 (6.6e7) takes 3.0 s; x1*x2^60 (8.2e8) 42 s.
 MAX_SOLVE_COST = 10 ** 8
 
-# Admission cap for verification: the largest N for which it builds Phi_N
-# and the power table of Q(zeta_N), whose cost grows about as N^2 (0.07 s
-# at N = 1000, 1.4 s at 5000).  A decompose output under MAX_SOLVE_COST
-# has N <= rank < 465 in every block, since rank^3 <= 10^8.
+# Admission cap for verification and `decompose_form`, checked first: the
+# largest N for which they build Q(zeta_N) (0.07 s at 1000, 1.4 s at 5000).
 MAX_FIELD_ORDER = 10 ** 3
 
-# Admission cap for verification, in steps counted before any expansion:
-# compositions of d per group of cyclic terms and per other term, plus
-# min(n k, n (n - 1) / 2) per block of n forms, k of them zero or general,
-# an upper bound on the pairs tested one by one (those with such a form).
-# A step costs up to 12 us (2 vCPUs); x1*...*x9 takes 24,310.
+# Admission cap for verification and `decompose_form`, in steps of up to
+# 12 us (2 vCPUs) counted by `_steps`: x1*...*x9 takes 25,949 and
+# x1*x2^39*x3^39 67,240 (0.8 s); x1*x2^99*x3^99 (2.5e6, 27.6 s) is refused.
 MAX_VERIFY_STEPS = 10 ** 6
 
 
@@ -190,8 +174,8 @@ def solve_gammas(monomial: Monomial, coefficient=Fraction(1)) -> PowerSumDecompo
 def decompose_form(form: CoprimeForm) -> PowerSumDecomposition:
     """Minimal power-sum decomposition of a validated coprime sum, obtained by
     decomposing each monomial block and concatenating.  Raises
-    ResourceLimitError, before any solve, when the estimated solve cost
-    exceeds MAX_SOLVE_COST."""
+    ResourceLimitError before it builds anything when the price of verifying
+    its output, read off the exponents, or of the solves is above its cap."""
     variables = form.variables
     if form.degree == 1:
         # the form is itself a linear form: one d-th power
@@ -203,12 +187,17 @@ def decompose_form(form: CoprimeForm) -> PowerSumDecomposition:
             gamma=CyclotomicNumber.from_rational(1, 1),
             linear=tuple(coeffs), block=0, point=tuple(coeffs))
         return PowerSumDecomposition(1, variables, (term,))
-    cost = sum(rank_monomial(m) ** 3 * euler_phi(decomposition_field_order(m)) ** 2
-               for m in form.monomials)
+    # the output is one cyclic group per block of rank r: r members in r classes
+    ranks = [rank_monomial(m) for m in form.monomials]
+    _admit("verifying the output", max(map(decomposition_field_order, form.monomials)),
+           _steps(form.degree, [(m.n, r, r) for m, r in zip(form.monomials, ranks)], [], []))
+    # after the field check: phi(a + 1) builds Phi_(a+1), and a + 1 divides N
+    cost = sum((a + 1) ** 3 * euler_phi(a + 1) ** 2
+               for m in form.monomials for a in set(m.sorted_exponents[1:]))
     if cost > MAX_SOLVE_COST:
         raise ResourceLimitError(
             f"decomposing {form} needs gamma solves of estimated cost {cost:.1e} "
-            f"(rank^3 * phi(N)^2 over the blocks), above the cap {MAX_SOLVE_COST:.0e}")
+            f"((a+1)^3 * phi(a+1)^2 per distinct a_i), above the cap {MAX_SOLVE_COST:.0e}")
     terms = []
     for block, (coeff, mono) in enumerate(form.terms):
         part = solve_gammas(mono, coeff)
@@ -270,20 +259,16 @@ def verify_decomposition(form: CoprimeForm,
             exps[index[v]] = e
         target[tuple(exps)] = c
 
-    scale, lifted = _lift(decomposition, target.values())
-    blocks = {}
-    for t, (order, _, bases) in zip(decomposition.terms, lifted):
-        blocks.setdefault(t.block, []).append((order, bases))
-    pairs = sum(min(len(forms) * sum(not _cyclic(bases) for _, bases in forms),
-                    len(forms) * (len(forms) - 1) // 2) for forms in blocks.values())
-    residual = _residual(target, lifted, d, len(variables), scale, pairs)
+    plan = _lift(decomposition, target.values())
+    _admit("verifying", plan.field, plan.steps)
+    residual = _residual(target, plan, len(variables))
     bad = (exps for exps in sorted(residual) if not _vanishes(residual[exps]))
     mismatches = tuple((monomial_text(variables, exps), str(target.get(exps, Fraction(0))),
-                        _bounded_text(_coefficient(decomposition, lifted, scale, exps)))
+                        _bounded_text(_coefficient(decomposition, plan, exps)))
                        for exps in itertools.islice(bad, 10))
 
-    dependent_pair = next(((block, *pair) for block, forms in blocks.items()
-                           if (pair := _first_dependent_pair(forms))), None)
+    dependent_pair = next(((block, *pair) for block, terms in plan.blocks.items()
+                           if (pair := _first_dependent_pair(plan, terms))), None)
 
     return VerificationReport(
         expansion_matches=not mismatches,
@@ -304,20 +289,42 @@ def _bounded_text(x) -> str:
         return f"<a number of Q(zeta_{x.order}) with integers of about {digits} digits>"
 
 
-def _lift(decomposition, target_coeffs):
-    """Lift every term gamma * L^d into Z[t]/(t^N - 1) with integer entries,
-    N the lcm of the orders of the term's nonzero numbers.
+def _steps(d, groups, general, blocks) -> int:
+    """The verification price: the compositions of d per cyclic group (s, m,
+    p: support size, members, product of the periods) and general term (s);
+    m * min(compositions, p) class sums per group, 40 to a step (about 0.28
+    us each); min(n k, n (n - 1) / 2) pairs per block of n forms, k of them
+    zero or general."""
+    paths = [comb(d + s - 1, d) for s, _, _ in groups]
+    sums = sum(m * min(c, p) for c, (_, m, p) in zip(paths, groups))
+    return sum(paths) + sum(comb(d + s - 1, d) for s in general) + -(-sums // 40) \
+        + sum(min(n * k, n * (n - 1) // 2) for n, k in blocks)
 
-    Returns the common denominator D, the lcm of the target's denominators
-    and of den(gamma) * E^d per term, where E is the lcm of the term's
-    linear-coefficient denominators; and per term (N, the lift of
-    D / E^d * gamma, {i: lift of E * c_i} over its nonzero linear
-    coefficients c_i), so each product gamma * prod (E * c_i)^(a_i) with
-    sum a_i = d is D times its value.  One pass over each term's
-    coordinates finds its nonzero ones, N, E and the per-variable field
-    lcms.  Each distinct (number, N, scale), keyed by value, is lifted once;
-    terms share the lifts, which nothing mutates.
-    """
+
+def _admit(what, field, steps) -> None:
+    """Refuse a price over MAX_FIELD_ORDER, then one over MAX_VERIFY_STEPS."""
+    if field > MAX_FIELD_ORDER:
+        raise ResourceLimitError(f"{what} needs the field Q(zeta_{field}), above "
+                                 f"the field order cap {MAX_FIELD_ORDER}")
+    if steps > MAX_VERIFY_STEPS:
+        size = f"{steps:.1e}" if steps < 1e300 else f"about 2^{steps.bit_length()}"
+        raise ResourceLimitError(f"{what} takes {size} steps (compositions, class sums "
+                                 f"and pairs), above the step cap {MAX_VERIFY_STEPS:.0e}")
+
+
+_Plan = namedtuple("_Plan", "degree scale field steps lifted powers groups general blocks")
+
+
+def _lift(decomposition, target_coeffs) -> _Plan:
+    """The verification plan.  Per term, `lifted` holds (N, lift of D / E^d *
+    gamma, {i: lift of E * c_i} over the nonzero c_i) in Z[t]/(t^N - 1),
+    N the lcm of the orders, E the lcm of the c_i's denominators and D
+    (`scale`) that of the target's and of den(gamma) * E^d over the terms;
+    `powers` holds its single powers (ks, qs) if it is cyclic, else None.
+    `groups` holds (N, support, qs, members (g, G, ks) per power G t^g of a
+    gamma lift, periods) per group of cyclic terms with a nonzero gamma;
+    `general` the other terms with a gamma and a form; `blocks` the term
+    indices per block.  Each distinct (number, N, scale) is lifted once."""
     d = decomposition.degree
     # the largest fields a residual, a mismatch or a dependence test meets:
     # each term's, and the lcm over the terms that share a variable
@@ -333,10 +340,6 @@ def _lift(decomposition, target_coeffs):
         for i, _ in used:
             worst[i] = lcm(worst[i], order)
         shapes.append((t.gamma, order, den, used))
-    top = max([1, *worst, *(order for _, order, _, _ in shapes)])
-    if top > MAX_FIELD_ORDER:
-        raise ResourceLimitError(f"verifying needs the field Q(zeta_{top}), above "
-                                 f"the field order cap {MAX_FIELD_ORDER}")
     scale = lcm(*(c.denominator for c in target_coeffs),
                 *(gamma.denominator * e ** d for gamma, _, e, _ in shapes))
     table = {}
@@ -348,9 +351,29 @@ def _lift(decomposition, target_coeffs):
             value = table[key] = cyclic_lift(x, order, factor)
         return value
 
-    return scale, [(order, lift(gamma, order, scale // e ** d),
-                    {i: lift(c, order, e) for i, c in used})
-                   for gamma, order, e, used in shapes]
+    lifted, powers, groups, general, blocks = [], [], {}, [], {}
+    for t, (gamma, order, e, used) in zip(decomposition.terms, shapes):
+        g = lift(gamma, order, scale // e ** d)
+        bases = {i: lift(c, order, e) for i, c in used}
+        cyclic = bases and max(map(len, bases.values())) == 1
+        kq = tuple(zip(*[p for b in bases.values() for p in b.items()])) if cyclic else None
+        if g and kq:
+            groups.setdefault((order, tuple(bases), kq[1]), []).extend(
+                (k, v, kq[0]) for k, v in g.items())
+        elif g and bases:
+            general.append((order, g, bases))
+        blocks.setdefault(t.block, []).append(len(lifted))
+        lifted.append((order, g, bases))
+        powers.append(kq)
+    groups = [(order, support, qs, members,
+               [order // gcd(order, *col) for col in zip(*(ks for *_, ks in members))])
+              for (order, support, qs), members in groups.items()]
+    steps = _steps(d, [(len(support), len(members), prod(periods))
+                       for _, support, _, members, periods in groups],
+                   [len(bases) for *_, bases in general],
+                   [(len(js), sum(powers[j] is None for j in js)) for js in blocks.values()])
+    return _Plan(d, scale, max([1, *worst, *(order for _, order, _, _ in shapes)]), steps,
+                 lifted, powers, groups, general, blocks)
 
 
 def _power(base, a, order):
@@ -375,20 +398,12 @@ def _powers(base, d, order):
     return row
 
 
-def _cyclic(bases) -> bool:
-    """Whether a lifted linear form {index: lift} is nonzero and each of its
-    coordinates lifts to a single power q t^k."""
-    return bool(bases) and max(map(len, bases.values())) == 1
-
-
-def _residual(target, lifted, d, n, scale, pairs=0):
+def _residual(target, plan, n):
     """D * (expansion - target) per monomial, as {N: sparse {exponent: int}
     map} over the orders N of the contributing terms (the target counts as
-    order 1).  Cyclic terms add one reduced class sum per monomial, as the
-    module docstring explains; the others add one product each.  Raises
-    ResourceLimitError, before expanding, when the compositions to expand
-    and the `pairs` the caller will test exceed MAX_VERIFY_STEPS."""
-    residual = {}
+    order 1): each cyclic group of the plan adds one reduced class sum per
+    monomial, as the module docstring explains, each general term a product."""
+    d, residual = plan.degree, {}
 
     def add(support, alpha, order, lift, m):
         exps = [0] * n
@@ -398,20 +413,7 @@ def _residual(target, lifted, d, n, scale, pairs=0):
         for k, v in lift.items():
             bucket[k] = bucket.get(k, 0) + m * v
 
-    groups, general = {}, []
-    for order, gamma, bases in lifted:
-        if gamma and _cyclic(bases):
-            ks, qs = zip(*[kq for b in bases.values() for kq in b.items()])
-            groups.setdefault((order, tuple(bases), qs), []).extend(
-                (g, c, ks) for g, c in gamma.items())
-        elif gamma and bases:
-            general.append((order, gamma, bases))
-    steps = pairs + sum(comb(d + len(support) - 1, d) for _, support, _ in groups) \
-        + sum(comb(d + len(bases) - 1, d) for *_, bases in general)
-    if steps > MAX_VERIFY_STEPS:
-        raise ResourceLimitError(f"verifying takes {steps:.1e} steps (compositions and "
-                                 f"pairs), above the step cap {MAX_VERIFY_STEPS:.0e}")
-    for order, gamma, bases in general:
+    for order, gamma, bases in plan.general:
         support = tuple(bases)
         powers = [_powers(bases[i], d, order) for i in support]
         for alpha in compositions(d, len(support)):
@@ -421,10 +423,9 @@ def _residual(target, lifted, d, n, scale, pairs=0):
                     acc = cyclic_mul(acc, row[a], order)
             add(support, alpha, order, acc, multinomial(d, alpha))
 
-    for (order, support, qs), members in groups.items():
+    for order, support, qs, members, periods in plan.groups:
         base, values, ks = zip(*members)
         columns = list(zip(*ks))
-        periods = [order // gcd(order, *col) for col in columns]
         classes = {}
         for alpha in compositions(d, len(support)):
             r = tuple(map(mod, alpha, periods))
@@ -444,7 +445,7 @@ def _residual(target, lifted, d, n, scale, pairs=0):
                     multinomial(d, alpha) * prod(q ** a for q, a in zip(qs, alpha)))
 
     for exps, c in target.items():
-        add(range(n), exps, 1, {0: -1}, int(scale * c))
+        add(range(n), exps, 1, {0: -1}, int(plan.scale * c))
     return residual
 
 
@@ -465,7 +466,7 @@ def _vanishes(groups) -> bool:
     return not any(reduce_mod_phi(total.items(), order))
 
 
-def _coefficient(decomposition, lifted, scale, exps):
+def _coefficient(decomposition, plan, exps):
     """The coefficient of x^exps in the expansion, added up term by term.
 
     A term's contribution lies in the field M generated by its gamma and
@@ -482,8 +483,8 @@ def _coefficient(decomposition, lifted, scale, exps):
         return Fraction(0)
     used = [i for i, a in enumerate(exps) if a]
     need = set(used)
-    field, run = 1, {}    # scale / multinomial(d; exps) times the running sum, lifted
-    for t, (order, gamma, bases) in zip(decomposition.terms, lifted):
+    field, run = 1, {}    # D / multinomial(d; exps) times the running sum, lifted
+    for t, (order, gamma, bases) in zip(decomposition.terms, plan.lifted):
         if not gamma or not bases.keys() >= need:
             continue
         term_field = lcm(t.gamma.order, *[t.linear[i].order for i in used])
@@ -495,34 +496,27 @@ def _coefficient(decomposition, lifted, scale, exps):
                 field = both
             else:
                 field, run = term_field, {}
-        if all(len(bases[i]) == 1 for i in used):
-            # single powers q_i t^(k_i): an index shift and one scaling
-            shift, factor = 0, 1
-            for i in used:
-                (k, q), = bases[i].items()
-                shift, factor = shift + k * exps[i], factor * q ** exps[i]
-            acc = {(k + shift) % order: factor * v for k, v in gamma.items()}
-        else:
-            acc = gamma
-            for i in used:
-                acc = cyclic_mul(acc, _power(bases[i], exps[i], order), order)
+        acc = gamma     # a single power's _power is an index shift
+        for i in used:
+            acc = cyclic_mul(acc, _power(bases[i], exps[i], order), order)
         step, stretch = order // term_field, field // term_field
         for k, v in acc.items():
             k = k // step * stretch
             run[k] = run.get(k, 0) + v
     m = multinomial(d, exps)
     return CyclotomicNumber._normalised(
-        field, scale, [m * v for v in reduce_mod_phi(run.items(), field)])
+        field, plan.scale, [m * v for v in reduce_mod_phi(run.items(), field)])
 
 
-def _first_dependent_pair(forms):
+def _first_dependent_pair(plan, terms):
     """The first pair (i, j), i < j, in loop order, of linearly dependent
-    lifted forms (N, {index: lift} over their nonzero coefficients), or None.
-    Two forms of single-exponent lifts are dependent iff their `_ratio_key`s
-    are equal, so only pairs with another form (a zero or general one) are
-    tested one by one: O(n k) tests for k such forms of n."""
+    forms among the plan's `terms` (term indices), or None.  Two cyclic
+    forms are dependent iff their `_ratio_key`s are equal, so only pairs
+    with another form (a zero or general one) are tested one by one:
+    O(n k) tests for k such forms of n."""
+    forms = [(order, bases) for order, _, bases in map(plan.lifted.__getitem__, terms)]
     turn = 2 * lcm(*(order for order, _ in forms))
-    keys = [_ratio_key(form, turn) for form in forms]
+    keys = [_ratio_key(*form, plan.powers[j], turn) for j, form in zip(terms, forms)]
     others = [j for j, key in enumerate(keys) if key is None]
     same, last = {}, {}      # the next form with the same key, by index
     for j in reversed(range(len(forms))):
@@ -540,21 +534,20 @@ def _first_dependent_pair(forms):
     return None
 
 
-def _ratio_key(form, turn):
-    """A nonzero form of single powers q_i t^(k_i), the complex numbers
-    q_i exp(2 pi i k_i / N), up to a complex scalar: per coordinate, |q_i|
-    over the gcd of all |q_i|, and the angle k_i / N (plus a half turn if
-    q_i < 0) less the first one's, mod 1, as an integer in units of 1/turn;
-    turn is twice a common multiple of the orders N compared.  None for any
-    other form."""
-    order, bases = form
-    if not _cyclic(bases):
+def _ratio_key(order, support, powers, turn):
+    """A cyclic form of single powers q_i t^(k_i) over `support`, `powers`
+    = (ks, qs), as the complex numbers q_i exp(2 pi i k_i / N) up to a
+    complex scalar: per coordinate, |q_i| over the gcd of all |q_i|, and the
+    angle k_i / N (plus a half turn if q_i < 0) less the first one's, mod 1,
+    as an integer in units of 1/turn; turn is twice a common multiple of the
+    orders N compared.  None for another form, whose powers are None."""
+    if powers is None:
         return None
-    step = turn // (2 * order)
-    coords = [(i, (2 * k + order * (q < 0)) * step, q)
-              for i, b in bases.items() for k, q in b.items()]
-    size, first = gcd(*(q for *_, q in coords)), coords[0][1]
-    return tuple((i, abs(q) // size, (a - first) % turn) for i, a, q in coords)
+    step, (ks, qs) = turn // (2 * order), powers
+    angles = [(2 * k + order * (q < 0)) * step for k, q in zip(ks, qs)]
+    size = gcd(*qs)
+    return tuple((i, abs(q) // size, (a - angles[0]) % turn)
+                 for i, a, q in zip(support, angles, qs))
 
 
 def _dependent(u, v) -> bool:

@@ -419,13 +419,16 @@ def test_perp_generators_annihilate_surveyed_monomials():
 
 
 def test_bound_cells_count_the_divisors_of_every_term():
+    """The cells of the degrees 1 <= t <= min(t_max, d/2), the ones
+    elimination builds, from every term's divisors."""
     from waring.apolarity import bound_cells
-    assert bound_cells(parse_form("x1*x2^2 + x3^3")) == 2 * 3 + 4
-    assert bound_cells(parse_homogeneous("x1^2*x2 + x1*x2^2")) == 6 + 6
+    assert bound_cells(parse_form("x1*x2^2 + x3^3")) == 2 + 1
+    assert bound_cells(parse_homogeneous("x1^2*x2 + x1*x2^2")) == 2 + 2
     form = parse_form("x1^2*x2^3*x3 + 2*x4^6")
-    assert bound_cells(form) == sum(
-        len(row) for t in range(form.degree + 1)
-        for row in catalecticant(form, t).entries.values())
+    for t_max in (None, 1, 2, 3, 6):
+        assert bound_cells(form, t_max) == sum(
+            len(row) for t in range(1, min(t_max or 6, 3) + 1)
+            for row in catalecticant(form, t).entries.values())
 
 
 def test_bound_cell_cap_is_checked_before_any_catalecticant(monkeypatch):
@@ -436,32 +439,30 @@ def test_bound_cell_cap_is_checked_before_any_catalecticant(monkeypatch):
     stub = SimpleNamespace(rank=lambda: 0)
     monkeypatch.setattr(apolarity, "catalecticant",
                         lambda form, t: built.append(t) or stub)
-    # ranked by elimination: the nonzero cells over all degrees
-    at_cap = parse_homogeneous("x1^99*x2^999 + x1^99*x3^999")    # 2 * 100 * 1000
+    # ranked by elimination: the nonzero cells of the degrees t <= d/2
+    under = parse_homogeneous("x1^133000 + x1^132999*x2")    # 66500 + 2 * 66500
     over = parse_homogeneous("x1^100*x2^100*x3^100 + x1^101*x2^99*x3^100")
-    assert apolarity.bound_cells(at_cap) == apolarity.MAX_BOUND_CELLS
-    assert apolarity.bound_cells(over) == 101 ** 3 + 102 * 100 * 101 == 2060501
-    apolarity.catalecticant_lower_bound(at_cap)
-    assert built == list(range(1, at_cap.degree // 2 + 1))
+    assert apolarity.bound_cells(under) == 199500 <= apolarity.MAX_BOUND_CELLS
+    assert apolarity.bound_cells(over) == 518975 + 518924 == 1037899
+    apolarity.catalecticant_lower_bound(under)
+    assert built == list(range(1, 66501))
     built.clear()
-    with pytest.raises(ResourceLimitError, match="2060501"):
+    with pytest.raises(ResourceLimitError, match="1037899"):
         apolarity.catalecticant_lower_bound(over)
-    with pytest.raises(ResourceLimitError):
-        apolarity.catalecticant_lower_bound(over, 1)
-    # counted: t_max times the sum over terms of 2^k, k the term's variables
-    apolarity.catalecticant_lower_bound(parse_form("x1^49999*x2"))    # 50000 * 4
-    assert built == [25000]
+    apolarity.catalecticant_lower_bound(over, 1)     # 3 + 3 cells at t = 1
+    assert built == [1]
     built.clear()
-    with pytest.raises(ResourceLimitError, match="200004"):
-        apolarity.catalecticant_lower_bound(parse_form("x1^50000*x2"))
-    with pytest.raises(ResourceLimitError, match="800004"):
-        apolarity.catalecticant_lower_bound(parse_homogeneous("x1^200000*x2"))
-    coprime = parse_form("x1^33333*x2 + x3^33334")
-    with pytest.raises(ResourceLimitError, match="200004"):    # 33334 * (4 + 2)
-        apolarity.catalecticant_lower_bound(coprime)
+    # counted at one degree: k * min(2^k, d + k + 1) per term of k variables
+    apolarity.catalecticant_lower_bound(parse_form("x1^50000*x2"))    # 2 * 4
+    apolarity.catalecticant_lower_bound(parse_homogeneous("x1^200000*x2"))
+    assert built == [25000, 100000]
+    built.clear()
+    wide = "*".join(f"x{i}" for i in range(1, 14))
+    with pytest.raises(ResourceLimitError, match="200018"):    # 14 * (14272 + 15)
+        apolarity.catalecticant_lower_bound(parse_form(wide + "*x14^14259"))
     assert built == []
-    apolarity.catalecticant_lower_bound(coprime, 33333)     # 33333 * 6
-    assert built == [16667]
+    apolarity.catalecticant_lower_bound(parse_form(wide + "*x14^14257"))    # 14 * 14285
+    assert built == [7135]
 
 
 # -- Hilbert functions from the Hilbert-series numerator, against enumeration ---

@@ -341,13 +341,46 @@ def test_bound_of_a_large_monomial(capsys):
     assert out == "192\n"
 
 
-def test_decompose_over_the_solve_cap_exits_3(capsys):
-    code, out, err = run(capsys, "decompose", "x1^2*x2^2*x3^2*x4^2*x5^9")
-    assert code == 3
-    assert out == ""
+def _refused_at_once(capsys, argv, *parts):
+    """`waring ARGV` exits 3 within a second with one `error:` line that
+    contains each of `parts`."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: ") and "cap" in err
+    assert err.startswith("error: ") and all(part in err for part in parts)
     assert "Traceback" not in err
+
+
+def test_decompose_over_the_solve_cap_exits_3(capsys):
+    # one 61-square solve over Q(zeta_61): 61^3 * 60^2
+    _refused_at_once(capsys, ("decompose", "x1*x2^60"), (
+        "gamma solves of estimated cost 8.2e+08 ((a+1)^3 * phi(a+1)^2 per distinct "
+        "a_i), above the cap 1e+08"))
+
+
+@pytest.mark.parametrize("form, message", [
+    # 8,000 terms in 8,000 classes: 6.4e7 class sums, at 40 to a step
+    ("x1*x2^19*x3^19*x4^19", "takes 1.6e+06 steps (compositions, class sums and "
+                             "pairs), above the step cap 1e+06"),
+    ("x1*x2^6*x3^7*x4^8*x5^9*x6^10", "needs the field Q(zeta_27720), above the "
+                                     "field order cap 1000"),
+    # a price past the range of a float is printed by its bit length
+    ("*".join(["x1"] + [f"x{i}^9" for i in range(2, 200)]), "takes about 2^1311 steps"),
+], ids=["class sums", "field", "past a float"])
+def test_decompose_over_a_verify_cap_exits_3_at_once(capsys, form, message):
+    _refused_at_once(capsys, ("decompose", form), f"error: verifying the output {message}")
+
+
+@pytest.mark.parametrize("form, rank", [("x1^12*x2^12*x3^12", 169),
+                                        ("x1^2*x2^2*x3^2*x4^2*x5^9", 270)])
+def test_decompose_of_cheap_grids_once_refused_runs(capsys, form, rank):
+    # exit 0 means the output passed its verification
+    code, out, err = run(capsys, "decompose", form)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"rank {rank} decomposition of {form}:\n")
+    assert len(out.splitlines()) == rank + 1
 
 
 def test_decompose_under_the_solve_cap_still_runs(capsys):
@@ -376,16 +409,23 @@ def test_the_parser_is_built_once_and_reused(capsys):
     assert [code for code, _, _ in reused] == [1, 0, 0, 0, 0, 0]
 
 
+WIDE = "*".join(f"x{i}" for i in range(1, 14))
+
+
 def test_bound_over_the_cell_cap_exits_3(capsys):
-    # 2,060,501 nonzero cells to eliminate, or 200,001 * 4 counting steps
-    for form, estimate in [("x1^100*x2^100*x3^100 + x1^101*x2^99*x3^100", "2060501"),
-                           ("x1^200000*x2", "800004")]:
+    # 1,037,899 nonzero cells of the degrees t <= 150 to eliminate, or
+    # 14 * min(2^14, 14272 + 14 + 1) counting steps
+    for form, estimate in [("x1^100*x2^100*x3^100 + x1^101*x2^99*x3^100", "1037899"),
+                           (WIDE + "*x14^14259", "200018")]:
+        _refused_at_once(capsys, ("bound", form), f"estimated {estimate} ",
+                         "above the cap 200000")
+
+
+def test_bound_under_the_cell_cap_runs(capsys):
+    # 199,990 counting steps; x1^50000*x2, once refused, costs 8
+    for form, bound in [(WIDE + "*x14^14257", "8192"), ("x1^50000*x2", "2")]:
         code, out, err = run(capsys, "bound", form)
-        assert code == 3
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: ") and estimate in err and "200000" in err
-        assert "Traceback" not in err
+        assert (code, out, err) == (0, bound + "\n", "")
 
 
 def test_bound_counts_a_monomial_over_a_million_cells_at_once(capsys):

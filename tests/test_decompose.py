@@ -234,12 +234,81 @@ def test_solved_gammas_equal_the_closed_form(case):
     assert verify_decomposition(form, dec).passed
 
 
-def test_solve_cost_cap_raises_before_any_solve():
+def test_solve_cost_cap_raises_before_any_solve(monkeypatch):
+    from waring import decompose
     from waring.rank import EnumerationLimitError, ResourceLimitError
     assert issubclass(EnumerationLimitError, ResourceLimitError)
-    # rank 169 over Q(zeta_13): 169^3 * 12^2 = 7.0e8, over the cap
-    with pytest.raises(ResourceLimitError, match="cap"):
-        decompose_form(parse_form("x1^12*x2^12*x3^12"))
+    monkeypatch.setattr(decompose, "solve_exact", None)     # any solve would fail
+    # one 61-square solve over Q(zeta_61): 61^3 * 60^2 = 8.2e8, over the cap
+    with pytest.raises(ResourceLimitError, match=r"8\.2e\+08 .* above the cap 1e\+08"):
+        decompose_form(parse_form("x1*x2^60"))
+
+
+def test_the_solve_is_priced_once_per_distinct_exponent(monkeypatch):
+    """x1*x2^4*x3^6 + x4^3*x5^4*x6^4 solves for a = 4 and 6 in its first
+    block and for a = 4 in its second: 2 * 5^3 * 4^2 + 7^3 * 6^2 = 16348.
+    It runs with the cap at that price and is refused one below, before any
+    solve."""
+    from waring import decompose
+    from waring.rank import ResourceLimitError
+    form = parse_form("x1*x2^4*x3^6 + x4^3*x5^4*x6^4")
+    monkeypatch.setattr(decompose, "MAX_SOLVE_COST", 16348)
+    assert verify_decomposition(form, decompose_form(form)).passed
+    monkeypatch.setattr(decompose, "MAX_SOLVE_COST", 16347)
+    monkeypatch.setattr(decompose, "solve_exact", None)
+    with pytest.raises(ResourceLimitError, match=r"1\.6e\+04"):
+        decompose_form(form)
+
+
+def test_the_field_cap_is_checked_before_any_field_is_built(monkeypatch):
+    """x1*x2^6*x3^7*x4^8*x5^9*x6^10 needs Q(zeta_27720), while its solves
+    alone would be priced at only about 2e5."""
+    from waring import cyclotomic, decompose
+    from waring.rank import ResourceLimitError
+    real = cyclotomic.cyclotomic_polynomial
+
+    def small_fields_only(n):
+        assert n <= decompose.MAX_FIELD_ORDER, f"built Phi_{n}"
+        return real(n)
+
+    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", small_fields_only)
+    with pytest.raises(ResourceLimitError, match=r"Q\(zeta_27720\), above the field order cap"):
+        decompose_form(parse_form("x1*x2^6*x3^7*x4^8*x5^9*x6^10"))
+
+
+@st.composite
+def _coprime_sums(draw):
+    """One to three blocks of one degree 2 <= d <= 8, each on one to four
+    variables of its own, with exponents in drawn order (ties included)
+    and nonzero rational coefficients."""
+    d = draw(st.integers(2, 8))
+    names = iter(draw(st.permutations([f"x{i}" for i in range(1, 13)])))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, min(4, d)))
+        cuts = sorted(draw(st.lists(st.integers(1, d - 1), min_size=k - 1,
+                                    max_size=k - 1, unique=True)))
+        exps = [b - a for a, b in zip([0, *cuts], [*cuts, d])]
+        coefficient = draw(st.fractions(min_value=-5, max_value=5, max_denominator=50)
+                           .filter(bool))
+        terms.append((coefficient, Monomial([next(names) for _ in exps], exps)))
+    return CoprimeForm(terms)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_coprime_sums())
+def test_the_price_from_the_exponents_is_the_price_of_the_output(form):
+    """`decompose_form` admits its output by the price it reads off the
+    exponents; verifying prices the output's plan.  The two agree."""
+    from unittest import mock
+    from waring import decompose
+    with mock.patch.object(decompose, "_admit", wraps=decompose._admit) as admit:
+        dec = decompose_form(form)
+    (_, field, steps), = [call.args for call in admit.call_args_list]
+    plan = decompose._lift(dec, [c for c, _ in form.terms])
+    assert (field, steps) == (plan.field, plan.steps)
+    assert len(plan.groups) == len(form.terms) and not plan.general
 
 
 # -- the factored solve against the full square character system ----------------

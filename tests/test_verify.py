@@ -3,6 +3,7 @@ expansion, which fixes the exact report content (including the field each
 printed value lives in), and sympy `expand` modulo sympy's Phi_N."""
 
 import dataclasses
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -25,7 +26,7 @@ from waring.decompose import (
 from waring.forms import CoprimeForm, Monomial, parse_form
 from waring.rank import ResourceLimitError, rank_coprime_sum
 from waring.serialize import decomposition_from_json, decomposition_to_json
-from waring.polynomials import Polynomial, compositions
+from waring.polynomials import Polynomial, compositions, multinomial
 
 ORDERS = (1, 2, 3, 4, 6, 12)
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -418,8 +419,8 @@ def test_a_true_grid_block_adds_nothing_off_its_monomial():
     itself sums to zero, so the residual holds that one monomial only."""
     form = parse_form("x1*x2^2*x3^3")
     dec = decompose_form(form)
-    scale, lifted = decompose._lift(dec, [Fraction(1)])
-    residual = decompose._residual({(1, 2, 3): Fraction(1)}, lifted, 6, 3, scale)
+    plan = decompose._lift(dec, [Fraction(1)])
+    residual = decompose._residual({(1, 2, 3): Fraction(1)}, plan, 3)
     assert list(residual) == [(1, 2, 3)]
     assert decompose._vanishes(residual[(1, 2, 3)])
 
@@ -504,35 +505,37 @@ def _steps_at_cap(monkeypatch, form, dec, steps):
 
 
 def test_the_largest_decompose_block_is_under_the_verify_step_cap(monkeypatch):
-    """x1*...*x9: 256 cyclic terms in one group take C(17, 8) compositions,
-    and its pairs are tested in one pass, not one by one."""
+    """x1*...*x9: 256 cyclic terms in one group take C(17, 8) = 24310
+    compositions and 256 members times 2^8 classes, 65,536 class sums at 40
+    to a step, and its pairs are tested in one pass, not one by one."""
     form = parse_form("*".join(f"x{i}" for i in range(1, 10)))
     dec = decompose_form(form)
-    assert 24310 <= decompose.MAX_VERIFY_STEPS
-    assert _steps_at_cap(monkeypatch, form, dec, 24310).passed
+    assert 24310 + 65536 // 40 + 1 == 25949 <= decompose.MAX_VERIFY_STEPS
+    assert _steps_at_cap(monkeypatch, form, dec, 25949).passed
 
 
 def test_a_block_with_a_general_form_counts_its_pairs(monkeypatch):
-    """x1*x2^2 has three cyclic terms in one group: C(4, 1) = 4 steps.  With
-    one linear form made general, the other two still form that group (4),
-    the general term adds its own 4 compositions, and the block its 3 pairs."""
+    """x1*x2^2 has three cyclic terms in one group: C(4, 1) = 4 compositions
+    and 3 members in 3 classes, one step of class sums.  With one linear form
+    made general, the other two still form that group (4 + 1), the general
+    term adds its own 4 compositions, and the block its 3 pairs."""
     form = parse_form("x1*x2^2")
     dec = decompose_form(form)
-    assert _steps_at_cap(monkeypatch, form, dec, 4).passed
+    assert _steps_at_cap(monkeypatch, form, dec, 4 + 1).passed
     monkeypatch.undo()
     terms = list(dec.terms)
     linear = list(terms[0].linear)
     linear[1] = linear[1] + CyclotomicNumber(3, ["1/2", "1"])
     terms[0] = dataclasses.replace(terms[0], linear=tuple(linear))
     tampered = dataclasses.replace(dec, terms=tuple(terms))
-    assert not _steps_at_cap(monkeypatch, form, tampered, 4 + 4 + 3).passed
+    assert not _steps_at_cap(monkeypatch, form, tampered, 4 + 1 + 4 + 3).passed
 
 
 def test_a_wide_block_with_a_general_form_counts_only_the_pairs_it_tests(monkeypatch):
     """x1*...*x9 with one linear form made general: its other 255 terms still
-    form one group (C(17, 8) = 24310 steps), the general term adds its own
-    24310 compositions, and the block n k = 256 pairs for its k = 1 general
-    form of n = 256, not all 32,640."""
+    form one group (C(17, 8) = 24310 compositions, 255 * 2^8 class sums),
+    the general term adds its own 24310 compositions, and the block n k = 256
+    pairs for its k = 1 general form of n = 256, not all 32,640."""
     form = parse_form("*".join(f"x{i}" for i in range(1, 10)))
     dec = decompose_form(form)
     terms = list(dec.terms)
@@ -540,7 +543,35 @@ def test_a_wide_block_with_a_general_form_counts_only_the_pairs_it_tests(monkeyp
     linear[1] = linear[1] + CyclotomicNumber(3, ["1/2", "1"])
     terms[0] = dataclasses.replace(terms[0], linear=tuple(linear))
     tampered = dataclasses.replace(dec, terms=tuple(terms))
-    assert not _steps_at_cap(monkeypatch, form, tampered, 24310 + 24310 + 256).passed
+    steps = 24310 + 255 * 256 // 40 + 24310 + 256
+    assert not _steps_at_cap(monkeypatch, form, tampered, steps).passed
+
+
+def _grid(e):
+    """The closed-form grid decomposition of x1*x2^e*x3^e, built without a
+    solve: the points (1, z^j, z^k), z = zeta_(e+1), with the gammas
+    z^(j+k) / (multinomial(2e+1; 1, e, e) * (e+1)^2)."""
+    n = e + 1
+    scale = Fraction(1, multinomial(2 * e + 1, (1, e, e)) * n * n)
+    return PowerSumDecomposition(2 * e + 1, ("x1", "x2", "x3"), tuple(
+        _term(_root(n, j + k, scale), (_root(n, 0), _root(n, j), _root(n, k)))
+        for j in range(n) for k in range(n)))
+
+
+def test_class_sums_are_priced_before_any_expansion():
+    """The closed-form file of x1*x2^39*x3^39 (1,600 terms) is priced at
+    3,240 compositions and 1,600 * 1,600 class sums, and passes; that of
+    x1*x2^99*x3^99 (10,000 terms: 20,100 compositions and 10^8 class sums,
+    27.6 s if admitted on a 2-vCPU VM) is refused in well under a second."""
+    assert _grid(4).terms == decompose_form(parse_form("x1*x2^4*x3^4")).terms
+    small = _grid(39)
+    assert decompose._lift(small, [Fraction(1)]).steps == 3240 + 1600 ** 2 // 40
+    assert verify_decomposition(parse_form("x1*x2^39*x3^39"), small).passed
+    large = _grid(99)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"2\.5e\+06 steps .* step cap 1e\+06"):
+        verify_decomposition(parse_form("x1*x2^99*x3^99"), large)
+    assert time.perf_counter() - start < 1
 
 
 # -- each exact step once, against the step-by-step oracles ---------------------
@@ -584,9 +615,9 @@ def test_the_first_dependent_pair_equals_the_all_pairs_scan(dec):
     """Pairs of cyclic forms are matched by key; every pair with a zero or
     general form is tested by its minors.  The first pair in loop order is
     the one that testing every pair by its minors finds."""
-    _, lifted = decompose._lift(dec, [Fraction(1)])
-    forms = [(order, bases) for order, _, bases in lifted]
-    assert decompose._first_dependent_pair(forms) == \
+    plan = decompose._lift(dec, [Fraction(1)])
+    forms = [(order, bases) for order, _, bases in plan.lifted]
+    assert decompose._first_dependent_pair(plan, plan.blocks[0]) == \
         reference.first_dependent_pair(forms, decompose._dependent)
 
 
@@ -597,8 +628,8 @@ def test_a_general_multiple_of_a_cyclic_form_is_found_dependent():
     w = [_root(6, 0), _root(6, 5)]
     dec = PowerSumDecomposition(1, ("x1", "x2"), tuple(
         _term(_root(1, 0), linear) for linear in (w, v, [c * lam for c in v])))
-    _, lifted = decompose._lift(dec, [Fraction(1)])
-    assert decompose._first_dependent_pair([(o, b) for o, _, b in lifted]) == (1, 2)
+    plan = decompose._lift(dec, [Fraction(1)])
+    assert decompose._first_dependent_pair(plan, plan.blocks[0]) == (1, 2)
 
 
 @st.composite
@@ -641,10 +672,10 @@ def test_each_field_run_reduced_once_equals_the_term_by_term_sum(problem):
     """The coefficient at every monomial of degree d: its value and the field
     it prints in are those of reducing and promoting term by term."""
     form, dec = problem
-    scale, lifted = decompose._lift(dec, [c for c, _ in form.terms])
+    plan = decompose._lift(dec, [c for c, _ in form.terms])
     for exps in compositions(dec.degree, len(dec.variables)):
-        got = decompose._coefficient(dec, lifted, scale, exps)
-        want = reference.coefficient(dec, lifted, scale, exps)
+        got = decompose._coefficient(dec, plan, exps)
+        want = reference.coefficient(dec, plan.lifted, plan.scale, exps)
         assert (got.order, str(got)) == (want.order, str(want)), exps
 
 
@@ -681,15 +712,16 @@ def test_angle_keys_find_the_pairs_the_minors_find(dec):
     """Forms of Q(zeta_3), Q(zeta_6) and Q(zeta_12) equal up to a root or a
     negative scalar: two keys are equal iff the minors vanish, and the first
     dependent pair is the all-pairs scan's."""
-    _, lifted = decompose._lift(dec, [Fraction(1)])
-    forms = [(order, bases) for order, _, bases in lifted]
+    plan = decompose._lift(dec, [Fraction(1)])
+    forms = [(order, bases) for order, _, bases in plan.lifted]
     turn = 2 * lcm(*(order for order, _ in forms))
-    keys = [decompose._ratio_key(form, turn) for form in forms]
+    keys = [decompose._ratio_key(*form, powers, turn)
+            for form, powers in zip(forms, plan.powers)]
     assert None not in keys
     for i, u in enumerate(forms):
         for j in range(i + 1, len(forms)):
             assert (keys[i] == keys[j]) == decompose._dependent(u, forms[j]), (i, j)
-    assert decompose._first_dependent_pair(forms) == \
+    assert decompose._first_dependent_pair(plan, plan.blocks[0]) == \
         reference.first_dependent_pair(forms, decompose._dependent)
 
 
@@ -721,8 +753,8 @@ def negative_single_power_decompositions(draw):
 def test_index_shifts_give_the_term_by_term_coefficient(dec):
     """A term of single powers q_i t^(k_i) adds its gamma shifted and scaled:
     the value and field at every monomial are those of multiplying out."""
-    scale, lifted = decompose._lift(dec, [Fraction(1)])
+    plan = decompose._lift(dec, [Fraction(1)])
     for exps in compositions(dec.degree, len(dec.variables)):
-        got = decompose._coefficient(dec, lifted, scale, exps)
-        want = reference.coefficient(dec, lifted, scale, exps)
+        got = decompose._coefficient(dec, plan, exps)
+        want = reference.coefficient(dec, plan.lifted, plan.scale, exps)
         assert (got.order, str(got)) == (want.order, str(want)), exps
