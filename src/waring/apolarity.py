@@ -134,12 +134,22 @@ def _divisors_of_degree(m, t):
 
 def _divisor_count(exponents, t) -> int:
     """#{beta <= m : |beta| = t} over the nonzero exponents m_i, that is
-    HF(t) of T/(X_i^(m_i + 1)), from its numerator prod(1 - s^(m_i + 1))."""
+    HF(t) of T/(X_i^(m_i + 1)), from its numerator prod(1 - s^(m_i + 1)) up
+    to s^t: the n exponents equal to a give (1 - s^(a + 1))^n, expanded
+    binomially, so the work grows with the distinct exponents, not with the
+    variables."""
     numerator = {0: 1}
-    for a in exponents:
-        numerator = _plus_shifted(numerator, numerator, a + 1, -1)
+    for a in set(exponents):
+        n, step = exponents.count(a), a + 1
+        product = dict(numerator)
+        for j in range(1, min(n, t // step) + 1):
+            c_j, shift = (-1) ** j * comb(n, j), j * step
+            for i, c in numerator.items():
+                if i + shift <= t:
+                    product[i + shift] = product.get(i + shift, 0) + c_j * c
+        numerator = product
     k = len(exponents)
-    return sum(c * comb(t - j + k - 1, k - 1) for j, c in numerator.items() if j <= t)
+    return sum(c * comb(t - j + k - 1, k - 1) for j, c in numerator.items() if c)
 
 
 def catalecticant(form, t: int) -> CatalecticantMatrix:

@@ -41,13 +41,18 @@ the input.  Each P_r is reduced modulo Phi_N once, and each monomial costs
 one scaling, or none when P_r is 0 (a grid block has rank(M) classes).
 Terms with any other coordinate add one product per monomial.
 
-A mismatch prints the coefficient in the field of the terms that reach it:
+A mismatch prints the coefficient in the field of the terms that reach it.
+When each of them has its gamma in Q(zeta_N), N its lift order, and N is
+the same for all of them, each adds in Q(zeta_N), and the value is the
+residual's order-N part over D (plus the target when N = 1), reduced
+modulo Phi_N: no term is expanded again.  A decompose output is such, and
+stays such with a gamma or coordinate changed within its field.  Otherwise
 each run of terms in the running field F is summed in Z[t]/(t^F - 1) and
 reduced modulo Phi_F once, when a term of another field arrives or at the
-end.  Two cyclic linear forms are dependent iff their polar-form
-keys are equal: per coordinate, the modulus over the gcd of the moduli and
-the angle less the first one's, an integer in units of 1/(2L), L the lcm
-of the block's orders.  So only the pairs with a zero or general form are
+end.  Two cyclic linear forms are dependent iff their polar-form keys are
+equal: per coordinate, the modulus over the gcd of the moduli and the angle
+less the first one's, an integer in units of 1/(2L), L the lcm of the
+block's orders.  So only the pairs with a zero or general form are
 tested one by one, by their minors.
 """
 
@@ -262,10 +267,13 @@ def verify_decomposition(form: CoprimeForm,
     plan = _lift(decomposition, target.values())
     _admit("verifying", plan.field, plan.steps)
     residual = _residual(target, plan, len(variables))
-    bad = (exps for exps in sorted(residual) if not _vanishes(residual[exps]))
+    bad = tuple(itertools.islice(
+        (exps for exps in sorted(residual) if not _vanishes(residual[exps])), 10))
+    fields = _term_fields(decomposition, plan) if bad else None
     mismatches = tuple((monomial_text(variables, exps), str(target.get(exps, Fraction(0))),
-                        _bounded_text(_coefficient(decomposition, plan, exps)))
-                       for exps in itertools.islice(bad, 10))
+                        _bounded_text(_printed(decomposition, plan, fields, residual,
+                                               target, exps)))
+                       for exps in bad)
 
     dependent_pair = next(((block, *pair) for block, terms in plan.blocks.items()
                            if (pair := _first_dependent_pair(plan, terms))), None)
@@ -466,8 +474,43 @@ def _vanishes(groups) -> bool:
     return not any(reduce_mod_phi(total.items(), order))
 
 
+def _term_fields(decomposition, plan) -> dict:
+    """Per support (the indices of the nonzero coordinates) of the terms with
+    a nonzero gamma and form: N if each of them has its gamma in Q(zeta_N),
+    N its lift order, so that it adds in Q(zeta_N) at every monomial it
+    reaches; else None."""
+    fields = {}
+    for t, (order, gamma, bases) in zip(decomposition.terms, plan.lifted):
+        if gamma and bases:
+            support, field = frozenset(bases), order if t.gamma.order == order else None
+            if fields.setdefault(support, field) != field:
+                fields[support] = None
+    return fields
+
+
+def _printed(decomposition, plan, fields, residual, target, exps):
+    """The coefficient of x^exps in the expansion, as `_coefficient` gives
+    it.  When the terms that reach x^exps all add in one field Q(zeta_N)
+    (`_term_fields`), so does their sum, and it is the residual's order-N
+    lift over D, with D * target added back when N = 1 (the target's order);
+    otherwise the terms are added up one by one."""
+    if sum(exps) != plan.degree:
+        return Fraction(0)
+    need = {i for i, a in enumerate(exps) if a}
+    reach = {field for support, field in fields.items() if support >= need}
+    if None in reach or len(reach) > 1:
+        return _coefficient(decomposition, plan, exps)
+    order = reach.pop() if reach else 1
+    lift = list(residual[exps].get(order, {}).items())
+    if order == 1:
+        lift.append((0, int(plan.scale * target.get(exps, 0))))
+    return CyclotomicNumber._normalised(order, plan.scale, reduce_mod_phi(lift, order))
+
+
 def _coefficient(decomposition, plan, exps):
-    """The coefficient of x^exps in the expansion, added up term by term.
+    """The coefficient of x^exps in the expansion, added up term by term:
+    `verify_decomposition` runs it only for a mismatch that terms of
+    several fields reach (`_printed` reads the others off the residual).
 
     A term's contribution lies in the field M generated by its gamma and
     the linear coefficients the monomial uses; its lift only has exponents
@@ -600,14 +643,17 @@ def least_variable_check(form: CoprimeForm,
         raise ValueError("decomposition length does not equal the rank")
     check_blocks(form, decomposition)
     index = {v: i for i, v in enumerate(decomposition.variables)}
-    entries = []
+    least = [m.least_variable for _, m in form.terms]
+    columns = [index.get(v) for v in least]
+
+    def involved(linear, block):
+        column = columns[block]
+        return column is not None and bool(linear[column])
+
     if form.degree == 1:
-        t = decomposition.terms[0]
-        for block, (_, m) in enumerate(form.terms):
-            v = m.least_variable
-            entries.append((0, block, v, v in index and bool(t.linear[index[v]])))
+        linear = decomposition.terms[0].linear
+        entries = [(0, block, v, involved(linear, block)) for block, v in enumerate(least)]
     else:
-        for i, t in enumerate(decomposition.terms):
-            v = form.terms[t.block][1].least_variable
-            entries.append((i, t.block, v, v in index and bool(t.linear[index[v]])))
+        entries = [(i, t.block, least[t.block], involved(t.linear, t.block))
+                   for i, t in enumerate(decomposition.terms)]
     return LeastVariableReport(tuple(entries), all(e[3] for e in entries))

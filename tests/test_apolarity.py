@@ -1,8 +1,9 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 import sympy
@@ -429,6 +430,34 @@ def test_bound_cells_count_the_divisors_of_every_term():
         assert bound_cells(form, t_max) == sum(
             len(row) for t in range(1, min(t_max or 6, 3) + 1)
             for row in catalecticant(form, t).entries.values())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from((1, 1, 2, 2, 3, 5)), min_size=1, max_size=7),
+       st.integers(0, 30))
+def test_divisor_counts_of_repeated_exponents_match_the_enumeration(exponents, t):
+    """n equal exponents a are one binomial power (1 - s^(a+1))^n, cut at s^t."""
+    from waring.apolarity import _divisor_count
+    assert _divisor_count(exponents, t) == _divisor_counts(exponents)[t]
+
+
+def test_a_wide_elimination_form_is_priced_in_well_under_a_second():
+    """x1*...*x2000 + x1^2*x3*...*x2000 (degree 2000, so t <= 1000): each
+    term's equal exponents are one binomial power, so its cells are counted,
+    and its bound refused, in well under a second (expanding one factor per
+    variable took 2.9 s on a 2-vCPU VM)."""
+    from waring import apolarity
+    from waring.rank import ResourceLimitError
+    ones = "*".join(f"x{i}" for i in range(3, 2001))
+    form = parse_homogeneous(f"x1*x2*{ones} + x1^2*{ones}")
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as refused:
+        apolarity.catalecticant_lower_bound(form)
+    assert time.perf_counter() - start < 1
+    # the divisors of degree <= 1000 of each term, less 1
+    cells = sum(comb(2000, j) for j in range(1001)) - 1 \
+        + sum(comb(1998, j) for b in range(3) for j in range(1001 - b)) - 1
+    assert apolarity.bound_cells(form) == cells and f" {cells} " in str(refused.value)
 
 
 def test_bound_cell_cap_is_checked_before_any_catalecticant(monkeypatch):

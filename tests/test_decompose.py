@@ -19,7 +19,7 @@ from waring.decompose import (
 )
 from waring.forms import CoprimeForm, Monomial, decomposition_field_order, parse_form
 from waring.linalg import LinearSystem, solve_exact
-from waring.polynomials import multinomial
+from waring.polynomials import compositions, multinomial
 from waring.rank import rank_coprime_sum, rank_monomial
 
 
@@ -455,3 +455,58 @@ def test_character_tables_are_shared_tuples_the_solve_leaves_unchanged():
     for m, table in tables.items():
         assert _character_table(m) is table
         assert table == fresh(m)
+
+
+# -- the least-variable check, one lookup per block -------------------------------
+
+def _least_variable_entries(form, dec):
+    """The check term by term: each term looks its block's least variable
+    up in the monomial and its column in the namespace."""
+    index = {v: i for i, v in enumerate(dec.variables)}
+    if form.degree == 1:
+        t = dec.terms[0]
+        return [(0, block, m.least_variable, m.least_variable in index
+                 and bool(t.linear[index[m.least_variable]]))
+                for block, (_, m) in enumerate(form.terms)]
+    entries = []
+    for i, t in enumerate(dec.terms):
+        v = form.terms[t.block][1].least_variable
+        entries.append((i, t.block, v, v in index and bool(t.linear[index[v]])))
+    return entries
+
+
+@st.composite
+def _least_variable_cases(draw):
+    """A coprime sum of one to three blocks of degree d <= 4, each over
+    shuffled variables with exponents in a drawn order (ties included), and
+    rank-many terms with drawn blocks and zero or nonzero coordinates, over
+    a shuffled namespace that may lack a block's least variable."""
+    d = draw(st.integers(1, 4))
+    names = iter(draw(st.permutations([f"x{i}" for i in range(1, 10)])))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        exps = draw(st.permutations(draw(st.sampled_from(
+            [c for k in (1, 2, 3) for c in compositions(d, k) if all(c)]))))
+        terms.append((draw(st.sampled_from((1, -2))), Monomial([next(names) for _ in exps], exps)))
+    form = CoprimeForm(terms)
+    namespace = list(draw(st.permutations(form.variables)))
+    if draw(st.booleans()):
+        namespace.remove(terms[draw(st.integers(0, len(terms) - 1))][1].least_variable)
+    namespace.append("y")
+    zero, one = CyclotomicNumber.from_rational(0, 1), CyclotomicNumber.from_rational(1, 1)
+    dec_terms = []
+    for _ in range(rank_coprime_sum(form)):
+        linear = tuple(draw(st.sampled_from((zero, one, one))) for _ in namespace)
+        dec_terms.append(DecompositionTerm(one, linear, draw(st.integers(0, len(terms) - 1)),
+                                           linear))
+    return form, PowerSumDecomposition(d, tuple(namespace), tuple(dec_terms))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_least_variable_cases())
+def test_least_variable_check_equals_the_term_by_term_check(case):
+    form, dec = case
+    report = least_variable_check(form, dec)
+    entries = _least_variable_entries(form, dec)
+    assert list(report.entries) == entries
+    assert report.passed == all(ok for *_, ok in entries)

@@ -3,9 +3,12 @@ expansion, which fixes the exact report content (including the field each
 printed value lives in), and sympy `expand` modulo sympy's Phi_N."""
 
 import dataclasses
+import json
+import sys
 import time
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 import sympy
@@ -758,3 +761,136 @@ def test_index_shifts_give_the_term_by_term_coefficient(dec):
         got = decompose._coefficient(dec, plan, exps)
         want = reference.coefficient(dec, plan.lifted, plan.scale, exps)
         assert (got.order, str(got)) == (want.order, str(want)), exps
+
+
+# -- mismatch values read off the residual ---------------------------------------
+
+def _target(form, dec):
+    """The form's coefficients keyed by exponent tuples of dec's namespace."""
+    target = {}
+    for c, m in form.terms:
+        exps = [0] * len(dec.variables)
+        for v, e in zip(m.variables, m.exponents):
+            exps[dec.variables.index(v)] = e
+        target[tuple(exps)] = c
+    return target
+
+
+@st.composite
+def tampered_decompositions(draw):
+    """A true decomposition with one gamma or one linear coordinate replaced
+    by a drawn number, over forms with blocks of order 1 (x3^4, x1 + 2*x2)."""
+    form = parse_form(draw(st.sampled_from(
+        ["x1*x2^2", "x1*x2*x3", "x1^2*x2^2 + x3*x4^3", "x1 + 2*x2", "x1*x2^3 - x3^4",
+         "x1*x2 - 1/2*x3^2"])))
+    dec = decompose_form(form)
+    terms = list(dec.terms)
+    j = draw(st.integers(0, len(terms) - 1))
+    t = terms[j]
+    if draw(st.booleans()):
+        terms[j] = dataclasses.replace(t, gamma=draw(cyclotomic(t.gamma.order)))
+    else:
+        k = draw(st.integers(0, len(t.linear) - 1))
+        linear = list(t.linear)
+        linear[k] = draw(cyclotomic())
+        terms[j] = dataclasses.replace(t, linear=tuple(linear))
+    return form, _repack(dec, terms)
+
+
+@st.composite
+def wrong_degree_problems(draw):
+    """A random decomposition against a form of another degree."""
+    _, dec = draw(problems())
+    e = draw(st.integers(1, 5).filter(lambda e: e != dec.degree))
+    exps = draw(st.sampled_from(list(compositions(e, len(dec.variables)))))
+    mono = Monomial([v for v, a in zip(dec.variables, exps) if a], [a for a in exps if a])
+    return CoprimeForm([(draw(nonzero), mono)], dec.variables), dec
+
+
+@SETTINGS
+@given(st.one_of(problems(), problems(mixed=False), cyclic_problems(),
+                 mixed_field_decompositions(), tampered_decompositions(),
+                 wrong_degree_problems()))
+def test_residual_reads_give_the_walked_coefficient(problem):
+    """At every monomial of the residual, the printed value read off it has
+    the value and the field of adding the terms up one by one."""
+    form, dec = problem
+    target = _target(form, dec)
+    plan = decompose._lift(dec, target.values())
+    residual = decompose._residual(target, plan, len(dec.variables))
+    fields = decompose._term_fields(dec, plan)
+    for exps in residual:
+        got = decompose._printed(dec, plan, fields, residual, target, exps)
+        want = decompose._coefficient(dec, plan, exps)
+        assert (getattr(got, "order", None), str(got)) == \
+            (getattr(want, "order", None), str(want)), exps
+
+
+def test_an_order_one_mismatch_adds_the_target_back(monkeypatch):
+    """x3^2 of x1*x2 - 1/2*x3^2 is one rational term, whose residual also
+    holds D/2: its gamma doubled prints -1, not the residual's -1/2."""
+    form = parse_form("x1*x2 - 1/2*x3^2")
+    dec = decompose_form(form)
+    terms = list(dec.terms)
+    terms[-1] = dataclasses.replace(terms[-1], gamma=terms[-1].gamma * 2)
+    monkeypatch.setattr(decompose, "_coefficient", None)    # a walk would fail
+    report = assert_matches_oracle(form, _repack(dec, terms))
+    assert report.mismatches == (("x3^2", "-1/2", "-1"),)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_reverify_files(tmp_path, seed=1, max_degree=5):
+    """(form, decomposition, tampered term index or None) per reverify file
+    of the benchmark, up to max_degree."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workload
+    finally:
+        sys.path.remove(str(BENCH))
+    for job in workload.reverify_jobs(seed, str(tmp_path)):
+        if job.expect["form"].degree <= max_degree:
+            dec = decomposition_from_json(json.loads(Path(job.argv[2]).read_text()))
+            change = job.expect["tampered"]
+            yield parse_form(job.argv[1]), dec, change and int(change.split("[")[1][:-1])
+
+
+def test_bench_mismatches_are_read_and_only_mixed_fields_walk(monkeypatch, tmp_path):
+    """The benchmark's reverify files (closed-form decompositions, a quarter
+    with one gamma or linear coordinate made a general number) print every
+    mismatch without the walk.  With the tampered term re-expressed in
+    twice its field, the monomials it reaches meet two fields, and exactly
+    the mismatches among them are walked."""
+    walked = []
+    walk = decompose._coefficient
+    monkeypatch.setattr(decompose, "_coefficient",
+                        lambda dec, plan, exps: walked.append(exps) or walk(dec, plan, exps))
+    failed = mixed = 0
+    for form, dec, j in _bench_reverify_files(tmp_path):
+        report = verify_decomposition(form, dec)
+        assert report.expansion_matches == (j is None) and not walked
+        if j is None:
+            continue
+        failed += 1
+        t = dec.terms[j]
+        big = 2 * t.gamma.order
+        terms = list(dec.terms)
+        terms[j] = dataclasses.replace(t, gamma=t.gamma.promote(big),
+                                       linear=tuple(c.promote(big) for c in t.linear))
+        promoted = _repack(dec, terms)
+        again = verify_decomposition(form, promoted)
+        assert [m[:2] for m in again.mismatches] == [m[:2] for m in report.mismatches]
+        target = _target(form, promoted)
+        plan = decompose._lift(promoted, target.values())
+        residual = decompose._residual(target, plan, len(dec.variables))
+        bad = [e for e in sorted(residual) if not decompose._vanishes(residual[e])][:10]
+
+        def fields(exps):
+            need = {i for i, a in enumerate(exps) if a}
+            return {order for order, g, bases in plan.lifted if g and bases.keys() >= need}
+
+        assert walked == [e for e in bad if len(fields(e)) > 1]
+        mixed += len(walked)
+        walked.clear()
+    assert failed and mixed
