@@ -15,22 +15,26 @@ recursion N(I) = N(I + (p)) + t^deg(p) N(I : p) of Bayer and Stillman
 pure powers, whose numerator is prod(1 - t^deg g).  Then
 HF(t) = sum_k N_k C(t - k + n - 1, n - 1), and a finite quotient has length
 N(t) / (1 - t)^n at t = 1.  The cost depends on the generators, not on the
-number of standard monomials.
+number of standard monomials, and is priced before any work from the
+generator count g and the variable count n: g^2 * n exponent comparisons
+(`MAX_NUMERATOR_COST`); an ideal keeps its numerator once computed.  The
+intersection identity takes every length from the numerator, and prices
+its family the same way before the intersection is built, with g the most
+generators the intersection can have.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import comb
 from operator import ge
 
 from .forms import CoprimeForm, MonomialIdeal, as_homogeneous, dual_names, \
-    is_coprime_sum, minimalize, pure_power
+    is_coprime_sum, minimalize, pure_power, pure_power_ideal
 from .linalg import sparse_rank
-from .polynomials import Polynomial, apply_differential, compositions, multinomial
+from .polynomials import Polynomial, apply_differential, compositions
 from .rank import ResourceLimitError
 
 # Admission cap for `catalecticant_lower_bound`, in units of the work that
@@ -38,7 +42,8 @@ from .rank import ResourceLimitError
 # or a coprime sum): k binomials per term of k variables, multiplied into a
 # numerator at most min(2^k, d + k + 1) long.  Elimination: the nonzero cells
 # of the degrees t <= min(t_max, d/2) it builds (`bound_cells`), 199,500 for
-# x1^133000 + x1^132999*x2, which takes 2.0 s (2 vCPUs).
+# x1^133000 + x1^132999*x2, which takes 0.7-1.3 s (2 vCPUs) with each term's
+# value computed once per form; the rest is the cost of each degree's matrix.
 MAX_BOUND_CELLS = 2 * 10 ** 5
 
 # Admission cap for `hf_table`, in running-sum steps: a table to degree t_max
@@ -46,6 +51,19 @@ MAX_BOUND_CELLS = 2 * 10 ** 5
 # values of at most about n * log10(t_max) digits each.  At the cap, `hf`
 # prints 2 * 10^5 lines in one variable in 0.7 s on a 2-vCPU VM.
 MAX_HF_STEPS = 2 * 10 ** 5
+
+# Admission cap for the numerator of a Hilbert series (`hf`, and lengths),
+# in exponent comparisons, priced before any work from the generator count g
+# and the variable count n: g^2 * n, one pairwise divisibility scan of the
+# generators.  On a 2-vCPU VM the numerator of the 25-block Claim's
+# intersection (1,275 generators in 75 variables, 1.2e8, just over the cap)
+# takes 1.0 s, and `hf` on the 30-block one's (1,830 in 90, 3.0e8) is
+# refused.  A Claim is priced the same way before its intersection is
+# built, with g the most generators the intersection can have (see
+# `verify_claim_identity`): Claims priced at 1.0e8-1.5e8 take 0.2-0.7 s,
+# and 40 blocks x1*x2^2*x3^3 (1.7e10) are refused.  The price follows ideals
+# of that shape; the pivot recursion has no bound of this form.
+MAX_NUMERATOR_COST = 10 ** 8
 
 # Admission cap for `hf --claim-random COUNT`, checked before the first
 # configuration: 1000 of them take about 1 s on a 2-vCPU VM.
@@ -93,10 +111,9 @@ class CatalecticantMatrix:
     @cached_property
     def entries(self) -> dict:
         """Term c * x^m fills every cell (m - beta, beta) with the one value
-        c / multinomial(d; m)."""
+        c / multinomial(d; m), computed once per form (`Polynomial.divided`)."""
         entries = {}
-        for m, c in self.form.terms.items():
-            value = c * Fraction(1, multinomial(self.degree, m))
+        for m, value in self.form.divided.items():
             for beta in _divisors_of_degree(m, self.t):
                 alpha = tuple(a - b for a, b in zip(m, beta))
                 entries.setdefault(alpha, {})[beta] = value
@@ -211,8 +228,25 @@ def bound_cells(form, t_max=None) -> int:
 
 def hilbert_numerator(ideal: MonomialIdeal) -> dict:
     """The numerator N(t) of HS(T/I) = N(t) / (1 - t)^n, as {degree:
-    coefficient} over the nonzero coefficients."""
-    return _numerator(ideal.generators, {})
+    coefficient} over the nonzero coefficients; not to be modified, as it
+    is kept on the ideal, whose generators never change, so that a table
+    and a length of one quotient cost one numerator.  Raises
+    ResourceLimitError, before any work, above MAX_NUMERATOR_COST."""
+    if ideal._numerator is None:
+        _admit_numerator("the Hilbert series numerator", len(ideal.generators), ideal.num_vars)
+        ideal._numerator = _numerator(ideal.generators, {})
+    return ideal._numerator
+
+
+def _admit_numerator(what, gens, num_vars) -> None:
+    """Refuse `what`, a numerator of `gens` generators in `num_vars`
+    variables, when gens^2 * num_vars exceeds MAX_NUMERATOR_COST."""
+    cost = gens * gens * num_vars
+    if cost > MAX_NUMERATOR_COST:
+        raise ResourceLimitError(
+            f"{what} takes an estimated {cost} exponent comparisons ({gens} "
+            f"generators squared times {num_vars} variables), above the cap "
+            f"{MAX_NUMERATOR_COST}")
 
 
 def _numerator(gens, memo) -> dict:
@@ -353,13 +387,12 @@ class ClaimReport:
 
 
 def verify_claim_identity(ideals, t_max=None) -> ClaimReport:
-    """Check sum_i HF(T/(J_1 cap ... cap J_r), i) =
-    sum_j sum_i HF(T/J_j, i) - r + 1 on a family of finite monomial quotients
-    whose pairwise sums are the maximal ideal.
+    """Check len T/(J_1 cap ... cap J_r) = sum_j len T/J_j - r + 1 on a
+    family of finite monomial quotients whose pairwise sums are the maximal
+    ideal.  Every length is `total_multiplicity`, read off the numerator.
 
-    When t_max is given, the Hilbert functions are summed up to t_max and the
-    tails are required to vanish there; otherwise summation runs until the
-    (finite) quotients are exhausted.
+    When t_max is given, HF(t_max) of each quotient, the intersection's
+    first, must also vanish.
     """
     ideals = list(ideals)
     if not ideals:
@@ -369,47 +402,43 @@ def verify_claim_identity(ideals, t_max=None) -> ClaimReport:
         if not j.contains_power_of_every_variable():
             raise ClaimPreconditionError(
                 f"{j!r} lacks a pure power of some variable")
-    for a in range(len(ideals)):
-        for b in range(a + 1, len(ideals)):
-            for v in range(num_vars):
-                unit = pure_power(num_vars, v, 1)
-                if unit not in ideals[a].generators and unit not in ideals[b].generators:
-                    raise ClaimPreconditionError(
-                        f"J_{a + 1} + J_{b + 1} misses the variable "
-                        f"{ideals[a].names[v]}: the sum is not the maximal ideal")
-    intersection = intersect_monomial_ideals(ideals)
-    if t_max is None:
-        lhs = total_multiplicity(intersection)
-        per_ideal = tuple(total_multiplicity(j) for j in ideals)
-    else:
-        tables = [hf_table(j, t_max) for j in [intersection] + ideals]
-        for tab in tables:
-            if tab[t_max] != 0:
-                raise ValueError(
-                    f"t_max={t_max} is too small: Hilbert function tail is "
-                    f"{tab[t_max]}, not 0")
-        lhs = sum(tables[0])
-        per_ideal = tuple(sum(tab) for tab in tables[1:])
+    # per ideal, the variables it lacks as linear generators: a sum J_a + J_b
+    # misses exactly those that both lack
+    lacking = [set(range(num_vars)).difference(g.index(1) for g in j.generators if sum(g) == 1)
+               for j in ideals]
+    for (a, u), (b, w) in combinations(enumerate(lacking), 2):
+        if u & w:
+            raise ClaimPreconditionError(
+                f"J_{a + 1} + J_{b + 1} misses the variable "
+                f"{ideals[a].names[min(u & w)]}: the sum is not the maximal ideal")
+    # the intersection's minimal generators are the X_v that no ideal lacks,
+    # the products X_u X_v of two variables lacked by different ideals, and
+    # the generators of one ideal in variables only it lacks
+    own = sum(len(j.generators) for j in ideals)
+    _admit_numerator(f"the identity on {len(ideals)} ideals, whose intersection has at most "
+                     f"C({num_vars}, 2) + {own} generators,", comb(num_vars, 2) + own, num_vars)
+    family = [intersect_monomial_ideals(ideals), *ideals]
+    if t_max is not None:
+        for j in family:
+            tail = hf_table(j, t_max)[t_max]
+            if tail:
+                raise ValueError(f"t_max={t_max} is too small: Hilbert function tail is "
+                                 f"{tail}, not 0")
+    lhs, *per_ideal = map(total_multiplicity, family)
     rhs = sum(per_ideal) - (len(ideals) - 1)
-    return ClaimReport(lhs, per_ideal, rhs, lhs == rhs)
+    return ClaimReport(lhs, tuple(per_ideal), rhs, lhs == rhs)
 
 
 def claim_ideals(form: CoprimeForm):
     """The proof-shaped family J_1..J_r for a coprime sum: J_i keeps block i's
     least-exponent variable linearly, raises the other block variables to
     a_j+1, and contains every out-of-block variable linearly."""
-    num_vars = len(form.variables)
-    index = {v: i for i, v in enumerate(form.variables)}
     names = dual_names(form.variables)
     ideals = []
     for _, mono in form.terms:
-        items = mono.sorted_items
-        block = {v for v, _ in items}
-        gens = [pure_power(num_vars, index[v], a + 1) for v, a in items[1:]]
-        gens.append(pure_power(num_vars, index[items[0][0]], 1))
-        gens += [pure_power(num_vars, index[v], 1)
-                 for v in form.variables if v not in block]
-        ideals.append(MonomialIdeal(num_vars, gens, names))
+        raised = dict(zip(mono.variables, mono.exponents))
+        raised[mono.least_variable] = 0
+        ideals.append(pure_power_ideal([raised.get(v, 0) + 1 for v in form.variables], names))
     return ideals
 
 
@@ -421,13 +450,9 @@ def random_claim_configuration(rng, max_r=3, max_block=3, max_exp=4):
     sizes = [rng.randint(1, max_block) for _ in range(r)]
     num_vars = sum(sizes)
     starts = [sum(sizes[:i]) for i in range(r)]
-    ideals = []
-    for i in range(r):
-        block = range(starts[i], starts[i] + sizes[i])
-        gens = [pure_power(num_vars, v, rng.randint(1, max_exp + 1) if v in block else 1)
-                for v in range(num_vars)]
-        ideals.append(MonomialIdeal(num_vars, gens))
-    return ideals
+    return [pure_power_ideal([rng.randint(1, max_exp + 1) if start <= v < start + size else 1
+                              for v in range(num_vars)])
+            for start, size in zip(starts, sizes)]
 
 
 def annihilator_membership(operator: Polynomial, form) -> bool:

@@ -27,9 +27,11 @@ Verification expands sum gamma_j L_j^d with integer coefficients in
 Z[t]/(t^N - 1) over one common denominator, reading one plan (`_lift`):
 each term lifted and classified once, the cyclic groups, the blocks and
 the price, checked before any expansion (`decompose_form` reads the same
-price off the exponents first).  Each monomial's residual is reduced
-modulo Phi_N once, N the lcm of the orders of the terms that reach it:
-exact, as t -> zeta_N is a ring map onto Q(zeta_N).
+price off the exponents first).  The price counts each composition of d
+once up to d = 500 and ceil(d^2 / 500^2) times past it, as its
+multinomial and powers grow to O(d) bits.  Each monomial's residual is
+reduced modulo Phi_N once, N the lcm of the orders of the terms that reach
+it: exact, as t -> zeta_N is a ring map onto Q(zeta_N).
 
 A cyclic term, whose nonzero coordinates lift to single powers q_i t^(e_i)
 (every grid term does), adds multinomial(d; b) * prod q_i^(b_i) *
@@ -86,6 +88,8 @@ MAX_FIELD_ORDER = 10 ** 3
 # Admission cap for verification and `decompose_form`, in steps of up to
 # 12 us (2 vCPUs) counted by `_steps`: x1*...*x9 takes 25,949 and
 # x1*x2^39*x3^39 67,240 (0.8 s); x1*x2^99*x3^99 (2.5e6, 27.6 s) is refused.
+# Past degree 500 a composition counts ceil(d^2 / 500^2) steps: a one-term
+# file for x1^5000*x2^5000 (10,001 compositions, 15 s) is refused at 4.0e6.
 MAX_VERIFY_STEPS = 10 ** 6
 
 
@@ -299,14 +303,17 @@ def _bounded_text(x) -> str:
 
 def _steps(d, groups, general, blocks) -> int:
     """The verification price: the compositions of d per cyclic group (s, m,
-    p: support size, members, product of the periods) and general term (s);
-    m * min(compositions, p) class sums per group, 40 to a step (about 0.28
-    us each); min(n k, n (n - 1) / 2) pairs per block of n forms, k of them
-    zero or general."""
+    p: support size, members, product of the periods) and general term (s),
+    each ceil(d^2 / 500^2) steps, as its multinomial and powers have O(d)
+    bits and their products cost up to the square of that (one step up to
+    d = 500); m * min(compositions, p) class sums per group, 40 to a step
+    (about 0.28 us each); min(n k, n (n - 1) / 2) pairs per block of n
+    forms, k of them zero or general."""
     paths = [comb(d + s - 1, d) for s, _, _ in groups]
     sums = sum(m * min(c, p) for c, (_, m, p) in zip(paths, groups))
-    return sum(paths) + sum(comb(d + s - 1, d) for s in general) + -(-sums // 40) \
-        + sum(min(n * k, n * (n - 1) // 2) for n, k in blocks)
+    size = -(-d * d // 500 ** 2)
+    return size * (sum(paths) + sum(comb(d + s - 1, d) for s in general)) \
+        + -(-sums // 40) + sum(min(n * k, n * (n - 1) // 2) for n, k in blocks)
 
 
 def _admit(what, field, steps) -> None:
@@ -385,14 +392,18 @@ def _lift(decomposition, target_coeffs) -> _Plan:
 
 
 def _power(base, a, order):
-    """base^a in Z[t]/(t^order - 1); the a-th power of a single-exponent
-    q * t^k is the index shift q^a * t^(k a)."""
+    """base^a in Z[t]/(t^order - 1), by repeated squaring; the a-th power of
+    a single-exponent q * t^k is the index shift q^a * t^(k a)."""
     if len(base) == 1:
         (k, q), = base.items()
         return {k * a % order: q ** a}
     acc = {0: 1}
-    for _ in range(a):
-        acc = cyclic_mul(acc, base, order)
+    while a:
+        if a & 1:
+            acc = cyclic_mul(acc, base, order)
+        a >>= 1
+        if a:
+            base = cyclic_mul(base, base, order)
     return acc
 
 
@@ -423,7 +434,9 @@ def _residual(target, plan, n):
 
     for order, gamma, bases in plan.general:
         support = tuple(bases)
-        powers = [_powers(bases[i], d, order) for i in support]
+        # one coordinate takes only its d-th power
+        powers = [{d: _power(bases[i], d, order)} if len(support) == 1
+                  else _powers(bases[i], d, order) for i in support]
         for alpha in compositions(d, len(support)):
             acc = gamma
             for row, a in zip(powers, alpha):

@@ -191,6 +191,7 @@ class MonomialIdeal:
         self.generators = tuple(sorted(minimalize(gens)))
         self.names = tuple(names) if names else tuple(
             f"X{i + 1}" for i in range(num_vars))
+        self._numerator = None      # kept by `apolarity.hilbert_numerator`
 
     def contains_power_of_every_variable(self) -> bool:
         covered = [False] * self.num_vars
@@ -212,12 +213,15 @@ class MonomialIdeal:
 
 def minimalize(gens):
     """Drop repeated generators and those divisible by another generator;
-    the rest keep their input order.  A divisor has no larger degree, so one
-    pass in order of degree tests each generator against those kept."""
+    the rest keep their input order.  A proper divisor has a smaller
+    degree, so one pass in order of degree tests each generator only
+    against the kept generators of smaller degree."""
     gens = list(dict.fromkeys(gens))
-    kept = []
+    kept, lower, degree = [], 0, None      # kept[:lower] have smaller degree
     for g in sorted(gens, key=sum):
-        if not any(all(map(ge, g, h)) for h in kept):
+        if sum(g) != degree:
+            degree, lower = sum(g), len(kept)
+        if not any(all(map(ge, g, kept[j])) for j in range(lower)):
             kept.append(g)
     kept = set(kept)
     return [g for g in gens if g in kept]
@@ -386,13 +390,20 @@ def render_form(form: CoprimeForm) -> str:
 def perp_generators(monomial: Monomial) -> MonomialIdeal:
     """The perp ideal of a monomial: pure powers X_j^(a_j+1), one per variable
     in the support."""
-    gens = [pure_power(monomial.n, i, e + 1) for i, e in enumerate(monomial.exponents)]
-    return MonomialIdeal(monomial.n, gens, dual_names(monomial.variables))
+    return pure_power_ideal([e + 1 for e in monomial.exponents],
+                            dual_names(monomial.variables))
 
 
 def pure_power(num_vars: int, i: int, e: int) -> tuple:
     """The exponent tuple of X_i^e among num_vars variables."""
     return (0,) * i + (e,) + (0,) * (num_vars - i - 1)
+
+
+def pure_power_ideal(exponents, names=None) -> MonomialIdeal:
+    """(X_1^e_1, ..., X_n^e_n), one pure power per variable; an exponent of
+    1 is a linear generator."""
+    n = len(exponents)
+    return MonomialIdeal(n, [pure_power(n, i, e) for i, e in enumerate(exponents)], names)
 
 
 def dual_names(variables) -> tuple:

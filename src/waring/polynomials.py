@@ -52,7 +52,7 @@ def multinomial(d: int, alpha) -> int:
 class Polynomial:
     """A sparse polynomial over a fixed number of variables."""
 
-    __slots__ = ("num_vars", "terms", "_supports")
+    __slots__ = ("num_vars", "terms", "_supports", "_divided")
 
     def __init__(self, num_vars: int, terms=None):
         if num_vars < 1:
@@ -69,6 +69,7 @@ class Polynomial:
         self.num_vars = num_vars
         self.terms = clean
         self._supports = None
+        self._divided = None
 
     @classmethod
     def zero(cls, num_vars: int) -> "Polynomial":
@@ -93,6 +94,16 @@ class Polynomial:
         if self._supports is None:
             self._supports = tuple(tuple(compress(count(), e)) for e in self.terms)
         return self._supports
+
+    @property
+    def divided(self) -> dict:
+        """Per term c * x^m, {m: c / multinomial(|m|; m)}: its coefficient
+        in the divided-power basis, the value of its catalecticant cells;
+        found on first use, as the terms never change."""
+        if self._divided is None:
+            self._divided = {m: c * Fraction(1, multinomial(sum(m), m))
+                             for m, c in self.terms.items()}
+        return self._divided
 
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}

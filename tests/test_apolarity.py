@@ -24,8 +24,8 @@ from waring.apolarity import (
     total_multiplicity,
     verify_claim_identity,
 )
-from waring.forms import MonomialIdeal, as_homogeneous, parse_form, \
-    parse_homogeneous, perp_generators, pure_power
+from waring.forms import MonomialIdeal, as_homogeneous, dual_names, is_coprime_sum, \
+    parse_form, parse_homogeneous, perp_generators, pure_power
 from waring.linalg import sparse_rank
 from waring.polynomials import Polynomial, apply_differential
 from waring.rank import rank_monomial
@@ -559,3 +559,206 @@ def test_hf_table_cap_is_checked_before_the_numerator(monkeypatch):
     with pytest.raises(ResourceLimitError, match=str(MAX_HF_STEPS + 4)):
         apolarity.hf_table(ideal, at_cap + 1)
     assert len(calls) == 1
+
+
+# -- the Claim's ideals, built one way and measured one way ---------------------
+
+def _summed_table_claim(ideals, t_max=None):
+    """`verify_claim_identity` as it was before every length came from the
+    numerator: lengths summed from `hf_table`s when t_max is given, and the
+    precondition searching the generator lists for each pair and variable."""
+    from waring.apolarity import ClaimReport
+    ideals = list(ideals)
+    if not ideals:
+        raise ValueError("need at least one ideal")
+    num_vars = ideals[0].num_vars
+    for j in ideals:
+        if not j.contains_power_of_every_variable():
+            raise ClaimPreconditionError(
+                f"{j!r} lacks a pure power of some variable")
+    for a in range(len(ideals)):
+        for b in range(a + 1, len(ideals)):
+            for v in range(num_vars):
+                unit = pure_power(num_vars, v, 1)
+                if unit not in ideals[a].generators and unit not in ideals[b].generators:
+                    raise ClaimPreconditionError(
+                        f"J_{a + 1} + J_{b + 1} misses the variable "
+                        f"{ideals[a].names[v]}: the sum is not the maximal ideal")
+    intersection = intersect_monomial_ideals(ideals)
+    if t_max is None:
+        lhs = total_multiplicity(intersection)
+        per_ideal = tuple(total_multiplicity(j) for j in ideals)
+    else:
+        tables = [hf_table(j, t_max) for j in [intersection] + ideals]
+        for tab in tables:
+            if tab[t_max] != 0:
+                raise ValueError(
+                    f"t_max={t_max} is too small: Hilbert function tail is "
+                    f"{tab[t_max]}, not 0")
+        lhs = sum(tables[0])
+        per_ideal = tuple(sum(tab) for tab in tables[1:])
+    rhs = sum(per_ideal) - (len(ideals) - 1)
+    return ClaimReport(lhs, per_ideal, rhs, lhs == rhs)
+
+
+def _outcome(check, ideals, t_max):
+    """The report, or the type and message of the error raised."""
+    from waring.rank import ResourceLimitError
+    try:
+        return check(ideals, t_max)
+    except (ValueError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+
+
+def _first_vanishing_degree(ideals):
+    """The least t at which HF of every quotient of the family and of its
+    intersection is 0 (each quotient of pure powers X_v^e_v vanishes past
+    sum(e_v - 1))."""
+    family = [intersect_monomial_ideals(ideals), *ideals]
+    top = ideals[0].num_vars * max(max(g) for j in ideals for g in j.generators)
+    return max(next(t for t, v in enumerate(hf_table(j, top)) if not v) for j in family)
+
+
+@st.composite
+def _claim_families(draw):
+    """A random configuration, or the proof-shaped family of a random coprime
+    sum; sometimes with one generator squared or dropped, which can break
+    either precondition."""
+    rng = draw(st.randoms(use_true_random=False))
+    if rng.random() < 0.5:
+        ideals = random_claim_configuration(rng, max_r=4, max_block=3, max_exp=4)
+    else:
+        names, start, blocks = iter(f"x{i}" for i in range(1, 20)), 0, []
+        d = rng.randint(1, 6)
+        for _ in range(rng.randint(1, 4)):
+            size = rng.randint(1, min(3, d))
+            cuts = sorted(rng.sample(range(1, d), size - 1))
+            exps = [b - a for a, b in zip([0] + cuts, cuts + [d])]
+            rng.shuffle(exps)
+            blocks.append("*".join(f"{next(names)}^{e}" for e in exps))
+        ideals = claim_ideals(parse_form(" + ".join(blocks)))
+    damage = rng.choice(["none", "none", "square", "drop"])
+    if damage != "none":
+        i = rng.randrange(len(ideals))
+        gens = list(ideals[i].generators)
+        k = rng.randrange(len(gens))
+        if damage == "square":
+            gens[k] = tuple(2 * e for e in gens[k])
+        else:
+            del gens[k]
+        ideals[i] = MonomialIdeal(ideals[i].num_vars, gens, ideals[i].names)
+    return ideals, draw(st.sampled_from(["none", "exact", "small", "over"]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_claim_families())
+def test_claim_lengths_from_the_numerator_give_the_summed_table_report(case):
+    """Reports, refusals and error messages equal the summed-table path's
+    with t_max None, exact, one too small, and over MAX_HF_STEPS."""
+    ideals, kind = case
+    n = ideals[0].num_vars
+    if kind == "none":
+        t_max = None
+    elif kind == "over":
+        t_max = MAX_HF_STEPS // n       # (t_max + 1) * n steps
+    elif all(j.contains_power_of_every_variable() for j in ideals):
+        t_max = _first_vanishing_degree(ideals) - (kind == "small")
+    else:
+        t_max = 3
+    assert _outcome(verify_claim_identity, ideals, t_max) == \
+        _outcome(_summed_table_claim, ideals, t_max)
+
+
+def _old_perp_generators(monomial):
+    gens = [pure_power(monomial.n, i, e + 1) for i, e in enumerate(monomial.exponents)]
+    return MonomialIdeal(monomial.n, gens, dual_names(monomial.variables))
+
+
+def _old_claim_ideals(form):
+    num_vars = len(form.variables)
+    index = {v: i for i, v in enumerate(form.variables)}
+    names = dual_names(form.variables)
+    ideals = []
+    for _, mono in form.terms:
+        items = mono.sorted_items
+        block = {v for v, _ in items}
+        gens = [pure_power(num_vars, index[v], a + 1) for v, a in items[1:]]
+        gens.append(pure_power(num_vars, index[items[0][0]], 1))
+        gens += [pure_power(num_vars, index[v], 1)
+                 for v in form.variables if v not in block]
+        ideals.append(MonomialIdeal(num_vars, gens, names))
+    return ideals
+
+
+def _old_random_claim_configuration(rng, max_r=3, max_block=3, max_exp=4):
+    r = rng.randint(1, max_r)
+    sizes = [rng.randint(1, max_block) for _ in range(r)]
+    num_vars = sum(sizes)
+    starts = [sum(sizes[:i]) for i in range(r)]
+    ideals = []
+    for i in range(r):
+        block = range(starts[i], starts[i] + sizes[i])
+        gens = [pure_power(num_vars, v, rng.randint(1, max_exp + 1) if v in block else 1)
+                for v in range(num_vars)]
+        ideals.append(MonomialIdeal(num_vars, gens))
+    return ideals
+
+
+def _same_ideals(new, old):
+    return [(j.num_vars, j.generators, j.names) for j in new] == \
+        [(j.num_vars, j.generators, j.names) for j in old]
+
+
+def test_the_pure_power_builder_gives_the_three_old_builders_ideals():
+    """For 300 seeds: the same random configuration from the same draws
+    (the generators' state agrees afterwards), and for a random coprime sum
+    with shuffled variables and tied exponents the same Claim family and
+    perp ideal of each monomial, names included."""
+    from waring.forms import Monomial, CoprimeForm
+    for seed in range(300):
+        new, old = random.Random(seed), random.Random(seed)
+        sizes = dict(max_r=1 + seed % 5, max_block=1 + seed % 4, max_exp=seed % 6)
+        assert _same_ideals(random_claim_configuration(new, **sizes),
+                            _old_random_claim_configuration(old, **sizes)), seed
+        assert new.random() == old.random()
+        rng = random.Random(f"form {seed}")
+        names = rng.sample([f"x{i}" for i in range(1, 13)] + list("abcdz"), 12)
+        d, terms = rng.randint(1, 8), []
+        for _ in range(rng.randint(1, 4)):
+            size = rng.randint(1, min(3, d))
+            block, names = names[:size], names[size:]
+            cuts = sorted(rng.sample(range(1, d), size - 1))
+            terms.append((rng.choice([1, -2, Fraction(3, 4)]), Monomial(
+                block, [b - a for a, b in zip([0] + cuts, cuts + [d])])))
+        form = CoprimeForm(terms)
+        assert _same_ideals(claim_ideals(form), _old_claim_ideals(form)), form
+        for mono in form.monomials:
+            assert _same_ideals([perp_generators(mono)], [_old_perp_generators(mono)])
+
+
+def _values_per_degree(form, t):
+    """The catalecticant cells with each value c / multinomial(d; m)
+    computed afresh at this degree, as before `Polynomial.divided`."""
+    from waring.apolarity import _divisors_of_degree
+    from waring.polynomials import multinomial
+    d, entries = form.degree, {}
+    for m, c in form.terms.items():
+        value = c * Fraction(1, multinomial(d, m))
+        for beta in _divisors_of_degree(m, t):
+            entries.setdefault(tuple(a - b for a, b in zip(m, beta)), {})[beta] = value
+    return entries
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_homogeneous_forms().filter(lambda form: not is_coprime_sum(form)))
+def test_values_computed_once_per_form_give_every_degrees_bound(form):
+    """Forms whose terms share variables are ranked by elimination: every
+    degree's cells equal those with values computed at that degree, and the
+    bound is the maximum over all degrees."""
+    for t in range(form.degree + 1):
+        assert catalecticant(form, t).entries == _values_per_degree(form, t), (form, t)
+    assert catalecticant_lower_bound(form) == all_degrees_bound(form) == \
+        max(sparse_rank(_values_per_degree(form, t).values())
+            for t in range(1, form.degree + 1))

@@ -712,3 +712,68 @@ def test_bound_of_wide_sums_takes_seconds():
         elapsed = time.perf_counter() - start
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{bound}\n", "")
         assert elapsed < 4, f"bound took {elapsed:.1f} s"
+
+
+def _claim_blocks(r):
+    """x1*x2^2*x3^3 + x4*x5^2*x6^3 + ..., r blocks."""
+    return " + ".join(f"x{3 * i + 1}*x{3 * i + 2}^2*x{3 * i + 3}^3" for i in range(r))
+
+
+def test_hf_prices_a_claim_and_a_generator_list_before_the_work(capsys):
+    """The 40-block Claim ran for 97 s, and `hf` on the 1,830 generators of
+    the 30-block Claim's intersection for 6.4 s.  Both are priced from their
+    generator and variable counts, before any intersection or numerator."""
+    from waring import apolarity, forms
+    from waring.polynomials import monomial_text
+    cap = f"above the cap {apolarity.MAX_NUMERATOR_COST}"
+    # C(120, 2) + 40 * 120 = 11940 generators at most, squared, times 120
+    _refused_at_once(capsys, ("hf", "--claim", _claim_blocks(40)),
+                     "at most C(120, 2) + 4800 generators", "17107632000", cap)
+    meet = apolarity.intersect_monomial_ideals(
+        apolarity.claim_ideals(forms.parse_form(_claim_blocks(30))))
+    assert len(meet.generators) == 1830
+    names = [f"x{i}" for i in range(1, 91)]
+    _refused_at_once(capsys, ("hf", ",".join(monomial_text(names, g) for g in meet.generators)),
+                     "301401000 exponent comparisons (1830 generators", cap)
+
+
+def test_verify_prices_integers_that_grow_with_the_degree(capsys, tmp_path):
+    """A one-term file for x1^5000*x2^5000 has 10,001 compositions whose
+    multinomials and powers run to thousands of digits: 15 s at a price of
+    10,002 steps.  Each now counts (10000 / 500)^2 = 400 steps, so it is
+    refused at once.  One for x1^40000 with the coordinate 1 + zeta_7 built
+    all 40,001 powers (4 s); its one power is now taken by squaring."""
+    one = {"order": 1, "coeffs": ["1"]}
+    path = tmp_path / "grid.json"
+    linear = [{"order": 1, "coeffs": ["2"]}, {"order": 1, "coeffs": ["3"]}]
+    path.write_text(json.dumps({"degree": 10000, "variables": ["x1", "x2"], "terms": [
+        {"block": 0, "gamma": one, "linear": linear, "point": linear}]}))
+    _refused_at_once(capsys, ("verify", "x1^5000*x2^5000", str(path)),
+                     "verifying takes 4.0e+06 steps")
+    general = [{"order": 7, "coeffs": ["1", "1", "0", "0", "0", "0"]}]
+    path.write_text(json.dumps({"degree": 40000, "variables": ["x1"], "terms": [
+        {"block": 0, "gamma": one, "linear": general, "point": general}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "x1^40000", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (2, "")
+    assert out.splitlines()[:2] == [
+        "expansion matches: False",
+        "  mismatch at x1^40000: expected 1, got <a number of Q(zeta_7) with "
+        "integers of about 10230 digits>"]
+
+
+def test_bound_at_the_cell_cap_computes_each_value_once(capsys, monkeypatch):
+    """x1^133000 + x1^132999*x2 (199,500 cells, under the cap) builds 66,500
+    catalecticants.  Each term's value c / multinomial(d; m) is computed
+    once for the form, not once per degree: 2.0 s before, about 1 s now on
+    a 2-vCPU VM, so the time bound leaves room for its speed swings."""
+    from waring import polynomials
+    calls, multinomial = [], polynomials.multinomial
+    monkeypatch.setattr(polynomials, "multinomial",
+                        lambda d, m: calls.append(m) or multinomial(d, m))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bound", "x1^133000 + x1^132999*x2")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (0, "2\n")
+    assert sorted(calls) == [(132999, 1), (133000, 0)]
