@@ -233,14 +233,15 @@ def hilbert_numerator(ideal: MonomialIdeal) -> dict:
     and a length of one quotient cost one numerator.  Raises
     ResourceLimitError, before any work, above MAX_NUMERATOR_COST."""
     if ideal._numerator is None:
-        _admit_numerator("the Hilbert series numerator", len(ideal.generators), ideal.num_vars)
+        admit_numerator("the Hilbert series numerator", len(ideal.generators), ideal.num_vars)
         ideal._numerator = _numerator(ideal.generators, {})
     return ideal._numerator
 
 
-def _admit_numerator(what, gens, num_vars) -> None:
+def admit_numerator(what, gens, num_vars) -> None:
     """Refuse `what`, a numerator of `gens` generators in `num_vars`
-    variables, when gens^2 * num_vars exceeds MAX_NUMERATOR_COST."""
+    variables, when gens^2 * num_vars exceeds MAX_NUMERATOR_COST; `minimalize`
+    on as many generators compares as many exponents."""
     cost = gens * gens * num_vars
     if cost > MAX_NUMERATOR_COST:
         raise ResourceLimitError(
@@ -361,7 +362,7 @@ def intersect_monomial_ideals(ideals) -> MonomialIdeal:
         other_inside, other_outside = _split_by_membership(other.generators, gens)
         gens = minimalize(inside + other_inside + [
             tuple(map(max, g, h)) for g in outside for h in other_outside])
-    return MonomialIdeal(num_vars, gens, ideals[0].names)
+    return MonomialIdeal(num_vars, gens, ideals[0].names, minimal=True)
 
 
 def _split_by_membership(gens, ideal_gens):
@@ -415,8 +416,8 @@ def verify_claim_identity(ideals, t_max=None) -> ClaimReport:
     # the products X_u X_v of two variables lacked by different ideals, and
     # the generators of one ideal in variables only it lacks
     own = sum(len(j.generators) for j in ideals)
-    _admit_numerator(f"the identity on {len(ideals)} ideals, whose intersection has at most "
-                     f"C({num_vars}, 2) + {own} generators,", comb(num_vars, 2) + own, num_vars)
+    admit_numerator(f"the identity on {len(ideals)} ideals, whose intersection has at most "
+                    f"C({num_vars}, 2) + {own} generators,", comb(num_vars, 2) + own, num_vars)
     family = [intersect_monomial_ideals(ideals), *ideals]
     if t_max is not None:
         for j in family:

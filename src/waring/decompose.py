@@ -29,9 +29,11 @@ each term lifted and classified once, the cyclic groups, the blocks and
 the price, checked before any expansion (`decompose_form` reads the same
 price off the exponents first).  The price counts each composition of d
 once up to d = 500 and ceil(d^2 / 500^2) times past it, as its
-multinomial and powers grow to O(d) bits.  Each monomial's residual is
-reduced modulo Phi_N once, N the lcm of the orders of the terms that reach
-it: exact, as t -> zeta_N is a ring map onto Q(zeta_N).
+multinomial and powers grow to O(d) bits, or more times when a
+coordinate's lift has over 16 bits or a gamma's over 16 d (see `_steps`).
+Each monomial's residual is reduced modulo Phi_N once, N the lcm of the
+orders of the terms that reach it: exact, as t -> zeta_N is a ring map
+onto Q(zeta_N).
 
 A cyclic term, whose nonzero coordinates lift to single powers q_i t^(e_i)
 (every grid term does), adds multinomial(d; b) * prod q_i^(b_i) *
@@ -90,6 +92,8 @@ MAX_FIELD_ORDER = 10 ** 3
 # x1*x2^39*x3^39 67,240 (0.8 s); x1*x2^99*x3^99 (2.5e6, 27.6 s) is refused.
 # Past degree 500 a composition counts ceil(d^2 / 500^2) steps: a one-term
 # file for x1^5000*x2^5000 (10,001 compositions, 15 s) is refused at 4.0e6.
+# Large coordinates count too: one for x1^50*x2^50 whose x1 coordinate has
+# 4,000 digits (101 compositions, 2.4-3.5 s) is refused at 2.8e6.
 MAX_VERIFY_STEPS = 10 ** 6
 
 
@@ -301,17 +305,20 @@ def _bounded_text(x) -> str:
         return f"<a number of Q(zeta_{x.order}) with integers of about {digits} digits>"
 
 
-def _steps(d, groups, general, blocks) -> int:
+def _steps(d, groups, general, blocks, width=0, gamma=0) -> int:
     """The verification price: the compositions of d per cyclic group (s, m,
     p: support size, members, product of the periods) and general term (s),
-    each ceil(d^2 / 500^2) steps, as its multinomial and powers have O(d)
-    bits and their products cost up to the square of that (one step up to
-    d = 500); m * min(compositions, p) class sums per group, 40 to a step
-    (about 0.28 us each); min(n k, n (n - 1) / 2) pairs per block of n
+    each ceil(b^2 / 8000^2) steps, as a composition multiplies integers of
+    b = max(d * max(width, 16), gamma) bits and the products cost up to its
+    square (one step up to d = 500 with coordinates of at most 16 bits);
+    `width` and `gamma` are the bit lengths of the largest lifted coordinate
+    and gamma.  Then m * min(compositions, p) class sums per group, 40 to a
+    step (about 0.28 us each); min(n k, n (n - 1) / 2) pairs per block of n
     forms, k of them zero or general."""
     paths = [comb(d + s - 1, d) for s, _, _ in groups]
     sums = sum(m * min(c, p) for c, (_, m, p) in zip(paths, groups))
-    size = -(-d * d // 500 ** 2)
+    bits = max(d * max(width, 16), gamma)
+    size = -(-bits * bits // 8000 ** 2)
     return size * (sum(paths) + sum(comb(d + s - 1, d) for s in general)) \
         + -(-sums // 40) + sum(min(n * k, n * (n - 1) // 2) for n, k in blocks)
 
@@ -383,12 +390,20 @@ def _lift(decomposition, target_coeffs) -> _Plan:
     groups = [(order, support, qs, members,
                [order // gcd(order, *col) for col in zip(*(ks for *_, ks in members))])
               for (order, support, qs), members in groups.items()]
+    # the coordinates a composition raises to powers, and every gamma
+    width = _bits([*(q for _, _, qs, _, _ in groups for q in qs),
+                   *(v for *_, bases in general for b in bases.values() for v in b.values())])
     steps = _steps(d, [(len(support), len(members), prod(periods))
                        for _, support, _, members, periods in groups],
                    [len(bases) for *_, bases in general],
-                   [(len(js), sum(powers[j] is None for j in js)) for js in blocks.values()])
+                   [(len(js), sum(powers[j] is None for j in js)) for js in blocks.values()],
+                   width, _bits(v for _, g, _ in lifted for v in g.values()))
     return _Plan(d, scale, max([1, *worst, *(order for _, order, _, _ in shapes)]), steps,
                  lifted, powers, groups, general, blocks)
+
+
+def _bits(ints) -> int:
+    return max((abs(v).bit_length() for v in ints), default=0)
 
 
 def _power(base, a, order):

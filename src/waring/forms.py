@@ -178,9 +178,10 @@ class CoprimeForm:
 
 
 class MonomialIdeal:
-    """A monomial ideal given by a minimal list of exponent-vector generators."""
+    """A monomial ideal given by a minimal list of exponent-vector generators;
+    a list known to be minimal (`minimal=True`) is kept as it is."""
 
-    def __init__(self, num_vars: int, generators, names=None):
+    def __init__(self, num_vars: int, generators, names=None, minimal=False):
         gens = [tuple(int(e) for e in g) for g in generators]
         for g in gens:
             if len(g) != num_vars:
@@ -188,7 +189,7 @@ class MonomialIdeal:
             if any(e < 0 for e in g):
                 raise ValueError(f"negative exponent in generator {g}")
         self.num_vars = num_vars
-        self.generators = tuple(sorted(minimalize(gens)))
+        self.generators = tuple(sorted(gens if minimal else minimalize(gens)))
         self.names = tuple(names) if names else tuple(
             f"X{i + 1}" for i in range(num_vars))
         self._numerator = None      # kept by `apolarity.hilbert_numerator`
@@ -362,9 +363,10 @@ def is_coprime_sum(form: Polynomial) -> bool:
     return True
 
 
-def parse_generators(text: str) -> MonomialIdeal:
-    """Comma-separated monomial generators, e.g. 'x1^2, x2^2', as a monomial
-    ideal over the variables they use, named as in the input."""
+def parse_generator_list(text: str):
+    """Comma-separated monomial generators, e.g. 'x1^2, x2^2', as (the
+    variables they use, named as in the input, their exponent vectors in
+    input order), not yet minimalized."""
     gen_terms, start = [], 0
     for chunk in text.split(","):
         parsed = _parse_terms(text, start, start + len(chunk))
@@ -373,8 +375,7 @@ def parse_generators(text: str) -> MonomialIdeal:
                              start + len(chunk) - len(chunk.lstrip()))
         gen_terms.append(parsed[0][1])
         start += len(chunk) + 1
-    variables, gens = _namespace(gen_terms)
-    return MonomialIdeal(len(variables), gens, names=variables)
+    return _namespace(gen_terms)
 
 
 def render_form(form: CoprimeForm) -> str:
@@ -403,7 +404,8 @@ def pure_power_ideal(exponents, names=None) -> MonomialIdeal:
     """(X_1^e_1, ..., X_n^e_n), one pure power per variable; an exponent of
     1 is a linear generator."""
     n = len(exponents)
-    return MonomialIdeal(n, [pure_power(n, i, e) for i, e in enumerate(exponents)], names)
+    return MonomialIdeal(n, [pure_power(n, i, e) for i, e in enumerate(exponents)], names,
+                         minimal=0 not in exponents)
 
 
 def dual_names(variables) -> tuple:

@@ -762,3 +762,20 @@ def test_values_computed_once_per_form_give_every_degrees_bound(form):
     assert catalecticant_lower_bound(form) == all_degrees_bound(form) == \
         max(sparse_rank(_values_per_degree(form, t).values())
             for t in range(1, form.degree + 1))
+
+
+def test_builders_of_minimal_lists_do_not_minimalize_them_again(monkeypatch):
+    """Pure powers of distinct variables, and an intersection, which is
+    minimalized as it is built, are minimal: `MonomialIdeal` keeps them as
+    they are.  A pure power X^0 is the unit ideal, so that list is
+    minimalized, as is any list given as it stands."""
+    from waring import forms
+    calls, minimalize = [], forms.minimalize
+    monkeypatch.setattr(forms, "minimalize", lambda gens: calls.append(gens) or minimalize(gens))
+    ideals = claim_ideals(parse_form("x1*x2^2 + x3^2*x4 + x5^3"))
+    meet = intersect_monomial_ideals(ideals)
+    assert calls == []
+    assert meet == MonomialIdeal(meet.num_vars, meet.generators)
+    assert forms.pure_power_ideal([0, 2]).generators == ((0, 0),)
+    assert MonomialIdeal(2, [(1, 1), (2, 1)]).generators == ((1, 1),)
+    assert len(calls) == 3

@@ -777,3 +777,95 @@ def test_bound_at_the_cell_cap_computes_each_value_once(capsys, monkeypatch):
     assert time.perf_counter() - start < 2
     assert (code, out) == (0, "2\n")
     assert sorted(calls) == [(132999, 1), (133000, 0)]
+
+
+def test_hf_prices_a_generator_list_before_minimalizing_it(capsys):
+    """x2^12000, x1^k*x2^(2*(6000-k)) for k = 1..5999, and x3: an antichain
+    of 6,001 generators of mixed degrees in 3 variables.  Minimalizing it
+    took 3.7-4.9 s before its numerator was refused; the list as given is
+    priced first, as minimalizing it compares as many exponents."""
+    from waring import apolarity
+    gens = ["x2^12000", *(f"x1^{k}*x2^{2 * (6000 - k)}" for k in range(1, 6000)), "x3"]
+    _refused_at_once(capsys, ("hf", ",".join(gens)),
+                     "an estimated 108036003 exponent comparisons (6001 generators",
+                     f"above the cap {apolarity.MAX_NUMERATOR_COST}")
+
+
+def test_verify_prices_the_size_of_the_coordinates(capsys, tmp_path):
+    """A one-term file for x1^50*x2^50 whose x1 coordinate has 4,000 digits
+    was priced 102 steps by its degree alone and took 2.4-3.5 s to FAIL.
+    Each of its 101 compositions multiplies integers of 100 * 13,288 bits,
+    (1328800 / 8000)^2 rounded up = 27,590 steps, so it is refused at once.
+    A 100-digit coordinate (329 bits) counts (32900 / 8000)^2 rounded up =
+    17 steps a composition, plus one step of class sums, and that file is
+    verified, to FAIL, within a second."""
+    from waring import decompose, serialize
+    one = {"order": 1, "coeffs": ["1"]}
+
+    def coordinate_file(digits):
+        linear = [{"order": 1, "coeffs": [str(10 ** (digits - 1))]}, one]
+        path = tmp_path / f"coordinate{digits}.json"
+        path.write_text(json.dumps({"degree": 100, "variables": ["x1", "x2"], "terms": [
+            {"block": 0, "gamma": one, "linear": linear, "point": linear}]}))
+        return path
+
+    _refused_at_once(capsys, ("verify", "x1^50*x2^50", str(coordinate_file(4000))),
+                     "verifying takes 2.8e+06 steps", "above the step cap 1e+06")
+    path = coordinate_file(100)
+    dec = serialize.decomposition_from_json(json.loads(path.read_text()))
+    assert decompose._lift(dec, [1]).steps == 101 * 17 + 1
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "x1^50*x2^50", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, err, out.splitlines()[-1]) == (2, "", "FAIL")
+
+
+_VERBS = ("rank", "decompose", "bound", "verify", "survey", "hf")
+
+
+@pytest.mark.parametrize("argv", [
+    ("rank", "x1*x2^2 + x3^3"),
+    ("decompose", "x1*x2^2", "--json"),
+    ("bound", "x1^2*x2^3", "--tmax", "2"),
+    ("verify", "x1*x2^2", "DEC.json"),
+    ("survey", "3", "4"),
+    ("hf", "x1^2,x2^3", "--tmax", "3"),
+    (),
+    ("--help",),
+    *((verb, "--help") for verb in _VERBS),
+    ("nope", "x1"),
+    ("rank",),
+    ("rank", "x1", "x2"),
+    ("bound", "x1^2", "--tmax", "x"),
+    ("survey", "0"),
+    ("--json", "rank", "x1"),
+    ("rank", "--", "x1*x2"),
+], ids=lambda argv: " ".join(argv) or "no argv")
+def test_a_verb_goes_straight_to_its_parser_as_through_the_top_level(
+        capsys, monkeypatch, tmp_path, argv):
+    """`main` parses a call that starts with a verb with that verb's parser
+    alone and every other argv with the top-level parser; either way the
+    exit or SystemExit code, stdout and stderr are those of the top-level
+    parser's `parse_args` on the whole argv."""
+    from waring import cli, serialize
+    from waring.decompose import decompose_form
+    from waring.forms import parse_form
+    (tmp_path / "DEC.json").write_text(serialize.dumps(decompose_form(parse_form("x1*x2^2"))))
+    monkeypatch.chdir(tmp_path)
+    parser = cli.build_parser()
+    top_level = []
+    monkeypatch.setattr(parser, "parse_args",
+                        lambda args: top_level.append(args) or type(parser).parse_args(parser, args))
+
+    def outcome():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    dispatched = outcome()
+    assert bool(top_level) == (not argv or argv[0] not in _VERBS)
+    monkeypatch.setattr(cli, "_parse_args", lambda args: cli.build_parser().parse_args(args))
+    assert outcome() == dispatched
