@@ -27,14 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, compress, count
 from math import comb
 from operator import ge
 
 from .forms import CoprimeForm, MonomialIdeal, as_homogeneous, dual_names, \
     is_coprime_sum, minimalize, pure_power, pure_power_ideal
 from .linalg import sparse_rank
-from .polynomials import Polynomial, apply_differential, compositions
+from .polynomials import Polynomial, apply_differential, compositions, divisors_of_degree
 from .rank import ResourceLimitError
 
 # Admission cap for `catalecticant_lower_bound`, in units of the work that
@@ -100,13 +100,13 @@ class CatalecticantMatrix:
 
     @cached_property
     def row_monomials(self) -> tuple:
-        """Every exponent tuple of degree d - t."""
-        return tuple(compositions(self.degree - self.t, self.num_vars))
+        """Every exponent tuple of degree d - t, lexicographically last first."""
+        return tuple(compositions(self.degree - self.t, self.num_vars))[::-1]
 
     @cached_property
     def col_monomials(self) -> tuple:
-        """Every exponent tuple of degree t."""
-        return tuple(compositions(self.t, self.num_vars))
+        """Every exponent tuple of degree t, lexicographically last first."""
+        return tuple(compositions(self.t, self.num_vars))[::-1]
 
     @cached_property
     def entries(self) -> dict:
@@ -114,9 +114,8 @@ class CatalecticantMatrix:
         c / multinomial(d; m), computed once per form (`Polynomial.divided`)."""
         entries = {}
         for m, value in self.form.divided.items():
-            for beta in _divisors_of_degree(m, self.t):
-                alpha = tuple(a - b for a, b in zip(m, beta))
-                entries.setdefault(alpha, {})[beta] = value
+            for beta in divisors_of_degree(m, self.t):
+                entries.setdefault(tuple(a - b for a, b in zip(m, beta)), {})[beta] = value
         return entries
 
     def rank(self) -> int:
@@ -126,27 +125,6 @@ class CatalecticantMatrix:
             return sparse_rank(self.entries.values())
         return sum(_divisor_count([m[i] for i in support], self.t)
                    for m, support in zip(self.form.terms, self.form.supports))
-
-
-def _divisors_of_degree(m, t):
-    """Exponent tuples beta <= m (entrywise) with sum(beta) == t, in
-    lexicographic order: each step raises the last coordinate that can grow
-    and refills the rest with their least reachable values."""
-    after = list(accumulate(reversed(m), initial=0))[::-1]    # sum(m[i:])
-    beta, j, left = [0] * len(m), 0, t
-    while j >= 0 and 0 <= left <= after[j]:
-        for j in range(j, len(m)):      # the least fill of beta[j:] summing to left
-            b = left - after[j + 1]
-            beta[j] = b = b if b > 0 else 0
-            left -= b
-        yield tuple(beta)
-        j, left = len(m) - 1, 0
-        while j >= 0 and (beta[j] == m[j] or not left):
-            left += beta[j]
-            j -= 1
-        if j >= 0:
-            beta[j] += 1
-            j, left = j + 1, left - 1
 
 
 def _divisor_count(exponents, t) -> int:
@@ -283,16 +261,19 @@ def _numerator(gens, memo) -> dict:
 
 def _connected_part(gens):
     """The generators linked to the first one through shared variables, and
-    the rest."""
-    support = {v for v, a in enumerate(gens[0]) if a}
-    part, rest = [gens[0]], gens[1:]
-    while True:
-        linked = [g for g in rest if any(g[v] for v in support)]
-        if not linked:
-            return part, rest
-        part += linked
-        rest = [g for g in rest if not any(g[v] for v in support)]
-        support.update(v for g in linked for v, a in enumerate(g) if a)
+    the rest, each in their order: one search from the first generator over
+    an index from each variable to the generators that use it."""
+    users = {}
+    for j, g in enumerate(gens):
+        for v in compress(count(), g):
+            users.setdefault(v, []).append(j)
+    linked, todo = {0}, [0]
+    while todo:
+        for v in compress(count(), gens[todo.pop()]):
+            new = [j for j in users.pop(v, ()) if j not in linked]
+            linked.update(new)
+            todo += new
+    return [gens[j] for j in sorted(linked)], [g for j, g in enumerate(gens) if j not in linked]
 
 
 def _times(a: dict, b: dict) -> dict:

@@ -19,7 +19,7 @@ So the unique solution of the square system solves every monomial row.
 Its right-hand side is c * e_a = c * (e_(a_1) x ... x e_(a_n)), so the
 solution is c / mult(a) times the Kronecker product of the solutions y_i
 of V_i y_i = e_(a_i): one (a_i+1)-square solve in Q(zeta_(a_i+1)) per
-distinct exponent (see `solve_gammas`).  `waring decompose` still verifies
+distinct exponent (see `_block_terms`).  `waring decompose` still verifies
 the result in full.  A sum of coprime monomials is decomposed blockwise
 and the blocks concatenated.
 
@@ -30,7 +30,8 @@ the price, checked before any expansion (`decompose_form` reads the same
 price off the exponents first).  The price counts each composition of d
 once up to d = 500 and ceil(d^2 / 500^2) times past it, as its
 multinomial and powers grow to O(d) bits, or more times when a
-coordinate's lift has over 16 bits or a gamma's over 16 d (see `_steps`).
+coordinate's lift has over 16 bits, a gamma's over 16 d, or the
+decomposition over 16 variables (see `_steps`).
 Each monomial's residual is reduced modulo Phi_N once, N the lcm of the
 orders of the terms that reach it: exact, as t -> zeta_N is a ring map
 onto Q(zeta_N).
@@ -73,8 +74,7 @@ from operator import mod
 from .cyclotomic import CyclotomicNumber, cyclic_lift, cyclic_mul, \
     cyclotomic_embed, euler_phi, reduce_mod_phi
 from .forms import CoprimeForm, Monomial, decomposition_field_order
-from .linalg import LinearSystem, solve_exact, \
-    InconsistentSystemError, UnderdeterminedSystemError
+from .linalg import LinearSystem, solve_exact
 from .polynomials import compositions, monomial_text, multinomial
 from .rank import ResourceLimitError, rank_coprime_sum, rank_monomial
 
@@ -93,13 +93,11 @@ MAX_FIELD_ORDER = 10 ** 3
 # Past degree 500 a composition counts ceil(d^2 / 500^2) steps: a one-term
 # file for x1^5000*x2^5000 (10,001 compositions, 15 s) is refused at 4.0e6.
 # Large coordinates count too: one for x1^50*x2^50 whose x1 coordinate has
-# 4,000 digits (101 compositions, 2.4-3.5 s) is refused at 2.8e6.
+# 4,000 digits (101 compositions, 2.4-3.5 s) is refused at 2.8e6.  So do
+# wide namespaces, a composition ceil(n / 16) times over n variables: a
+# one-term degree-2 file over 400 variables (80,200 compositions, 61 s) is
+# refused at 2.0e6, and one over 200 (261,301) takes 1-2 s.
 MAX_VERIFY_STEPS = 10 ** 6
-
-
-class DecompositionSolveError(RuntimeError):
-    """The gamma system failed to have a unique solution.  The construction
-    guarantees solvability, so this signals an implementation bug."""
 
 
 @dataclass(frozen=True)
@@ -144,9 +142,17 @@ def decomposition_points(monomial: Monomial):
 
 def solve_gammas(monomial: Monomial, coefficient=Fraction(1)) -> PowerSumDecomposition:
     """Decompose coefficient * M as a sum of rank(M) powers of the grid linear
-    forms: gamma_k = coefficient / multinomial(d; a) * prod_i y_i[k_i], where
-    V_i y_i = e_(a_i) is solved exactly in Q(zeta_(a_i+1)), once per distinct
-    a_i, against the cached character table V_i.  Each y_i[k] is lifted once
+    forms (`_block_terms` over the monomial's own variables)."""
+    return PowerSumDecomposition(monomial.degree, monomial.variables, tuple(
+        _block_terms(monomial, coefficient, 0, range(monomial.n), monomial.n)))
+
+
+def _block_terms(monomial, coefficient, block, positions, num_vars):
+    """The terms of block `block`, coefficient * M, with linear forms over
+    `num_vars` variables, M's i-th variable at positions[i]: gamma_k =
+    coefficient / multinomial(d; a) * prod_i y_i[k_i], where V_i y_i =
+    e_(a_i) is solved exactly in Q(zeta_(a_i+1)), once per distinct a_i,
+    against the cached character table V_i.  Each y_i[k] is lifted once
     into Z[t]/(t^N - 1) over its denominator; a gamma is the product of its
     factors' lifts, over the product of their denominators, reduced modulo
     Phi_N and normalised once.  The module docstring explains why these
@@ -155,7 +161,6 @@ def solve_gammas(monomial: Monomial, coefficient=Fraction(1)) -> PowerSumDecompo
     coefficient = Fraction(coefficient)
     if coefficient == 0:
         raise ValueError("coefficient must be nonzero")
-    d = monomial.degree
     order = decomposition_field_order(monomial)
     exps = [a for _, a in monomial.sorted_items]
     factors = {}
@@ -164,24 +169,22 @@ def solve_gammas(monomial: Monomial, coefficient=Fraction(1)) -> PowerSumDecompo
             table = _character_table(a + 1)
             # e_a: zeros, then table[0][0] = zeta^0 = 1
             rhs = [CyclotomicNumber.from_rational(0, a + 1)] * a + [table[0][0]]
-            try:
-                ys = solve_exact(LinearSystem(table, rhs))
-            except (InconsistentSystemError, UnderdeterminedSystemError) as exc:
-                raise DecompositionSolveError(
-                    f"gamma system for {monomial} has no unique solution: {exc}") from exc
+            ys = solve_exact(LinearSystem(table, rhs))
             factors[a] = [(cyclic_lift(y, order, y.denominator), y.denominator) for y in ys]
     # the Kronecker product of the lifts, one variable at a time in grid
     # order, each with the product of its denominators
-    scale = coefficient / multinomial(d, exps)
+    scale = coefficient / multinomial(monomial.degree, exps)
     lifts = [({0: scale.numerator}, scale.denominator)]
     for a in exps[1:]:
         lifts = [(cyclic_mul(g, y, order), den * e) for g, den in lifts for y, e in factors[a]]
-    terms = tuple(
-        DecompositionTerm(
+    zero = CyclotomicNumber.from_rational(0, order)
+    for (g, den), coords in zip(lifts, decomposition_points(monomial)):
+        linear = [zero] * num_vars
+        for pos, c in zip(positions, coords):
+            linear[pos] = c
+        yield DecompositionTerm(
             gamma=CyclotomicNumber._normalised(order, den, reduce_mod_phi(g.items(), order)),
-            linear=coords, block=0, point=coords)
-        for (g, den), coords in zip(lifts, decomposition_points(monomial)))
-    return PowerSumDecomposition(d, monomial.variables, terms)
+            linear=tuple(linear), block=block, point=coords)
 
 
 def decompose_form(form: CoprimeForm) -> PowerSumDecomposition:
@@ -190,20 +193,19 @@ def decompose_form(form: CoprimeForm) -> PowerSumDecomposition:
     ResourceLimitError before it builds anything when the price of verifying
     its output, read off the exponents, or of the solves is above its cap."""
     variables = form.variables
+    index = {v: i for i, v in enumerate(variables)}
     if form.degree == 1:
         # the form is itself a linear form: one d-th power
-        coeffs = [CyclotomicNumber.from_rational(0, 1) for _ in variables]
-        for c, m in form.terms:
-            coeffs[variables.index(m.variables[0])] = \
-                CyclotomicNumber.from_rational(c, 1)
-        term = DecompositionTerm(
-            gamma=CyclotomicNumber.from_rational(1, 1),
-            linear=tuple(coeffs), block=0, point=tuple(coeffs))
-        return PowerSumDecomposition(1, variables, (term,))
+        coeffs = {index[m.variables[0]]: c for c, m in form.terms}
+        linear = tuple(CyclotomicNumber.from_rational(coeffs.get(i, 0), 1)
+                       for i in range(len(variables)))
+        return PowerSumDecomposition(1, variables, (DecompositionTerm(
+            gamma=CyclotomicNumber.from_rational(1, 1), linear=linear, block=0, point=linear),))
     # the output is one cyclic group per block of rank r: r members in r classes
     ranks = [rank_monomial(m) for m in form.monomials]
     _admit("verifying the output", max(map(decomposition_field_order, form.monomials)),
-           _steps(form.degree, [(m.n, r, r) for m, r in zip(form.monomials, ranks)], [], []))
+           _steps(form.degree, [(m.n, r, r) for m, r in zip(form.monomials, ranks)], [], [],
+                  len(variables)))
     # after the field check: phi(a + 1) builds Phi_(a+1), and a + 1 divides N
     cost = sum((a + 1) ** 3 * euler_phi(a + 1) ** 2
                for m in form.monomials for a in set(m.sorted_exponents[1:]))
@@ -211,19 +213,10 @@ def decompose_form(form: CoprimeForm) -> PowerSumDecomposition:
         raise ResourceLimitError(
             f"decomposing {form} needs gamma solves of estimated cost {cost:.1e} "
             f"((a+1)^3 * phi(a+1)^2 per distinct a_i), above the cap {MAX_SOLVE_COST:.0e}")
-    terms = []
-    for block, (coeff, mono) in enumerate(form.terms):
-        part = solve_gammas(mono, coeff)
-        positions = [variables.index(v) for v in mono.variables]
-        zero = CyclotomicNumber.from_rational(0, part.terms[0].gamma.order
-                                              if part.terms else 1)
-        for t in part.terms:
-            linear = [zero] * len(variables)
-            for pos, c in zip(positions, t.linear):
-                linear[pos] = c
-            terms.append(DecompositionTerm(
-                gamma=t.gamma, linear=tuple(linear), block=block, point=t.point))
-    return PowerSumDecomposition(form.degree, variables, tuple(terms))
+    return PowerSumDecomposition(form.degree, variables, tuple(
+        t for block, (coeff, mono) in enumerate(form.terms)
+        for t in _block_terms(mono, coeff, block, [index[v] for v in mono.variables],
+                              len(variables))))
 
 
 # -- verification ---------------------------------------------------------------
@@ -305,12 +298,13 @@ def _bounded_text(x) -> str:
         return f"<a number of Q(zeta_{x.order}) with integers of about {digits} digits>"
 
 
-def _steps(d, groups, general, blocks, width=0, gamma=0) -> int:
+def _steps(d, groups, general, blocks, num_vars, width=0, gamma=0) -> int:
     """The verification price: the compositions of d per cyclic group (s, m,
     p: support size, members, product of the periods) and general term (s),
-    each ceil(b^2 / 8000^2) steps, as a composition multiplies integers of
-    b = max(d * max(width, 16), gamma) bits and the products cost up to its
-    square (one step up to d = 500 with coordinates of at most 16 bits);
+    each ceil(b^2 / 8000^2) * ceil(num_vars / 16) steps, as a composition
+    multiplies integers of b = max(d * max(width, 16), gamma) bits, the
+    products cost up to its square (one step up to d = 500 with coordinates
+    of at most 16 bits), and its monomial is a key over all the variables;
     `width` and `gamma` are the bit lengths of the largest lifted coordinate
     and gamma.  Then m * min(compositions, p) class sums per group, 40 to a
     step (about 0.28 us each); min(n k, n (n - 1) / 2) pairs per block of n
@@ -318,7 +312,7 @@ def _steps(d, groups, general, blocks, width=0, gamma=0) -> int:
     paths = [comb(d + s - 1, d) for s, _, _ in groups]
     sums = sum(m * min(c, p) for c, (_, m, p) in zip(paths, groups))
     bits = max(d * max(width, 16), gamma)
-    size = -(-bits * bits // 8000 ** 2)
+    size = -(-bits * bits // 8000 ** 2) * -(-num_vars // 16)
     return size * (sum(paths) + sum(comb(d + s - 1, d) for s in general)) \
         + -(-sums // 40) + sum(min(n * k, n * (n - 1) // 2) for n, k in blocks)
 
@@ -397,7 +391,8 @@ def _lift(decomposition, target_coeffs) -> _Plan:
                        for _, support, _, members, periods in groups],
                    [len(bases) for *_, bases in general],
                    [(len(js), sum(powers[j] is None for j in js)) for js in blocks.values()],
-                   width, _bits(v for _, g, _ in lifted for v in g.values()))
+                   len(decomposition.variables), width,
+                   _bits(v for _, g, _ in lifted for v in g.values()))
     return _Plan(d, scale, max([1, *worst, *(order for _, order, _, _ in shapes)]), steps,
                  lifted, powers, groups, general, blocks)
 

@@ -8,18 +8,39 @@ Zero coefficients are never stored.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count
+from itertools import accumulate, compress, count
 from math import comb, perm
 
 
-def compositions(total: int, parts: int):
-    """Yield all tuples of `parts` non-negative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
+def divisors_of_degree(m, t):
+    """The tuples beta <= m (entrywise) with sum(beta) == t, in lexicographic
+    order, without recursion: raise the last coordinate of beta[:-2] that can
+    grow, refill the rest least, and split what is left between the last two."""
+    if len(m) < 2:
+        if 0 <= t <= sum(m):
+            yield (t,)[:len(m)]
         return
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    after = list(accumulate(reversed(m), initial=0))[::-1]    # sum(m[i:])
+    k, beta, j, left = len(m) - 2, [0] * (len(m) - 2), 0, t
+    while j >= 0 and 0 <= left <= after[j]:
+        for j in range(j, k):          # the least fill of beta[j:k]
+            beta[j] = b = max(left - after[j + 1], 0)
+            left -= b
+        head, lo, hi = tuple(beta), left - m[-1], m[k]
+        for b in range(lo if lo > 0 else 0, (hi if hi < left else left) + 1):
+            yield head + (b, left - b)
+        j = k - 1
+        while j >= 0 and (beta[j] == m[j] or not left):
+            left += beta[j]
+            j -= 1
+        if j >= 0:
+            beta[j], j, left = beta[j] + 1, j + 1, left - 1
+
+
+def compositions(total: int, parts: int):
+    """The tuples of `parts` non-negative integers summing to `total`, in
+    lexicographic order."""
+    return divisors_of_degree((total,) * parts, total)
 
 
 def monomial_text(names, exps) -> str:

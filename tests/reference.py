@@ -1,9 +1,11 @@
-"""Reference implementations that only tests use: a term-by-term expansion
-of linear-form powers, point evaluation, the complete-intersection point
-ideal of a monomial, monomial-ideal membership, a tokenizer with a
+"""Reference implementations that only tests use: the recursive generator of
+compositions, a term-by-term expansion of linear-form powers, point
+evaluation, the complete-intersection point ideal of a monomial,
+monomial-ideal membership, a tokenizer with a
 recursive-descent parser for forms, a term-by-term mismatch coefficient, an
-all-pairs dependence scan, a catalecticant bound over every degree and the
-plain pairwise-LCM intersection of monomial ideals.  They check the package
+all-pairs dependence scan, a catalecticant bound over every degree, the
+plain pairwise-LCM intersection of monomial ideals and the round-by-round
+split of a generator list into its first connected part and the rest.  They check the package
 from the outside and are not part of it."""
 
 import re
@@ -15,6 +17,17 @@ from waring.cyclotomic import CyclotomicNumber, cyclic_mul, reduce_mod_phi
 from waring.forms import MonomialIdeal, ParseError, as_homogeneous, minimalize, \
     pure_power
 from waring.polynomials import Polynomial, compositions, multinomial
+
+
+def recursive_compositions(total: int, parts: int):
+    """Yield all tuples of `parts` non-negative integers summing to `total`,
+    the largest first coordinate first, one generator frame per part."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def poly_pow_linear(linear_coeffs, d: int) -> Polynomial:
@@ -256,3 +269,18 @@ def pairwise_lcm_intersection(ideals) -> MonomialIdeal:
         gens = minimalize([tuple(max(a, b) for a, b in zip(g, h))
                            for g in gens for h in other.generators])
     return MonomialIdeal(ideals[0].num_vars, gens)
+
+
+def rescanned_connected_part(gens):
+    """The generators linked to the first one through shared variables, and
+    the rest, found by rescanning the rest against the growing support until
+    a round links nothing."""
+    support = {v for v, a in enumerate(gens[0]) if a}
+    part, rest = [gens[0]], gens[1:]
+    while True:
+        linked = [g for g in rest if any(g[v] for v in support)]
+        if not linked:
+            return part, rest
+        part += linked
+        rest = [g for g in rest if not any(g[v] for v in support)]
+        support.update(v for g in linked for v, a in enumerate(g) if a)

@@ -2,6 +2,7 @@ import json
 import re
 import sys
 import time
+from math import comb
 
 import pytest
 
@@ -869,3 +870,64 @@ def test_a_verb_goes_straight_to_its_parser_as_through_the_top_level(
     assert bool(top_level) == (not argv or argv[0] not in _VERBS)
     monkeypatch.setattr(cli, "_parse_args", lambda args: cli.build_parser().parse_args(args))
     assert outcome() == dispatched
+
+
+def test_decompose_of_a_thousand_variable_linear_form_exits_0(capsys):
+    """x1 + ... + x1000 is its own first power.  Verifying it walks the
+    1,000 compositions of degree 1 into 1,000 parts, which a recursive
+    generator could not do within Python's recursion limit."""
+    text = " + ".join(f"x{i}" for i in range(1, 1001))
+    code, out, err = run(capsys, "decompose", text)
+    assert (code, err) == (0, "")
+    assert out == f"rank 1 decomposition of {text}:\n1 * ({text})^1   [block 0]\n"
+
+
+def _wide_square_file(tmp_path, n):
+    """A one-term degree-2 file over x1..xn with every coordinate 1."""
+    one = {"order": 1, "coeffs": ["1"]}
+    path = tmp_path / f"wide{n}.json"
+    path.write_text(json.dumps({"degree": 2, "variables": [f"x{i}" for i in range(1, n + 1)],
+                                "terms": [{"block": 0, "gamma": one, "linear": [one] * n,
+                                           "point": [one] * n}]}))
+    return path
+
+
+def test_verify_prices_the_variable_count(capsys, tmp_path):
+    """Each composition builds its monomial over every variable, so it
+    counts ceil(n / 16) steps over n variables: a one-term degree-2 file
+    over 400 variables has C(401, 2) = 80,200 compositions, priced
+    80,201 steps by the compositions alone, and took a minute to FAIL.
+    It is refused at once at 25 times that; up to 16 variables the price
+    is unchanged."""
+    from waring import decompose, serialize
+
+    def steps(n):
+        dec = serialize.decomposition_from_json(
+            json.loads(_wide_square_file(tmp_path, n).read_text()))
+        return decompose._lift(dec, [1]).steps
+
+    assert (steps(16), steps(17)) == (comb(17, 2) + 1, 2 * comb(18, 2) + 1)
+    _refused_at_once(capsys, ("verify", "x1^2", str(_wide_square_file(tmp_path, 400))),
+                     "verifying takes 2.0e+06 steps", "above the step cap 1e+06")
+    _refused_at_once(capsys, ("verify", "x1^2", str(_wide_square_file(tmp_path, 1000))),
+                     "verifying takes 3.2e+07 steps")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("rank", "x1^0"), "error: constant term is not a monomial (at position 0)"),
+    (("bound", "x1^0"), "error: constant input has no variables (at position 0)"),
+    (("bound", "x1^2 + x2"), "error: mixed degrees: 2 vs 1"),
+    (("rank", "0*x1"), "error: zero coefficient on x1"),
+    (("bound", "x1*x2", "--tmax", "5"), "error: t_max 5 exceeds degree 2"),
+    (("survey", "2", "--ratio"), "error: the comparison needs n >= 3"),
+    (("verify", "x1^2", {"degree": 0, "variables": ["x1"], "terms": []}),
+     "error: decomposition.degree: expected an int >= 1, got 0"),
+    (("verify", "x1^2", {"degree": 2, "variables": [1, 2], "terms": []}),
+     "error: decomposition.variables: expected a list of names"),
+])
+def test_input_errors_exit_1_with_their_one_line(capsys, tmp_path, argv, line):
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "dec.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = (*argv[:-1], str(path))
+    assert run(capsys, *argv) == (1, "", line + "\n")

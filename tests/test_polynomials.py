@@ -4,7 +4,7 @@ from math import perm
 
 import pytest
 
-from reference import evaluate, poly_pow_linear
+from reference import evaluate, poly_pow_linear, recursive_compositions
 from waring.polynomials import (
     Polynomial,
     apply_differential,
@@ -17,6 +17,15 @@ def test_compositions_count():
     from math import comb
     assert len(list(compositions(5, 3))) == comb(7, 2)
     assert list(compositions(2, 1)) == [(2,)]
+
+
+def test_the_walk_is_the_recursive_generator_reversed():
+    """`compositions` walks without recursion and yields exactly the tuples
+    of the recursive generator, in reversed order."""
+    for total in range(10):
+        for parts in range(1, 7):
+            assert list(compositions(total, parts)) == \
+                list(recursive_compositions(total, parts))[::-1], (total, parts)
 
 
 def test_multinomial():
