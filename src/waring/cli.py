@@ -66,8 +66,11 @@ def cmd_decompose(args) -> int:
     if not report.passed:
         print("internal error: produced decomposition failed verification",
               file=sys.stderr)
-        for mono, want, got in report.mismatches:
-            print(f"  {mono}: expected {want}, got {got}", file=sys.stderr)
+        for line in _report_lines(report):
+            print(f"  {line}", file=sys.stderr)
+        if report.dependent_pair:
+            block, i, j = report.dependent_pair
+            print(f"  dependent pair: terms {i} and {j} of block {block}", file=sys.stderr)
         return EXIT_VERIFY
     if args.json:
         _print_json(dec)
@@ -102,12 +105,8 @@ def cmd_verify(args) -> int:
     dec = serialize.decomposition_from_json(obj)
     decompose.check_blocks(form, dec)
     report = decompose.verify_decomposition(form, dec)
-    print(f"expansion matches: {report.expansion_matches}")
-    for mono, want, got in report.mismatches:
-        print(f"  mismatch at {mono}: expected {want}, got {got}")
-    print(f"blocks linearly independent: {report.blocks_independent}")
-    print(f"term count {report.term_count} vs rank {report.expected_rank}: "
-          f"{report.term_count_matches}")
+    for line in _report_lines(report):
+        print(line)
     if report.term_count == report.expected_rank:
         lv = decompose.least_variable_check(form, dec)
         print(f"least-variable property: {lv.passed}")
@@ -116,6 +115,16 @@ def cmd_verify(args) -> int:
         ok = False
     print("PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_VERIFY
+
+
+def _report_lines(report):
+    """The lines of a verification report, as `verify` prints them."""
+    yield f"expansion matches: {report.expansion_matches}"
+    for mono, want, got in report.mismatches:
+        yield f"  mismatch at {mono}: expected {want}, got {got}"
+    yield f"blocks linearly independent: {report.blocks_independent}"
+    yield (f"term count {report.term_count} vs rank {report.expected_rank}: "
+           f"{report.term_count_matches}")
 
 
 def cmd_survey(args) -> int:

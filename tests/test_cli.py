@@ -390,6 +390,31 @@ def test_decompose_under_the_solve_cap_still_runs(capsys):
     assert out.startswith("rank 35 decomposition of x1*x2^4*x3^6:\n")
 
 
+@pytest.mark.parametrize("tamper, lines", [
+    (lambda terms: terms[:2], ["  expansion matches: False",
+                               "  term count 2 vs rank 3: False"]),
+    (lambda terms: (terms[0], terms[0], terms[2]), [
+        "  blocks linearly independent: False", "  term count 3 vs rank 3: True",
+        "  dependent pair: terms 0 and 1 of block 0"]),
+], ids=["dropped term", "repeated term"])
+def test_a_decomposition_failing_its_check_names_the_check(capsys, monkeypatch, tamper, lines):
+    import dataclasses
+    from waring import decompose
+    build = decompose.decompose_form
+
+    def tampered(form):
+        dec = build(form)
+        return dataclasses.replace(dec, terms=tamper(dec.terms))
+
+    monkeypatch.setattr(decompose, "decompose_form", tampered)
+    code, out, err = run(capsys, "decompose", "x1*x2^2")
+    assert (code, out) == (2, "")
+    err = err.splitlines()
+    assert err[0] == "internal error: produced decomposition failed verification"
+    assert all(line in err for line in lines), err
+    assert any(line.startswith("    mismatch at ") for line in err)
+
+
 def test_the_parser_is_built_once_and_reused(capsys):
     from waring.cli import build_parser
     assert build_parser() is build_parser()

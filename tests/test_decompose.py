@@ -1,12 +1,15 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 from math import factorial, prod
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from waring import decompose
 from waring.cyclotomic import CyclotomicNumber, cyclotomic_embed
 from waring.decompose import (
     DecompositionTerm,
@@ -21,6 +24,7 @@ from waring.forms import CoprimeForm, Monomial, decomposition_field_order, parse
 from waring.linalg import LinearSystem, solve_exact
 from waring.polynomials import compositions, multinomial
 from waring.rank import rank_coprime_sum, rank_monomial
+from waring.serialize import decomposition_from_json, decomposition_to_json
 
 
 def _mono(text):
@@ -309,6 +313,98 @@ def test_the_price_from_the_exponents_is_the_price_of_the_output(form):
     plan = decompose._lift(dec, [c for c, _ in form.terms])
     assert (field, steps) == (plan.field, plan.steps)
     assert len(plan.groups) == len(form.terms) and not plan.general
+
+
+# -- decompose's own output, verified on its grid --------------------------------
+
+
+def _tampered(form, dec, j):
+    """(name, terms) for the six tamperings of term j: a gamma changed within
+    its field, a node changed, a zero coordinate made nonzero, the block
+    index changed, the term dropped and two terms swapped; the node and the
+    zero coordinate only where the term has one, the swap where there are
+    two terms."""
+    terms, t = list(dec.terms), dec.terms[j]
+    least = dec.variables.index(form.terms[t.block][1].least_variable)
+    nodes = [i for i, c in enumerate(t.linear) if c and i != least]
+    zeros = [i for i, c in enumerate(t.linear) if not c]
+
+    def with_term(**changes):
+        return terms[:j] + [dataclasses.replace(t, **changes)] + terms[j + 1:]
+
+    def with_coordinate(i, value):
+        return with_term(linear=t.linear[:i] + (value,) + t.linear[i + 1:])
+
+    cases = [("gamma", with_term(gamma=t.gamma + CyclotomicNumber.from_rational(
+                  Fraction(1, 7), t.gamma.order))),
+             ("block", with_term(block=t.block + 1)),
+             ("dropped", terms[:j] + terms[j + 1:])]
+    if nodes:
+        cases.append(("node", with_coordinate(nodes[0], 2 * t.linear[nodes[0]])))
+    if zeros:
+        cases.append(("zero", with_coordinate(zeros[0], CyclotomicNumber.from_rational(1, 1))))
+    if len(terms) > 1:
+        k = (j + 1) % len(terms)
+        swapped = list(terms)
+        swapped[j], swapped[k] = terms[k], terms[j]
+        cases.append(("swapped", swapped))
+    return cases
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_coprime_sums(), st.data())
+def test_the_grid_check_reports_what_the_flat_check_reports(form, data):
+    """`decompose_form`'s output passes on its grid with the report that the
+    flat check gives its terms alone.  Each tampering fails the grid check,
+    which then hands the terms to the flat check, so the report is the flat
+    one: a FAIL for a changed gamma, node or zero coordinate and a dropped
+    term.  The flat check sees neither the order of the terms nor (for
+    forms on disjoint variables) a block index, but the grid check does, as
+    what `decompose` prints must be the grid's expansion.  The output for
+    the form with one coefficient doubled is its grids' expansion, but its
+    moments give the doubled coefficient, so it fails the grid check too."""
+    dec = decompose_form(form)
+    report = verify_decomposition(form, dec)
+    assert report.passed
+    assert report == verify_decomposition(form, PowerSumDecomposition(
+        dec.degree, dec.variables, dec.terms))
+    block = data.draw(st.integers(0, len(form.terms) - 1))
+    doubled = decompose_form(CoprimeForm([(c * (1 + (i == block)), m)
+                                          for i, (c, m) in enumerate(form.terms)]))
+    with mock.patch.object(decompose, "_lift", wraps=decompose._lift) as flat:
+        report = verify_decomposition(form, doubled)
+    assert flat.called and not report.passed
+    assert report == verify_decomposition(form, PowerSumDecomposition(
+        doubled.degree, doubled.variables, doubled.terms))
+    for name, terms in _tampered(form, dec, data.draw(st.integers(0, len(dec.terms) - 1))):
+        tampered = dataclasses.replace(dec, terms=tuple(terms))
+        assert tampered._grids is dec._grids
+        with mock.patch.object(decompose, "_lift", wraps=decompose._lift) as flat:
+            report = verify_decomposition(form, tampered)
+        assert flat.called, name
+        assert report == verify_decomposition(form, PowerSumDecomposition(
+            dec.degree, dec.variables, tampered.terms)), name
+        assert not report.passed or name in ("block", "swapped"), name
+
+
+def test_decompose_output_skips_the_flat_check_and_a_loaded_file_takes_it(monkeypatch):
+    def flat(*args):
+        raise AssertionError("the flat check ran")
+
+    for text in ("x1^5", "x1*x2^4*x3^6", "x3^2*x1^5*x2^2", "x1*x2*x3*x4*x5*x6*x7*x8*x9",
+                 "3/2*x1*x2^2 - 2/5*x3^3", "x1^2*x2^5*x3^8 + x4*x5^6*x6^8"):
+        form = parse_form(text)
+        dec = decompose_form(form)
+        loaded = decomposition_from_json(decomposition_to_json(dec))
+        assert loaded == dec and loaded._grids is None and dec._grids
+        monkeypatch.setattr(decompose, "_lift", flat)
+        monkeypatch.setattr(decompose, "_residual", flat)
+        assert verify_decomposition(form, dec).passed, text
+        with pytest.raises(AssertionError, match="the flat check ran"):
+            verify_decomposition(form, loaded)
+        monkeypatch.undo()
+        assert verify_decomposition(form, loaded).passed, text
 
 
 # -- the factored solve against the full square character system ----------------
