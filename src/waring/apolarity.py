@@ -42,8 +42,9 @@ from .rank import ResourceLimitError
 # or a coprime sum): k binomials per term of k variables, multiplied into a
 # numerator at most min(2^k, d + k + 1) long.  Elimination: the nonzero cells
 # of the degrees t <= min(t_max, d/2) it builds (`bound_cells`), 199,500 for
-# x1^133000 + x1^132999*x2, which takes 0.7-1.3 s (2 vCPUs) with each term's
-# value computed once per form; the rest is the cost of each degree's matrix.
+# x1^133000 + x1^132999*x2, which takes 0.6-1.1 s (2 vCPUs) with each term's
+# value computed once per form and coprimality tested once; the rest is the
+# cost of each degree's matrix.
 MAX_BOUND_CELLS = 2 * 10 ** 5
 
 # Admission cap for `hf_table`, in running-sum steps: a table to degree t_max
@@ -189,8 +190,10 @@ def catalecticant_lower_bound(form, t_max=None) -> int:
         raise ResourceLimitError(
             f"the catalecticants of this form take an estimated {cost} {unit}, "
             f"above the cap {MAX_BOUND_CELLS}")
-    return max(catalecticant(form, t).rank()
-               for t in ((top,) if counted else range(1, top + 1)))
+    if counted:
+        return catalecticant(form, top).rank()
+    # found not coprime once, so each degree is ranked by elimination directly
+    return max(sparse_rank(catalecticant(form, t).entries.values()) for t in range(1, top + 1))
 
 
 def bound_cells(form, t_max=None) -> int:

@@ -58,15 +58,12 @@ the input.  Each P_r is reduced modulo Phi_N once, and each monomial costs
 one scaling, or none when P_r is 0 (a grid block has rank(M) classes).
 Terms with any other coordinate add one product per monomial.
 
-A mismatch prints the coefficient in the field of the terms that reach it.
-When each of them has its gamma in Q(zeta_N), N its lift order, and N is
-the same for all of them, each adds in Q(zeta_N), and the value is the
-residual's order-N part over D (plus the target when N = 1), reduced
-modulo Phi_N: no term is expanded again.  A decompose output is such, and
-stays such with a gamma or coordinate changed within its field.  Otherwise
-each run of terms in the running field F is summed in Z[t]/(t^F - 1) and
-reduced modulo Phi_F once, when a term of another field arrives or at the
-end.  Two cyclic linear forms are dependent iff their polar-form keys are
+A mismatch at x^b prints the coefficient in Q(zeta_M), M the lcm of the
+lift orders of the terms that reach x^b (a nonzero gamma, and a nonzero
+coordinate on each variable of x^b), whatever their order: the residual's
+lifts stretched to M, plus D times the target, reduced modulo Phi_M once,
+over D.  No term is expanded again, and M divides the plan's field.  Two
+cyclic linear forms are dependent iff their polar-form keys are
 equal: per coordinate, the modulus over the gcd of the moduli and the angle
 less the first one's, an integer in units of 1/(2L), L the lcm of the
 block's orders.  So only the pairs with a zero or general form are
@@ -310,10 +307,8 @@ def verify_decomposition(form: CoprimeForm,
     residual = _residual(target, plan, len(variables))
     bad = tuple(itertools.islice(
         (exps for exps in sorted(residual) if not _vanishes(residual[exps])), 10))
-    fields = _term_fields(decomposition, plan) if bad else None
     mismatches = tuple((monomial_text(variables, exps), str(target.get(exps, Fraction(0))),
-                        _bounded_text(_printed(decomposition, plan, fields, residual,
-                                               target, exps)))
+                        _bounded_text(_printed(plan, residual, target, exps)))
                        for exps in bad)
 
     dependent_pair = next(((block, *pair) for block, terms in plan.blocks.items()
@@ -625,93 +620,34 @@ def _stretch(lift, step):
     return {k * step: v for k, v in lift.items()} if step > 1 else lift
 
 
+def _gathered(groups, order) -> dict:
+    """The sum of a residual's lifts {N: lift}, each N dividing `order`,
+    stretched into Z[t]/(t^order - 1)."""
+    total = {}
+    for n, lift in groups.items():
+        for k, v in _stretch(lift, order // n).items():
+            total[k] = total.get(k, 0) + v
+    return total
+
+
 def _vanishes(groups) -> bool:
     """Whether a residual {N: lift} is zero in Q(zeta_M), M the lcm of the
     orders N: one reduction modulo Phi_M, exact because t -> zeta_M is a
     ring map."""
     order = lcm(*groups)
-    total = {}
-    for n, lift in groups.items():
-        for k, v in _stretch(lift, order // n).items():
-            total[k] = total.get(k, 0) + v
-    return not any(reduce_mod_phi(total.items(), order))
+    return not any(reduce_mod_phi(_gathered(groups, order).items(), order))
 
 
-def _term_fields(decomposition, plan) -> dict:
-    """Per support (the indices of the nonzero coordinates) of the terms with
-    a nonzero gamma and form: N if each of them has its gamma in Q(zeta_N),
-    N its lift order, so that it adds in Q(zeta_N) at every monomial it
-    reaches; else None."""
-    fields = {}
-    for t, (order, gamma, bases) in zip(decomposition.terms, plan.lifted):
-        if gamma and bases:
-            support, field = frozenset(bases), order if t.gamma.order == order else None
-            if fields.setdefault(support, field) != field:
-                fields[support] = None
-    return fields
-
-
-def _printed(decomposition, plan, fields, residual, target, exps):
-    """The coefficient of x^exps in the expansion, as `_coefficient` gives
-    it.  When the terms that reach x^exps all add in one field Q(zeta_N)
-    (`_term_fields`), so does their sum, and it is the residual's order-N
-    lift over D, with D * target added back when N = 1 (the target's order);
-    otherwise the terms are added up one by one."""
-    if sum(exps) != plan.degree:
-        return Fraction(0)
+def _printed(plan, residual, target, exps):
+    """The coefficient of x^exps in the expansion, in Q(zeta_M), M the lcm
+    of the lift orders of the terms that reach x^exps (a nonzero gamma, and
+    a nonzero coordinate on each variable of x^exps): the residual's lifts
+    stretched to M, plus D * target, reduced modulo Phi_M once, over D."""
     need = {i for i, a in enumerate(exps) if a}
-    reach = {field for support, field in fields.items() if support >= need}
-    if None in reach or len(reach) > 1:
-        return _coefficient(decomposition, plan, exps)
-    order = reach.pop() if reach else 1
-    lift = list(residual[exps].get(order, {}).items())
-    if order == 1:
-        lift.append((0, int(plan.scale * target.get(exps, 0))))
-    return CyclotomicNumber._normalised(order, plan.scale, reduce_mod_phi(lift, order))
-
-
-def _coefficient(decomposition, plan, exps):
-    """The coefficient of x^exps in the expansion, added up term by term:
-    `verify_decomposition` runs it only for a mismatch that terms of
-    several fields reach (`_printed` reads the others off the residual).
-
-    A term's contribution lies in the field M generated by its gamma and
-    the linear coefficients the monomial uses; its lift only has exponents
-    divisible by N/M, so it is a lift into Z[t]/(t^M - 1).  The running sum
-    lies in the lcm of the fields added since it was last zero, and the
-    printed value keeps that field.  So a run of terms in the running field
-    F adds up in Z[t]/(t^F - 1), and the sum is reduced modulo Phi_F once:
-    when a term of another field arrives (to tell whether it is zero) and at
-    the end.
-    """
-    d = decomposition.degree
-    if sum(exps) != d:
-        return Fraction(0)
-    used = [i for i, a in enumerate(exps) if a]
-    need = set(used)
-    field, run = 1, {}    # D / multinomial(d; exps) times the running sum, lifted
-    for t, (order, gamma, bases) in zip(decomposition.terms, plan.lifted):
-        if not gamma or not bases.keys() >= need:
-            continue
-        term_field = lcm(t.gamma.order, *[t.linear[i].order for i in used])
-        if term_field != field:
-            coords = reduce_mod_phi(run.items(), field)
-            if any(coords):
-                both = lcm(field, term_field)
-                run = {k * (both // field): v for k, v in enumerate(coords) if v}
-                field = both
-            else:
-                field, run = term_field, {}
-        acc = gamma     # a single power's _power is an index shift
-        for i in used:
-            acc = cyclic_mul(acc, _power(bases[i], exps[i], order), order)
-        step, stretch = order // term_field, field // term_field
-        for k, v in acc.items():
-            k = k // step * stretch
-            run[k] = run.get(k, 0) + v
-    m = multinomial(d, exps)
-    return CyclotomicNumber._normalised(
-        field, plan.scale, [m * v for v in reduce_mod_phi(run.items(), field)])
+    order = lcm(1, *(n for n, gamma, bases in plan.lifted if gamma and bases.keys() >= need))
+    total = _gathered(residual[exps], order)
+    total[0] = total.get(0, 0) + int(plan.scale * target.get(exps, 0))
+    return CyclotomicNumber._normalised(order, plan.scale, reduce_mod_phi(total.items(), order))
 
 
 def _first_dependent_pair(plan, terms):

@@ -212,11 +212,12 @@ def _stretch(lift, step):
 
 def coefficient(decomposition, lifted, scale, exps):
     """The coefficient of x^exps in the expansion, added up term by term from
-    the lifts of `decompose._lift` (the verifier's mismatch value before it
-    summed each field run once).  Each term's contribution is reduced modulo
-    Phi_M of its own field M; the running sum is promoted to the lcm field
-    whenever it is nonzero, and restarts in the next term's field when it is
-    zero."""
+    the lifts of `decompose._lift`: an oracle for the value the verifier
+    reads off its residual, which tests promote to the field it prints in.
+    Each term's contribution is reduced modulo Phi_M of its own field M; the
+    running sum is promoted to the lcm field whenever it is nonzero, and
+    restarts in the next term's field when it is zero, so the field of the
+    result can depend on the order of the terms."""
     d = decomposition.degree
     if sum(exps) != d:
         return Fraction(0)

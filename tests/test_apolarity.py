@@ -466,7 +466,7 @@ def test_bound_cell_cap_is_checked_before_any_catalecticant(monkeypatch):
     from waring import apolarity
     from waring.rank import ResourceLimitError
     built = []
-    stub = SimpleNamespace(rank=lambda: 0)
+    stub = SimpleNamespace(rank=lambda: 0, entries={})
     monkeypatch.setattr(apolarity, "catalecticant",
                         lambda form, t: built.append(t) or stub)
     # ranked by elimination: the nonzero cells of the degrees t <= d/2

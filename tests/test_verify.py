@@ -1,6 +1,7 @@
 """The verifier against independent oracles: term-by-term `Polynomial`
-expansion, which fixes the exact report content (including the field each
-printed value lives in), and sympy `expand` modulo sympy's Phi_N."""
+expansion, which fixes the exact report content (each printed value in the
+field of the terms that reach its monomial), and sympy `expand` modulo
+sympy's Phi_N."""
 
 import dataclasses
 import json
@@ -46,9 +47,28 @@ def _proportional(u, v):
                for i in range(len(u)) for j in range(i + 1, len(u)))
 
 
+def printed_field(dec, exps):
+    """The field Q(zeta_M) a mismatch at x^exps prints in, read off the
+    decomposition: M is the lcm of the fields of the terms with a nonzero
+    gamma and a nonzero coordinate on every variable of x^exps."""
+    return lcm(1, *(lcm(t.gamma.order, *(c.order for c in t.linear if c))
+                    for t in dec.terms
+                    if t.gamma and all(t.linear[i] for i, a in enumerate(exps) if a)))
+
+
+def promoted(value, order):
+    """An oracle's value (a CyclotomicNumber, or a Fraction 0) in Q(zeta_order),
+    which must contain its field."""
+    if not isinstance(value, CyclotomicNumber):
+        value = CyclotomicNumber.from_rational(value, 1)
+    assert order % value.order == 0, (value.order, order)
+    return value.promote(order)
+
+
 def oracle_report(form, dec):
     """The report computed with `Polynomial` arithmetic: the sum of
-    poly_pow_linear(L_j, d).scale(gamma_j), minus the form."""
+    poly_pow_linear(L_j, d).scale(gamma_j), minus the form, each mismatch's
+    value promoted to its `printed_field`."""
     n = len(dec.variables)
     expansion = Polynomial.zero(n)
     for t in dec.terms:
@@ -62,7 +82,7 @@ def oracle_report(form, dec):
     residual = expansion - target
     mismatches = tuple(
         (_monomial_text(dec.variables, e), str(target.coefficient(e)),
-         str(expansion.coefficient(e)))
+         str(promoted(expansion.coefficient(e), printed_field(dec, e))))
         for e in sorted(residual.terms))[:10]
     blocks = {}
     for t in dec.terms:
@@ -257,9 +277,11 @@ def test_mixed_field_mismatches_keep_each_block_field():
     )
 
 
-def test_a_cancelled_partial_sum_restarts_its_field():
-    """1 (in Q(zeta_4)) and -1 (in Q) cancel at x1^2; the value printed there
-    is the later term's z3, not an element of Q(zeta_12)."""
+def test_a_cancelled_partial_sum_prints_in_the_lcm_field():
+    """1 (in Q(zeta_4)) and -1 (in Q) cancel at x1^2, leaving the third
+    term's z3; the value printed there is in Q(zeta_12), the field of the
+    three terms that reach x1^2, whatever their order: z3 = z12^4, which is
+    -1 + z12^2 modulo Phi_12 = t^4 - t^2 + 1."""
     one4, one1 = CyclotomicNumber(4, [1]), CyclotomicNumber(1, [1])
 
     def term(gamma, linear):
@@ -271,8 +293,8 @@ def test_a_cancelled_partial_sum_restarts_its_field():
         term(CyclotomicNumber(3, [0, 1]),
              (CyclotomicNumber(3, [1]), CyclotomicNumber(3, [0]))),
     ))
-    report = verify_decomposition(parse_form("x1*x2"), dec)
-    assert report.mismatches == (("x1*x2", "1", "0"), ("x1^2", "0", "z3"))
+    report = assert_matches_oracle(parse_form("x1*x2"), dec)
+    assert report.mismatches == (("x1*x2", "1", "0"), ("x1^2", "0", "-1 + z12^2"))
     assert report.dependent_pair == (0, 0, 1)
 
 
@@ -672,14 +694,11 @@ def mixed_field_decompositions(draw):
 @SETTINGS
 @given(mixed_field_decompositions())
 def test_each_field_run_reduced_once_equals_the_term_by_term_sum(problem):
-    """The coefficient at every monomial of degree d: its value and the field
-    it prints in are those of reducing and promoting term by term."""
+    """The coefficient at every monomial of degree d, read off the residual
+    and reduced once in its printed field: the value of reducing and
+    promoting term by term, printed in that field."""
     form, dec = problem
-    plan = decompose._lift(dec, [c for c, _ in form.terms])
-    for exps in compositions(dec.degree, len(dec.variables)):
-        got = decompose._coefficient(dec, plan, exps)
-        want = reference.coefficient(dec, plan.lifted, plan.scale, exps)
-        assert (got.order, str(got)) == (want.order, str(want)), exps
+    _assert_read_off_the_residual(_target(form, dec), dec, every_monomial=True)
 
 
 # -- integer angle keys and index shifts ----------------------------------------
@@ -755,12 +774,9 @@ def negative_single_power_decompositions(draw):
 @given(negative_single_power_decompositions())
 def test_index_shifts_give_the_term_by_term_coefficient(dec):
     """A term of single powers q_i t^(k_i) adds its gamma shifted and scaled:
-    the value and field at every monomial are those of multiplying out."""
-    plan = decompose._lift(dec, [Fraction(1)])
-    for exps in compositions(dec.degree, len(dec.variables)):
-        got = decompose._coefficient(dec, plan, exps)
-        want = reference.coefficient(dec, plan.lifted, plan.scale, exps)
-        assert (got.order, str(got)) == (want.order, str(want)), exps
+    the value at every monomial is that of multiplying out, printed in the
+    field of the terms that reach it."""
+    _assert_read_off_the_residual({}, dec, every_monomial=True)
 
 
 # -- mismatch values read off the residual ---------------------------------------
@@ -807,33 +823,53 @@ def wrong_degree_problems(draw):
     return CoprimeForm([(draw(nonzero), mono)], dec.variables), dec
 
 
+def _assert_read_off_the_residual(target, dec, every_monomial=False):
+    """At every monomial of the residual (or of degree d), the value
+    `_printed` reads off it is `reference.coefficient`'s term-by-term sum
+    promoted to `printed_field`, in exact text and field; a monomial of
+    degree d that the residual lacks has coefficient 0."""
+    plan = decompose._lift(dec, target.values())
+    residual = decompose._residual(target, plan, len(dec.variables))
+    monomials = compositions(dec.degree, len(dec.variables)) if every_monomial else residual
+    for exps in monomials:
+        want = reference.coefficient(dec, plan.lifted, plan.scale, exps)
+        if exps not in residual:
+            assert not want, exps
+            continue
+        got = decompose._printed(plan, residual, target, exps)
+        want = promoted(want, printed_field(dec, exps))
+        assert (got.order, str(got)) == (want.order, str(want)), exps
+
+
 @SETTINGS
 @given(st.one_of(problems(), problems(mixed=False), cyclic_problems(),
                  mixed_field_decompositions(), tampered_decompositions(),
                  wrong_degree_problems()))
-def test_residual_reads_give_the_walked_coefficient(problem):
-    """At every monomial of the residual, the printed value read off it has
-    the value and the field of adding the terms up one by one."""
+def test_residual_reads_give_the_term_by_term_coefficient(problem):
+    """At every monomial of the residual, the printed value read off it is
+    the terms added up one by one, in the field of the terms that reach it."""
     form, dec = problem
-    target = _target(form, dec)
-    plan = decompose._lift(dec, target.values())
-    residual = decompose._residual(target, plan, len(dec.variables))
-    fields = decompose._term_fields(dec, plan)
-    for exps in residual:
-        got = decompose._printed(dec, plan, fields, residual, target, exps)
-        want = decompose._coefficient(dec, plan, exps)
-        assert (getattr(got, "order", None), str(got)) == \
-            (getattr(want, "order", None), str(want)), exps
+    _assert_read_off_the_residual(_target(form, dec), dec)
 
 
-def test_an_order_one_mismatch_adds_the_target_back(monkeypatch):
+@settings(SETTINGS, max_examples=300)
+@given(st.one_of(problems(), mixed_field_decompositions()), st.data())
+def test_shuffled_terms_print_the_same_mismatches(problem, data):
+    """The field a mismatch prints in depends on which terms reach it, not
+    on their order."""
+    form, dec = problem
+    shuffled = _repack(dec, data.draw(st.permutations(dec.terms)))
+    assert verify_decomposition(form, shuffled).mismatches == \
+        verify_decomposition(form, dec).mismatches
+
+
+def test_an_order_one_mismatch_adds_the_target_back():
     """x3^2 of x1*x2 - 1/2*x3^2 is one rational term, whose residual also
     holds D/2: its gamma doubled prints -1, not the residual's -1/2."""
     form = parse_form("x1*x2 - 1/2*x3^2")
     dec = decompose_form(form)
     terms = list(dec.terms)
     terms[-1] = dataclasses.replace(terms[-1], gamma=terms[-1].gamma * 2)
-    monkeypatch.setattr(decompose, "_coefficient", None)    # a walk would fail
     report = assert_matches_oracle(form, _repack(dec, terms))
     assert report.mismatches == (("x3^2", "-1/2", "-1"),)
 
@@ -856,20 +892,16 @@ def _bench_reverify_files(tmp_path, seed=1, max_degree=5):
             yield parse_form(job.argv[1]), dec, change and int(change.split("[")[1][:-1])
 
 
-def test_bench_mismatches_are_read_and_only_mixed_fields_walk(monkeypatch, tmp_path):
+def test_bench_mismatches_print_the_oracle_value_in_either_field(tmp_path):
     """The benchmark's reverify files (closed-form decompositions, a quarter
-    with one gamma or linear coordinate made a general number) print every
-    mismatch without the walk.  With the tampered term re-expressed in
-    twice its field, the monomials it reaches meet two fields, and exactly
-    the mismatches among them are walked."""
-    walked = []
-    walk = decompose._coefficient
-    monkeypatch.setattr(decompose, "_coefficient",
-                        lambda dec, plan, exps: walked.append(exps) or walk(dec, plan, exps))
-    failed = mixed = 0
+    with one gamma or linear coordinate made a general number) print what
+    the oracle prints.  With the tampered term re-expressed in twice its
+    field, the same monomials mismatch, and some of them, reached by terms
+    of both fields, print in twice the field, as the oracle does."""
+    failed = changed = 0
     for form, dec, j in _bench_reverify_files(tmp_path):
-        report = verify_decomposition(form, dec)
-        assert report.expansion_matches == (j is None) and not walked
+        report = assert_matches_oracle(form, dec)
+        assert report.expansion_matches == (j is None)
         if j is None:
             continue
         failed += 1
@@ -878,19 +910,7 @@ def test_bench_mismatches_are_read_and_only_mixed_fields_walk(monkeypatch, tmp_p
         terms = list(dec.terms)
         terms[j] = dataclasses.replace(t, gamma=t.gamma.promote(big),
                                        linear=tuple(c.promote(big) for c in t.linear))
-        promoted = _repack(dec, terms)
-        again = verify_decomposition(form, promoted)
+        again = assert_matches_oracle(form, _repack(dec, terms))
         assert [m[:2] for m in again.mismatches] == [m[:2] for m in report.mismatches]
-        target = _target(form, promoted)
-        plan = decompose._lift(promoted, target.values())
-        residual = decompose._residual(target, plan, len(dec.variables))
-        bad = [e for e in sorted(residual) if not decompose._vanishes(residual[e])][:10]
-
-        def fields(exps):
-            need = {i for i, a in enumerate(exps) if a}
-            return {order for order, g, bases in plan.lifted if g and bases.keys() >= need}
-
-        assert walked == [e for e in bad if len(fields(e)) > 1]
-        mixed += len(walked)
-        walked.clear()
-    assert failed and mixed
+        changed += sum(a != b for a, b in zip(again.mismatches, report.mismatches))
+    assert failed and changed
