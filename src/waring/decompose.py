@@ -22,18 +22,20 @@ of V_i y_i = e_(a_i): one (a_i+1)-square solve in Q(zeta_(a_i+1)) per
 distinct exponent (see `_block_terms`).  A sum of coprime monomials is
 decomposed blockwise and the blocks concatenated.
 
-`decompose_form` keeps each block's grid (`_Grid`: the nodes zeta_N^(k
-step_i) and weights w_i[k] = y_i[k] per axis, and w_0 = c / mult(a)), and
-verification checks it by moments before anything else (`_grids_pass`):
-the coefficient of x^b in the block is mult(d; b) w_0 prod_i M_i(b_i mod
-p_i), M_i(j) = sum_k w_i[k] zeta_N^(k step_i j), so the p_i moments per
-axis and one product per b with every moment nonzero give every
-coefficient, and each term is checked once against its grid point and the
-product of its weights; an axis' nodes are distinct, so the forms are
-pairwise independent.  The check is priced as the output's expansion,
-the price `decompose_form` admitted.  A file carries no grid and is
-expanded as below, and so is a decomposition that fails the grid check,
-so that its report is the expansion's.
+The solve has a closed form: V_i is a character table, so y_i[k] =
+zeta_(a_i+1)^(-k a_i) / (a_i+1) = zeta_N^(k s_i) / (a_i+1), s_i = N /
+(a_i+1), and the term at k = (k_1, ..., k_n) is
+c / (mult(d; a) prod_i (a_i+1)) * zeta_N^(sum_i k_i s_i) *
+(x_0 + sum_i zeta_N^(k_i s_i) x_i)^d.  Verification first compares a
+decomposition with this closed form (`_is_closed_form`), term for term in
+`decompose_form`'s order and with every number in its block's field: one
+that equals it expands to the form by the argument above, one block's
+forms are pairwise independent (their points differ and start with 1), and
+its term count is the rank, so it passes without expansion.  The
+comparison is declined past the price `decompose_form` admits, read off
+the exponents (`_grid_price`).  For `decompose`'s output it compares two
+independent derivations, the solve and the formula.  Anything else, a
+file or an output alike, is expanded as below, which builds the report.
 
 Verification expands sum gamma_j L_j^d with integer coefficients in
 Z[t]/(t^N - 1) over one common denominator, reading one plan (`_lift`):
@@ -72,14 +74,13 @@ tested one by one, by their minors.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, log10, prod
-from operator import mod
+from operator import mod, mul
 
 from .cyclotomic import CyclotomicNumber, cyclic_lift, cyclic_mul, \
     cyclotomic_embed, euler_phi, reduce_mod_phi
@@ -123,19 +124,6 @@ class PowerSumDecomposition:
     degree: int
     variables: tuple
     terms: tuple
-    # the `_Grid` of each block when `decompose_form` built the terms, which
-    # `verify_decomposition` checks by moments; equality, repr and the JSON
-    # ignore it, so a loaded file has none
-    _grids: tuple = dataclasses.field(default=None, compare=False, repr=False)
-
-
-# One block of `decompose_form`'s output (`_block_terms`): the terms
-# scale * prod_i w_i[k_i] * (x_least + sum_i zeta_N^(k_i step_i) x_(position_i))^d
-# over k in range(p_1) x ... x range(p_n), in lexicographic order, where
-# `least` and each axis' `position` index the namespace, p_i step_i = N and
-# w_i[k] = lift / den, (lift, den) = weights[k], lift in Z[t]/(t^N - 1).
-_Grid = namedtuple("_Grid", "block order scale least axes")
-_Axis = namedtuple("_Axis", "position p step weights")
 
 
 @lru_cache(maxsize=16)
@@ -166,21 +154,20 @@ def decomposition_points(monomial: Monomial):
 def solve_gammas(monomial: Monomial, coefficient=Fraction(1)) -> PowerSumDecomposition:
     """Decompose coefficient * M as a sum of rank(M) powers of the grid linear
     forms (`_block_terms` over the monomial's own variables)."""
-    _, terms = _block_terms(monomial, coefficient, 0, range(monomial.n), monomial.n)
+    terms = _block_terms(monomial, coefficient, 0, range(monomial.n), monomial.n)
     return PowerSumDecomposition(monomial.degree, monomial.variables, terms)
 
 
 def _block_terms(monomial, coefficient, block, positions, num_vars):
-    """The `_Grid` and the terms of block `block`, coefficient * M, with
-    linear forms over `num_vars` variables, M's i-th variable at
-    positions[i]: gamma_k = coefficient / multinomial(d; a) * prod_i
-    y_i[k_i], where V_i y_i = e_(a_i) is solved exactly in Q(zeta_(a_i+1)),
-    once per distinct a_i, against the cached character table V_i.  Each
-    y_i[k] is lifted once into Z[t]/(t^N - 1) over its denominator; a gamma
-    is the product of its factors' lifts, over the product of their
-    denominators, reduced modulo Phi_N and normalised once.  The module
-    docstring explains why these gammas solve the square character system
-    and every other monomial row.
+    """The terms of block `block`, coefficient * M, with linear forms over
+    `num_vars` variables, M's i-th variable at positions[i]: gamma_k =
+    coefficient / multinomial(d; a) * prod_i y_i[k_i], where V_i y_i =
+    e_(a_i) is solved exactly in Q(zeta_(a_i+1)), once per distinct a_i,
+    against the cached character table V_i.  Each y_i[k] is lifted once
+    into Z[t]/(t^N - 1) over its denominator; a gamma is the product of its
+    factors' lifts, over the product of their denominators, reduced modulo
+    Phi_N and normalised once.  The module docstring explains why these
+    gammas solve the square character system and every other monomial row.
     """
     coefficient = Fraction(coefficient)
     if coefficient == 0:
@@ -202,9 +189,6 @@ def _block_terms(monomial, coefficient, block, positions, num_vars):
     lifts = [({0: scale.numerator}, scale.denominator)]
     for a in exps[1:]:
         lifts = [(cyclic_mul(g, y, order), den * e) for g, den in lifts for y, e in factors[a]]
-    where = [positions[monomial.variables.index(v)] for v, _ in items]
-    grid = _Grid(block, order, scale, where[0], tuple(
-        _Axis(pos, a + 1, order // (a + 1), factors[a]) for pos, a in zip(where[1:], exps[1:])))
     zero = CyclotomicNumber.from_rational(0, order)
     terms = []
     for (g, den), coords in zip(lifts, decomposition_points(monomial)):
@@ -214,7 +198,7 @@ def _block_terms(monomial, coefficient, block, positions, num_vars):
         terms.append(DecompositionTerm(
             gamma=CyclotomicNumber._normalised(order, den, reduce_mod_phi(g.items(), order)),
             linear=tuple(linear), block=block, point=coords))
-    return grid, tuple(terms)
+    return tuple(terms)
 
 
 def decompose_form(form: CoprimeForm) -> PowerSumDecomposition:
@@ -231,11 +215,7 @@ def decompose_form(form: CoprimeForm) -> PowerSumDecomposition:
                        for i in range(len(variables)))
         return PowerSumDecomposition(1, variables, (DecompositionTerm(
             gamma=CyclotomicNumber.from_rational(1, 1), linear=linear, block=0, point=linear),))
-    # the output is one cyclic group per block of rank r: r members in r classes
-    ranks = [rank_monomial(m) for m in form.monomials]
-    _admit("verifying the output", max(map(decomposition_field_order, form.monomials)),
-           _steps(form.degree, [(m.n, r, r) for m, r in zip(form.monomials, ranks)], [], [],
-                  len(variables)))
+    _admit("verifying the output", *_grid_price(form, len(variables)))
     # after the field check: phi(a + 1) builds Phi_(a+1), and a + 1 divides N
     cost = sum((a + 1) ** 3 * euler_phi(a + 1) ** 2
                for m in form.monomials for a in set(m.sorted_exponents[1:]))
@@ -243,12 +223,21 @@ def decompose_form(form: CoprimeForm) -> PowerSumDecomposition:
         raise ResourceLimitError(
             f"decomposing {form} needs gamma solves of estimated cost {cost:.1e} "
             f"((a+1)^3 * phi(a+1)^2 per distinct a_i), above the cap {MAX_SOLVE_COST:.0e}")
-    blocks = [_block_terms(mono, coeff, block, [index[v] for v in mono.variables],
-                           len(variables))
-              for block, (coeff, mono) in enumerate(form.terms)]
-    return PowerSumDecomposition(form.degree, variables,
-                                 tuple(t for _, terms in blocks for t in terms),
-                                 tuple(grid for grid, _ in blocks))
+    return PowerSumDecomposition(form.degree, variables, tuple(
+        t for block, (coeff, mono) in enumerate(form.terms)
+        for t in _block_terms(mono, coeff, block, [index[v] for v in mono.variables],
+                              len(variables))))
+
+
+def _grid_price(form, num_vars):
+    """The field and steps of verifying the closed form of `form` over
+    `num_vars` variables, read off the exponents: one cyclic group per block
+    of rank r, with r members in r classes, and no general form."""
+    monomials = form.monomials
+    ranks = map(rank_monomial, monomials)
+    return (max(map(decomposition_field_order, monomials)),
+            _steps(form.degree, [(m.n, r, r) for m, r in zip(monomials, ranks)], [], [],
+                   num_vars))
 
 
 # -- verification ---------------------------------------------------------------
@@ -277,9 +266,10 @@ def verify_decomposition(form: CoprimeForm,
     """Exactly expand the decomposition and diff it against the form; also
     check pairwise linear independence within each block and the term count
     against the closed-form rank.  Failures are report entries, not errors.
-    The expansion runs in Z[t]/(t^N - 1), as the module docstring explains;
-    a decomposition that passes on its grids (`_grids_pass`) is not
-    expanded, as its report would be the same."""
+    A decomposition that is the paper's closed form of the form
+    (`_is_closed_form`) passes without expansion, as its report would be a
+    PASS; any other runs in Z[t]/(t^N - 1), as the module docstring
+    explains."""
     d = decomposition.degree
     variables = decomposition.variables
     if d < 1:
@@ -300,8 +290,8 @@ def verify_decomposition(form: CoprimeForm,
         target[tuple(exps)] = c
 
     rank = rank_coprime_sum(form)
-    if decomposition._grids and _grids_pass(decomposition, target, rank):
-        return VerificationReport(True, (), True, None, len(decomposition.terms), rank)
+    if _is_closed_form(form, decomposition, rank):
+        return VerificationReport(True, (), True, None, rank, rank)
     plan = _lift(decomposition, target.values())
     _admit("verifying", plan.field, plan.steps)
     residual = _residual(target, plan, len(variables))
@@ -323,103 +313,41 @@ def verify_decomposition(form: CoprimeForm,
         expected_rank=rank)
 
 
-def _grids_pass(decomposition, target, rank) -> bool:
-    """Whether the decomposition's grids expand to the target, their terms
-    are its terms and their count is the rank: the per-axis moments give
-    every coefficient, and each term is checked once against its grid.
-    Priced first as `decompose_form` prices its output, which is also the
-    price of its plan (one cyclic group of r members per block of rank r)."""
-    grids, d, n = decomposition._grids, decomposition.degree, len(decomposition.variables)
-    sizes = [prod(axis.p for axis in g.axes) for g in grids]
-    _admit("verifying", max(g.order for g in grids),
-           _steps(d, [(1 + len(g.axes), r, r) for g, r in zip(grids, sizes)], [], [], n))
-    positions = [p for g in grids for p in (g.least, *(axis.position for axis in g.axes))]
-    if len(decomposition.terms) != sum(sizes) or sum(sizes) != rank \
-            or len(set(positions)) < len(positions) \
-            or any(axis.p * axis.step != g.order for g in grids for axis in g.axes):
+def _is_closed_form(form, decomposition, rank) -> bool:
+    """Whether the decomposition is the paper's closed form of `form`, in
+    `decompose_form`'s term order, with every number in its block's field
+    Q(zeta_N): per block of c * x^a, the rank(x^a) terms
+    c / (mult(d; a) prod_i (a_i + 1)) * zeta_N^(sum_i k_i s_i) *
+    (x_least + sum_i zeta_N^(k_i s_i) x_i)^d, s_i = N / (a_i + 1), over k in
+    range(a_1 + 1) x ... x range(a_n + 1), lexicographically.  The module
+    docstring proves that they expand to the form; the check is declined,
+    before anything is built, past the price `decompose_form` admits."""
+    d, n = decomposition.degree, len(decomposition.variables)
+    if d < 2 or d != form.degree or len(decomposition.terms) != rank:
         return False
-    matched = set()
-    for g in grids:
-        for exps, value in _grid_coefficients(g, d, n):
-            if value != target.get(exps, 0):
-                return False
-            matched.add(exps)
-    if any(c for exps, c in target.items() if exps not in matched):
+    field, steps = _grid_price(form, n)
+    if field > MAX_FIELD_ORDER or steps > MAX_VERIFY_STEPS:
         return False
+    index = {v: i for i, v in enumerate(decomposition.variables)}
     terms = iter(decomposition.terms)
-    return all(_is_expansion(g, itertools.islice(terms, size), n)
-               for g, size in zip(grids, sizes))
-
-
-def _grid_coefficients(grid, d, n):
-    """(exponents, coefficient) for each x^b whose coefficient in the grid's
-    expansion can be nonzero.  By the multinomial theorem that coefficient
-    is mult(d; b) * scale * prod_i M_i(b_i mod p_i), with the moments M_i(j)
-    = sum_k w_i[k] zeta_N^(k step_i j), periodic in j as p_i step_i = N; as
-    Q(zeta_N) is a field it is nonzero iff every factor is, so the axes are
-    walked with the remaining degree over the b_i with M_i(b_i mod p_i) !=
-    0, the least variable taking the rest.  A walk never leaves more than
-    the later axes can take, so each state it visits lies on the path of a
-    coefficient it gives."""
-    order, scale = grid.order, grid.scale
-    moments, dens = [], []
-    for axis in grid.axes:
-        den = lcm(*(e for _, e in axis.weights))
-        row = []
-        for j in range(axis.p):
-            total = {}
-            for k, (lift, e) in enumerate(axis.weights):
-                shift, f = k * axis.step * j, den // e
-                for x, v in lift.items():
-                    x = (x + shift) % order
-                    total[x] = total.get(x, 0) + f * v
-            coords = reduce_mod_phi(total.items(), order)
-            row.append({k: v for k, v in enumerate(coords) if v})
-        moments.append(row)
-        dens.append(den)
-    allowed = [[b for b in range(d + 1) if row[b % len(row)]] for row in moments]
-    # what the axes from i on take at least, so that no walk strands its degree
-    lows = [min(bs, default=d + 1) for bs in allowed]
-    need = [sum(lows[i:]) for i in range(len(lows) + 1)]
-    den = scale.denominator * prod(dens)
-    walk = [((), d)]
-    while walk:
-        bs, left = walk.pop()
-        i = len(bs)
-        if i < len(allowed):
-            walk.extend((bs + (b,), left - b) for b in allowed[i] if b + need[i + 1] <= left)
-            continue
-        acc = {0: multinomial(d, (left, *bs)) * scale.numerator}
-        for row, b in zip(moments, bs):
-            acc = cyclic_mul(acc, row[b % len(row)], order)
-        exps = [0] * n
-        exps[grid.least] = left
-        for axis, b in zip(grid.axes, bs):
-            exps[axis.position] = b
-        yield tuple(exps), CyclotomicNumber._normalised(
-            order, den, reduce_mod_phi(acc.items(), order))
-
-
-def _is_expansion(grid, terms, n) -> bool:
-    """Whether `terms` are the grid's terms in order: each its block, its
-    gamma the product of its weights and its form its grid point, 1 on the
-    least variable and 0 off the block.  The nodes of an axis are distinct
-    (p step = N), so the forms are pairwise independent."""
-    order, scale = grid.order, grid.scale
-    one, zero = (CyclotomicNumber.from_rational(c, order) for c in (1, 0))
-    nodes = [[CyclotomicNumber.zeta(order, k * axis.step) for k in range(axis.p)]
-             for axis in grid.axes]
-    for ks, t in zip(itertools.product(*(range(axis.p) for axis in grid.axes)), terms):
-        acc, den = {0: scale.numerator}, scale.denominator
-        linear = [zero] * n
-        linear[grid.least] = one
-        for axis, row, k in zip(grid.axes, nodes, ks):
-            lift, e = axis.weights[k]
-            acc, den = cyclic_mul(acc, lift, order), den * e
-            linear[axis.position] = row[k]
-        if t.block != grid.block or t.linear != tuple(linear) or t.gamma != \
-                CyclotomicNumber._normalised(order, den, reduce_mod_phi(acc.items(), order)):
-            return False
+    for block, (c, m) in enumerate(form.terms):
+        order = decomposition_field_order(m)
+        (least, _), *items = m.sorted_items
+        shifts = [order // (a + 1) for _, a in items]
+        scale = Fraction(c) / (multinomial(d, m.sorted_exponents) * prod(a + 1 for _, a in items))
+        gammas = [CyclotomicNumber.zeta(order, j, scale) for j in range(order)]
+        linear = [CyclotomicNumber.from_rational(0, order)] * n
+        linear[index[least]] = CyclotomicNumber.from_rational(1, order)
+        axes = [(index[v], [CyclotomicNumber.zeta(order, k * s) for k in range(a + 1)])
+                for (v, a), s in zip(items, shifts)]
+        for ks in itertools.product(*(range(a + 1) for _, a in items)):
+            t = next(terms)
+            for (i, nodes), k in zip(axes, ks):
+                linear[i] = nodes[k]
+            if t.block != block or t.gamma.order != order \
+                    or any(x.order != order for x in t.linear) or t.linear != tuple(linear) \
+                    or t.gamma != gammas[sum(map(mul, ks, shifts)) % order]:
+                return False
     return True
 
 

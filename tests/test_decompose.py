@@ -315,7 +315,7 @@ def test_the_price_from_the_exponents_is_the_price_of_the_output(form):
     assert len(plan.groups) == len(form.terms) and not plan.general
 
 
-# -- decompose's own output, verified on its grid --------------------------------
+# -- decompose's own output, verified as the closed form ------------------------
 
 
 def _tampered(form, dec, j):
@@ -355,15 +355,15 @@ def _tampered(form, dec, j):
           suppress_health_check=[HealthCheck.too_slow])
 @given(_coprime_sums(), st.data())
 def test_the_grid_check_reports_what_the_flat_check_reports(form, data):
-    """`decompose_form`'s output passes on its grid with the report that the
-    flat check gives its terms alone.  Each tampering fails the grid check,
-    which then hands the terms to the flat check, so the report is the flat
-    one: a FAIL for a changed gamma, node or zero coordinate and a dropped
-    term.  The flat check sees neither the order of the terms nor (for
-    forms on disjoint variables) a block index, but the grid check does, as
-    what `decompose` prints must be the grid's expansion.  The output for
-    the form with one coefficient doubled is its grids' expansion, but its
-    moments give the doubled coefficient, so it fails the grid check too."""
+    """`decompose_form`'s output passes as the closed form with the report
+    that the flat check gives its terms alone.  Each tampering fails the
+    comparison with the closed form, which then hands the terms to the flat
+    check, so the report is the flat one: a FAIL for a changed gamma, node
+    or zero coordinate and a dropped term.  The flat check sees neither the
+    order of the terms nor (for forms on disjoint variables) a block index,
+    but the comparison does, as it follows `decompose_form`'s order.  The
+    output for the form with one coefficient doubled is the closed form of
+    another form, so it fails the comparison too."""
     dec = decompose_form(form)
     report = verify_decomposition(form, dec)
     assert report.passed
@@ -379,7 +379,6 @@ def test_the_grid_check_reports_what_the_flat_check_reports(form, data):
         doubled.degree, doubled.variables, doubled.terms))
     for name, terms in _tampered(form, dec, data.draw(st.integers(0, len(dec.terms) - 1))):
         tampered = dataclasses.replace(dec, terms=tuple(terms))
-        assert tampered._grids is dec._grids
         with mock.patch.object(decompose, "_lift", wraps=decompose._lift) as flat:
             report = verify_decomposition(form, tampered)
         assert flat.called, name
@@ -388,23 +387,45 @@ def test_the_grid_check_reports_what_the_flat_check_reports(form, data):
         assert not report.passed or name in ("block", "swapped"), name
 
 
-def test_decompose_output_skips_the_flat_check_and_a_loaded_file_takes_it(monkeypatch):
+def test_decompose_output_and_its_json_round_trip_skip_the_flat_check(monkeypatch):
     def flat(*args):
         raise AssertionError("the flat check ran")
 
+    monkeypatch.setattr(decompose, "_lift", flat)
+    monkeypatch.setattr(decompose, "_residual", flat)
     for text in ("x1^5", "x1*x2^4*x3^6", "x3^2*x1^5*x2^2", "x1*x2*x3*x4*x5*x6*x7*x8*x9",
                  "3/2*x1*x2^2 - 2/5*x3^3", "x1^2*x2^5*x3^8 + x4*x5^6*x6^8"):
         form = parse_form(text)
         dec = decompose_form(form)
         loaded = decomposition_from_json(decomposition_to_json(dec))
-        assert loaded == dec and loaded._grids is None and dec._grids
-        monkeypatch.setattr(decompose, "_lift", flat)
-        monkeypatch.setattr(decompose, "_residual", flat)
+        assert loaded == dec
         assert verify_decomposition(form, dec).passed, text
-        with pytest.raises(AssertionError, match="the flat check ran"):
-            verify_decomposition(form, loaded)
-        monkeypatch.undo()
         assert verify_decomposition(form, loaded).passed, text
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_coprime_sums(), st.data())
+def test_shuffled_or_promoted_output_takes_the_flat_check(form, data):
+    """The closed form is compared term for term, in `decompose_form`'s
+    order and with every number in its block's field Q(zeta_N).  Shuffled
+    terms, or every number promoted to Q(zeta_2N), are the same
+    decomposition, so the flat check runs and gives the same report."""
+    def promoted(x):
+        return x.promote(2 * x.order)
+
+    dec = decompose_form(form)
+    report = verify_decomposition(form, dec)
+    order = data.draw(st.permutations(range(len(dec.terms))))
+    cases = [[dataclasses.replace(t, gamma=promoted(t.gamma), linear=tuple(map(promoted, t.linear)))
+              for t in dec.terms]]
+    if order != sorted(order):
+        cases.append([dec.terms[j] for j in order])
+    for terms in cases:
+        with mock.patch.object(decompose, "_lift", wraps=decompose._lift) as flat:
+            assert verify_decomposition(form, dataclasses.replace(
+                dec, terms=tuple(terms))) == report
+        assert flat.called
 
 
 # -- the factored solve against the full square character system ----------------

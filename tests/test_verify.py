@@ -599,6 +599,18 @@ def test_class_sums_are_priced_before_any_expansion():
     assert time.perf_counter() - start < 1
 
 
+def test_the_closed_form_of_a_large_grid_passes_without_expansion(monkeypatch):
+    """The closed-form file of x1*x2^76*x3^76 (5,929 terms in Q(zeta_77),
+    priced 890,762 steps, under the cap) is the paper's closed form, so it
+    passes in well under a second with no expansion, which takes 7-10 s."""
+    form, dec = parse_form("x1*x2^76*x3^76"), _grid(76)
+    assert decompose._grid_price(form, 3) == (77, 890762)
+    monkeypatch.setattr(decompose, "_lift", None)    # any expansion would fail
+    start = time.perf_counter()
+    assert verify_decomposition(form, dec).passed
+    assert time.perf_counter() - start < 1
+
+
 # -- each exact step once, against the step-by-step oracles ---------------------
 
 @st.composite
