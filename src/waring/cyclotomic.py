@@ -94,6 +94,14 @@ def reduce_mod_phi(terms, order):
     return out
 
 
+def _root_pair(order: int, power: int, q) -> tuple:
+    """The stored pair (D, ints) of q * zeta_order^power, q a Fraction or an
+    int: (den(q), num(q) * row), row the power-table row of zeta^power.  It
+    is in lowest terms, as a row's entries have gcd 1 (see `_root_rows`)."""
+    n = q.numerator
+    return q.denominator, tuple([n * r for r in _power_table(order)[power % order]])
+
+
 @lru_cache(maxsize=None)
 def _root_rows(order: int) -> dict:
     """Each row zeta^k of the power table, with its sign fixed so the first
@@ -154,7 +162,8 @@ class CyclotomicNumber:
     Stored once, as `_ints = (D, ints)`: the coordinates are ints / D with
     D > 0 and gcd(D, *ints) == 1, so equal numbers of one field have equal
     `_ints`.  Binary operations accept ints, Fractions and elements of other
-    cyclotomic fields; mixed orders are promoted to the lcm field.
+    cyclotomic fields; mixed orders are promoted to the lcm field, while two
+    numbers of one field work on their pairs directly.
     """
 
     __slots__ = ("order", "_ints")
@@ -169,8 +178,8 @@ class CyclotomicNumber:
         g = gcd(den, *ints)
         if g != 1:
             den, ints = den // g, [v // g for v in ints]
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_ints", (den, tuple(ints)))
+        _set_order(self, order)
+        _set_ints(self, (den, tuple(ints)))
 
     @classmethod
     def _normalised(cls, order, den, ints) -> "CyclotomicNumber":
@@ -190,10 +199,8 @@ class CyclotomicNumber:
     @classmethod
     def zeta(cls, order: int, power: int = 1, scale=1) -> "CyclotomicNumber":
         """scale * zeta_order^power, a rational multiple of one row of the
-        power table."""
-        q = Fraction(scale)
-        return cls._normalised(order, q.denominator,
-                               [q.numerator * r for r in _power_table(order)[power % order]])
+        power table (`_root_pair`)."""
+        return cls._normalised(order, *_root_pair(order, power, Fraction(scale)))
 
     # -- field structure ---------------------------------------------------
 
@@ -210,9 +217,10 @@ class CyclotomicNumber:
             ((k * step, v) for k, v in enumerate(ints)), order))
 
     def _coerce(self, other):
+        """(self, other) in one field: the lcm field for two numbers, self's
+        for a rational, (self, NotImplemented) for anything else.  `*`, `+`,
+        `-` and `==` skip this call for a number of self's own field."""
         if isinstance(other, CyclotomicNumber):
-            if other.order == self.order:
-                return self, other
             n = lcm(self.order, other.order)
             return self.promote(n), other.promote(n)
         if isinstance(other, (int, Fraction)):
@@ -228,9 +236,11 @@ class CyclotomicNumber:
         return self._add(other, -1)
 
     def _add(self, other, sign):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
+        a, b = self, other
+        if not (type(b) is CyclotomicNumber and b.order == a.order):
+            a, b = self._coerce(other)
+            if b is NotImplemented:
+                return NotImplemented
         (da, xs), (db, ys) = a._ints, b._ints
         den = lcm(da, db)
         ma, mb = den // da, sign * (den // db)
@@ -244,13 +254,15 @@ class CyclotomicNumber:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            den, ints = self._ints
-            return self._normalised(self.order, den * other.denominator,
-                                    [v * other.numerator for v in ints])
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
+        a, b = self, other
+        if not (type(b) is CyclotomicNumber and b.order == a.order):
+            if isinstance(other, (int, Fraction)):
+                den, ints = self._ints
+                return self._normalised(self.order, den * other.denominator,
+                                        [v * other.numerator for v in ints])
+            a, b = self._coerce(other)
+            if b is NotImplemented:
+                return NotImplemented
         (da, xs), (db, ys) = a._ints, b._ints
         return self._normalised(a.order, da * db, _mul_mod_phi(xs, ys, a.order))
 
@@ -302,6 +314,8 @@ class CyclotomicNumber:
         return any(self._ints[1])
 
     def __eq__(self, other):
+        if type(other) is CyclotomicNumber and other.order == self.order:
+            return self._ints == other._ints
         a, b = self._coerce(other)
         return NotImplemented if b is NotImplemented else a._ints == b._ints
 
@@ -353,6 +367,11 @@ class CyclotomicNumber:
         return signed_sum(pieces)
 
 
+# the slots' own setters, which __setattr__ does not block
+_set_order = CyclotomicNumber.order.__set__
+_set_ints = CyclotomicNumber._ints.__set__
+
+
 def fraction_text(num: int, den: int) -> str:
     """num / den (den > 0) in lowest terms, as "p/q", or "p" when q is 1."""
     g = gcd(num, den)
@@ -361,14 +380,31 @@ def fraction_text(num: int, den: int) -> str:
 
 def _mul_mod_phi(xs, ys, order):
     """The product of two coordinate vectors of Q(zeta_order), reduced modulo
-    Phi_order; integer input gives integer output."""
-    conv = [0] * (2 * len(xs) - 1)
+    Phi_order: the convolution's top coefficients fold through `_folds`.
+    Integer input gives integer output."""
+    phi = len(xs)
+    conv = [0] * (2 * phi - 1)
+    nonzero = [(j, y) for j, y in enumerate(ys) if y]
     for i, x in enumerate(xs):
         if x:
-            for j, y in enumerate(ys):
-                if y:
-                    conv[i + j] += x * y
-    return reduce_mod_phi(enumerate(conv), order)
+            for j, y in nonzero:
+                conv[i + j] += x * y
+    out = conv[:phi]
+    for c, fold in zip(conv[phi:], _folds(order)):
+        if c:
+            for i, r in fold:
+                out[i] += c * r
+    return out
+
+
+@lru_cache(maxsize=None)
+def _folds(order: int) -> tuple:
+    """The nonzero entries (i, r) of the power-table rows zeta^k, k = phi
+    .. 2 phi - 2, phi = phi(order): where a product's coefficient at k goes."""
+    table = _power_table(order)
+    phi = len(table[0])
+    return tuple(tuple((i, r) for i, r in enumerate(table[k % order]) if r)
+                 for k in range(phi, 2 * phi - 1))
 
 
 @lru_cache(maxsize=None)

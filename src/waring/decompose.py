@@ -19,8 +19,9 @@ So the unique solution of the square system solves every monomial row.
 Its right-hand side is c * e_a = c * (e_(a_1) x ... x e_(a_n)), so the
 solution is c / mult(a) times the Kronecker product of the solutions y_i
 of V_i y_i = e_(a_i): one (a_i+1)-square solve in Q(zeta_(a_i+1)) per
-distinct exponent (see `_block_terms`).  A sum of coprime monomials is
-decomposed blockwise and the blocks concatenated.
+distinct exponent (see `_block_terms`), whose operands all lie in that
+one field, so its arithmetic skips promotion.  A sum of coprime
+monomials is decomposed blockwise and the blocks concatenated.
 
 The solve has a closed form: V_i is a character table, so y_i[k] =
 zeta_(a_i+1)^(-k a_i) / (a_i+1) = zeta_N^(k s_i) / (a_i+1), s_i = N /
@@ -28,8 +29,11 @@ zeta_(a_i+1)^(-k a_i) / (a_i+1) = zeta_N^(k s_i) / (a_i+1), s_i = N /
 c / (mult(d; a) prod_i (a_i+1)) * zeta_N^(sum_i k_i s_i) *
 (x_0 + sum_i zeta_N^(k_i s_i) x_i)^d.  Verification first compares a
 decomposition with this closed form (`_is_closed_form`), term for term in
-`decompose_form`'s order and with every number in its block's field: one
-that equals it expands to the form by the argument above, one block's
+`decompose_form`'s order and with every number in its block's field.  It
+compares stored pairs (D, ints), which are in lowest terms, with the
+pairs (den(q), num(q) * row) of q * zeta_N^k read off the power table
+(`_root_pair`), so it builds no number.  One that equals the closed form
+expands to the form by the argument above, one block's
 forms are pairwise independent (their points differ and start with 1), and
 its term count is the rank, so it passes without expansion.  The
 comparison is declined past the price `decompose_form` admits, read off
@@ -82,7 +86,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm, log10, prod
 from operator import mod, mul
 
-from .cyclotomic import CyclotomicNumber, cyclic_lift, cyclic_mul, \
+from .cyclotomic import CyclotomicNumber, _root_pair, cyclic_lift, cyclic_mul, \
     cyclotomic_embed, euler_phi, reduce_mod_phi
 from .forms import CoprimeForm, Monomial, decomposition_field_order
 from .linalg import LinearSystem, solve_exact
@@ -319,9 +323,12 @@ def _is_closed_form(form, decomposition, rank) -> bool:
     Q(zeta_N): per block of c * x^a, the rank(x^a) terms
     c / (mult(d; a) prod_i (a_i + 1)) * zeta_N^(sum_i k_i s_i) *
     (x_least + sum_i zeta_N^(k_i s_i) x_i)^d, s_i = N / (a_i + 1), over k in
-    range(a_1 + 1) x ... x range(a_n + 1), lexicographically.  The module
-    docstring proves that they expand to the form; the check is declined,
-    before anything is built, past the price `decompose_form` admits."""
+    range(a_1 + 1) x ... x range(a_n + 1), lexicographically.  Each number's
+    order and stored pair (D, ints), which is in lowest terms, are compared
+    with the pairs `_root_pair` reads off the power table, so no number is
+    built.  The module docstring proves that they expand to the form; the
+    check is declined, before anything is built, past the price
+    `decompose_form` admits."""
     d, n = decomposition.degree, len(decomposition.variables)
     if d < 2 or d != form.degree or len(decomposition.terms) != rank:
         return False
@@ -335,18 +342,19 @@ def _is_closed_form(form, decomposition, rank) -> bool:
         (least, _), *items = m.sorted_items
         shifts = [order // (a + 1) for _, a in items]
         scale = Fraction(c) / (multinomial(d, m.sorted_exponents) * prod(a + 1 for _, a in items))
-        gammas = [CyclotomicNumber.zeta(order, j, scale) for j in range(order)]
-        linear = [CyclotomicNumber.from_rational(0, order)] * n
-        linear[index[least]] = CyclotomicNumber.from_rational(1, order)
-        axes = [(index[v], [CyclotomicNumber.zeta(order, k * s) for k in range(a + 1)])
+        # each number as (order, stored pair)
+        gammas = [(order, _root_pair(order, j, scale)) for j in range(order)]
+        linear = [(order, _root_pair(order, 0, 0))] * n
+        linear[index[least]] = (order, _root_pair(order, 0, 1))
+        axes = [(index[v], [(order, _root_pair(order, k * s, 1)) for k in range(a + 1)])
                 for (v, a), s in zip(items, shifts)]
         for ks in itertools.product(*(range(a + 1) for _, a in items)):
             t = next(terms)
             for (i, nodes), k in zip(axes, ks):
                 linear[i] = nodes[k]
-            if t.block != block or t.gamma.order != order \
-                    or any(x.order != order for x in t.linear) or t.linear != tuple(linear) \
-                    or t.gamma != gammas[sum(map(mul, ks, shifts)) % order]:
+            if t.block != block \
+                    or (t.gamma.order, t.gamma._ints) != gammas[sum(map(mul, ks, shifts)) % order] \
+                    or [(x.order, x._ints) for x in t.linear] != linear:
                 return False
     return True
 

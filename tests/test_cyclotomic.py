@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from waring.cyclotomic import (
     CyclotomicNumber,
     DivisibilityError,
+    _power_table,
+    _root_pair,
     cyclic_lift,
     cyclic_mul,
     cyclotomic_embed,
@@ -254,6 +256,26 @@ def test_one_value_has_one_stored_form_however_it_is_built():
         assert y.order == 12 and y._integer_coords() == x._integer_coords()
     for zero in (x - x, CyclotomicNumber(12, [Fraction(0, 5)]), x * 0):
         assert zero._integer_coords() == (1, (0, 0, 0, 0))
+
+
+def test_power_table_rows_have_gcd_one_so_root_pairs_are_stored_forms():
+    """`_root_pair` gives q * zeta_N^k as (den(q), num(q) * row k of the power
+    table) without reducing it, and the closed-form check compares stored
+    pairs with it: so every row must have gcd 1, and `zeta` and the
+    constructor, which reduces q * x^k modulo Phi_N, must store exactly that
+    pair, for zero, negative and non-integer q."""
+    for order in (*range(1, 401), 997, 1000):
+        # the uncached builder, so the test keeps no 400 tables in memory
+        rows = _power_table.__wrapped__(order)
+        assert all(gcd(*row) == 1 for row in rows), order
+    for order in (1, 2, 3, 12, 30, 97, 210, 997, 1000):
+        for k in (0, 1, order // 2, order - 1, 5 * order + 3):
+            for q in (0, 1, -1, 7, Fraction(-6, 4), Fraction(5, 3), Fraction(0, 9)):
+                pair = _root_pair(order, k, Fraction(q))
+                assert CyclotomicNumber.zeta(order, k, q)._ints == pair
+                assert CyclotomicNumber(order, [0] * (k % order) + [q])._ints == pair
+                den, ints = pair
+                assert den > 0 and gcd(den, *ints) == 1
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,

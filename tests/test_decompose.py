@@ -387,20 +387,41 @@ def test_the_grid_check_reports_what_the_flat_check_reports(form, data):
         assert not report.passed or name in ("block", "swapped"), name
 
 
+def _respelled(obj, spell):
+    """A decomposition's JSON with spell(c) for every coefficient string c."""
+    if isinstance(obj, dict):
+        return {k: [spell(c) for c in v] if k == "coeffs" else _respelled(v, spell)
+                for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_respelled(v, spell) for v in obj]
+    return obj
+
+
+def _unreduced(c):
+    q = Fraction(c)
+    return f"{2 * q.numerator}/{2 * q.denominator}"
+
+
 def test_decompose_output_and_its_json_round_trip_skip_the_flat_check(monkeypatch):
+    """The comparison reads stored pairs, which are in lowest terms however
+    a file writes its numbers: "p/q" as "2p/2q", an integer as a JSON int,
+    or 0 as "-0"."""
     def flat(*args):
         raise AssertionError("the flat check ran")
 
     monkeypatch.setattr(decompose, "_lift", flat)
     monkeypatch.setattr(decompose, "_residual", flat)
+    spellings = (str, _unreduced, lambda c: c if "/" in c else int(c),
+                 lambda c: "-0" if c == "0" else c)
     for text in ("x1^5", "x1*x2^4*x3^6", "x3^2*x1^5*x2^2", "x1*x2*x3*x4*x5*x6*x7*x8*x9",
                  "3/2*x1*x2^2 - 2/5*x3^3", "x1^2*x2^5*x3^8 + x4*x5^6*x6^8"):
         form = parse_form(text)
         dec = decompose_form(form)
-        loaded = decomposition_from_json(decomposition_to_json(dec))
-        assert loaded == dec
         assert verify_decomposition(form, dec).passed, text
-        assert verify_decomposition(form, loaded).passed, text
+        for spell in spellings:
+            loaded = decomposition_from_json(_respelled(decomposition_to_json(dec), spell))
+            assert loaded == dec
+            assert verify_decomposition(form, loaded).passed, text
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -410,21 +431,39 @@ def test_shuffled_or_promoted_output_takes_the_flat_check(form, data):
     """The closed form is compared term for term, in `decompose_form`'s
     order and with every number in its block's field Q(zeta_N).  Shuffled
     terms, or every number promoted to Q(zeta_2N), are the same
-    decomposition, so the flat check runs and gives the same report."""
+    decomposition, so the flat check runs and gives the same report.  Two
+    of a term's nonzero coordinates swapped between its axes make another
+    decomposition, which also runs the flat check, and its report is the
+    flat check's."""
     def promoted(x):
         return x.promote(2 * x.order)
+
+    def flat_report(terms):
+        with mock.patch.object(decompose, "_is_closed_form", return_value=False):
+            return verify_decomposition(form, dataclasses.replace(dec, terms=tuple(terms)))
 
     dec = decompose_form(form)
     report = verify_decomposition(form, dec)
     order = data.draw(st.permutations(range(len(dec.terms))))
-    cases = [[dataclasses.replace(t, gamma=promoted(t.gamma), linear=tuple(map(promoted, t.linear)))
-              for t in dec.terms]]
+    cases = [([dataclasses.replace(t, gamma=promoted(t.gamma),
+                                   linear=tuple(map(promoted, t.linear)))
+               for t in dec.terms], report)]
     if order != sorted(order):
-        cases.append([dec.terms[j] for j in order])
-    for terms in cases:
+        cases.append(([dec.terms[j] for j in order], report))
+    j = data.draw(st.integers(0, len(dec.terms) - 1))
+    t = dec.terms[j]
+    nodes = [i for i, c in enumerate(t.linear) if c]
+    pairs = [(a, b) for a, b in itertools.combinations(nodes, 2) if t.linear[a] != t.linear[b]]
+    if pairs:
+        a, b = data.draw(st.sampled_from(pairs))
+        linear = list(t.linear)
+        linear[a], linear[b] = linear[b], linear[a]
+        terms = [*dec.terms[:j], dataclasses.replace(t, linear=tuple(linear)), *dec.terms[j + 1:]]
+        cases.append((terms, flat_report(terms)))
+    for terms, expected in cases:
         with mock.patch.object(decompose, "_lift", wraps=decompose._lift) as flat:
             assert verify_decomposition(form, dataclasses.replace(
-                dec, terms=tuple(terms))) == report
+                dec, terms=tuple(terms))) == expected
         assert flat.called
 
 
