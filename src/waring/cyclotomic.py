@@ -168,26 +168,11 @@ class CyclotomicNumber:
 
     __slots__ = ("order", "_ints")
 
-    def __init__(self, order: int, coeffs):
+    def __new__(cls, order: int, coeffs):
         coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in coeffs))
-        self._set(order, den, reduce_mod_phi(
+        return _normalised(order, den, reduce_mod_phi(
             ((k, c.numerator * (den // c.denominator)) for k, c in enumerate(coeffs)), order))
-
-    def _set(self, order, den, ints):
-        g = gcd(den, *ints)
-        if g != 1:
-            den, ints = den // g, [v // g for v in ints]
-        _set_order(self, order)
-        _set_ints(self, (den, tuple(ints)))
-
-    @classmethod
-    def _normalised(cls, order, den, ints) -> "CyclotomicNumber":
-        """The number ints / den of Q(zeta_order), den > 0, ints of length
-        phi(order), reduced to lowest terms."""
-        x = object.__new__(cls)
-        x._set(order, den, ints)
-        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicNumber is immutable")
@@ -200,7 +185,7 @@ class CyclotomicNumber:
     def zeta(cls, order: int, power: int = 1, scale=1) -> "CyclotomicNumber":
         """scale * zeta_order^power, a rational multiple of one row of the
         power table (`_root_pair`)."""
-        return cls._normalised(order, *_root_pair(order, power, Fraction(scale)))
+        return _normalised(order, *_root_pair(order, power, Fraction(scale)))
 
     # -- field structure ---------------------------------------------------
 
@@ -213,7 +198,7 @@ class CyclotomicNumber:
                 f"cannot embed Q(zeta_{self.order}) into Q(zeta_{order})")
         step = order // self.order
         den, ints = self._ints
-        return self._normalised(order, den, reduce_mod_phi(
+        return _normalised(order, den, reduce_mod_phi(
             ((k * step, v) for k, v in enumerate(ints)), order))
 
     def _coerce(self, other):
@@ -242,13 +227,17 @@ class CyclotomicNumber:
             if b is NotImplemented:
                 return NotImplemented
         (da, xs), (db, ys) = a._ints, b._ints
+        if da == db:
+            if sign > 0:
+                return _normalised(a.order, da, [x + y for x, y in zip(xs, ys)])
+            return _normalised(a.order, da, [x - y for x, y in zip(xs, ys)])
         den = lcm(da, db)
         ma, mb = den // da, sign * (den // db)
-        return self._normalised(a.order, den, [x * ma + y * mb for x, y in zip(xs, ys)])
+        return _normalised(a.order, den, [x * ma + y * mb for x, y in zip(xs, ys)])
 
     def __neg__(self):
         den, ints = self._ints
-        return self._normalised(self.order, den, [-v for v in ints])
+        return _normalised(self.order, den, [-v for v in ints])
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -258,13 +247,13 @@ class CyclotomicNumber:
         if not (type(b) is CyclotomicNumber and b.order == a.order):
             if isinstance(other, (int, Fraction)):
                 den, ints = self._ints
-                return self._normalised(self.order, den * other.denominator,
-                                        [v * other.numerator for v in ints])
+                return _normalised(self.order, den * other.denominator,
+                                   [v * other.numerator for v in ints])
             a, b = self._coerce(other)
             if b is NotImplemented:
                 return NotImplemented
         (da, xs), (db, ys) = a._ints, b._ints
-        return self._normalised(a.order, da * db, _mul_mod_phi(xs, ys, a.order))
+        return _normalised(a.order, da * db, _mul_mod_phi(xs, ys, a.order))
 
     __rmul__ = __mul__
 
@@ -283,7 +272,7 @@ class CyclotomicNumber:
                     ((i * k % n, v) for i, v in enumerate(ints)), n), n)
         norm = _mul_mod_phi(ints, rest, n)[0]
         sign = 1 if norm > 0 else -1
-        return self._normalised(n, sign * norm, [sign * den * v for v in rest])
+        return _normalised(n, sign * norm, [sign * den * v for v in rest])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -294,7 +283,10 @@ class CyclotomicNumber:
         return a * b.inverse()
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        inverse = self.inverse()
+        if isinstance(other, (int, Fraction)) and other == 1:
+            return inverse
+        return inverse * other
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -370,6 +362,20 @@ class CyclotomicNumber:
 # the slots' own setters, which __setattr__ does not block
 _set_order = CyclotomicNumber.order.__set__
 _set_ints = CyclotomicNumber._ints.__set__
+_new = object.__new__
+
+
+def _normalised(order, den, ints) -> CyclotomicNumber:
+    """The number ints / den of Q(zeta_order), den > 0, ints of length
+    phi(order), reduced to lowest terms: every result is built here, so each
+    is normalised once."""
+    g = gcd(den, *ints)
+    if g != 1:
+        den, ints = den // g, [v // g for v in ints]
+    x = _new(CyclotomicNumber)
+    _set_order(x, order)
+    _set_ints(x, (den, tuple(ints)))
+    return x
 
 
 def fraction_text(num: int, den: int) -> str:

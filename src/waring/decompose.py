@@ -86,7 +86,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm, log10, prod
 from operator import mod, mul
 
-from .cyclotomic import CyclotomicNumber, _root_pair, cyclic_lift, cyclic_mul, \
+from .cyclotomic import CyclotomicNumber, _normalised, _root_pair, cyclic_lift, cyclic_mul, \
     cyclotomic_embed, euler_phi, reduce_mod_phi
 from .forms import CoprimeForm, Monomial, decomposition_field_order
 from .linalg import LinearSystem, solve_exact
@@ -95,7 +95,8 @@ from .rank import ResourceLimitError, rank_coprime_sum, rank_monomial
 
 # Admission cap for `decompose_form`: (a+1)^3 * phi(a+1)^2 per block and
 # distinct exponent a but the least, for the solve over Q(zeta_(a+1)) that
-# runs.  On a 2-vCPU VM x1*x2^36 (6.6e7) takes 3.0 s; x1*x2^60 (8.2e8) 42 s.
+# runs.  On a 2-vCPU VM `waring decompose x1*x2^36` (6.6e7) takes 1.1-1.2 s
+# of command wall time, and `solve_gammas` of x1*x2^60 (8.2e8) 15 s.
 MAX_SOLVE_COST = 10 ** 8
 
 # Admission cap for verification and `decompose_form`, checked first: the
@@ -200,7 +201,7 @@ def _block_terms(monomial, coefficient, block, positions, num_vars):
         for pos, c in zip(positions, coords):
             linear[pos] = c
         terms.append(DecompositionTerm(
-            gamma=CyclotomicNumber._normalised(order, den, reduce_mod_phi(g.items(), order)),
+            gamma=_normalised(order, den, reduce_mod_phi(g.items(), order)),
             linear=tuple(linear), block=block, point=coords))
     return tuple(terms)
 
@@ -583,7 +584,7 @@ def _printed(plan, residual, target, exps):
     order = lcm(1, *(n for n, gamma, bases in plan.lifted if gamma and bases.keys() >= need))
     total = _gathered(residual[exps], order)
     total[0] = total.get(0, 0) + int(plan.scale * target.get(exps, 0))
-    return CyclotomicNumber._normalised(order, plan.scale, reduce_mod_phi(total.items(), order))
+    return _normalised(order, plan.scale, reduce_mod_phi(total.items(), order))
 
 
 def _first_dependent_pair(plan, terms):

@@ -10,6 +10,10 @@ inverse in Q(zeta_N) multiplies phi(N) - 1 Galois conjugates.
 One elimination, `_reduce`, works on sparse rows {column: nonzero value}
 and serves every caller: `sparse_rank` counts its pivot rows, and
 `solve_exact` reduces the augmented rows [A | b] and back-substitutes.
+Only the arithmetic the answer needs is done: an entry missing from a row
+starts as -(ratio * value), not as zero minus it, so the elimination
+builds no zeros, and a pivot's reciprocal `1 / pivot` is its inverse
+alone, never multiplied by 1.
 """
 
 from __future__ import annotations
@@ -76,12 +80,17 @@ def _reduce(rows) -> dict:
             if inv is None:
                 inv = pivot[1] = 1 / top[lead]
             ratio = row.pop(lead) * inv
-            zero = ratio - ratio
             for col, value in top.items():
                 if col != lead:
-                    value = row.pop(col, zero) - ratio * value
-                    if value:
-                        row[col] = value
+                    old = row.get(col)
+                    if old is None:
+                        row[col] = -(ratio * value)
+                    else:
+                        value = old - ratio * value
+                        if value:
+                            row[col] = value
+                        else:
+                            del row[col]
     return pivots
 
 
@@ -100,7 +109,9 @@ def solve_exact(system: LinearSystem):
     UnderdeterminedSystemError otherwise.  The rows [A | b] are reduced as
     sparse rows, b in column ncols: a pivot there means no solution, fewer
     than ncols pivots left of it mean no unique one, and otherwise the
-    pivot rows are back-substituted from the last column down.
+    pivot rows are back-substituted from the last column down.  Each unknown
+    starts from its row's b entry, or else from the negated first product;
+    only a row with neither builds a zero.  No step multiplies by 1.
     """
     ncols = len(system.matrix[0]) if system.matrix else 0
     pivots = _reduce({j: a for j, a in enumerate([*row, b]) if a}
@@ -112,9 +123,11 @@ def solve_exact(system: LinearSystem):
     solution = [None] * ncols
     for c in range(ncols - 1, -1, -1):
         row, inv = pivots[c]
-        acc = row.get(ncols, row[c] - row[c])
+        acc = row.get(ncols)
         for j, value in row.items():
             if c < j < ncols:
-                acc = acc - value * solution[j]
+                acc = -(value * solution[j]) if acc is None else acc - value * solution[j]
+        if acc is None:
+            acc = row[c] - row[c]
         solution[c] = acc * inv if inv is not None else acc / row[c]
     return solution

@@ -19,6 +19,12 @@ indentation depth.  Every other object goes through that `json.dumps` call.
 number and each distinct coefficient string once per file: a repeated
 number is found in a per-file memo before its fields are checked again,
 and an error names its field (`terms[j].linear`) only when it is raised.
+
+A term's "point" repeats its linear form on its block's variables, in the
+block's order (for a degree-1 form, the whole linear form).  `verify` loads
+and type-checks it, but no check reads it, so a file with wrong points
+still PASSes.  A check of it, if one is added, belongs in the verification
+report as a mismatch, not here as an exit-1 load error.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import lcm
 
-from .cyclotomic import CyclotomicNumber, fraction_text, reduce_mod_phi
+from .cyclotomic import CyclotomicNumber, _normalised, fraction_text, reduce_mod_phi
 from .decompose import MAX_FIELD_ORDER, DecompositionTerm, PowerSumDecomposition
 from .polynomials import signed_sum
 from .rank import ResourceLimitError
@@ -110,7 +116,7 @@ def cyclo_from_json(obj: dict, where: str = "number", seen=None) -> CyclotomicNu
         raise ValueError(f"{where}.coeffs: expected rationals, got "
                          f"{reprlib.repr(coeffs)}") from None
     den = lcm(*(q for _, q in pairs))
-    number = CyclotomicNumber._normalised(order, den, reduce_mod_phi(
+    number = _normalised(order, den, reduce_mod_phi(
         ((k, p * (den // q)) for k, (p, q) in enumerate(pairs)), order))
     if int not in map(type, coeffs):
         seen[order, tuple(coeffs)] = number

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from waring.apolarity import catalecticant
-from waring.cyclotomic import CyclotomicNumber, cyclic_mul, reduce_mod_phi
+from waring.cyclotomic import CyclotomicNumber, _normalised, cyclic_mul, reduce_mod_phi
 from waring.forms import MonomialIdeal, ParseError, as_homogeneous, minimalize, \
     pure_power
 from waring.polynomials import Polynomial, compositions, multinomial
@@ -240,7 +240,7 @@ def coefficient(decomposition, lifted, scale, exps):
             coords, field = [x + y for x, y in zip(*promoted)], both
         total_field, total = field, coords
     m = multinomial(d, exps)
-    return CyclotomicNumber._normalised(total_field, scale, [m * v for v in total])
+    return _normalised(total_field, scale, [m * v for v in total])
 
 
 def first_dependent_pair(forms, dependent):

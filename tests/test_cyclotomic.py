@@ -116,6 +116,10 @@ def test_division_and_powers():
     assert (1 / z5) == z5 ** 4
     assert z5 ** -2 == z5 ** 3
     assert (z5 + 1) / (z5 + 1) == 1
+    for order in (1, 2, 7, 8, 15):
+        x = CyclotomicNumber(order, [Fraction(k - 2, k + 1) for k in range(euler_phi(order))])
+        assert 1 / x == x.inverse() and x * (1 / x) == 1
+        assert Fraction(3, 2) / x == x.inverse() * Fraction(3, 2)
 
 
 def test_immutable():

@@ -363,27 +363,29 @@ def test_the_grid_check_reports_what_the_flat_check_reports(form, data):
     order of the terms nor (for forms on disjoint variables) a block index,
     but the comparison does, as it follows `decompose_form`'s order.  The
     output for the form with one coefficient doubled is the closed form of
-    another form, so it fails the comparison too."""
+    another form, so it fails the comparison too.  The expected reports come
+    from the flat check alone, with the comparison turned off."""
+    def flat_report(decomposition):
+        with mock.patch.object(decompose, "_is_closed_form", return_value=False):
+            return verify_decomposition(form, decomposition)
+
     dec = decompose_form(form)
     report = verify_decomposition(form, dec)
     assert report.passed
-    assert report == verify_decomposition(form, PowerSumDecomposition(
-        dec.degree, dec.variables, dec.terms))
+    assert report == flat_report(dec)
     block = data.draw(st.integers(0, len(form.terms) - 1))
     doubled = decompose_form(CoprimeForm([(c * (1 + (i == block)), m)
                                           for i, (c, m) in enumerate(form.terms)]))
     with mock.patch.object(decompose, "_lift", wraps=decompose._lift) as flat:
         report = verify_decomposition(form, doubled)
     assert flat.called and not report.passed
-    assert report == verify_decomposition(form, PowerSumDecomposition(
-        doubled.degree, doubled.variables, doubled.terms))
+    assert report == flat_report(doubled)
     for name, terms in _tampered(form, dec, data.draw(st.integers(0, len(dec.terms) - 1))):
         tampered = dataclasses.replace(dec, terms=tuple(terms))
         with mock.patch.object(decompose, "_lift", wraps=decompose._lift) as flat:
             report = verify_decomposition(form, tampered)
         assert flat.called, name
-        assert report == verify_decomposition(form, PowerSumDecomposition(
-            dec.degree, dec.variables, tampered.terms)), name
+        assert report == flat_report(tampered), name
         assert not report.passed or name in ("block", "swapped"), name
 
 

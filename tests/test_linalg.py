@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -137,17 +138,22 @@ def test_square_cyclotomic_systems_reproduce_the_rhs(order):
     rng = random.Random(order)
     phi = euler_phi(order)
 
-    def number():
+    zero = CyclotomicNumber.from_rational(0, order)
+
+    def number(sparse):
+        """A random number; zero with probability about 1/2 when sparse, so
+        rows lack pivot columns and pivot rows lack a right-hand side."""
+        if sparse and rng.random() < 0.5:
+            return zero
         return CyclotomicNumber(order, [Fraction(rng.choice([0, rng.randint(-5, 5)]),
                                                  rng.randint(1, 4)) for _ in range(phi)])
 
-    for n in range(1, 6):
-        matrix = [[number() for _ in range(n)] for _ in range(n)]
+    for n, sparse in itertools.product(range(1, 6), (False, True, True)):
+        matrix = [[number(sparse) for _ in range(n)] for _ in range(n)]
         if matrix_rank(matrix) < n:
             continue
-        rhs = [number() for _ in range(n)]
+        rhs = [number(sparse) for _ in range(n)]
         solution = solve_exact(LinearSystem(matrix, rhs))
-        zero = CyclotomicNumber.from_rational(0, order)
         assert [sum((a * x for a, x in zip(row, solution)), zero)
                 for row in matrix] == rhs
 
