@@ -177,6 +177,11 @@ class CyclotomicNumber:
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicNumber is immutable")
 
+    def __reduce__(self):
+        """Rebuild through `_normalised`, so copy, deepcopy and pickle work
+        although __setattr__ refuses the default restore of the slots."""
+        return _normalised, (self.order, *self._ints)
+
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CyclotomicNumber":
         return cls.zeta(order, 0, value)

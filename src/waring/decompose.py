@@ -38,8 +38,22 @@ forms are pairwise independent (their points differ and start with 1), and
 its term count is the rank, so it passes without expansion.  The
 comparison is declined past the price `decompose_form` admits, read off
 the exponents (`_grid_price`).  For `decompose`'s output it compares two
-independent derivations, the solve and the formula.  Anything else, a
-file or an output alike, is expanded as below, which builds the report.
+independent derivations, the solve and the formula.
+
+A file that differs from the closed form in k terms, 2k fewer than all
+of them and with an unchanged term left in each block, is checked from
+those terms alone (`_near_closed_check`): with gamma*_j L*_j^d the closed
+form's term at a changed position j, the closed form sums to the form, so
+expansion - form = sum_j (gamma_j L_j^d - gamma*_j L*_j^d), an exact
+identity.  Those 2k terms, the counterparts with negated gammas, are
+expanded as below against an empty target, and priced as such.  The
+report is the flat check's: the unchanged terms of a block reach the
+monomials of its variables and bring its N to their printed field, and a
+dependent pair holds a changed form, since the closed form's are pairwise
+independent.  A changed form c with c_least != 0 is a multiple of an
+unchanged term only if c / c_least is that term's point, which is looked
+up by its roots.  Anything else, a file or an output alike, is expanded
+as below, which builds the report.
 
 Verification expands sum gamma_j L_j^d with integer coefficients in
 Z[t]/(t^N - 1) over one common denominator, reading one plan (`_lift`):
@@ -80,7 +94,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, log10, prod
@@ -112,7 +126,9 @@ MAX_FIELD_ORDER = 10 ** 3
 # 4,000 digits (101 compositions, 2.4-3.5 s) is refused at 2.8e6.  So do
 # wide namespaces, a composition ceil(n / 16) times over n variables: a
 # one-term degree-2 file over 400 variables (80,200 compositions, 61 s) is
-# refused at 2.0e6, and one over 200 (261,301) takes 1-2 s.
+# refused at 2.0e6, and one over 200 (261,301) takes 1-2 s.  A file that
+# differs from the closed form in a few terms is priced by the 2k terms it
+# expands (`_near_closed_check`).
 MAX_VERIFY_STEPS = 10 ** 6
 
 
@@ -273,7 +289,9 @@ def verify_decomposition(form: CoprimeForm,
     against the closed-form rank.  Failures are report entries, not errors.
     A decomposition that is the paper's closed form of the form
     (`_is_closed_form`) passes without expansion, as its report would be a
-    PASS; any other runs in Z[t]/(t^N - 1), as the module docstring
+    PASS; one that differs from it in a few terms is checked from those
+    terms and their counterparts alone (`_near_closed_check`), with the
+    same report; any other runs in Z[t]/(t^N - 1), as the module docstring
     explains."""
     d = decomposition.degree
     variables = decomposition.variables
@@ -295,19 +313,19 @@ def verify_decomposition(form: CoprimeForm,
         target[tuple(exps)] = c
 
     rank = rank_coprime_sum(form)
-    if _is_closed_form(form, decomposition, rank):
+    changed = _is_closed_form(form, decomposition, rank)
+    if changed == ():
         return VerificationReport(True, (), True, None, rank, rank)
-    plan = _lift(decomposition, target.values())
-    _admit("verifying", plan.field, plan.steps)
-    residual = _residual(target, plan, len(variables))
-    bad = tuple(itertools.islice(
-        (exps for exps in sorted(residual) if not _vanishes(residual[exps])), 10))
-    mismatches = tuple((monomial_text(variables, exps), str(target.get(exps, Fraction(0))),
-                        _bounded_text(_printed(plan, residual, target, exps)))
-                       for exps in bad)
-
-    dependent_pair = next(((block, *pair) for block, terms in plan.blocks.items()
-                           if (pair := _first_dependent_pair(plan, terms))), None)
+    # a falsy `changed` other than () declines the comparison
+    near = changed and _near_closed_check(form, decomposition, target, changed)
+    if near:
+        mismatches, dependent_pair = near
+    else:
+        plan = _lift(decomposition, target.values())
+        _admit("verifying", plan.field, plan.steps)
+        mismatches = _mismatches(plan, _residual(target, plan, len(variables)), target, variables)
+        dependent_pair = next(((block, *pair) for block, terms in plan.blocks.items()
+                               if (pair := _first_dependent_pair(plan, terms))), None)
 
     return VerificationReport(
         expansion_matches=not mismatches,
@@ -318,26 +336,122 @@ def verify_decomposition(form: CoprimeForm,
         expected_rank=rank)
 
 
-def _is_closed_form(form, decomposition, rank) -> bool:
-    """Whether the decomposition is the paper's closed form of `form`, in
-    `decompose_form`'s term order, with every number in its block's field
-    Q(zeta_N): per block of c * x^a, the rank(x^a) terms
+def _mismatches(plan, residual, target, variables, fields=None) -> tuple:
+    """The first ten monomials whose residual does not vanish, in sorted
+    order, as (text, expected, printed actual); `fields` as in `_printed`."""
+    bad = itertools.islice((exps for exps in sorted(residual) if not _vanishes(residual[exps])), 10)
+    return tuple((monomial_text(variables, exps), str(target.get(exps, Fraction(0))),
+                  _bounded_text(_printed(plan, residual, target, exps, fields)))
+                 for exps in bad)
+
+
+def _near_closed_check(form, decomposition, target, changed):
+    """The mismatches and the first dependent pair of a decomposition that
+    differs from the closed form in its `changed` terms, the (position,
+    closed-form term) pairs of `_is_closed_form`, read off those terms
+    alone.  The closed form sums to the form, so the expansion less the
+    form is sum_changed (gamma_j L_j^d - gamma*_j L*_j^d): `_lift` and
+    `_residual` run on the 2k terms, the counterparts with negated gammas,
+    against an empty target.  A mismatch prints in the field the flat check
+    would use, where a block's unchanged terms bring its N, and the field
+    cap reads the flat plan's field the same way.  A block's unchanged
+    terms are pairwise independent, so a dependent pair holds a changed
+    form: a zero one, one of two changed forms, or a multiple of an
+    unchanged term's point (`_grid_position`).  None when the 2k-term plan
+    is over the step cap, so that the flat check prices the file."""
+    n, k = len(decomposition.variables), len(changed)
+    pairs = replace(decomposition, terms=(
+        *(decomposition.terms[j] for j, _ in changed),
+        *(replace(t, gamma=-t.gamma) for _, t in changed)))
+    plan = _lift(pairs, target.values())
+    index = {v: i for i, v in enumerate(decomposition.variables)}
+    fields, starts, start = {}, [], 0       # variable -> (block, N); block offsets
+    for block, (_, m) in enumerate(form.terms):
+        field = decomposition_field_order(m)
+        fields.update((index[v], (block, field)) for v in m.variables)
+        starts.append(start)
+        start += rank_monomial(m)
+    # the flat plan's field: per variable, the lcm of the orders of the
+    # terms on it, and each term's order
+    worst = {i: field for i, (_, field) in fields.items()}
+    for order, _, bases in plan.lifted[:k]:
+        for i in bases:
+            worst[i] = lcm(worst.get(i, 1), order)
+    _admit("verifying", max(1, *worst.values(), *(order for order, _, _ in plan.lifted[:k])), 0)
+    if plan.steps > MAX_VERIFY_STEPS:
+        return None
+    mismatches = _mismatches(plan, _residual({}, plan, n), target,
+                             decomposition.variables, fields)
+
+    found = []      # dependent pairs (block, i, j), block-relative i < j
+    positions = {j for j, _ in changed}
+    for (j, t), (order, _, bases) in zip(changed, plan.lifted):
+        i = j - starts[t.block]
+        if not bases:       # a zero form is dependent on every other
+            found.append((t.block, 0, i or 1))
+            continue
+        p = _grid_position(form.terms[t.block][1], index, order, bases)
+        if p is not None and p != i and starts[t.block] + p not in positions:
+            found.append((t.block, *sorted((i, p))))
+    for ((a, t), u), ((b, s), v) in itertools.combinations(zip(changed, plan.lifted), 2):
+        if t.block == s.block and _dependent(u[::2], v[::2]):
+            found.append((t.block, a - starts[t.block], b - starts[t.block]))
+    return mismatches, min(found, default=None)
+
+
+def _grid_position(monomial, index, order, bases):
+    """The position in its block's grid order of the closed-form point that
+    the lifted form (order, bases) is a multiple of, or None: the form
+    must have the monomial's support, and each axis coordinate must be the
+    least variable's times zeta_N^(k s), k < a + 1, s = N / (a + 1), which
+    is looked up by trying each k in Z[t]/(t^L - 1), L = lcm(order, N)."""
+    (least, _), *items = monomial.sorted_items
+    if bases.keys() != {index[v] for v in monomial.variables}:
+        return None
+    # a coordinate lifts to a single power iff it is a rational times a
+    # root of unity, which a root-of-unity multiple of it is too
+    single = len(bases[index[least]]) == 1
+    if any((len(bases[index[v]]) == 1) != single for v, _ in items):
+        return None
+    field = decomposition_field_order(monomial)
+    size = lcm(order, field)
+    u = _stretch(bases[index[least]], size // order)
+    position = 0
+    for v, a in items:
+        w = reduce_mod_phi(_stretch(bases[index[v]], size // order).items(), size)
+        step = size // (a + 1)
+        k = next((k for k in range(a + 1) if reduce_mod_phi(
+            (((e + k * step) % size, c) for e, c in u.items()), size) == w), None)
+        if k is None:
+            return None
+        position = position * (a + 1) + k
+    return position
+
+
+def _is_closed_form(form, decomposition, rank):
+    """The terms that differ from the paper's closed form of `form`, as
+    (position, closed-form term) pairs, or None.  The closed form lists, in
+    `decompose_form`'s term order and with every number in its block's
+    field Q(zeta_N), per block of c * x^a the rank(x^a) terms
     c / (mult(d; a) prod_i (a_i + 1)) * zeta_N^(sum_i k_i s_i) *
     (x_least + sum_i zeta_N^(k_i s_i) x_i)^d, s_i = N / (a_i + 1), over k in
     range(a_1 + 1) x ... x range(a_n + 1), lexicographically.  Each number's
     order and stored pair (D, ints), which is in lowest terms, are compared
     with the pairs `_root_pair` reads off the power table, so no number is
-    built.  The module docstring proves that they expand to the form; the
-    check is declined, before anything is built, past the price
-    `decompose_form` admits."""
+    built but a differing term's counterpart.  The module docstring proves
+    that the closed form expands to the form, so () means a PASS.  None when
+    the comparison is declined, before anything is built, past the price
+    `decompose_form` admits; when a term names another block; when half of
+    the terms or more differ; or when every term of a block differs."""
     d, n = decomposition.degree, len(decomposition.variables)
     if d < 2 or d != form.degree or len(decomposition.terms) != rank:
-        return False
+        return None
     field, steps = _grid_price(form, n)
     if field > MAX_FIELD_ORDER or steps > MAX_VERIFY_STEPS:
-        return False
+        return None
     index = {v: i for i, v in enumerate(decomposition.variables)}
-    terms = iter(decomposition.terms)
+    terms = enumerate(decomposition.terms)
+    changed = []
     for block, (c, m) in enumerate(form.terms):
         order = decomposition_field_order(m)
         (least, _), *items = m.sorted_items
@@ -349,15 +463,27 @@ def _is_closed_form(form, decomposition, rank) -> bool:
         linear[index[least]] = (order, _root_pair(order, 0, 1))
         axes = [(index[v], [(order, _root_pair(order, k * s, 1)) for k in range(a + 1)])
                 for (v, a), s in zip(items, shifts)]
+        unchanged = False
         for ks in itertools.product(*(range(a + 1) for _, a in items)):
-            t = next(terms)
+            j, t = next(terms)
             for (i, nodes), k in zip(axes, ks):
                 linear[i] = nodes[k]
-            if t.block != block \
-                    or (t.gamma.order, t.gamma._ints) != gammas[sum(map(mul, ks, shifts)) % order] \
-                    or [(x.order, x._ints) for x in t.linear] != linear:
-                return False
-    return True
+            if t.block != block:
+                return None
+            gamma = gammas[sum(map(mul, ks, shifts)) % order]
+            if (t.gamma.order, t.gamma._ints) == gamma \
+                    and [(x.order, x._ints) for x in t.linear] == linear:
+                unchanged = True
+                continue
+            if 2 * (len(changed) + 1) >= rank:
+                return None
+            coords = tuple(_normalised(o, *pair) for o, pair in linear)
+            changed.append((j, DecompositionTerm(
+                _normalised(order, *gamma[1]), coords, block,
+                tuple(coords[index[v]] for v in m.variables))))
+        if not unchanged:
+            return None
+    return tuple(changed)
 
 
 def _bounded_text(x) -> str:
@@ -575,13 +701,19 @@ def _vanishes(groups) -> bool:
     return not any(reduce_mod_phi(_gathered(groups, order).items(), order))
 
 
-def _printed(plan, residual, target, exps):
+def _printed(plan, residual, target, exps, fields=None):
     """The coefficient of x^exps in the expansion, in Q(zeta_M), M the lcm
     of the lift orders of the terms that reach x^exps (a nonzero gamma, and
     a nonzero coordinate on each variable of x^exps): the residual's lifts
-    stretched to M, plus D * target, reduced modulo Phi_M once, over D."""
+    stretched to M, plus D * target, reduced modulo Phi_M once, over D.
+    `fields` maps a variable to (block, N) for terms the plan does not
+    hold, the unchanged closed-form terms of `_near_closed_check`, which
+    reach x^exps when its variables are all one block's."""
     need = {i for i, a in enumerate(exps) if a}
     order = lcm(1, *(n for n, gamma, bases in plan.lifted if gamma and bases.keys() >= need))
+    owners = {fields.get(i) for i in need} if fields else {None}
+    if len(owners) == 1 and None not in owners:
+        order = lcm(order, owners.pop()[1])
     total = _gathered(residual[exps], order)
     total[0] = total.get(0, 0) + int(plan.scale * target.get(exps, 0))
     return _normalised(order, plan.scale, reduce_mod_phi(total.items(), order))

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -126,6 +129,33 @@ def test_immutable():
     z = cyclotomic_embed(3, 1, 3)
     with pytest.raises(AttributeError):
         z.order = 5
+
+
+def test_numbers_and_decompositions_copy_and_pickle():
+    """copy, deepcopy, pickle and dataclasses.asdict rebuild each number
+    with the same order and stored pair, and a decomposition equal to the
+    original."""
+    from waring.decompose import decompose_form
+    from waring.forms import parse_form
+
+    def stored(x):
+        return x.order, x._ints
+
+    x = CyclotomicNumber(12, [Fraction(1, 6), Fraction(-3, 4), 0, Fraction(5, 2)])
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is CyclotomicNumber and stored(y) == stored(x)
+        with pytest.raises(AttributeError):
+            y.order = 5
+    dec = decompose_form(parse_form("x1*x2^2 - 2/3*x3^3"))
+    for other in (copy.copy(dec), copy.deepcopy(dec), pickle.loads(pickle.dumps(dec))):
+        assert other == dec
+        assert [stored(t.gamma) for t in other.terms] == [stored(t.gamma) for t in dec.terms]
+    fields = dataclasses.asdict(dec)
+    assert fields["degree"] == dec.degree and len(fields["terms"]) == len(dec.terms)
+    for entry, t in zip(fields["terms"], dec.terms):
+        assert stored(entry["gamma"]) == stored(t.gamma)
+        assert list(map(stored, entry["linear"])) == list(map(stored, t.linear))
+        assert entry["block"] == t.block and tuple(entry["point"]) == t.point
 
 
 def test_integer_coordinates_are_computed_once_and_stay_read_only():

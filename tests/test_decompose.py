@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial, prod
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from waring import decompose
-from waring.cyclotomic import CyclotomicNumber, cyclotomic_embed
+from waring.cyclotomic import CyclotomicNumber, cyclotomic_embed, euler_phi
 from waring.decompose import (
     DecompositionTerm,
     PowerSumDecomposition,
@@ -467,6 +468,85 @@ def test_shuffled_or_promoted_output_takes_the_flat_check(form, data):
             assert verify_decomposition(form, dataclasses.replace(
                 dec, terms=tuple(terms))) == expected
         assert flat.called
+
+
+def _stored(t):
+    """A term as stored: its block and each number's order and pair."""
+    return t.block, [(x.order, x._ints) for x in (t.gamma, *t.linear)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_coprime_sums(), st.data())
+def test_a_near_closed_file_reports_what_the_flat_check_reports(form, data):
+    """A file that differs from the closed form in fewer than half of its
+    terms, with an unchanged term left in each block, is checked from its
+    changed terms and their closed-form counterparts alone, and its report
+    is the flat check's.  The changes: a gamma or a coordinate made
+    general, a zero form, a term replaced in place by a root-of-unity or a
+    general multiple of another term of its block (a dependent pair), a
+    term rescaled by a root of unity with its value kept (a PASS), a term
+    promoted to Q(zeta_2N); once, twice in one block, or in two blocks."""
+    dec = decompose_form(form)
+    d, terms = dec.degree, list(dec.terms)
+    blocks = {}
+    for j, t in enumerate(terms):
+        blocks.setdefault(t.block, []).append(j)
+
+    def general(order):
+        x = CyclotomicNumber(order, [data.draw(st.fractions(-3, 3, max_denominator=3))
+                                     for _ in range(euler_phi(order))])
+        return x or CyclotomicNumber.from_rational(1, order)
+
+    def changed(j):
+        t = terms[j]
+        order = t.gamma.order
+        kind = data.draw(st.sampled_from(("gamma", "coordinate", "zero", "root multiple",
+                                          "general multiple", "rescale", "promote")))
+        big = order * data.draw(st.sampled_from((1, 2, 3)))
+        if kind == "gamma":
+            return replace(t, gamma=t.gamma + general(order))
+        if kind == "coordinate":
+            i = data.draw(st.integers(0, len(t.linear) - 1))
+            return replace(t, linear=t.linear[:i] + (general(big),) + t.linear[i + 1:])
+        if kind == "zero":
+            return replace(t, linear=tuple(c * 0 for c in t.linear))
+        if kind in ("root multiple", "general multiple"):
+            s = terms[data.draw(st.sampled_from([p for p in blocks[t.block] if p != j]))]
+            lam = (CyclotomicNumber.zeta(big, data.draw(st.integers(0, big - 1)))
+                   if kind == "root multiple" else general(big))
+            return replace(t, gamma=s.gamma, linear=tuple(c * lam for c in s.linear))
+        if kind == "rescale":
+            k = data.draw(st.integers(0, big - 1))
+            return replace(t, gamma=t.gamma * CyclotomicNumber.zeta(big, -k * d),
+                           linear=tuple(c * CyclotomicNumber.zeta(big, k) for c in t.linear))
+        return replace(t, gamma=t.gamma.promote(2 * order),
+                       linear=tuple(c.promote(2 * order) for c in t.linear))
+
+    wide = [js for js in blocks.values() if len(js) >= 2]
+    if not wide:
+        return
+    shape = data.draw(st.sampled_from(("one", "two in one block", "two blocks")))
+    if shape == "two in one block" and any(len(js) >= 3 for js in wide):
+        js = data.draw(st.sampled_from([js for js in wide if len(js) >= 3]))
+        positions = data.draw(st.lists(st.sampled_from(js), min_size=2, max_size=2,
+                                       unique=True))
+    elif shape == "two blocks" and len(wide) >= 2:
+        positions = [data.draw(st.sampled_from(js)) for js in wide[:2]]
+    else:
+        positions = [data.draw(st.sampled_from(data.draw(st.sampled_from(wide))))]
+    for j in positions:
+        terms[j] = changed(j)
+    tampered = replace(dec, terms=tuple(terms))
+    with mock.patch.object(decompose, "_is_closed_form", return_value=False):
+        expected = verify_decomposition(form, tampered)
+    with mock.patch.object(decompose, "_lift", wraps=decompose._lift) as lift:
+        assert verify_decomposition(form, tampered) == expected
+    differ = [j for j in positions if _stored(terms[j]) != _stored(dec.terms[j])]
+    near = 0 < 2 * len(differ) < len(terms) and all(
+        any(_stored(terms[j]) == _stored(dec.terms[j]) for j in js) for js in blocks.values())
+    if near:
+        assert [len(call.args[0].terms) for call in lift.call_args_list] == [2 * len(differ)]
 
 
 # -- the factored solve against the full square character system ----------------

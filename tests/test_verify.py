@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import sympy
@@ -553,7 +554,8 @@ def test_a_block_with_a_general_form_counts_its_pairs(monkeypatch):
     linear[1] = linear[1] + CyclotomicNumber(3, ["1/2", "1"])
     terms[0] = dataclasses.replace(terms[0], linear=tuple(linear))
     tampered = dataclasses.replace(dec, terms=tuple(terms))
-    assert not _steps_at_cap(monkeypatch, form, tampered, 4 + 1 + 4 + 3).passed
+    with mock.patch.object(decompose, "_is_closed_form", return_value=False):
+        assert not _steps_at_cap(monkeypatch, form, tampered, 4 + 1 + 4 + 3).passed
 
 
 def test_a_wide_block_with_a_general_form_counts_only_the_pairs_it_tests(monkeypatch):
@@ -569,7 +571,40 @@ def test_a_wide_block_with_a_general_form_counts_only_the_pairs_it_tests(monkeyp
     terms[0] = dataclasses.replace(terms[0], linear=tuple(linear))
     tampered = dataclasses.replace(dec, terms=tuple(terms))
     steps = 24310 + 255 * 256 // 40 + 24310 + 256
-    assert not _steps_at_cap(monkeypatch, form, tampered, steps).passed
+    with mock.patch.object(decompose, "_is_closed_form", return_value=False):
+        assert not _steps_at_cap(monkeypatch, form, tampered, steps).passed
+
+
+def _one_general_form(text):
+    """The form and its decomposition with the x2 coordinate of term 0 made
+    general: a near-closed file that differs from the closed form in one
+    term."""
+    form = parse_form(text)
+    dec = decompose_form(form)
+    terms = list(dec.terms)
+    linear = list(terms[0].linear)
+    linear[1] = linear[1] + CyclotomicNumber(3, ["1/2", "1"])
+    terms[0] = dataclasses.replace(terms[0], linear=tuple(linear))
+    return form, dataclasses.replace(dec, terms=tuple(terms))
+
+
+def test_a_near_closed_file_is_priced_by_the_terms_it_expands(monkeypatch):
+    """The files of the two tests above differ from the closed form in one
+    term, so verify expands that term and its closed-form counterpart, 2 of
+    the block's n terms: x1*x2^2 at 4 + 1 (the counterpart's group of one
+    member in one class) + 4 (the general term) + 1 pair = 10 steps,
+    x1*...*x9 at 24310 + 1 + 24310 + 1 = 48,622, where the flat check
+    prices 12 and 50,508."""
+    for text, steps in (("x1*x2^2", 4 + 1 + 4 + 1),
+                        ("*".join(f"x{i}" for i in range(1, 10)), 24310 + 1 + 24310 + 1)):
+        form, tampered = _one_general_form(text)
+        with mock.patch.object(decompose, "_lift", wraps=decompose._lift) as lift:
+            report = _steps_at_cap(monkeypatch, form, tampered, steps)
+        assert len(lift.call_args_list[0].args[0].terms) == 2
+        assert not report.passed and report.blocks_independent
+        monkeypatch.undo()
+        with mock.patch.object(decompose, "_is_closed_form", return_value=False):
+            assert verify_decomposition(form, tampered) == report
 
 
 def _grid(e):
