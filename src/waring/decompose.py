@@ -66,7 +66,9 @@ coordinate's lift has over 16 bits, a gamma's over 16 d, or the
 decomposition over 16 variables (see `_steps`).
 Each monomial's residual is reduced modulo Phi_N once, N the lcm of the
 orders of the terms that reach it: exact, as t -> zeta_N is a ring map
-onto Q(zeta_N).
+onto Q(zeta_N).  The residual is computed one monomial at a time, in
+sorted order, by merging one stream per support (`_residuals`), so the
+check stops at the tenth mismatch.
 
 A cyclic term, whose nonzero coordinates lift to single powers q_i t^(e_i)
 (every grid term does), adds multinomial(d; b) * prod q_i^(b_i) *
@@ -92,13 +94,14 @@ tested one by one, by their minors.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, log10, prod
-from operator import mod, mul
+from operator import itemgetter, mod, mul
 
 from .cyclotomic import CyclotomicNumber, _normalised, _root_pair, cyclic_lift, cyclic_mul, \
     cyclotomic_embed, euler_phi, reduce_mod_phi
@@ -323,7 +326,8 @@ def verify_decomposition(form: CoprimeForm,
     else:
         plan = _lift(decomposition, target.values())
         _admit("verifying", plan.field, plan.steps)
-        mismatches = _mismatches(plan, _residual(target, plan, len(variables)), target, variables)
+        mismatches = _mismatches(plan, _residuals(target, plan, len(variables)), target,
+                                 variables)
         dependent_pair = next(((block, *pair) for block, terms in plan.blocks.items()
                                if (pair := _first_dependent_pair(plan, terms))), None)
 
@@ -336,13 +340,15 @@ def verify_decomposition(form: CoprimeForm,
         expected_rank=rank)
 
 
-def _mismatches(plan, residual, target, variables, fields=None) -> tuple:
-    """The first ten monomials whose residual does not vanish, in sorted
-    order, as (text, expected, printed actual); `fields` as in `_printed`."""
-    bad = itertools.islice((exps for exps in sorted(residual) if not _vanishes(residual[exps])), 10)
+def _mismatches(plan, residuals, target, variables, fields=None) -> tuple:
+    """The first ten monomials of `residuals`, (exps, residual) pairs in
+    sorted order, whose residual does not vanish, as (text, expected,
+    printed actual); `fields` as in `_printed`.  The rest is not computed."""
+    bad = itertools.islice(((exps, value) for exps, value in residuals
+                            if not _vanishes(value)), 10)
     return tuple((monomial_text(variables, exps), str(target.get(exps, Fraction(0))),
-                  _bounded_text(_printed(plan, residual, target, exps, fields)))
-                 for exps in bad)
+                  _bounded_text(_printed(plan, {exps: value}, target, exps, fields)))
+                 for exps, value in bad)
 
 
 def _near_closed_check(form, decomposition, target, changed):
@@ -380,7 +386,7 @@ def _near_closed_check(form, decomposition, target, changed):
     _admit("verifying", max(1, *worst.values(), *(order for order, _, _ in plan.lifted[:k])), 0)
     if plan.steps > MAX_VERIFY_STEPS:
         return None
-    mismatches = _mismatches(plan, _residual({}, plan, n), target,
+    mismatches = _mismatches(plan, _residuals({}, plan, n), target,
                              decomposition.variables, fields)
 
     found = []      # dependent pairs (block, i, j), block-relative i < j
@@ -477,13 +483,19 @@ def _is_closed_form(form, decomposition, rank):
                 continue
             if 2 * (len(changed) + 1) >= rank:
                 return None
-            coords = tuple(_normalised(o, *pair) for o, pair in linear)
-            changed.append((j, DecompositionTerm(
-                _normalised(order, *gamma[1]), coords, block,
-                tuple(coords[index[v]] for v in m.variables))))
+            changed.append((j, gamma, list(linear), block, [index[v] for v in m.variables]))
         if not unchanged:
             return None
-    return tuple(changed)
+    return tuple((j, _counterpart(*term)) for j, *term in changed)
+
+
+def _counterpart(gamma, linear, block, point) -> DecompositionTerm:
+    """The closed-form term of block `block` whose gamma and linear
+    coordinates are the numbers with these (order, stored pair)s, its point
+    read off the positions `point`."""
+    coords = tuple(_normalised(order, *pair) for order, pair in linear)
+    return DecompositionTerm(_normalised(gamma[0], *gamma[1]), coords, block,
+                             tuple(coords[i] for i in point))
 
 
 def _bounded_text(x) -> str:
@@ -626,56 +638,76 @@ def _powers(base, d, order):
 
 
 def _residual(target, plan, n):
-    """D * (expansion - target) per monomial, as {N: sparse {exponent: int}
-    map} over the orders N of the contributing terms (the target counts as
-    order 1): each cyclic group of the plan adds one reduced class sum per
-    monomial, as the module docstring explains, each general term a product."""
-    d, residual = plan.degree, {}
+    """{exps: residual} over every monomial of `_residuals`."""
+    return dict(_residuals(target, plan, n))
 
-    def add(support, alpha, order, lift, m):
-        exps = [0] * n
-        for i, a in zip(support, alpha):
-            exps[i] = a
-        bucket = residual.setdefault(tuple(exps), {}).setdefault(order, {})
+
+def _residuals(target, plan, n):
+    """Yield (exps, D * (expansion - target) at x^exps), in sorted order,
+    for each monomial that a term of the plan or the target reaches, one
+    monomial at a time, so a caller that stops early computes no more.  The
+    value is {N: sparse {exponent: int} map} over the orders N of the
+    contributing terms (the target counts as order 1): each cyclic group
+    of the plan adds its class sum, reduced once per class as the module
+    docstring explains, and each general term a product.  The terms of one
+    support are summed in one sorted stream of monomials, and the streams
+    are merged."""
+    d, streams = plan.degree, {}
+    for order, gamma, bases in plan.general:
+        # one coordinate takes only its d-th power
+        streams.setdefault(tuple(bases), ([], []))[0].append((order, gamma, [
+            {d: _power(b, d, order)} if len(bases) == 1 else _powers(b, d, order)
+            for b in bases.values()]))
+    for order, support, qs, members, periods in plan.groups:
+        base, values, ks = zip(*members)
+        streams.setdefault(support, ([], []))[1].append(
+            (order, qs, base, values, list(zip(*ks)), periods, {}))
+
+    def add(value, order, lift, m):
+        bucket = value.setdefault(order, {})
         for k, v in lift.items():
             bucket[k] = bucket.get(k, 0) + m * v
 
-    for order, gamma, bases in plan.general:
-        support = tuple(bases)
-        # one coordinate takes only its d-th power
-        powers = [{d: _power(bases[i], d, order)} if len(support) == 1
-                  else _powers(bases[i], d, order) for i in support]
+    def stream(support, general, groups):
         for alpha in compositions(d, len(support)):
-            acc = gamma
-            for row, a in zip(powers, alpha):
-                if a:
-                    acc = cyclic_mul(acc, row[a], order)
-            add(support, alpha, order, acc, multinomial(d, alpha))
-
-    for order, support, qs, members, periods in plan.groups:
-        base, values, ks = zip(*members)
-        columns = list(zip(*ks))
-        classes = {}
-        for alpha in compositions(d, len(support)):
-            r = tuple(map(mod, alpha, periods))
-            if r not in classes:
-                exps = base      # g + <ks, r> per member, one column at a time
-                for col, a in zip(columns, r):
+            value = {}
+            for order, gamma, powers in general:
+                acc = gamma
+                for row, a in zip(powers, alpha):
                     if a:
-                        exps = [e + a * x for e, x in zip(exps, col)]
-                total = {}
-                for k, c in zip(exps, values):
-                    k %= order
-                    total[k] = total.get(k, 0) + c
-                classes[r] = {k: v for k, v in enumerate(
-                    reduce_mod_phi(total.items(), order)) if v}
-            if classes[r]:
-                add(support, alpha, order, classes[r],
-                    multinomial(d, alpha) * prod(q ** a for q, a in zip(qs, alpha)))
+                        acc = cyclic_mul(acc, row[a], order)
+                add(value, order, acc, multinomial(d, alpha))
+            for order, qs, base, values, columns, periods, classes in groups:
+                r = tuple(map(mod, alpha, periods))
+                if r not in classes:
+                    powers = base      # g + <ks, r> per member, one column at a time
+                    for col, a in zip(columns, r):
+                        if a:
+                            powers = [e + a * x for e, x in zip(powers, col)]
+                    total = {}
+                    for k, c in zip(powers, values):
+                        k %= order
+                        total[k] = total.get(k, 0) + c
+                    classes[r] = {k: v for k, v in enumerate(
+                        reduce_mod_phi(total.items(), order)) if v}
+                if classes[r]:
+                    add(value, order, classes[r],
+                        multinomial(d, alpha) * prod(q ** a for q, a in zip(qs, alpha)))
+            if value:
+                exps = [0] * n
+                for i, a in zip(support, alpha):
+                    exps[i] = a
+                yield tuple(exps), value
 
-    for exps, c in target.items():
-        add(range(n), exps, 1, {0: -1}, int(plan.scale * c))
-    return residual
+    targets = ((exps, {1: {0: -int(plan.scale * c)}}) for exps, c in sorted(target.items()))
+    merged = heapq.merge(*(stream(support, *terms) for support, terms in streams.items()),
+                         targets, key=itemgetter(0))
+    for exps, parts in itertools.groupby(merged, itemgetter(0)):
+        _, value = next(parts)
+        for _, part in parts:
+            for order, lift in part.items():
+                add(value, order, lift, 1)
+        yield exps, value
 
 
 def _stretch(lift, step):

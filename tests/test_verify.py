@@ -607,6 +607,33 @@ def test_a_near_closed_file_is_priced_by_the_terms_it_expands(monkeypatch):
             assert verify_decomposition(form, tampered) == report
 
 
+def test_the_check_stops_at_the_tenth_mismatch(monkeypatch):
+    """The residual is computed one monomial at a time in sorted order, so
+    the flat check of a reversed x1*x2^4*x3^6 file with one gamma changed,
+    whose every monomial then mismatches, computes 10 of its 78 monomials,
+    the first ten of the full residual in sorted order."""
+    form = parse_form("x1*x2^4*x3^6")
+    dec = decompose_form(form)
+    terms = list(reversed(dec.terms))
+    terms[0] = dataclasses.replace(terms[0], gamma=terms[0].gamma + 1)
+    tampered = dataclasses.replace(dec, terms=tuple(terms))
+    plan = decompose._lift(tampered, [Fraction(1)])
+    full = decompose._residual({(1, 4, 6): Fraction(1)}, plan, 3)
+    assert len(full) == 78 and not any(map(decompose._vanishes, full.values()))
+    computed, residuals = [], decompose._residuals
+
+    def counted(*args):
+        for exps, value in residuals(*args):
+            computed.append(exps)
+            yield exps, value
+
+    monkeypatch.setattr(decompose, "_residuals", counted)
+    report = verify_decomposition(form, tampered)
+    assert computed == sorted(full)[:10]
+    assert [text for text, _, _ in report.mismatches] == [
+        _monomial_text(dec.variables, exps) for exps in computed]
+
+
 def _grid(e):
     """The closed-form grid decomposition of x1*x2^e*x3^e, built without a
     solve: the points (1, z^j, z^k), z = zeta_(e+1), with the gammas
