@@ -357,7 +357,7 @@ def _near_closed_check(form, decomposition, target, changed):
     closed-form term) pairs of `_is_closed_form`, read off those terms
     alone.  The closed form sums to the form, so the expansion less the
     form is sum_changed (gamma_j L_j^d - gamma*_j L*_j^d): `_lift` and
-    `_residual` run on the 2k terms, the counterparts with negated gammas,
+    `_residuals` run on the 2k terms, the counterparts with negated gammas,
     against an empty target.  A mismatch prints in the field the flat check
     would use, where a block's unchanged terms bring its N, and the field
     cap reads the flat plan's field the same way.  A block's unchanged
