@@ -434,6 +434,14 @@ def _grid_position(monomial, index, order, bases):
     return position
 
 
+@lru_cache(maxsize=64)
+def _roots(order):
+    """The numbers zeta_order^j, j < order, and 0 of Q(zeta_order), each as
+    (order, stored pair) read off the power table (`_root_pair`)."""
+    return tuple((order, _root_pair(order, j, 1)) for j in range(order)), \
+        (order, _root_pair(order, 0, 0))
+
+
 def _is_closed_form(form, decomposition, rank):
     """The terms that differ from the paper's closed form of `form`, as
     (position, closed-form term) pairs, or None.  The closed form lists, in
@@ -464,11 +472,12 @@ def _is_closed_form(form, decomposition, rank):
         shifts = [order // (a + 1) for _, a in items]
         scale = Fraction(c) / (multinomial(d, m.sorted_exponents) * prod(a + 1 for _, a in items))
         # each number as (order, stored pair)
-        gammas = [(order, _root_pair(order, j, scale)) for j in range(order)]
-        linear = [(order, _root_pair(order, 0, 0))] * n
-        linear[index[least]] = (order, _root_pair(order, 0, 1))
-        axes = [(index[v], [(order, _root_pair(order, k * s, 1)) for k in range(a + 1)])
-                for (v, a), s in zip(items, shifts)]
+        roots, zero = _roots(order)
+        num, den = scale.numerator, scale.denominator
+        gammas = [(order, (den, tuple([num * r for r in row]))) for _, (_, row) in roots]
+        linear = [zero] * n
+        linear[index[least]] = roots[0]
+        axes = [(index[v], roots[::s]) for (v, _), s in zip(items, shifts)]
         unchanged = False
         for ks in itertools.product(*(range(a + 1) for _, a in items)):
             j, t = next(terms)
