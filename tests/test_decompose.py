@@ -475,7 +475,7 @@ def _stored(t):
     return t.block, [(x.order, x._ints) for x in (t.gamma, *t.linear)]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_coprime_sums(), st.data())
 def test_a_near_closed_file_reports_what_the_flat_check_reports(form, data):
@@ -498,11 +498,14 @@ def test_a_near_closed_file_reports_what_the_flat_check_reports(form, data):
                                      for _ in range(euler_phi(order))])
         return x or CyclotomicNumber.from_rational(1, order)
 
+    kinds = []
+
     def changed(j):
         t = terms[j]
         order = t.gamma.order
         kind = data.draw(st.sampled_from(("gamma", "coordinate", "zero", "root multiple",
                                           "general multiple", "rescale", "promote")))
+        kinds.append(kind)
         big = order * data.draw(st.sampled_from((1, 2, 3)))
         if kind == "gamma":
             return replace(t, gamma=t.gamma + general(order))
@@ -542,6 +545,7 @@ def test_a_near_closed_file_reports_what_the_flat_check_reports(form, data):
         expected = verify_decomposition(form, tampered)
     with mock.patch.object(decompose, "_lift", wraps=decompose._lift) as lift:
         assert verify_decomposition(form, tampered) == expected
+    assert expected.passed or set(kinds) != {"rescale"}
     differ = [j for j in positions if _stored(terms[j]) != _stored(dec.terms[j])]
     near = 0 < 2 * len(differ) < len(terms) and all(
         any(_stored(terms[j]) == _stored(dec.terms[j]) for j in js) for js in blocks.values())
