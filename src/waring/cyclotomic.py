@@ -132,10 +132,10 @@ def cyclic_lift(x: "CyclotomicNumber", order: int, scale=1) -> dict:
     g = gcd(*ints)
     if not g:
         return {}
-    if next(v for v in ints if v) < 0:
+    if next(filter(None, ints)) < 0:
         g = -g
     factor = scale // den
-    root = _root_rows(x.order).get(tuple(v // g for v in ints))
+    root = _root_rows(x.order).get(tuple([v // g for v in ints]))
     if root is not None:
         k, value = root[0], factor * g * root[1]
         if value < 0 and x.order % 2 == 0:
@@ -435,4 +435,5 @@ def cyclotomic_embed(root_order: int, power: int, field_order: int) -> Cyclotomi
     if field_order % root_order != 0:
         raise DivisibilityError(
             f"root order {root_order} does not divide field order {field_order}")
-    return CyclotomicNumber.zeta(field_order, field_order // root_order * power)
+    power = field_order // root_order * power
+    return _normalised(field_order, *_root_pair(field_order, power, 1))

@@ -21,7 +21,9 @@ solution is c / mult(a) times the Kronecker product of the solutions y_i
 of V_i y_i = e_(a_i): one (a_i+1)-square solve in Q(zeta_(a_i+1)) per
 distinct exponent (see `_block_terms`), whose operands all lie in that
 one field, so its arithmetic skips promotion.  A sum of coprime
-monomials is decomposed blockwise and the blocks concatenated.
+monomials is decomposed blockwise and the blocks concatenated.  One walk
+of the grid (`_grid`, `_walk`) builds the terms, lists
+`decomposition_points` and drives `_is_closed_form`.
 
 The solve has a closed form: V_i is a character table, so y_i[k] =
 zeta_(a_i+1)^(-k a_i) / (a_i+1) = zeta_N^(k s_i) / (a_i+1), s_i = N /
@@ -29,10 +31,8 @@ zeta_(a_i+1)^(-k a_i) / (a_i+1) = zeta_N^(k s_i) / (a_i+1), s_i = N /
 c / (mult(d; a) prod_i (a_i+1)) * zeta_N^(sum_i k_i s_i) *
 (x_0 + sum_i zeta_N^(k_i s_i) x_i)^d.  Verification first compares a
 decomposition with this closed form (`_is_closed_form`), term for term in
-`decompose_form`'s order and with every number in its block's field.  It
-compares stored pairs (D, ints), which are in lowest terms, with the
-pairs (den(q), num(q) * row) of q * zeta_N^k read off the power table
-(`_root_pair`), so it builds no number.  One that equals the closed form
+`decompose_form`'s order and with every number in its block's field,
+building no number.  One that equals the closed form
 expands to the form by the argument above, one block's
 forms are pairwise independent (their points differ and start with 1), and
 its term count is the rank, so it passes without expansion.  The
@@ -40,35 +40,22 @@ comparison is declined past the price `decompose_form` admits, read off
 the exponents (`_grid_price`).  For `decompose`'s output it compares two
 independent derivations, the solve and the formula.
 
-A file that differs from the closed form in k terms, 2k fewer than all
-of them and with an unchanged term left in each block, is checked from
-those terms alone (`_near_closed_check`): with gamma*_j L*_j^d the closed
-form's term at a changed position j, the closed form sums to the form, so
-expansion - form = sum_j (gamma_j L_j^d - gamma*_j L*_j^d), an exact
-identity.  Those 2k terms, the counterparts with negated gammas, are
-expanded as below against an empty target, and priced as such.  The
-report is the flat check's: the unchanged terms of a block reach the
-monomials of its variables and bring its N to their printed field, and a
-dependent pair holds a changed form, since the closed form's are pairwise
-independent.  A changed form c with c_least != 0 is a multiple of an
-unchanged term only if c / c_least is that term's point, which is looked
-up by its roots.  Anything else, a file or an output alike, is expanded
-as below, which builds the report.
+A file that differs from the closed form in fewer than half of its terms,
+with an unchanged term left in each block, is checked from those terms and
+their closed-form counterparts alone (`_near_closed_check`), with the flat
+check's report.  Anything else, a file or an output alike, is expanded as
+below, which builds the report.
 
 Verification expands sum gamma_j L_j^d with integer coefficients in
 Z[t]/(t^N - 1) over one common denominator, reading one plan (`_lift`):
 each term lifted and classified once, the cyclic groups, the blocks and
-the price, checked before any expansion (`decompose_form` reads the same
-price off the exponents first).  The price counts each composition of d
-once up to d = 500 and ceil(d^2 / 500^2) times past it, as its
-multinomial and powers grow to O(d) bits, or more times when a
-coordinate's lift has over 16 bits, a gamma's over 16 d, or the
-decomposition over 16 variables (see `_steps`).
-Each monomial's residual is reduced modulo Phi_N once, N the lcm of the
-orders of the terms that reach it: exact, as t -> zeta_N is a ring map
-onto Q(zeta_N).  The residual is computed one monomial at a time, in
-sorted order, by merging one stream per support (`_residuals`), so the
-check stops at the tenth mismatch.
+the price (`_steps`), checked before any expansion (`decompose_form`
+reads the same price off the exponents first).  Each monomial's residual
+is reduced modulo Phi_N once, N the lcm of the orders of the terms that
+reach it: exact, as t -> zeta_N is a ring map onto Q(zeta_N).  The
+residual is computed one monomial at a time, in sorted order, by merging
+one stream per support (`_residuals`), so the check stops at the tenth
+mismatch.
 
 A cyclic term, whose nonzero coordinates lift to single powers q_i t^(e_i)
 (every grid term does), adds multinomial(d; b) * prod q_i^(b_i) *
@@ -80,16 +67,11 @@ the input.  Each P_r is reduced modulo Phi_N once, and each monomial costs
 one scaling, or none when P_r is 0 (a grid block has rank(M) classes).
 Terms with any other coordinate add one product per monomial.
 
-A mismatch at x^b prints the coefficient in Q(zeta_M), M the lcm of the
-lift orders of the terms that reach x^b (a nonzero gamma, and a nonzero
-coordinate on each variable of x^b), whatever their order: the residual's
-lifts stretched to M, plus D times the target, reduced modulo Phi_M once,
-over D.  No term is expanded again, and M divides the plan's field.  Two
-cyclic linear forms are dependent iff their polar-form keys are
-equal: per coordinate, the modulus over the gcd of the moduli and the angle
-less the first one's, an integer in units of 1/(2L), L the lcm of the
-block's orders.  So only the pairs with a zero or general form are
-tested one by one, by their minors.
+A mismatch at x^b prints the coefficient in the field of the terms that
+reach x^b, which divides the plan's, from its residual (`_printed`).  Two
+cyclic linear forms are dependent iff their polar-form keys are equal
+(`_ratio_key`), so only the pairs with a zero or general form are tested
+one by one, by their minors.
 """
 
 from __future__ import annotations
@@ -101,7 +83,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, log10, prod
-from operator import itemgetter, mod, mul
+from operator import itemgetter, mod
 
 from .cyclotomic import CyclotomicNumber, _normalised, _root_pair, cyclic_lift, cyclic_mul, \
     cyclotomic_embed, euler_phi, reduce_mod_phi
@@ -159,20 +141,39 @@ def _character_table(m: int) -> tuple:
                  for b in range(m))
 
 
+def _grid(monomial, nodes=None):
+    """The grid of x^a: (N, the position of its least variable, axes), an
+    axis (position, nodes, s_i) per other variable in sorted order: its a_i
+    + 1 nodes zeta_N^(k s_i) are nodes(a_i + 1, N), by default each built
+    once by `cyclotomic_embed`, and s_i = N / (a_i + 1)."""
+    nodes = nodes or (lambda m, order: [cyclotomic_embed(m, k, order) for k in range(m)])
+    exps, order = monomial.exponents, decomposition_field_order(monomial)
+    least, *rest = sorted(range(monomial.n), key=exps.__getitem__)     # stable: ties by position
+    return order, least, [(i, nodes(exps[i] + 1, order), order // (exps[i] + 1))
+                          for i in rest]
+
+
+def _walk(axes, linear, places, entry=None):
+    """Yield per grid point, k lexicographic (`decompose_form`'s order), its
+    (place, node, entry(k_i, nodes, shift)) per axis, each made once per
+    node, with node k_i put at linear[places[position]]."""
+    rows = [[(places[position], x, entry and entry(k, nodes, shift))
+             for k, x in enumerate(nodes)] for position, nodes, shift in axes]
+    for point in itertools.product(*rows):
+        for i, x, _ in point:
+            linear[i] = x
+        yield point
+
+
 def decomposition_points(monomial: Monomial):
     """All apolar grid points for a monomial, in lexicographic order of the
     root exponents k_i < a_i + 1 over the sorted non-least variables;
     coordinates are aligned to the monomial's input variable order, with 1
     on the least-exponent variable.  The points share one 1 and one list of
     the a_i + 1 roots per non-least variable."""
-    order = decomposition_field_order(monomial)
-    items = monomial.sorted_items
-    positions = [monomial.variables.index(v) for v, _ in items]
-    where = sorted(range(monomial.n), key=positions.__getitem__)
-    roots = [[CyclotomicNumber.from_rational(1, order)],
-             *([cyclotomic_embed(a + 1, k, order) for k in range(a + 1)]
-               for _, a in items[1:])]
-    return [tuple(coords[i] for i in where) for coords in itertools.product(*roots)]
+    order, _, axes = _grid(monomial)
+    coords = [CyclotomicNumber.from_rational(1, order)] * monomial.n
+    return [tuple(coords) for _ in _walk(axes, coords, range(monomial.n))]
 
 
 def solve_gammas(monomial: Monomial, coefficient=Fraction(1)) -> PowerSumDecomposition:
@@ -188,40 +189,41 @@ def _block_terms(monomial, coefficient, block, positions, num_vars):
     coefficient / multinomial(d; a) * prod_i y_i[k_i], where V_i y_i =
     e_(a_i) is solved exactly in Q(zeta_(a_i+1)), once per distinct a_i,
     against the cached character table V_i.  Each y_i[k] is lifted once
-    into Z[t]/(t^N - 1) over its denominator; a gamma is the product of its
-    factors' lifts, over the product of their denominators, reduced modulo
-    Phi_N and normalised once.  The module docstring explains why these
-    gammas solve the square character system and every other monomial row.
+    into Z[t]/(t^N - 1) over its denominator; a gamma is their product over
+    the product of their denominators (for single powers q t^e, the e summed
+    mod N and the q multiplied), normalised once per distinct gamma.  The
+    module docstring explains why these gammas solve the square character
+    system and every other monomial row.
     """
     coefficient = Fraction(coefficient)
     if coefficient == 0:
         raise ValueError("coefficient must be nonzero")
-    order = decomposition_field_order(monomial)
-    items = monomial.sorted_items
-    exps = [a for _, a in items]
-    factors = {}
-    for a in exps[1:]:
+    order, least, axes = _grid(monomial)
+    factors = {}        # a -> the (lift items, denominator) of each y[k]
+    for a in (len(nodes) - 1 for _, nodes, _ in axes):
         if a not in factors:
             table = _character_table(a + 1)
             # e_a: zeros, then table[0][0] = zeta^0 = 1
             rhs = [CyclotomicNumber.from_rational(0, a + 1)] * a + [table[0][0]]
-            ys = solve_exact(LinearSystem(table, rhs))
-            factors[a] = [(cyclic_lift(y, order, y.denominator), y.denominator) for y in ys]
-    # the Kronecker product of the lifts, one variable at a time in grid
-    # order, each with the product of its denominators
-    scale = coefficient / multinomial(monomial.degree, exps)
-    lifts = [({0: scale.numerator}, scale.denominator)]
-    for a in exps[1:]:
-        lifts = [(cyclic_mul(g, y, order), den * e) for g, den in lifts for y, e in factors[a]]
-    zero = CyclotomicNumber.from_rational(0, order)
-    terms = []
-    for (g, den), coords in zip(lifts, decomposition_points(monomial)):
-        linear = [zero] * num_vars
-        for pos, c in zip(positions, coords):
-            linear[pos] = c
-        terms.append(DecompositionTerm(
-            gamma=_normalised(order, den, reduce_mod_phi(g.items(), order)),
-            linear=tuple(linear), block=block, point=coords))
+            factors[a] = [(tuple(cyclic_lift(y, order, y.denominator).items()), y.denominator)
+                          for y in solve_exact(LinearSystem(table, rhs))]
+    scale = coefficient / multinomial(monomial.degree, monomial.sorted_exponents)
+    linear = [CyclotomicNumber.from_rational(0, order)] * num_vars
+    linear[positions[least]] = CyclotomicNumber.from_rational(1, order)
+    gammas, terms = {}, []
+    for point in _walk(axes, linear, positions, lambda k, nodes, _: factors[len(nodes) - 1][k]):
+        g, den = ((0, scale.numerator),), scale.denominator
+        for _, _, (lift, e) in point:
+            if len(g) == len(lift) == 1:
+                ((j, q),), ((k, p),) = g, lift
+                g = (((j + k) % order, q * p),)
+            else:
+                g = tuple(cyclic_mul(dict(g), dict(lift), order).items())
+            den *= e
+        if (den, g) not in gammas:
+            gammas[den, g] = _normalised(order, den, reduce_mod_phi(g, order))
+        terms.append(DecompositionTerm(gammas[den, g], tuple(linear), block,
+                                       tuple([linear[i] for i in positions])))
     return tuple(terms)
 
 
@@ -344,11 +346,11 @@ def _mismatches(plan, residuals, target, variables, fields=None) -> tuple:
     """The first ten monomials of `residuals`, (exps, residual) pairs in
     sorted order, whose residual does not vanish, as (text, expected,
     printed actual); `fields` as in `_printed`.  The rest is not computed."""
-    bad = itertools.islice(((exps, value) for exps, value in residuals
-                            if not _vanishes(value)), 10)
+    bad = itertools.islice(((exps, value, reduced) for exps, value in residuals
+                            if any((reduced := _reduced(value))[1])), 10)
     return tuple((monomial_text(variables, exps), str(target.get(exps, Fraction(0))),
-                  _bounded_text(_printed(plan, {exps: value}, target, exps, fields)))
-                 for exps, value in bad)
+                  _bounded_text(_printed(plan, {exps: value}, target, exps, fields, reduced)))
+                 for exps, value, reduced in bad)
 
 
 def _near_closed_check(form, decomposition, target, changed):
@@ -436,10 +438,9 @@ def _grid_position(monomial, index, order, bases):
 
 @lru_cache(maxsize=64)
 def _roots(order):
-    """The numbers zeta_order^j, j < order, and 0 of Q(zeta_order), each as
+    """The numbers zeta_order^j, j < order, of Q(zeta_order), each as
     (order, stored pair) read off the power table (`_root_pair`)."""
-    return tuple((order, _root_pair(order, j, 1)) for j in range(order)), \
-        (order, _root_pair(order, 0, 0))
+    return tuple((order, _root_pair(order, j, 1)) for j in range(order))
 
 
 def _is_closed_form(form, decomposition, rank):
@@ -449,14 +450,15 @@ def _is_closed_form(form, decomposition, rank):
     field Q(zeta_N), per block of c * x^a the rank(x^a) terms
     c / (mult(d; a) prod_i (a_i + 1)) * zeta_N^(sum_i k_i s_i) *
     (x_least + sum_i zeta_N^(k_i s_i) x_i)^d, s_i = N / (a_i + 1), over k in
-    range(a_1 + 1) x ... x range(a_n + 1), lexicographically.  Each number's
-    order and stored pair (D, ints), which is in lowest terms, are compared
-    with the pairs `_root_pair` reads off the power table, so no number is
-    built but a differing term's counterpart.  The module docstring proves
-    that the closed form expands to the form, so () means a PASS.  None when
-    the comparison is declined, before anything is built, past the price
-    `decompose_form` admits; when a term names another block; when half of
-    the terms or more differ; or when every term of a block differs."""
+    range(a_1 + 1) x ... x range(a_n + 1), lexicographically (`_walk`).
+    Each number's order and stored pair (D, ints), which is in lowest terms,
+    are compared with the pairs `_root_pair` reads off the power table, so
+    no number is built but a differing term's counterpart.  The module
+    docstring proves that the closed form expands to the form, so () means
+    a PASS.  None when the comparison is declined, before anything is
+    built, past the price `decompose_form` admits; when a term names
+    another block; when half of the terms or more differ; or when every
+    term of a block differs."""
     d, n = decomposition.degree, len(decomposition.variables)
     if d < 2 or d != form.degree or len(decomposition.terms) != rank:
         return None
@@ -467,32 +469,26 @@ def _is_closed_form(form, decomposition, rank):
     terms = enumerate(decomposition.terms)
     changed = []
     for block, (c, m) in enumerate(form.terms):
-        order = decomposition_field_order(m)
-        (least, _), *items = m.sorted_items
-        shifts = [order // (a + 1) for _, a in items]
-        scale = Fraction(c) / (multinomial(d, m.sorted_exponents) * prod(a + 1 for _, a in items))
-        # each number as (order, stored pair)
-        roots, zero = _roots(order)
-        num, den = scale.numerator, scale.denominator
-        gammas = [(order, (den, tuple([num * r for r in row]))) for _, (_, row) in roots]
-        linear = [zero] * n
-        linear[index[least]] = roots[0]
-        axes = [(index[v], roots[::s]) for (v, _), s in zip(items, shifts)]
+        # each number as (order, stored pair), the nodes read off `_roots`
+        order, least, axes = _grid(m, lambda root, field: _roots(field)[::field // root])
+        places = [index[v] for v in m.variables]
+        scale = Fraction(c) / (multinomial(d, m.sorted_exponents) * rank_monomial(m))
+        gammas = [(order, _root_pair(order, k, scale)) for k in range(order)]
+        linear = [(order, _root_pair(order, 0, 0))] * n
+        linear[places[least]] = _roots(order)[0]
         unchanged = False
-        for ks in itertools.product(*(range(a + 1) for _, a in items)):
+        for point in _walk(axes, linear, places, lambda k, _, shift: k * shift):
             j, t = next(terms)
-            for (i, nodes), k in zip(axes, ks):
-                linear[i] = nodes[k]
             if t.block != block:
                 return None
-            gamma = gammas[sum(map(mul, ks, shifts)) % order]
+            gamma = gammas[sum(map(itemgetter(2), point)) % order]
             if (t.gamma.order, t.gamma._ints) == gamma \
                     and [(x.order, x._ints) for x in t.linear] == linear:
                 unchanged = True
                 continue
             if 2 * (len(changed) + 1) >= rank:
                 return None
-            changed.append((j, gamma, list(linear), block, [index[v] for v in m.variables]))
+            changed.append((j, gamma, list(linear), block, places))
         if not unchanged:
             return None
     return tuple((j, _counterpart(*term)) for j, *term in changed)
@@ -734,30 +730,38 @@ def _gathered(groups, order) -> dict:
     return total
 
 
-def _vanishes(groups) -> bool:
-    """Whether a residual {N: lift} is zero in Q(zeta_M), M the lcm of the
-    orders N: one reduction modulo Phi_M, exact because t -> zeta_M is a
-    ring map."""
+def _reduced(groups):
+    """(L, a residual {N: lift} reduced modulo Phi_L once), L the lcm of the
+    orders N: exact because t -> zeta_L is a ring map."""
     order = lcm(*groups)
-    return not any(reduce_mod_phi(_gathered(groups, order).items(), order))
+    return order, reduce_mod_phi(_gathered(groups, order).items(), order)
 
 
-def _printed(plan, residual, target, exps, fields=None):
+def _vanishes(groups) -> bool:
+    """Whether a residual {N: lift} is zero (`_reduced`)."""
+    return not any(_reduced(groups)[1])
+
+
+def _printed(plan, residual, target, exps, fields=None, reduced=None):
     """The coefficient of x^exps in the expansion, in Q(zeta_M), M the lcm
     of the lift orders of the terms that reach x^exps (a nonzero gamma, and
     a nonzero coordinate on each variable of x^exps): the residual's lifts
-    stretched to M, plus D * target, reduced modulo Phi_M once, over D.
-    `fields` maps a variable to (block, N) for terms the plan does not
-    hold, the unchanged closed-form terms of `_near_closed_check`, which
-    reach x^exps when its variables are all one block's."""
+    stretched to M and reduced modulo Phi_M once (`reduced`, if M is its
+    field), plus D * target at coordinate 0, over D.  `fields` maps a
+    variable to (block, N) for terms the plan does not hold, the unchanged
+    closed-form terms of `_near_closed_check`, which reach x^exps when its
+    variables are all one block's."""
     need = {i for i, a in enumerate(exps) if a}
     order = lcm(1, *(n for n, gamma, bases in plan.lifted if gamma and bases.keys() >= need))
     owners = {fields.get(i) for i in need} if fields else {None}
     if len(owners) == 1 and None not in owners:
         order = lcm(order, owners.pop()[1])
-    total = _gathered(residual[exps], order)
-    total[0] = total.get(0, 0) + int(plan.scale * target.get(exps, 0))
-    return _normalised(order, plan.scale, reduce_mod_phi(total.items(), order))
+    if reduced and reduced[0] == order:
+        coords = reduced[1]
+    else:
+        coords = reduce_mod_phi(_gathered(residual[exps], order).items(), order)
+    coords[0] += int(plan.scale * target.get(exps, 0))
+    return _normalised(order, plan.scale, coords)
 
 
 def _first_dependent_pair(plan, terms):

@@ -12,7 +12,7 @@ Schema:
 `dumps` writes a PowerSumDecomposition straight from its numbers, and its
 bytes are those of `json.dumps(schema, indent=2, sort_keys=True)` for the
 schema above, so `waring decompose --json` (README: "minimal decomposition")
-prints what it always printed.  Each distinct number is rendered once per
+prints what it always printed.  Each number object is rendered once per
 indentation depth.  Every other object goes through that `json.dumps` call.
 
 `decomposition_from_json` checks every field and parses each distinct
@@ -181,21 +181,22 @@ def _array(items, pad: str) -> str:
 
 def _decomposition_text(d: PowerSumDecomposition) -> str:
     """`dumps` of a decomposition: fields in sorted order, a term's fields
-    indented by 6 and the numbers in its arrays by 8; each distinct number
-    at each indentation is written once."""
-    memo = {}
-
-    def number(x, pad):
-        key = (x.order, x._ints, pad)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = _number_text(x, pad)
-        return text
-
+    indented by 6 and the numbers in its arrays by 8.  Each number object
+    is written once per indentation, and its text found again by its id
+    (`d` holds every number while the text is built)."""
     p6, p8 = " " * 6, " " * 8
-    terms = [f'{{\n{p6}"block": {t.block},\n{p6}"gamma": {number(t.gamma, p6)},\n'
-             f'{p6}"linear": {_array([number(c, p8) for c in t.linear], p6)},\n'
-             f'{p6}"point": {_array([number(c, p8) for c in t.point], p6)}\n    }}'
+    gammas, coords = {}, {}         # id(number) -> its text, indented by 6 / 8
+
+    def text(x, memo, pad):
+        memo[id(x)] = _number_text(x, pad)
+        return memo[id(x)]
+
+    def row(numbers):
+        return _array([coords.get(id(x)) or text(x, coords, p8) for x in numbers], p6)
+
+    terms = [f'{{\n{p6}"block": {t.block},\n'
+             f'{p6}"gamma": {gammas.get(id(t.gamma)) or text(t.gamma, gammas, p6)},\n'
+             f'{p6}"linear": {row(t.linear)},\n{p6}"point": {row(t.point)}\n    }}'
              for t in d.terms]
     names = [encode_basestring_ascii(v) for v in d.variables]
     return (f'{{\n  "degree": {d.degree},\n  "terms": {_array(terms, "  ")},\n'

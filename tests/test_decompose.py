@@ -657,6 +657,55 @@ def test_decompose_multiplies_cyclotomic_numbers_only_inside_the_solve(monkeypat
         assert counts[True] > 0 or text == "x1^3", text
 
 
+def test_gammas_combine_any_solved_factors_in_grid_order(monkeypatch):
+    """With `solve_exact` returning arbitrary nonzero vectors y over
+    Q(zeta_(a+1)), whose entries are mostly not a rational times a root of
+    unity (their lifts are not single powers of t), every gamma is still
+    coefficient / multinomial(d; a) * prod_i y_i[k_i], in
+    `decomposition_points` order, for one block and for two."""
+    from waring import decompose
+    from waring.cyclotomic import cyclic_lift
+    rng = random.Random(29)
+    vectors = {}        # root order -> the vector every solve of that size returns
+
+    def arbitrary(system):
+        m = len(system.matrix)
+        while m not in vectors or not any(vectors[m]):
+            vectors[m] = [CyclotomicNumber(m, [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                               for _ in range(euler_phi(m))])
+                          for _ in range(m)]
+        return vectors[m]
+
+    def expected(monomial, coefficient):
+        """(gamma, point) per grid point, the k_i over the sorted non-least
+        variables in lexicographic order."""
+        rest = [monomial.variables.index(v) for v, _ in monomial.sorted_items[1:]]
+        scale = Fraction(coefficient) / multinomial(monomial.degree, monomial.exponents)
+        ks = itertools.product(*(range(monomial.exponents[i] + 1) for i in rest))
+        for k, point in zip(ks, decomposition_points(monomial)):
+            gamma = CyclotomicNumber.from_rational(scale)
+            for i, k_i in zip(rest, k):
+                gamma = gamma * vectors[monomial.exponents[i] + 1][k_i]
+            yield gamma, point
+
+    monkeypatch.setattr(decompose, "solve_exact", arbitrary)
+    for text in ("-3/4*x3*x1^2*x2^4", "x1*x2^2*x3^3", "x1^2*x2^2*x3^5"):
+        (coefficient, monomial), = parse_form(text).terms
+        dec = solve_gammas(monomial, coefficient)
+        pairs = list(expected(monomial, coefficient))
+        assert len(dec.terms) == len(pairs) == rank_monomial(monomial)
+        for t, (gamma, point) in zip(dec.terms, pairs):
+            assert t.gamma.order == decomposition_field_order(monomial)
+            assert t.gamma == gamma and t.point == point, text
+    form = parse_form("2/3*x1*x2^2*x3^3 - 5/2*x4^3*x5^3")
+    dec = decompose_form(form)
+    pairs = [pair for c, m in form.terms for pair in expected(m, c)]
+    assert [t.block for t in dec.terms] == [0] * 12 + [1] * 4
+    assert [(t.gamma, t.point) for t in dec.terms] == pairs
+    # the general branch ran: some factor's lift is not a single power
+    assert any(len(cyclic_lift(y, m, y.denominator)) > 1 for m, ys in vectors.items() for y in ys)
+
+
 def test_grid_points_share_one_root_per_variable_and_power(monkeypatch):
     from waring import decompose
     built = []

@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from waring.cyclotomic import CyclotomicNumber, cyclotomic_embed, fraction_text
+from waring.cyclotomic import CyclotomicNumber, _normalised, cyclotomic_embed, fraction_text
 from waring.decompose import (
     MAX_FIELD_ORDER,
     DecompositionTerm,
@@ -199,6 +200,19 @@ def test_dumps_writes_the_schema_bytes_of_json_dumps(form):
     assert text == json.dumps(_reference(dec), indent=2, sort_keys=True)
     assert decomposition_from_json(json.loads(text)) == dec
     assert decomposition_to_json(dec) == _reference(dec)
+
+    # the writer finds a number's text by the object: the bytes must not
+    # depend on which terms share an object
+    def fresh(x):
+        return _normalised(x.order, *x._ints)
+
+    unshared = replace(dec, terms=tuple(
+        replace(t, gamma=fresh(t.gamma), linear=tuple(map(fresh, t.linear)),
+                point=tuple(map(fresh, t.point)))
+        for t in dec.terms))
+    loaded = decomposition_from_json(json.loads(text))     # shared across terms
+    for d in (unshared, loaded):
+        assert dumps(d) == json.dumps(_reference(d), indent=2, sort_keys=True) == text
 
 
 def test_dumps_escapes_names_and_writes_empty_arrays():
