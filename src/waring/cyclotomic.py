@@ -189,8 +189,10 @@ class CyclotomicNumber:
     @classmethod
     def zeta(cls, order: int, power: int = 1, scale=1) -> "CyclotomicNumber":
         """scale * zeta_order^power, a rational multiple of one row of the
-        power table (`_root_pair`)."""
-        return _normalised(order, *_root_pair(order, power, Fraction(scale)))
+        power table (`_root_pair`); an int scale is passed as it is."""
+        if not isinstance(scale, int):
+            scale = Fraction(scale)
+        return _normalised(order, *_root_pair(order, power, scale))
 
     # -- field structure ---------------------------------------------------
 

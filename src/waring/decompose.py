@@ -18,9 +18,10 @@ i >= 1.  That determines them, because:
 So the unique solution of the square system solves every monomial row.
 Its right-hand side is c * e_a = c * (e_(a_1) x ... x e_(a_n)), so the
 solution is c / mult(a) times the Kronecker product of the solutions y_i
-of V_i y_i = e_(a_i): one (a_i+1)-square solve in Q(zeta_(a_i+1)) per
-distinct exponent (see `_block_terms`), whose operands all lie in that
-one field, so its arithmetic skips promotion.  A sum of coprime
+of V_i y_i = e_(a_i): one (a_i+1)-square solve in Q(zeta_(a_i+1)), whose
+operands all lie in that one field, so its arithmetic skips promotion.
+It runs once per process per exponent a_i and field order N, and its
+lifted solution is cached (`_factors`, `_block_terms`).  A sum of coprime
 monomials is decomposed blockwise and the blocks concatenated.  One walk
 of the grid (`_grid`, `_walk`) builds the terms, lists
 `decomposition_points` and drives `_is_closed_form`.
@@ -94,8 +95,11 @@ from .rank import ResourceLimitError, rank_coprime_sum, rank_monomial
 
 # Admission cap for `decompose_form`: (a+1)^3 * phi(a+1)^2 per block and
 # distinct exponent a but the least, for the solve over Q(zeta_(a+1)) that
-# runs.  On a 2-vCPU VM `waring decompose x1*x2^36` (6.6e7) takes 1.1-1.2 s
-# of command wall time, and `solve_gammas` of x1*x2^60 (8.2e8) 15 s.
+# runs when the factor cache is cold; a warm `_factors` entry skips it, but
+# the price and the refusal read only the exponents, so they do not depend
+# on what ran before.  On a 2-vCPU VM `waring decompose x1*x2^36` (6.6e7)
+# takes 1.1-1.2 s of command wall time, and `solve_gammas` of x1*x2^60
+# (8.2e8) 15 s.
 MAX_SOLVE_COST = 10 ** 8
 
 # Admission cap for verification and `decompose_form`, checked first: the
@@ -139,6 +143,20 @@ def _character_table(m: int) -> tuple:
     of root order m shares it; `solve_exact` does not change its matrix."""
     return tuple(tuple(CyclotomicNumber.zeta(m, k * b) for k in range(m))
                  for b in range(m))
+
+
+@lru_cache(maxsize=256)
+def _factors(a: int, order: int) -> tuple:
+    """The solution y of V y = e_a, V the character table of the (a+1)-th
+    roots of unity, solved exactly in Q(zeta_(a+1)) and each y[k] lifted
+    into Z[t]/(t^order - 1) over its denominator: a tuple of (lift items,
+    denominator) pairs.  Solved once per process per (a, order); the tuples
+    keep a cached factor from being changed by its callers."""
+    table = _character_table(a + 1)
+    # e_a: zeros, then table[0][0] = zeta^0 = 1
+    rhs = [CyclotomicNumber.from_rational(0, a + 1)] * a + [table[0][0]]
+    return tuple((tuple(cyclic_lift(y, order, y.denominator).items()), y.denominator)
+                 for y in solve_exact(LinearSystem(table, rhs)))
 
 
 def _grid(monomial, nodes=None):
@@ -187,26 +205,20 @@ def _block_terms(monomial, coefficient, block, positions, num_vars):
     """The terms of block `block`, coefficient * M, with linear forms over
     `num_vars` variables, M's i-th variable at positions[i]: gamma_k =
     coefficient / multinomial(d; a) * prod_i y_i[k_i], where V_i y_i =
-    e_(a_i) is solved exactly in Q(zeta_(a_i+1)), once per distinct a_i,
-    against the cached character table V_i.  Each y_i[k] is lifted once
-    into Z[t]/(t^N - 1) over its denominator; a gamma is their product over
-    the product of their denominators (for single powers q t^e, the e summed
-    mod N and the q multiplied), normalised once per distinct gamma.  The
-    module docstring explains why these gammas solve the square character
-    system and every other monomial row.
+    e_(a_i) is solved exactly in Q(zeta_(a_i+1)) against the cached
+    character table V_i, and each y_i[k] lifted into Z[t]/(t^N - 1) over
+    its denominator, once per process per (a_i, N) (`_factors`), so a
+    later block or form with that pair solves nothing.  A gamma is their
+    product over the product of their denominators (for single powers
+    q t^e, the e summed mod N and the q multiplied), normalised once per
+    distinct gamma.  The module docstring explains why these gammas solve
+    the square character system and every other monomial row.
     """
     coefficient = Fraction(coefficient)
     if coefficient == 0:
         raise ValueError("coefficient must be nonzero")
     order, least, axes = _grid(monomial)
-    factors = {}        # a -> the (lift items, denominator) of each y[k]
-    for a in (len(nodes) - 1 for _, nodes, _ in axes):
-        if a not in factors:
-            table = _character_table(a + 1)
-            # e_a: zeros, then table[0][0] = zeta^0 = 1
-            rhs = [CyclotomicNumber.from_rational(0, a + 1)] * a + [table[0][0]]
-            factors[a] = [(tuple(cyclic_lift(y, order, y.denominator).items()), y.denominator)
-                          for y in solve_exact(LinearSystem(table, rhs))]
+    factors = {len(nodes) - 1: _factors(len(nodes) - 1, order) for _, nodes, _ in axes}
     scale = coefficient / multinomial(monomial.degree, monomial.sorted_exponents)
     linear = [CyclotomicNumber.from_rational(0, order)] * num_vars
     linear[positions[least]] = CyclotomicNumber.from_rational(1, order)
@@ -257,13 +269,20 @@ def decompose_form(form: CoprimeForm) -> PowerSumDecomposition:
 
 def _grid_price(form, num_vars):
     """The field and steps of verifying the closed form of `form` over
-    `num_vars` variables, read off the exponents: one cyclic group per block
+    `num_vars` variables, read off the exponents and cached
+    (`_blocks_price`): a decompose job asks for it in `decompose_form` and
+    again in `_is_closed_form`, and computes it once."""
+    return _blocks_price(tuple(form.monomials), num_vars)
+
+
+@lru_cache(maxsize=256)
+def _blocks_price(monomials, num_vars):
+    """`_grid_price` of a form with these blocks: one cyclic group per block
     of rank r, with r members in r classes, and no general form."""
-    monomials = form.monomials
     ranks = map(rank_monomial, monomials)
     return (max(map(decomposition_field_order, monomials)),
-            _steps(form.degree, [(m.n, r, r) for m, r in zip(monomials, ranks)], [], [],
-                   num_vars))
+            _steps(monomials[0].degree, [(m.n, r, r) for m, r in zip(monomials, ranks)], [],
+                   [], num_vars))
 
 
 # -- verification ---------------------------------------------------------------

@@ -20,7 +20,7 @@ import re
 import sys
 from fractions import Fraction
 from math import lcm
-from operator import ge
+from operator import ge, itemgetter
 
 from .polynomials import Polynomial, monomial_text, signed_sum
 
@@ -63,10 +63,11 @@ class Monomial:
 
     The input order of the variables is preserved; `sorted_items` gives the
     canonical ascending-exponent view (ties broken by input position), so the
-    first entry is the designated least-exponent variable.
+    first entry is the designated least-exponent variable.  It and
+    `sorted_exponents` are tuples, sorted once at construction.
     """
 
-    __slots__ = ("variables", "exponents")
+    __slots__ = ("variables", "exponents", "sorted_items", "sorted_exponents")
 
     def __init__(self, variables, exponents):
         if len(variables) != len(exponents):
@@ -79,6 +80,10 @@ class Monomial:
             raise ValueError("all exponents must be >= 1")
         self.variables = tuple(variables)
         self.exponents = tuple(int(e) for e in exponents)
+        # (variable, exponent) pairs by ascending exponent, ties by input position
+        self.sorted_items = tuple(sorted(zip(self.variables, self.exponents),
+                                         key=itemgetter(1)))
+        self.sorted_exponents = tuple(e for _, e in self.sorted_items)
 
     @property
     def n(self) -> int:
@@ -87,17 +92,6 @@ class Monomial:
     @property
     def degree(self) -> int:
         return sum(self.exponents)
-
-    @property
-    def sorted_items(self):
-        """(variable, exponent) pairs sorted by ascending exponent, ties by
-        input position."""
-        order = sorted(range(self.n), key=lambda i: (self.exponents[i], i))
-        return [(self.variables[i], self.exponents[i]) for i in order]
-
-    @property
-    def sorted_exponents(self):
-        return tuple(sorted(self.exponents))
 
     @property
     def least_variable(self) -> str:

@@ -25,7 +25,7 @@ from waring.forms import CoprimeForm, Monomial, decomposition_field_order, parse
 from waring.linalg import LinearSystem, solve_exact
 from waring.polynomials import compositions, multinomial
 from waring.rank import rank_coprime_sum, rank_monomial
-from waring.serialize import decomposition_from_json, decomposition_to_json
+from waring.serialize import decomposition_from_json, decomposition_to_json, dumps
 
 
 def _mono(text):
@@ -611,6 +611,7 @@ def test_decompose_solves_one_small_system_per_distinct_exponent(monkeypatch):
         "x1^2*x2^2*x3^2*x4^2 - 7/3*x5*x6*x7^6", "x1 + x2")]
     for form in forms:
         systems.clear()
+        decompose._factors.cache_clear()    # each form solves from a cold cache
         decompose_form(form)
         # one system per distinct non-least exponent a_i of each block, in
         # increasing order: a_i + 1 square rows over Q(zeta_(a_i+1))
@@ -652,6 +653,7 @@ def test_decompose_multiplies_cyclotomic_numbers_only_inside_the_solve(monkeypat
     monkeypatch.setattr(decompose, "solve_exact", solving)
     for text in _BUILD_FORMS:
         counts[True] = counts[False] = 0
+        decompose._factors.cache_clear()    # each form solves from a cold cache
         decompose_form(parse_form(text))
         assert counts[False] == 0, text
         assert counts[True] > 0 or text == "x1^3", text
@@ -691,6 +693,7 @@ def test_gammas_combine_any_solved_factors_in_grid_order(monkeypatch):
     monkeypatch.setattr(decompose, "solve_exact", arbitrary)
     for text in ("-3/4*x3*x1^2*x2^4", "x1*x2^2*x3^3", "x1^2*x2^2*x3^5"):
         (coefficient, monomial), = parse_form(text).terms
+        decompose._factors.cache_clear()    # each form solves from a cold cache
         dec = solve_gammas(monomial, coefficient)
         pairs = list(expected(monomial, coefficient))
         assert len(dec.terms) == len(pairs) == rank_monomial(monomial)
@@ -698,6 +701,7 @@ def test_gammas_combine_any_solved_factors_in_grid_order(monkeypatch):
             assert t.gamma.order == decomposition_field_order(monomial)
             assert t.gamma == gamma and t.point == point, text
     form = parse_form("2/3*x1*x2^2*x3^3 - 5/2*x4^3*x5^3")
+    decompose._factors.cache_clear()
     dec = decompose_form(form)
     pairs = [pair for c, m in form.terms for pair in expected(m, c)]
     assert [t.block for t in dec.terms] == [0] * 12 + [1] * 4
@@ -746,6 +750,73 @@ def test_character_tables_are_shared_tuples_the_solve_leaves_unchanged():
     for m, table in tables.items():
         assert _character_table(m) is table
         assert table == fresh(m)
+
+
+# -- the factor cache: one solve per (a, N) per process -------------------------
+
+# a = 4 under N = 35 and N = 5; a = 2 under N = 3 in both blocks; a repeat
+# of the first form's pairs under other variables
+_CACHE_FORMS = _BUILD_FORMS + ("x1*x2^4*x3^6 + x4^3*x5^4*x6^4", "x1*x2^2 - 3*x3*x4^2",
+                               "x7*x9^6*x8^4")
+
+
+def _solved_pairs(form):
+    return {(a, decomposition_field_order(m)) for m in form.monomials
+            for a in set(m.sorted_exponents[1:])}
+
+
+def test_each_exponent_and_field_order_is_solved_once_per_process(monkeypatch):
+    solved = []
+
+    def recording(system):
+        solved.append(len(system.matrix) - 1)
+        return solve_exact(system)
+
+    monkeypatch.setattr(decompose, "solve_exact", recording)
+    forms = [parse_form(text) for text in _CACHE_FORMS]
+    pairs = set().union(*map(_solved_pairs, forms))
+    assert {(4, 35), (4, 5), (2, 3)} <= pairs
+    for form in forms:
+        decompose_form(form)
+    assert sorted(solved) == sorted(a for a, _ in pairs)
+    assert decompose._factors.cache_info().currsize == len(pairs)
+    solved.clear()
+    for form in forms:
+        decompose_form(form)
+    assert solved == []
+
+
+def test_warm_output_equals_cold_output():
+    """Each form decomposed from a cold cache, then all of them again after
+    one pass has warmed it: the same terms and the same JSON bytes."""
+    forms = [parse_form(text) for text in _CACHE_FORMS]
+    cold = []
+    for form in forms:
+        decompose._factors.cache_clear()
+        cold.append(decompose_form(form))
+    for form in forms:
+        decompose_form(form)
+    warm = [decompose_form(form) for form in forms]
+    assert decompose._factors.cache_info().currsize == len(set().union(*map(_solved_pairs, forms)))
+    assert warm == cold
+    assert [dumps(dec) for dec in warm] == [dumps(dec) for dec in cold]
+    assert all(verify_decomposition(form, dec).passed for form, dec in zip(forms, warm))
+
+
+def test_cached_factors_are_tuples_of_the_closed_form_lifts():
+    """A cached factor is the tuple of y[k] = zeta_(a+1)^k / (a+1) lifted to
+    single powers t^(k N / (a+1)) over a + 1, of ints and tuples, so no
+    caller can change it; a second call returns the same object."""
+    for text in _CACHE_FORMS[-3:-1]:
+        decompose_form(parse_form(text))
+    misses = decompose._factors.cache_info().misses
+    for a, order in ((4, 35), (6, 35), (4, 5), (2, 3)):
+        factors = decompose._factors(a, order)
+        assert factors == tuple(((((k * order // (a + 1)), 1),), a + 1) for k in range(a + 1))
+        assert all(isinstance(lift, tuple) and all(type(p) is tuple for p in lift)
+                   and type(den) is int for lift, den in factors)
+        assert decompose._factors(a, order) is factors
+    assert decompose._factors.cache_info().misses == misses
 
 
 # -- the least-variable check, one lookup per block -------------------------------
