@@ -24,7 +24,7 @@ It runs once per process per exponent a_i and field order N, and its
 lifted solution is cached (`_factors`, `_block_terms`).  A sum of coprime
 monomials is decomposed blockwise and the blocks concatenated.  One walk
 of the grid (`_grid`, `_walk`) builds the terms, lists
-`decomposition_points` and drives `_is_closed_form`.
+`decomposition_points` and lists the closed form below (`_closed_form`).
 
 The solve has a closed form: V_i is a character table, so y_i[k] =
 zeta_(a_i+1)^(-k a_i) / (a_i+1) = zeta_N^(k s_i) / (a_i+1), s_i = N /
@@ -39,7 +39,14 @@ forms are pairwise independent (their points differ and start with 1), and
 its term count is the rank, so it passes without expansion.  The
 comparison is declined past the price `decompose_form` admits, read off
 the exponents (`_grid_price`).  For `decompose`'s output it compares two
-independent derivations, the solve and the formula.
+independent derivations, the solve and the formula.  `verify` makes the
+same comparison on a file's parsed JSON first (`_is_closed_form_json`):
+two numbers of one field written in `decompose --json`'s canonical text
+are equal iff their texts are, so a file that writes the closed form in
+that text passes from its JSON, with no number built.  Any other file is
+loaded and compared as numbers.  Both comparisons read one listing of the
+closed form (`_closed_form`), each number rendered as the key it is
+compared by.
 
 A file that differs from the closed form in fewer than half of its terms,
 with an unchanged term left in each block, is checked from those terms and
@@ -87,7 +94,7 @@ from math import comb, gcd, lcm, log10, prod
 from operator import itemgetter, mod
 
 from .cyclotomic import CyclotomicNumber, _normalised, _root_pair, cyclic_lift, cyclic_mul, \
-    cyclotomic_embed, euler_phi, reduce_mod_phi
+    cyclotomic_embed, euler_phi, fraction_text, reduce_mod_phi
 from .forms import CoprimeForm, Monomial, decomposition_field_order
 from .linalg import LinearSystem, solve_exact
 from .polynomials import compositions, monomial_text, multinomial
@@ -455,62 +462,119 @@ def _grid_position(monomial, index, order, bases):
     return position
 
 
-@lru_cache(maxsize=64)
-def _roots(order):
-    """The numbers zeta_order^j, j < order, of Q(zeta_order), each as
-    (order, stored pair) read off the power table (`_root_pair`)."""
-    return tuple((order, _root_pair(order, j, 1)) for j in range(order))
+def _pair(order, power, q):
+    """q * zeta_order^power as (order, its stored pair), read off the power
+    table (`_root_pair`): the key a number is compared by."""
+    return order, _root_pair(order, power, q)
+
+
+def _text(order, power, q):
+    """q * zeta_order^power as the JSON object `decompose --json` writes for
+    it: the key a number of a file is compared by."""
+    den, ints = _root_pair(order, power, q)
+    return {"coeffs": [fraction_text(v, den) for v in ints], "order": order}
+
+
+@lru_cache(maxsize=128)
+def _roots(key, order):
+    """The keys of the numbers zeta_order^j, j < order, built once per key
+    and field order; no caller changes them."""
+    return tuple(key(order, j, 1) for j in range(order))
+
+
+def _closed_form(form, variables, key):
+    """Yield (block, places, gamma, linear) per term of the paper's closed
+    form of `form` over `variables`: in `decompose_form`'s term order and
+    with every number in its block's field Q(zeta_N), per block of c * x^a
+    the rank(x^a) terms c / (mult(d; a) prod_i (a_i + 1)) *
+    zeta_N^(sum_i k_i s_i) * (x_least + sum_i zeta_N^(k_i s_i) x_i)^d,
+    s_i = N / (a_i + 1), over k in range(a_1 + 1) x ... x range(a_n + 1),
+    lexicographically (`_walk`).  Each number is its key(N, power, q), the
+    nodes read off `_roots` and a gamma made the first time its power is
+    met; `linear` is one list, changed in place from term to term, and
+    `places` the positions of the block's variables."""
+    index = {v: i for i, v in enumerate(variables)}
+    for block, (c, m) in enumerate(form.terms):
+        order, least, axes = _grid(m, lambda root, field: _roots(key, field)[::field // root])
+        places = [index[v] for v in m.variables]
+        scale = Fraction(c) / (multinomial(form.degree, m.sorted_exponents) * rank_monomial(m))
+        gammas = {}
+        linear = [key(order, 0, 0)] * len(variables)
+        linear[places[least]] = _roots(key, order)[0]
+        for point in _walk(axes, linear, places, lambda k, _, shift: k * shift):
+            k = sum(map(itemgetter(2), point)) % order
+            if k not in gammas:
+                gammas[k] = key(order, k, scale)
+            yield block, places, gammas[k], linear
+
+
+def _comparable(form, degree, num_vars, count, rank) -> bool:
+    """Whether a decomposition of this degree, with `count` terms over
+    `num_vars` variables, is compared with the closed form: of the form's
+    degree, at least 2, with `rank` terms, and within the price
+    `decompose_form` admits (`_grid_price`), checked before anything is
+    built."""
+    if degree < 2 or degree != form.degree or count != rank:
+        return False
+    field, steps = _grid_price(form, num_vars)
+    return field <= MAX_FIELD_ORDER and steps <= MAX_VERIFY_STEPS
 
 
 def _is_closed_form(form, decomposition, rank):
-    """The terms that differ from the paper's closed form of `form`, as
-    (position, closed-form term) pairs, or None.  The closed form lists, in
-    `decompose_form`'s term order and with every number in its block's
-    field Q(zeta_N), per block of c * x^a the rank(x^a) terms
-    c / (mult(d; a) prod_i (a_i + 1)) * zeta_N^(sum_i k_i s_i) *
-    (x_least + sum_i zeta_N^(k_i s_i) x_i)^d, s_i = N / (a_i + 1), over k in
-    range(a_1 + 1) x ... x range(a_n + 1), lexicographically (`_walk`).
-    Each number's order and stored pair (D, ints), which is in lowest terms,
-    are compared with the pairs `_root_pair` reads off the power table, so
-    no number is built but a differing term's counterpart.  The module
+    """The terms that differ from the paper's closed form of `form`
+    (`_closed_form`), as (position, closed-form term) pairs, or None.  Each
+    number's order and stored pair (D, ints), which is in lowest terms, are
+    compared with the pairs `_root_pair` reads off the power table, so no
+    number is built but a differing term's counterpart.  The module
     docstring proves that the closed form expands to the form, so () means
-    a PASS.  None when the comparison is declined, before anything is
-    built, past the price `decompose_form` admits; when a term names
-    another block; when half of the terms or more differ; or when every
-    term of a block differs."""
-    d, n = decomposition.degree, len(decomposition.variables)
-    if d < 2 or d != form.degree or len(decomposition.terms) != rank:
+    a PASS.  None when the comparison is declined (`_comparable`); when a
+    term names another block; when half of the terms or more differ; or
+    when every term of a block differs."""
+    if not _comparable(form, decomposition.degree, len(decomposition.variables),
+                       len(decomposition.terms), rank):
         return None
-    field, steps = _grid_price(form, n)
-    if field > MAX_FIELD_ORDER or steps > MAX_VERIFY_STEPS:
-        return None
-    index = {v: i for i, v in enumerate(decomposition.variables)}
-    terms = enumerate(decomposition.terms)
-    changed = []
-    for block, (c, m) in enumerate(form.terms):
-        # each number as (order, stored pair), the nodes read off `_roots`
-        order, least, axes = _grid(m, lambda root, field: _roots(field)[::field // root])
-        places = [index[v] for v in m.variables]
-        scale = Fraction(c) / (multinomial(d, m.sorted_exponents) * rank_monomial(m))
-        gammas = [(order, _root_pair(order, k, scale)) for k in range(order)]
-        linear = [(order, _root_pair(order, 0, 0))] * n
-        linear[places[least]] = _roots(order)[0]
-        unchanged = False
-        for point in _walk(axes, linear, places, lambda k, _, shift: k * shift):
-            j, t = next(terms)
-            if t.block != block:
-                return None
-            gamma = gammas[sum(map(itemgetter(2), point)) % order]
-            if (t.gamma.order, t.gamma._ints) == gamma \
-                    and [(x.order, x._ints) for x in t.linear] == linear:
-                unchanged = True
-                continue
-            if 2 * (len(changed) + 1) >= rank:
-                return None
-            changed.append((j, gamma, list(linear), block, places))
-        if not unchanged:
+    changed, unchanged = [], [False] * len(form.terms)
+    for (j, t), (block, places, gamma, linear) in zip(
+            enumerate(decomposition.terms), _closed_form(form, decomposition.variables, _pair)):
+        if t.block != block:
             return None
+        if (t.gamma.order, t.gamma._ints) == gamma \
+                and [(x.order, x._ints) for x in t.linear] == linear:
+            unchanged[block] = True
+        elif 2 * (len(changed) + 1) >= rank:
+            return None
+        else:
+            changed.append((j, gamma, list(linear), block, places))
+    if not all(unchanged):
+        return None
     return tuple((j, _counterpart(*term)) for j, *term in changed)
+
+
+def _is_closed_form_json(form, obj, rank) -> bool:
+    """Whether the parsed JSON `obj` is the closed form of `form` in
+    `decompose --json`'s canonical text: each term, in `_is_closed_form`'s
+    order and with no other key, the JSON object `decompose` writes for it
+    (`_text`), its "point" its linear entries on its block's variables, and
+    every "block" and "order" an int, not `true` or `1.0`, which equal 1 in
+    Python.  Such a file loads to the closed form, for which
+    `_is_closed_form` gives () and every form holds its block's least
+    variable, so it passes `verify`.  False leaves the file to the loader
+    and the number path."""
+    if type(obj) is not dict:
+        return False
+    degree, variables, terms = obj.get("degree"), obj.get("variables"), obj.get("terms")
+    if type(degree) is not int or type(variables) is not list or type(terms) is not list \
+            or not all(type(v) is str for v in variables) \
+            or len(set(variables)) != len(variables) or not set(form.variables) <= set(variables) \
+            or not _comparable(form, degree, len(variables), len(terms), rank):
+        return False
+    for t, (block, places, gamma, linear) in zip(terms, _closed_form(form, variables, _text)):
+        if t != {"block": block, "gamma": gamma, "linear": linear,
+                 "point": [linear[i] for i in places]}:
+            return False
+    # equal, but `true` and `1.0` equal 1 in Python: each block and order must be an int
+    return {type(t["block"]) for t in terms} == {int} == {
+        type(x["order"]) for t in terms for x in (t["gamma"], *t["linear"], *t["point"])}
 
 
 def _counterpart(gamma, linear, block, point) -> DecompositionTerm:

@@ -19,11 +19,17 @@ indentation depth.  Every other object goes through that `json.dumps` call.
 number and each distinct coefficient string once per file: a repeated
 number is found in a per-file memo before its fields are checked again,
 and an error names its field (`terms[j].linear`) only when it is raised.
+A number with at most phi(N) coefficients takes them as its coordinates;
+only a longer one is reduced modulo Phi_N.
 
 A term's "point" repeats its linear form on its block's variables, in the
-block's order (for a degree-1 form, the whole linear form).  `verify` loads
-and type-checks it, but no check reads it, so a file with wrong points
-still PASSes.  A check of it, if one is added, belongs in the verification
+block's order (for a degree-1 form, the whole linear form).  `verify`
+first compares a file with the closed form in `decompose --json`'s
+canonical text, before loading it (`decompose._is_closed_form_json`);
+that comparison reads each point and needs it to equal the term's linear
+entries.  Any other file is loaded here, where a point is only
+type-checked: no check reads it, so a file with wrong points still
+PASSes.  A check of it, if one is added, belongs in the verification
 report as a mismatch, not here as an exit-1 load error.
 """
 
@@ -36,7 +42,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import lcm
 
-from .cyclotomic import CyclotomicNumber, _normalised, fraction_text, reduce_mod_phi
+from .cyclotomic import CyclotomicNumber, _normalised, euler_phi, fraction_text, reduce_mod_phi
 from .decompose import MAX_FIELD_ORDER, DecompositionTerm, PowerSumDecomposition
 from .polynomials import signed_sum
 from .rank import ResourceLimitError
@@ -102,8 +108,10 @@ def cyclo_from_json(obj: dict, where: str = "number", seen=None) -> CyclotomicNu
         try:
             order, coeffs = obj["order"], obj["coeffs"]
             if type(order) is int and type(coeffs) is list:
-                return seen[order, tuple(coeffs)]
-        except (KeyError, TypeError):   # not a repeat, or malformed: checked below
+                number = seen.get((order, tuple(coeffs)))
+                if number is not None:
+                    return number
+        except (KeyError, TypeError):   # malformed, or unhashable coeffs: checked below
             pass
     order = _positive_int(obj, "order", where)
     coeffs = _field(obj, "coeffs", where, list)
@@ -116,8 +124,12 @@ def cyclo_from_json(obj: dict, where: str = "number", seen=None) -> CyclotomicNu
         raise ValueError(f"{where}.coeffs: expected rationals, got "
                          f"{reprlib.repr(coeffs)}") from None
     den = lcm(*(q for _, q in pairs))
-    number = _normalised(order, den, reduce_mod_phi(
-        ((k, p * (den // q)) for k, (p, q) in enumerate(pairs)), order))
+    ints = [p * (den // q) for p, q in pairs]
+    # at most phi(N) coefficients are already the coordinates
+    phi = euler_phi(order)
+    ints = ints + [0] * (phi - len(ints)) if len(ints) <= phi \
+        else reduce_mod_phi(enumerate(ints), order)
+    number = _normalised(order, den, ints)
     if int not in map(type, coeffs):
         seen[order, tuple(coeffs)] = number
     return number

@@ -1,12 +1,23 @@
+import contextlib
+import copy
+import io
 import json
 import re
 import sys
+import tempfile
 import time
+from fractions import Fraction
 from math import comb
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from waring import decompose, serialize
 from waring.cli import main
+from waring.forms import parse_form
 
 
 def run(capsys, *argv):
@@ -956,3 +967,205 @@ def test_input_errors_exit_1_with_their_one_line(capsys, tmp_path, argv, line):
         path.write_text(json.dumps(argv[-1]))
         argv = (*argv[:-1], str(path))
     assert run(capsys, *argv) == (1, "", line + "\n")
+
+
+# -- the closed form recognised by its text --------------------------------------
+
+
+def _captured(*argv):
+    """(exit code, stdout, stderr) of one `main` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _verify(text, obj, text_check=True):
+    """What `verify` prints for the JSON `obj`; with the text check turned
+    off, every file takes the loader and the number path."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work, "dec.json")
+        path.write_text(json.dumps(obj))
+        if text_check:
+            return _captured("verify", text, str(path))
+        with mock.patch.object(decompose, "_is_closed_form_json", return_value=False):
+            return _captured("verify", text, str(path))
+
+
+@st.composite
+def _sum_texts(draw):
+    """A coprime sum as text: degree 1 to 5, one to three blocks of one to
+    four variables of their own, order-1 blocks such as x1^3 included."""
+    d = draw(st.integers(1, 5))
+    names = iter(draw(st.permutations([f"x{i}" for i in range(1, 13)])))
+    text = ""
+    for i in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, min(4, d)))
+        cuts = sorted(draw(st.lists(st.integers(1, d - 1), min_size=k - 1, max_size=k - 1,
+                                    unique=True))) if k > 1 else []
+        exps = [b - a for a, b in zip([0, *cuts], [*cuts, d])]
+        sign = draw(st.sampled_from([" + ", " - "])) if i else ""
+        coefficient = draw(st.sampled_from(["", "2*", "1/3*", "5/4*"]))
+        text += sign + coefficient + "*".join(
+            f"{next(names)}^{e}" if e > 1 else next(names) for e in exps)
+    return text
+
+
+def _number(data, obj):
+    """A drawn number object of a decomposition's JSON: a gamma, a linear
+    entry or a point entry."""
+    t = data.draw(st.sampled_from(obj["terms"]))
+    field = data.draw(st.sampled_from(["gamma", "linear", "point"]))
+    return t["gamma"] if field == "gamma" else data.draw(st.sampled_from(t[field]))
+
+
+def _respell(data, obj):
+    """One coefficient written equal but not as `decompose` writes it."""
+    x = _number(data, obj)
+    i = data.draw(st.integers(0, len(x["coeffs"]) - 1))
+    q = Fraction(x["coeffs"][i])
+    x["coeffs"][i] = data.draw(st.sampled_from(
+        [f"{2 * q.numerator}/{2 * q.denominator}", *(["-0"] * (q == 0)),
+         *([q.numerator] * (q.denominator == 1))]))
+
+
+def _order(data, obj):
+    """One number's order written as a bool or a float."""
+    x = _number(data, obj)
+    x["order"] = data.draw(st.sampled_from([True, 1.0, float(x["order"])]))
+
+
+def _block(data, obj):
+    data.draw(st.sampled_from(obj["terms"]))["block"] = True
+
+
+def _extra_key(data, obj):
+    place = data.draw(st.sampled_from(["top", "term", "number"]))
+    target = {"top": obj, "term": data.draw(st.sampled_from(obj["terms"])),
+              "number": _number(data, obj)}[place]
+    target["note"] = "x"
+
+
+def _permuted(data, obj):
+    """The namespace permuted, each linear form with it: the same
+    decomposition."""
+    order = data.draw(st.permutations(range(len(obj["variables"]))))
+    obj["variables"] = [obj["variables"][i] for i in order]
+    for t in obj["terms"]:
+        t["linear"] = [t["linear"][i] for i in order]
+
+
+def _extra_variable(data, obj):
+    """A variable outside the form, zero in every linear form, in each
+    term's field or in Q."""
+    i = data.draw(st.integers(0, len(obj["variables"])))
+    rational = data.draw(st.booleans())
+    obj["variables"].insert(i, "y0")
+    for t in obj["terms"]:
+        order = 1 if rational else t["gamma"]["order"]
+        t["linear"].insert(i, {"coeffs": ["0"] * (1 if rational else len(t["gamma"]["coeffs"])),
+                               "order": order})
+
+
+def _missing_variable(data, obj):
+    i = data.draw(st.integers(0, len(obj["variables"]) - 1))
+    del obj["variables"][i]
+    for t in obj["terms"]:
+        del t["linear"][i]
+
+
+def _moved_point(data, obj):
+    """One point entry changed away from its linear entry."""
+    x = data.draw(st.sampled_from(data.draw(st.sampled_from(obj["terms"]))["point"]))
+    x["coeffs"][0] = str(Fraction(x["coeffs"][0]) + 1)
+
+
+def _unreadable_point(data, obj):
+    """One point coefficient that the loader refuses."""
+    x = data.draw(st.sampled_from(data.draw(st.sampled_from(obj["terms"]))["point"]))
+    x["coeffs"][0] = data.draw(st.sampled_from(["1e3", "0.5", None]))
+
+
+def _reordered(data, obj):
+    i, j = data.draw(st.lists(st.integers(0, len(obj["terms"]) - 1), min_size=2, max_size=2,
+                              unique=True))
+    obj["terms"][i], obj["terms"][j] = obj["terms"][j], obj["terms"][i]
+
+
+def _changed_gamma(data, obj):
+    x = data.draw(st.sampled_from(obj["terms"]))["gamma"]
+    x["coeffs"][0] = str(Fraction(x["coeffs"][0]) + 1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_sum_texts(), st.data())
+def test_the_text_check_prints_what_the_number_path_prints(text, data):
+    """`verify` passes a file in `decompose --json`'s canonical text of the
+    closed form from its JSON alone, without loading it: the unchanged
+    output of `decompose --json` never reaches `decomposition_from_json`
+    (a degree-1 form is declined).  On it and on every perturbation, equal
+    but non-canonical spellings, a bool or float order (at order 1 too), a
+    bool block, extra keys, a permuted, wider or narrower namespace, a
+    point moved off its linear entry or unreadable, swapped terms and a
+    changed gamma,
+    `verify` prints what it prints with the text check turned off."""
+    form = parse_form(text)
+    code, out, _ = _captured("decompose", text, "--json")
+    assert code == 0
+    canonical = json.loads(out)
+    same = _verify(text, canonical)
+    assert same == _verify(text, canonical, text_check=False) and same[0] == 0
+    if form.degree == 1:
+        assert not decompose._is_closed_form_json(form, canonical, 1)
+    else:
+        with mock.patch.object(serialize, "decomposition_from_json",
+                               side_effect=AssertionError("loaded")):
+            assert _verify(text, canonical) == same
+    perturbations = [_respell, _order, _block, _extra_key, _permuted, _extra_variable,
+                     _missing_variable, _moved_point, _unreadable_point, _changed_gamma]
+    if len(canonical["terms"]) > 1:
+        perturbations.append(_reordered)
+    for perturb in perturbations:
+        obj = copy.deepcopy(canonical)
+        perturb(data, obj)
+        assert _verify(text, obj) == _verify(text, obj, text_check=False), perturb.__name__
+
+
+@pytest.mark.parametrize("field", ["gamma", "linear", "point"])
+@pytest.mark.parametrize("order", [True, 1.0])
+def test_an_order_1_number_with_a_bool_or_float_order_is_refused(capsys, tmp_path, field,
+                                                                 order):
+    """`true == 1` and `1.0 == 1` in Python, so an order is compared by its
+    type as well: x1^3's term has every number in Q, and a bool or float
+    order in any of them is a load error, as it always was."""
+    code, out, _ = run(capsys, "decompose", "x1^3 + x2*x3^2", "--json")
+    data = json.loads(out)
+    term = data["terms"][0]
+    (term["gamma"] if field == "gamma" else term[field][0])["order"] = order
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(data))
+    field = "point" if field == "point" else field
+    assert run(capsys, "verify", "x1^3 + x2*x3^2", str(path)) == (
+        1, "", f"error: terms[0].{field}.order: expected int, got {order!r}\n")
+
+
+@pytest.mark.parametrize("caps, line", [
+    ({decompose: {"MAX_FIELD_ORDER": 4}, serialize: {"MAX_FIELD_ORDER": 4}},
+     "error: terms[0].gamma.order: field order 5 is above the verification cap 4"),
+    ({decompose: {"MAX_FIELD_ORDER": 4}},
+     "error: verifying needs the field Q(zeta_5), above the field order cap 4"),
+    ({decompose: {"MAX_VERIFY_STEPS": 3}},
+     "error: verifying takes 7.0e+00 steps (compositions, class sums and pairs), "
+     "above the step cap 3e+00"),
+], ids=["loader-field", "admit-field", "admit-steps"])
+def test_a_canonical_file_over_a_cap_is_refused(capsys, tmp_path, monkeypatch, caps, line):
+    """The text check declines a file priced past either cap, which then
+    exits 3 with the loader's or `_admit`'s message."""
+    code, out, _ = run(capsys, "decompose", "x1*x2^4", "--json")
+    path = tmp_path / "dec.json"
+    path.write_text(out)
+    for module, values in caps.items():
+        for name, value in values.items():
+            monkeypatch.setattr(module, name, value)
+    assert run(capsys, "verify", "x1*x2^4", str(path)) == (3, "", line + "\n")

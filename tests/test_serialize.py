@@ -80,10 +80,11 @@ def test_pretty_decomposition_mentions_blocks():
 
 
 def test_cyclo_from_json_reads_integer_pairs_in_lowest_terms():
-    # entries out of lowest terms, longer than phi(N), and JSON ints load to
-    # the number the Fraction constructor gives, in its one stored form
+    # entries out of lowest terms, shorter or longer than phi(N), and JSON
+    # ints load to the number the Fraction constructor gives, in its one
+    # stored form
     for order, coeffs in [(12, ["2/4", "-3/6", "0", "5", 7]), (3, ["4/6", "8/12", 2]),
-                          (1, []), (5, ["-10/15"] * 6)]:
+                          (1, []), (5, ["-10/15"] * 6), (7, ["1/2", 0, "-6/4"])]:
         number = cyclo_from_json({"order": order, "coeffs": coeffs})
         expected = CyclotomicNumber(order, [Fraction(c) for c in coeffs])
         assert number == expected
