@@ -18,35 +18,38 @@ i >= 1.  That determines them, because:
 So the unique solution of the square system solves every monomial row.
 Its right-hand side is c * e_a = c * (e_(a_1) x ... x e_(a_n)), so the
 solution is c / mult(a) times the Kronecker product of the solutions y_i
-of V_i y_i = e_(a_i): one (a_i+1)-square solve in Q(zeta_(a_i+1)), whose
-operands all lie in that one field, so its arithmetic skips promotion.
-It runs once per process per exponent a_i and field order N, and its
-lifted solution is cached (`_factors`, `_block_terms`).  A sum of coprime
-monomials is decomposed blockwise and the blocks concatenated.  One walk
-of the grid (`_grid`, `_walk`) builds the terms, lists
-`decomposition_points` and lists the closed form below (`_closed_form`).
+of V_i y_i = e_(a_i).  V_i is a character table, so V_i^-1 is its
+conjugate transpose over a_i + 1: y_i[k] = zeta_(a_i+1)^(-k a_i) / (a_i+1)
+= zeta_N^(k s_i) / (a_i+1), s_i = N / (a_i+1), one weight times a root of
+unity, and the term at k = (k_1, ..., k_n) is c / (mult(d; a) prod_i
+(a_i+1)) * zeta_N^(sum_i k_i s_i) * (x_0 + sum_i zeta_N^(k_i s_i) x_i)^d.
+A sum of coprime monomials is decomposed blockwise.
 
-The solve has a closed form: V_i is a character table, so y_i[k] =
-zeta_(a_i+1)^(-k a_i) / (a_i+1) = zeta_N^(k s_i) / (a_i+1), s_i = N /
-(a_i+1), and the term at k = (k_1, ..., k_n) is
-c / (mult(d; a) prod_i (a_i+1)) * zeta_N^(sum_i k_i s_i) *
-(x_0 + sum_i zeta_N^(k_i s_i) x_i)^d.  Verification first compares a
-decomposition with this closed form (`_is_closed_form`), term for term in
-`decompose_form`'s order and with every number in its block's field,
-building no number.  One that equals the closed form
-expands to the form by the argument above, one block's
+One walk of the grid (`_closed_form`) lists these terms, each number
+rendered by a key, with each axis's factors y_i[k] = w_i zeta_N^(e_i[k])
+given as (exponents, weight).  The checks below take the formula's
+(`_formula`); the builder takes the solve's (`_factors`): V_i y_i = e_(a_i)
+solved exactly in Q(zeta_(a_i+1)), once per process per a_i and N, each
+y_i[k] lifted into Z[t]/(t^N - 1) as a single power, a solution of another
+shape refused.  So builder and checks share the walk, the nodes (read off
+`_roots`, one object per node) and the product of the factors, and differ
+only in the factors.
+
+Verification first compares a decomposition with the closed form
+(`_is_closed_form`), term for term in `decompose_form`'s order and with
+every number in its block's field, building no number.  One that equals
+the closed form expands to the form by the argument above, one block's
 forms are pairwise independent (their points differ and start with 1), and
 its term count is the rank, so it passes without expansion.  The
 comparison is declined past the price `decompose_form` admits, read off
-the exponents (`_grid_price`).  For `decompose`'s output it compares two
-independent derivations, the solve and the formula.  `verify` makes the
-same comparison on a file's parsed JSON first (`_is_closed_form_json`):
-two numbers of one field written in `decompose --json`'s canonical text
-are equal iff their texts are, so a file that writes the closed form in
-that text passes from its JSON, with no number built.  Any other file is
-loaded and compared as numbers.  Both comparisons read one listing of the
-closed form (`_closed_form`), each number rendered as the key it is
-compared by.
+the exponents (`_grid_price`).  For `decompose`'s output it compares the
+two derivations of every factor in every term: a solved exponent or weight
+that differs from the formula's changes a gamma, and the output fails.
+`verify` makes the same comparison on a file's parsed JSON first
+(`_is_closed_form_json`): two numbers of one field written in `decompose
+--json`'s canonical text are equal iff their texts are, so a file that
+writes the closed form in that text passes from its JSON, with no number
+built.  Any other file is loaded and compared as numbers.
 
 A file that differs from the closed form in fewer than half of its terms,
 with an unchanged term left in each block, is checked from those terms and
@@ -73,7 +76,9 @@ p_i = N / gcd(N, its exponents e_i), so their sum at x^b only needs
 P_r = sum_j G_j t^(g_j + <e_j, r>), r = b mod p: an exact identity about
 the input.  Each P_r is reduced modulo Phi_N once, and each monomial costs
 one scaling, or none when P_r is 0 (a grid block has rank(M) classes).
-Terms with any other coordinate add one product per monomial.
+A term with any other coordinate multiplies its gamma's lift by one power
+row per coordinate at each monomial, and is priced by those integer
+products (`_products`).
 
 A mismatch at x^b prints the coefficient in the field of the terms that
 reach x^b, which divides the plan's, from its residual (`_printed`).  Two
@@ -94,7 +99,7 @@ from math import comb, gcd, lcm, log10, prod
 from operator import itemgetter, mod
 
 from .cyclotomic import CyclotomicNumber, _normalised, _root_pair, cyclic_lift, cyclic_mul, \
-    cyclotomic_embed, euler_phi, fraction_text, reduce_mod_phi
+    euler_phi, fraction_text, reduce_mod_phi
 from .forms import CoprimeForm, Monomial, decomposition_field_order
 from .linalg import LinearSystem, solve_exact
 from .polynomials import compositions, monomial_text, multinomial
@@ -110,12 +115,17 @@ from .rank import ResourceLimitError, rank_coprime_sum, rank_monomial
 MAX_SOLVE_COST = 10 ** 8
 
 # Admission cap for verification and `decompose_form`, checked first: the
-# largest N for which they build Q(zeta_N) (0.07 s at 1000, 1.4 s at 5000).
+# largest N for which they build Q(zeta_N) (0.07 s at 1000, 1.4 s at 5000; a
+# one-term file over Q(zeta_1000) verifies in 0.15-0.25 s of command wall time).
 MAX_FIELD_ORDER = 10 ** 3
 
 # Admission cap for verification and `decompose_form`, in steps of up to
-# 12 us (2 vCPUs) counted by `_steps`: x1*...*x9 takes 25,949 and
-# x1*x2^39*x3^39 67,240 (0.8 s); x1*x2^99*x3^99 (2.5e6, 27.6 s) is refused.
+# 12 us (2 vCPUs) counted by `_steps`: the flat check of the closed form of
+# x1*...*x9 takes 25,949, of x1*x2^39*x3^39 67,240 (0.5-0.8 s) and of
+# x1*x2^76*x3^76 890,762 (7.2-7.7 s); x1*x2^99*x3^99 (2.5e6, 27.6 s) is
+# refused.  A general term's composition counts one step more per 50
+# integer products it multiplies: the x1*x2^39*x3^39 grid plus a cancelling
+# pair of dense general terms is priced 569,404 steps and takes 7.3-9.0 s.
 # Past degree 500 a composition counts ceil(d^2 / 500^2) steps: a one-term
 # file for x1^5000*x2^5000 (10,001 compositions, 15 s) is refused at 4.0e6.
 # Large coordinates count too: one for x1^50*x2^50 whose x1 coordinate has
@@ -152,42 +162,42 @@ def _character_table(m: int) -> tuple:
                  for b in range(m))
 
 
+def _formula(a: int, order: int) -> tuple:
+    """The factors y[k] = zeta_N^(k N / (a+1)) / (a+1), k <= a, of an axis
+    x_i^a of a grid over Q(zeta_N), N = order, as the closed form gives
+    them: (the exponents k N / (a+1), the weight 1 / (a+1))."""
+    return tuple(range(0, order, order // (a + 1))), Fraction(1, a + 1)
+
+
 @lru_cache(maxsize=256)
 def _factors(a: int, order: int) -> tuple:
-    """The solution y of V y = e_a, V the character table of the (a+1)-th
-    roots of unity, solved exactly in Q(zeta_(a+1)) and each y[k] lifted
-    into Z[t]/(t^order - 1) over its denominator: a tuple of (lift items,
-    denominator) pairs.  Solved once per process per (a, order); the tuples
-    keep a cached factor from being changed by its callers."""
+    """`_formula`'s factors derived the other way, once per process: the
+    solution y of V y = e_a, V the character table of the (a+1)-th roots of
+    unity, solved exactly in Q(zeta_(a+1)), each y[k] lifted into
+    Z[t]/(t^order - 1) as a single power w t^(e_k): (the exponents e_k, the
+    weight w of y[0]).  Any other y, which cannot occur, raises ValueError."""
     table = _character_table(a + 1)
     # e_a: zeros, then table[0][0] = zeta^0 = 1
     rhs = [CyclotomicNumber.from_rational(0, a + 1)] * a + [table[0][0]]
-    return tuple((tuple(cyclic_lift(y, order, y.denominator).items()), y.denominator)
-                 for y in solve_exact(LinearSystem(table, rhs)))
+    lifts = [(cyclic_lift(y, order, y.denominator), y.denominator)
+             for y in solve_exact(LinearSystem(table, rhs))]
+    weights = {Fraction(q, den) for lift, den in lifts for q in lift.values()}
+    if len(weights) != 1 or any(len(lift) != 1 for lift, _ in lifts):
+        raise ValueError(f"internal error: the gamma solve for the exponent {a} gave "
+                         f"factors that are not one weight times roots of unity")
+    return tuple(e for lift, _ in lifts for e in lift), weights.pop()
 
 
-def _grid(monomial, nodes=None):
-    """The grid of x^a: (N, the position of its least variable, axes), an
-    axis (position, nodes, s_i) per other variable in sorted order: its a_i
-    + 1 nodes zeta_N^(k s_i) are nodes(a_i + 1, N), by default each built
-    once by `cyclotomic_embed`, and s_i = N / (a_i + 1)."""
-    nodes = nodes or (lambda m, order: [cyclotomic_embed(m, k, order) for k in range(m)])
+def _grid(monomial, key):
+    """The grid of x^a over Q(zeta_N), each number rendered by key(N,
+    power, q): (N, the position of its least variable, that variable's
+    coordinate 1, axes), an axis (position, a_i, its a_i + 1 nodes
+    zeta_N^(k s_i), s_i = N / (a_i + 1)) per other variable in sorted
+    order, every number read off `_roots`."""
     exps, order = monomial.exponents, decomposition_field_order(monomial)
+    roots = _roots(key, order)
     least, *rest = sorted(range(monomial.n), key=exps.__getitem__)     # stable: ties by position
-    return order, least, [(i, nodes(exps[i] + 1, order), order // (exps[i] + 1))
-                          for i in rest]
-
-
-def _walk(axes, linear, places, entry=None):
-    """Yield per grid point, k lexicographic (`decompose_form`'s order), its
-    (place, node, entry(k_i, nodes, shift)) per axis, each made once per
-    node, with node k_i put at linear[places[position]]."""
-    rows = [[(places[position], x, entry and entry(k, nodes, shift))
-             for k, x in enumerate(nodes)] for position, nodes, shift in axes]
-    for point in itertools.product(*rows):
-        for i, x, _ in point:
-            linear[i] = x
-        yield point
+    return order, least, roots[0], [(i, exps[i], roots[::order // (exps[i] + 1)]) for i in rest]
 
 
 def decomposition_points(monomial: Monomial):
@@ -196,54 +206,23 @@ def decomposition_points(monomial: Monomial):
     coordinates are aligned to the monomial's input variable order, with 1
     on the least-exponent variable.  The points share one 1 and one list of
     the a_i + 1 roots per non-least variable."""
-    order, _, axes = _grid(monomial)
-    coords = [CyclotomicNumber.from_rational(1, order)] * monomial.n
-    return [tuple(coords) for _ in _walk(axes, coords, range(monomial.n))]
+    return [tuple(linear) for *_, linear in _closed_form(
+        CoprimeForm([(1, monomial)]), monomial.variables, _number)]
 
 
 def solve_gammas(monomial: Monomial, coefficient=Fraction(1)) -> PowerSumDecomposition:
     """Decompose coefficient * M as a sum of rank(M) powers of the grid linear
-    forms (`_block_terms` over the monomial's own variables)."""
-    terms = _block_terms(monomial, coefficient, 0, range(monomial.n), monomial.n)
-    return PowerSumDecomposition(monomial.degree, monomial.variables, terms)
+    forms (`_terms` over the monomial's own variables)."""
+    return PowerSumDecomposition(monomial.degree, monomial.variables, _terms(
+        CoprimeForm([(coefficient, monomial)]), monomial.variables))
 
 
-def _block_terms(monomial, coefficient, block, positions, num_vars):
-    """The terms of block `block`, coefficient * M, with linear forms over
-    `num_vars` variables, M's i-th variable at positions[i]: gamma_k =
-    coefficient / multinomial(d; a) * prod_i y_i[k_i], where V_i y_i =
-    e_(a_i) is solved exactly in Q(zeta_(a_i+1)) against the cached
-    character table V_i, and each y_i[k] lifted into Z[t]/(t^N - 1) over
-    its denominator, once per process per (a_i, N) (`_factors`), so a
-    later block or form with that pair solves nothing.  A gamma is their
-    product over the product of their denominators (for single powers
-    q t^e, the e summed mod N and the q multiplied), normalised once per
-    distinct gamma.  The module docstring explains why these gammas solve
-    the square character system and every other monomial row.
-    """
-    coefficient = Fraction(coefficient)
-    if coefficient == 0:
-        raise ValueError("coefficient must be nonzero")
-    order, least, axes = _grid(monomial)
-    factors = {len(nodes) - 1: _factors(len(nodes) - 1, order) for _, nodes, _ in axes}
-    scale = coefficient / multinomial(monomial.degree, monomial.sorted_exponents)
-    linear = [CyclotomicNumber.from_rational(0, order)] * num_vars
-    linear[positions[least]] = CyclotomicNumber.from_rational(1, order)
-    gammas, terms = {}, []
-    for point in _walk(axes, linear, positions, lambda k, nodes, _: factors[len(nodes) - 1][k]):
-        g, den = ((0, scale.numerator),), scale.denominator
-        for _, _, (lift, e) in point:
-            if len(g) == len(lift) == 1:
-                ((j, q),), ((k, p),) = g, lift
-                g = (((j + k) % order, q * p),)
-            else:
-                g = tuple(cyclic_mul(dict(g), dict(lift), order).items())
-            den *= e
-        if (den, g) not in gammas:
-            gammas[den, g] = _normalised(order, den, reduce_mod_phi(g, order))
-        terms.append(DecompositionTerm(gammas[den, g], tuple(linear), block,
-                                       tuple([linear[i] for i in positions])))
-    return tuple(terms)
+def _terms(form, variables) -> tuple:
+    """The terms of `_closed_form` over `variables` as numbers, each axis's
+    factors taken from the solve (`_factors`)."""
+    return tuple(DecompositionTerm(gamma, tuple(linear), block, tuple([linear[i] for i in places]))
+                 for block, places, gamma, linear in _closed_form(form, variables, _number,
+                                                                  _factors))
 
 
 def decompose_form(form: CoprimeForm) -> PowerSumDecomposition:
@@ -252,12 +231,10 @@ def decompose_form(form: CoprimeForm) -> PowerSumDecomposition:
     ResourceLimitError before it builds anything when the price of verifying
     its output, read off the exponents, or of the solves is above its cap."""
     variables = form.variables
-    index = {v: i for i, v in enumerate(variables)}
     if form.degree == 1:
         # the form is itself a linear form: one d-th power
-        coeffs = {index[m.variables[0]]: c for c, m in form.terms}
-        linear = tuple(CyclotomicNumber.from_rational(coeffs.get(i, 0), 1)
-                       for i in range(len(variables)))
+        coeffs = {m.variables[0]: c for c, m in form.terms}
+        linear = tuple(CyclotomicNumber.from_rational(coeffs.get(v, 0), 1) for v in variables)
         return PowerSumDecomposition(1, variables, (DecompositionTerm(
             gamma=CyclotomicNumber.from_rational(1, 1), linear=linear, block=0, point=linear),))
     _admit("verifying the output", *_grid_price(form, len(variables)))
@@ -268,10 +245,7 @@ def decompose_form(form: CoprimeForm) -> PowerSumDecomposition:
         raise ResourceLimitError(
             f"decomposing {form} needs gamma solves of estimated cost {cost:.1e} "
             f"((a+1)^3 * phi(a+1)^2 per distinct a_i), above the cap {MAX_SOLVE_COST:.0e}")
-    return PowerSumDecomposition(form.degree, variables, tuple(
-        t for block, (coeff, mono) in enumerate(form.terms)
-        for t in _block_terms(mono, coeff, block, [index[v] for v in mono.variables],
-                              len(variables))))
+    return PowerSumDecomposition(form.degree, variables, _terms(form, variables))
 
 
 def _grid_price(form, num_vars):
@@ -482,26 +456,36 @@ def _roots(key, order):
     return tuple(key(order, j, 1) for j in range(order))
 
 
-def _closed_form(form, variables, key):
+def _number(order, power, q):
+    """q * zeta_order^power as the number `decompose` builds for it."""
+    return _normalised(order, *_root_pair(order, power, q))
+
+
+def _closed_form(form, variables, key, factors=_formula):
     """Yield (block, places, gamma, linear) per term of the paper's closed
-    form of `form` over `variables`: in `decompose_form`'s term order and
-    with every number in its block's field Q(zeta_N), per block of c * x^a
-    the rank(x^a) terms c / (mult(d; a) prod_i (a_i + 1)) *
-    zeta_N^(sum_i k_i s_i) * (x_least + sum_i zeta_N^(k_i s_i) x_i)^d,
-    s_i = N / (a_i + 1), over k in range(a_1 + 1) x ... x range(a_n + 1),
-    lexicographically (`_walk`).  Each number is its key(N, power, q), the
-    nodes read off `_roots` and a gamma made the first time its power is
-    met; `linear` is one list, changed in place from term to term, and
-    `places` the positions of the block's variables."""
+    form of `form` over `variables`, in `decompose_form`'s order: per block
+    of c * x^a, over k in range(a_1 + 1) x ... x range(a_n + 1)
+    lexicographically, linear = x_least + sum_i zeta_N^(k_i s_i) x_i (the
+    nodes of `_grid`) and gamma = c / mult(d; a) * prod_i w_i, once per
+    block, times zeta_N^(sum_i e_i[k_i]), (e_i, w_i) = factors(a_i, N).
+    Each number is its key(N, power, q), a gamma made the first time its
+    power is met; `linear` is one list, changed in place from term to term,
+    and `places` the positions of the block's variables."""
     index = {v: i for i, v in enumerate(variables)}
     for block, (c, m) in enumerate(form.terms):
-        order, least, axes = _grid(m, lambda root, field: _roots(key, field)[::field // root])
+        order, least, one, axes = _grid(m, key)
         places = [index[v] for v in m.variables]
-        scale = Fraction(c) / (multinomial(form.degree, m.sorted_exponents) * rank_monomial(m))
+        shapes = [factors(a, order) for _, a, _ in axes]
+        scale = Fraction(c) / multinomial(form.degree, m.sorted_exponents) \
+            * prod(w for _, w in shapes)
+        rows = [[(places[i], x, e) for x, e in zip(nodes, exps)]
+                for (i, _, nodes), (exps, _) in zip(axes, shapes)]
         gammas = {}
         linear = [key(order, 0, 0)] * len(variables)
-        linear[places[least]] = _roots(key, order)[0]
-        for point in _walk(axes, linear, places, lambda k, _, shift: k * shift):
+        linear[places[least]] = one
+        for point in itertools.product(*rows):
+            for i, x, _ in point:
+                linear[i] = x
             k = sum(map(itemgetter(2), point)) % order
             if k not in gammas:
                 gammas[k] = key(order, k, scale)
@@ -598,21 +582,36 @@ def _bounded_text(x) -> str:
 
 def _steps(d, groups, general, blocks, num_vars, width=0, gamma=0) -> int:
     """The verification price: the compositions of d per cyclic group (s, m,
-    p: support size, members, product of the periods) and general term (s),
-    each ceil(b^2 / 8000^2) * ceil(num_vars / 16) steps, as a composition
-    multiplies integers of b = max(d * max(width, 16), gamma) bits, the
-    products cost up to its square (one step up to d = 500 with coordinates
-    of at most 16 bits), and its monomial is a key over all the variables;
-    `width` and `gamma` are the bit lengths of the largest lifted coordinate
-    and gamma.  Then m * min(compositions, p) class sums per group, 40 to a
-    step (about 0.28 us each); min(n k, n (n - 1) / 2) pairs per block of n
-    forms, k of them zero or general."""
+    p: support size, members, product of the periods) and general term (s,
+    P: support size, integer products per composition), each ceil(b^2 /
+    8000^2) * ceil(num_vars / 16) steps, as a composition multiplies
+    integers of b = max(d * max(width, 16), gamma) bits, the products cost
+    up to its square (one step up to d = 500 with coordinates of at most 16
+    bits), and its monomial is a key over all the variables; `width` and
+    `gamma` are the bit lengths of the largest lifted coordinate and gamma;
+    a general one 1 + P // 50 times that (`_products`, 0.24 us a product).
+    Then m * min(compositions, p) class sums per group, 40 to a step (about
+    0.28 us each); min(n k, n (n - 1) / 2) pairs per block of n forms, k of
+    them zero or general."""
     paths = [comb(d + s - 1, d) for s, _, _ in groups]
     sums = sum(m * min(c, p) for c, (_, m, p) in zip(paths, groups))
     bits = max(d * max(width, 16), gamma)
     size = -(-bits * bits // 8000 ** 2) * -(-num_vars // 16)
-    return size * (sum(paths) + sum(comb(d + s - 1, d) for s in general)) \
+    return size * (sum(paths) + sum(comb(d + s - 1, d) * (1 + p // 50) for s, p in general)) \
         + -(-sums // 40) + sum(min(n * k, n * (n - 1) // 2) for n, k in blocks)
+
+
+def _products(order, gamma, bases) -> int:
+    """The integer products a composition of a general term multiplies at
+    most in `_residuals`: its gamma's lift times one power row per
+    coordinate, a row of one power for a single-power coordinate and of at
+    most N = order powers for another, the product having at most N."""
+    size, products = len(gamma), 0
+    for base in bases.values():
+        row = 1 if len(base) == 1 else order
+        products += size * row
+        size = min(order, size * row)
+    return products
 
 
 def _admit(what, field, steps) -> None:
@@ -687,7 +686,7 @@ def _lift(decomposition, target_coeffs) -> _Plan:
                    *(v for *_, bases in general for b in bases.values() for v in b.values())])
     steps = _steps(d, [(len(support), len(members), prod(periods))
                        for _, support, _, members, periods in groups],
-                   [len(bases) for *_, bases in general],
+                   [(len(bases), _products(*term)) for term in general],
                    [(len(js), sum(powers[j] is None for j in js)) for js in blocks.values()],
                    len(decomposition.variables), width,
                    _bits(v for _, g, _ in lifted for v in g.values()))

@@ -191,7 +191,7 @@ def asymptotic_ratio_report(n: int, k_max: int) -> RatioReport:
 # `rank` refuses a larger rank by the same MAX_SURVEY_BITS.
 # The size counts 1 per witness variable and b per integer below 2^b.  On a
 # 2-vCPU VM, `survey 1 --range 1:50000` (the row cap) and `survey 1200 --range
-# 1:1200` (size 4.9 * 10^6) each take 1.0 s of command wall time.
+# 1:1200` (size 4.9 * 10^6) each take 0.7-1.0 s of command wall time: under 2 s.
 MAX_SURVEY_BITS = 14_000
 MAX_SURVEY_ROWS = 5 * 10 ** 4
 MAX_SURVEY_SIZE = 5 * 10 ** 6

@@ -659,77 +659,56 @@ def test_decompose_multiplies_cyclotomic_numbers_only_inside_the_solve(monkeypat
         assert counts[True] > 0 or text == "x1^3", text
 
 
-def test_gammas_combine_any_solved_factors_in_grid_order(monkeypatch):
-    """With `solve_exact` returning arbitrary nonzero vectors y over
-    Q(zeta_(a+1)), whose entries are mostly not a rational times a root of
-    unity (their lifts are not single powers of t), every gamma is still
-    coefficient / multinomial(d; a) * prod_i y_i[k_i], in
-    `decomposition_points` order, for one block and for two."""
-    from waring import decompose
-    from waring.cyclotomic import cyclic_lift
-    rng = random.Random(29)
-    vectors = {}        # root order -> the vector every solve of that size returns
+@pytest.mark.parametrize("wrong", ["rotated", "doubled", "general"])
+def test_the_self_check_catches_a_wrong_solve(monkeypatch, capsys, wrong):
+    """`decompose` builds its terms from the solve's factors and checks them
+    against the closed form's.  With the solution rotated (y[k] ->
+    y[(k+1) mod (a+1)]) or doubled, the two derivations differ, so the
+    command prints the internal-error report and no decomposition; with a
+    solution that is not a root-of-unity power, it refuses before building
+    any term."""
+    from waring.cli import main
 
-    def arbitrary(system):
-        m = len(system.matrix)
-        while m not in vectors or not any(vectors[m]):
-            vectors[m] = [CyclotomicNumber(m, [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-                                               for _ in range(euler_phi(m))])
-                          for _ in range(m)]
-        return vectors[m]
+    def patched(system):
+        y = solve_exact(system)
+        if wrong == "rotated":
+            return y[1:] + y[:1]
+        if wrong == "doubled":
+            return [2 * v for v in y]
+        return [v + 1 for v in y]       # 1 + zeta_3 / 3 is no rational times a root
 
-    def expected(monomial, coefficient):
-        """(gamma, point) per grid point, the k_i over the sorted non-least
-        variables in lexicographic order."""
-        rest = [monomial.variables.index(v) for v, _ in monomial.sorted_items[1:]]
-        scale = Fraction(coefficient) / multinomial(monomial.degree, monomial.exponents)
-        ks = itertools.product(*(range(monomial.exponents[i] + 1) for i in rest))
-        for k, point in zip(ks, decomposition_points(monomial)):
-            gamma = CyclotomicNumber.from_rational(scale)
-            for i, k_i in zip(rest, k):
-                gamma = gamma * vectors[monomial.exponents[i] + 1][k_i]
-            yield gamma, point
-
-    monkeypatch.setattr(decompose, "solve_exact", arbitrary)
-    for text in ("-3/4*x3*x1^2*x2^4", "x1*x2^2*x3^3", "x1^2*x2^2*x3^5"):
-        (coefficient, monomial), = parse_form(text).terms
-        decompose._factors.cache_clear()    # each form solves from a cold cache
-        dec = solve_gammas(monomial, coefficient)
-        pairs = list(expected(monomial, coefficient))
-        assert len(dec.terms) == len(pairs) == rank_monomial(monomial)
-        for t, (gamma, point) in zip(dec.terms, pairs):
-            assert t.gamma.order == decomposition_field_order(monomial)
-            assert t.gamma == gamma and t.point == point, text
-    form = parse_form("2/3*x1*x2^2*x3^3 - 5/2*x4^3*x5^3")
-    decompose._factors.cache_clear()
-    dec = decompose_form(form)
-    pairs = [pair for c, m in form.terms for pair in expected(m, c)]
-    assert [t.block for t in dec.terms] == [0] * 12 + [1] * 4
-    assert [(t.gamma, t.point) for t in dec.terms] == pairs
-    # the general branch ran: some factor's lift is not a single power
-    assert any(len(cyclic_lift(y, m, y.denominator)) > 1 for m, ys in vectors.items() for y in ys)
+    monkeypatch.setattr(decompose, "solve_exact", patched)
+    code = main(["decompose", "x1*x2^2*x3^3 - 2/3*x4^2*x5^4", "--json"])
+    out, err = capsys.readouterr()
+    assert out == ""
+    if wrong == "general":
+        assert code != 0 and err.startswith("error: internal error:")
+    else:
+        assert code == 2
+        assert err.startswith("internal error: produced decomposition failed verification\n")
+        assert "  expansion matches: False\n" in err
 
 
-def test_grid_points_share_one_root_per_variable_and_power(monkeypatch):
-    from waring import decompose
-    built = []
-
-    def recording(root_order, power, field_order):
-        built.append((root_order, power))
-        return cyclotomic_embed(root_order, power, field_order)
-
-    monkeypatch.setattr(decompose, "cyclotomic_embed", recording)
+def test_grid_points_share_one_root_per_variable_and_power():
+    """Every term of a block holds the same number object for its least
+    variable, and one object per node zeta_N^(k s) on each other variable,
+    read off the one list of roots of Q(zeta_N) that a later form of that
+    field reuses."""
     for text in _BUILD_FORMS:
         form = parse_form(text)
-        built.clear()
-        dec = decompose_form(form)
-        assert sorted(built) == sorted((a + 1, k) for m in form.monomials
-                                       for _, a in m.sorted_items[1:] for k in range(a + 1))
+        first, second = decompose_form(form), decompose_form(form)
         for block, (_, m) in enumerate(form.terms):
-            points = [t.point for t in dec.terms if t.block == block]
+            order = decomposition_field_order(m)
+            points = [t.point for t in first.terms if t.block == block]
             for j, (v, a) in enumerate(m.sorted_items):
-                objects = {id(p[m.variables.index(v)]) for p in points}
+                column = [p[m.variables.index(v)] for p in points]
+                objects = {id(x): x for x in column}
                 assert len(objects) == (a + 1 if j else 1), (text, v)
+                roots = a + 1 if j else 1
+                assert set(objects.values()) == {cyclotomic_embed(roots, k, order)
+                                                 for k in range(roots)}
+            again = [t.point for t in second.terms if t.block == block]
+            assert all(x is y for p, q in zip(points, again) for x, y in zip(p, q)), text
 
 
 def test_character_tables_are_shared_tuples_the_solve_leaves_unchanged():
@@ -804,17 +783,20 @@ def test_warm_output_equals_cold_output():
 
 
 def test_cached_factors_are_tuples_of_the_closed_form_lifts():
-    """A cached factor is the tuple of y[k] = zeta_(a+1)^k / (a+1) lifted to
-    single powers t^(k N / (a+1)) over a + 1, of ints and tuples, so no
-    caller can change it; a second call returns the same object."""
+    """A cached factor is the closed form's shape of y[k] = zeta_(a+1)^k /
+    (a+1): the exponents k N / (a+1) of its single-power lifts into
+    Z[t]/(t^N - 1), a tuple of ints, and the weight 1 / (a+1), so no caller
+    can change it; a second call returns the same object."""
     for text in _CACHE_FORMS[-3:-1]:
         decompose_form(parse_form(text))
     misses = decompose._factors.cache_info().misses
     for a, order in ((4, 35), (6, 35), (4, 5), (2, 3)):
         factors = decompose._factors(a, order)
-        assert factors == tuple(((((k * order // (a + 1)), 1),), a + 1) for k in range(a + 1))
-        assert all(isinstance(lift, tuple) and all(type(p) is tuple for p in lift)
-                   and type(den) is int for lift, den in factors)
+        assert factors == (tuple(k * order // (a + 1) for k in range(a + 1)), Fraction(1, a + 1))
+        assert factors == decompose._formula(a, order)
+        exponents, weight = factors
+        assert type(exponents) is tuple and all(type(e) is int for e in exponents)
+        assert type(weight) is Fraction
         assert decompose._factors(a, order) is factors
     assert decompose._factors.cache_info().misses == misses
 

@@ -661,6 +661,47 @@ def test_class_sums_are_priced_before_any_expansion():
     assert time.perf_counter() - start < 1
 
 
+def _with_a_cancelling_general_pair(e):
+    """The closed-form grid of x1*x2^e*x3^e plus the terms g * (g L_5)^d and
+    -g * (g L_5)^d, g a general number of Q(zeta_(e+1)): the expansion still
+    matches, and both added terms are general."""
+    dec = _grid(e)
+    g = CyclotomicNumber(e + 1, [Fraction((-1) ** i * (i % 9 + 1), i % 5 + 1)
+                                 for i in range(euler_phi(e + 1))])
+    linear = tuple(g * c for c in dec.terms[5].linear)
+    return dataclasses.replace(dec, terms=dec.terms + (_term(g, linear), _term(-g, linear)))
+
+
+def test_a_general_term_is_priced_by_the_products_it_multiplies(monkeypatch):
+    """Each composition of a general term multiplies its gamma's lift by one
+    power row per coordinate (`decompose._products`).  With x1*x2^39*x3^39
+    (d = 79, Q(zeta_40)), a 16-entry gamma lift times three rows of up to
+    40 powers is at most 16 * 40 + 2 * 40 * 40 = 3,840 products, so each of
+    the pair's 2 * C(81, 2) = 6,480 compositions counts 1 + 3840 // 50 = 77
+    steps.  The file is priced 569,404 steps, 6.8 s at the cap's 12 us a
+    step, and took 7.3-9.0 s to verify on a 2-vCPU VM: within twice its
+    run.  On the smaller x1*x2^12*x3^12, the products the check multiplies
+    stay under that bound."""
+    form, dec = parse_form("x1*x2^39*x3^39"), _with_a_cancelling_general_pair(39)
+    plan = decompose._lift(dec, [Fraction(1)])
+    assert [decompose._products(*term) for term in plan.general] == [3840, 3840]
+    assert plan.steps == 67240 + 2 * 3240 * 77 + 2 * 1602 == 569404
+    assert 7.3 / 2 <= plan.steps * 12e-6 <= 9.0 * 2
+    assert plan.steps <= decompose.MAX_VERIFY_STEPS
+    form, dec = parse_form("x1*x2^12*x3^12"), _with_a_cancelling_general_pair(12)
+    plan = decompose._lift(dec, [Fraction(1)])
+    counted, multiply = [0], decompose.cyclic_mul
+
+    def counting(a, b, order):
+        counted[0] += len(a) * len(b)
+        return multiply(a, b, order)
+
+    monkeypatch.setattr(decompose, "cyclic_mul", counting)
+    report = verify_decomposition(form, dec)
+    assert report.expansion_matches and not report.term_count_matches
+    assert 0 < counted[0] <= sum(decompose._products(*term) for term in plan.general) * 351
+
+
 def test_the_closed_form_of_a_large_grid_passes_without_expansion(monkeypatch):
     """The closed-form file of x1*x2^76*x3^76 (5,929 terms in Q(zeta_77),
     priced 890,762 steps, under the cap) is the paper's closed form, so it
