@@ -103,10 +103,19 @@ def cmd_verify(args) -> int:
         except RecursionError:
             raise ValueError(f"{args.decomposition}: JSON nested too deeply") from None
     expected = rank.rank_coprime_sum(form)
-    if decompose._is_closed_form_json(form, obj, expected):
+    changed = decompose._is_closed_form_json(form, obj, expected)
+    if changed == ():
         # the closed form in decompose's canonical text: no number is built
         report, least = decompose.VerificationReport(True, (), True, None, expected,
                                                      expected), True
+    elif changed:
+        # near-closed: only the differing terms are loaded, and every other
+        # term holds its block's least variable
+        dec = serialize.decomposition_from_json(obj, [j for j, _ in changed])
+        report = decompose.verify_decomposition(form, dec, changed)
+        index = {v: i for i, v in enumerate(dec.variables)}
+        least = all(dec.terms[j].linear[index[form.terms[t.block][1].least_variable]]
+                    for j, t in changed)
     else:
         dec = serialize.decomposition_from_json(obj)
         decompose.check_blocks(form, dec)

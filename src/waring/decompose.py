@@ -49,7 +49,8 @@ that differs from the formula's changes a gamma, and the output fails.
 (`_is_closed_form_json`): two numbers of one field written in `decompose
 --json`'s canonical text are equal iff their texts are, so a file that
 writes the closed form in that text passes from its JSON, with no number
-built.  Any other file is loaded and compared as numbers.
+built, and one that differs from it in a few terms loads those alone.
+Any other file is loaded and compared as numbers.
 
 A file that differs from the closed form in fewer than half of its terms,
 with an unchanged term left in each block, is checked from those terms and
@@ -287,8 +288,8 @@ class VerificationReport:
             and self.term_count_matches
 
 
-def verify_decomposition(form: CoprimeForm,
-                         decomposition: PowerSumDecomposition) -> VerificationReport:
+def verify_decomposition(form: CoprimeForm, decomposition: PowerSumDecomposition,
+                         changed=None) -> VerificationReport:
     """Exactly expand the decomposition and diff it against the form; also
     check pairwise linear independence within each block and the term count
     against the closed-form rank.  Failures are report entries, not errors.
@@ -297,12 +298,16 @@ def verify_decomposition(form: CoprimeForm,
     PASS; one that differs from it in a few terms is checked from those
     terms and their counterparts alone (`_near_closed_check`), with the
     same report; any other runs in Z[t]/(t^N - 1), as the module docstring
-    explains."""
+    explains.  `verify` passes a file's differing terms as `changed`, found
+    from its JSON (`_is_closed_form_json`), with a decomposition that has
+    loaded only those terms (`serialize.decomposition_from_json`), so that
+    neither `_is_closed_form` nor the term-length check reads the rest; the
+    flat check, if the near-closed one is over the step cap, loads it."""
     d = decomposition.degree
     variables = decomposition.variables
     if d < 1:
         raise ValueError("exponent d must be positive")
-    if any(len(t.linear) != len(variables) for t in decomposition.terms):
+    if changed is None and any(len(t.linear) != len(variables) for t in decomposition.terms):
         raise ValueError("variable count mismatch")
     index = {v: i for i, v in enumerate(variables)}
     target = {}
@@ -318,7 +323,8 @@ def verify_decomposition(form: CoprimeForm,
         target[tuple(exps)] = c
 
     rank = rank_coprime_sum(form)
-    changed = _is_closed_form(form, decomposition, rank)
+    if changed is None:
+        changed = _is_closed_form(form, decomposition, rank)
     if changed == ():
         return VerificationReport(True, (), True, None, rank, rank)
     # a falsy `changed` other than () declines the comparison
@@ -442,11 +448,20 @@ def _pair(order, power, q):
     return order, _root_pair(order, power, q)
 
 
+class _Text(dict):
+    """The JSON object `decompose --json` writes for a number, which also
+    holds the number's `_pair` key, from which `_counterpart` builds it."""
+    __slots__ = ("pair",)
+
+
 def _text(order, power, q):
     """q * zeta_order^power as the JSON object `decompose --json` writes for
-    it: the key a number of a file is compared by."""
+    it: the key a number of a file is compared by.  Most coordinates of a
+    root are 0, written "0" whatever the denominator."""
     den, ints = _root_pair(order, power, q)
-    return {"coeffs": [fraction_text(v, den) for v in ints], "order": order}
+    text = _Text(coeffs=[fraction_text(v, den) if v else "0" for v in ints], order=order)
+    text.pair = order, (den, ints)
+    return text
 
 
 @lru_cache(maxsize=128)
@@ -476,8 +491,10 @@ def _closed_form(form, variables, key, factors=_formula):
         order, least, one, axes = _grid(m, key)
         places = [index[v] for v in m.variables]
         shapes = [factors(a, order) for _, a, _ in axes]
-        scale = Fraction(c) / multinomial(form.degree, m.sorted_exponents) \
-            * prod(w for _, w in shapes)
+        # c / mult(d; a) * prod_i w_i, built from integers as one Fraction
+        scale = Fraction(c.numerator * prod(w.numerator for _, w in shapes),
+                         c.denominator * prod(w.denominator for _, w in shapes)
+                         * multinomial(form.degree, m.sorted_exponents))
         rows = [[(places[i], x, e) for x, e in zip(nodes, exps)]
                 for (i, _, nodes), (exps, _) in zip(axes, shapes)]
         gammas = {}
@@ -513,52 +530,76 @@ def _is_closed_form(form, decomposition, rank):
     docstring proves that the closed form expands to the form, so () means
     a PASS.  None when the comparison is declined (`_comparable`); when a
     term names another block; when half of the terms or more differ; or
-    when every term of a block differs."""
+    when every term of a block differs.  It serves decompositions handed
+    over as numbers, `decompose`'s output and the library's callers: for a
+    file, `verify` reads the same from its JSON (`_is_closed_form_json`)."""
     if not _comparable(form, decomposition.degree, len(decomposition.variables),
                        len(decomposition.terms), rank):
         return None
-    changed, unchanged = [], [False] * len(form.terms)
+    changed = []
     for (j, t), (block, places, gamma, linear) in zip(
             enumerate(decomposition.terms), _closed_form(form, decomposition.variables, _pair)):
         if t.block != block:
             return None
-        if (t.gamma.order, t.gamma._ints) == gamma \
-                and [(x.order, x._ints) for x in t.linear] == linear:
-            unchanged[block] = True
-        elif 2 * (len(changed) + 1) >= rank:
-            return None
-        else:
+        if (t.gamma.order, t.gamma._ints) != gamma \
+                or [(x.order, x._ints) for x in t.linear] != linear:
+            if 2 * (len(changed) + 1) >= rank:
+                return None
             changed.append((j, gamma, list(linear), block, places))
-    if not all(unchanged):
-        return None
-    return tuple((j, _counterpart(*term)) for j, *term in changed)
+    return _differences(form, changed)
 
 
-def _is_closed_form_json(form, obj, rank) -> bool:
-    """Whether the parsed JSON `obj` is the closed form of `form` in
-    `decompose --json`'s canonical text: each term, in `_is_closed_form`'s
-    order and with no other key, the JSON object `decompose` writes for it
-    (`_text`), its "point" its linear entries on its block's variables, and
-    every "block" and "order" an int, not `true` or `1.0`, which equal 1 in
-    Python.  Such a file loads to the closed form, for which
-    `_is_closed_form` gives () and every form holds its block's least
-    variable, so it passes `verify`.  False leaves the file to the loader
-    and the number path."""
+def _is_closed_form_json(form, obj, rank):
+    """`_is_closed_form` of the parsed JSON `obj`, read in `decompose
+    --json`'s canonical text: the terms that differ from the closed form of
+    `form`, as (position, closed-form term) pairs, or None.  A term is
+    unchanged when it is, in `_is_closed_form`'s order and with no other
+    key, the JSON object `decompose` writes for it (`_text`), its "point"
+    its linear entries on its block's variables, and its "block" and every
+    "order" are ints, not `true` or `1.0`, which equal 1 in Python, or the
+    comparison is declined.  Such a term loads to its closed-form term,
+    which holds its block's least variable, so () passes `verify`, and a
+    file that differs is loaded at its differing terms alone; an equal
+    number written otherwise makes its term differ, and it is checked
+    against its equal counterpart.  None, when declined as `_is_closed_form`
+    declines or when the namespace misses a variable of the form, leaves
+    the whole file to the loader and the number path."""
     if type(obj) is not dict:
-        return False
+        return None
     degree, variables, terms = obj.get("degree"), obj.get("variables"), obj.get("terms")
     if type(degree) is not int or type(variables) is not list or type(terms) is not list \
             or not all(type(v) is str for v in variables) \
             or len(set(variables)) != len(variables) or not set(form.variables) <= set(variables) \
             or not _comparable(form, degree, len(variables), len(terms), rank):
-        return False
-    for t, (block, places, gamma, linear) in zip(terms, _closed_form(form, variables, _text)):
+        return None
+    changed = []
+    for j, t, (block, places, gamma, linear) in zip(itertools.count(), terms,
+                                                     _closed_form(form, variables, _text)):
         if t != {"block": block, "gamma": gamma, "linear": linear,
                  "point": [linear[i] for i in places]}:
-            return False
-    # equal, but `true` and `1.0` equal 1 in Python: each block and order must be an int
-    return {type(t["block"]) for t in terms} == {int} == {
-        type(x["order"]) for t in terms for x in (t["gamma"], *t["linear"], *t["point"])}
+            if type(t) is not dict or t.get("block") != block or 2 * (len(changed) + 1) >= rank:
+                return None
+            changed.append((j, gamma.pair, [x.pair for x in linear], block, places))
+    positions = {j for j, *_ in changed}
+    same = [t for j, t in enumerate(terms) if j not in positions] if changed else terms
+    # equal, but `true` and `1.0` equal 1 in Python: each block and each
+    # unchanged term's orders must be ints (the loader checks a changed term's)
+    if {type(t["block"]) for t in terms} == {int} == {
+            type(x["order"]) for t in same for x in (t["gamma"], *t["linear"], *t["point"])}:
+        return _differences(form, changed)
+    return None
+
+
+def _differences(form, changed):
+    """The (position, closed-form term) pairs of the differing terms
+    `changed`, each (position, gamma key, linear keys, block, places) of
+    `_closed_form` with `_pair`'s keys, or None when every term of a block
+    differs."""
+    blocks = [block for *_, block, _ in changed]
+    if any(blocks.count(b) == rank_monomial(m) for b, (_, m) in enumerate(form.terms)
+           if b in blocks):
+        return None
+    return tuple((j, _counterpart(*term)) for j, *term in changed)
 
 
 def _counterpart(gamma, linear, block, point) -> DecompositionTerm:

@@ -27,10 +27,12 @@ block's order (for a degree-1 form, the whole linear form).  `verify`
 first compares a file with the closed form in `decompose --json`'s
 canonical text, before loading it (`decompose._is_closed_form_json`);
 that comparison reads each point and needs it to equal the term's linear
-entries.  Any other file is loaded here, where a point is only
-type-checked: no check reads it, so a file with wrong points still
-PASSes.  A check of it, if one is added, belongs in the verification
-report as a mismatch, not here as an exit-1 load error.
+entries.  A file that differs from that text in a few terms is loaded here
+at those terms alone, each by the reader that loads every term of any
+other file (`term_from_json`), with the same checks and messages.  A
+loaded point is only type-checked: no check reads it, so a file with
+wrong points still PASSes.  A check of it, if one is added, belongs in
+the verification report as a mismatch, not here as an exit-1 load error.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import json
 import re
 import reprlib
+from collections.abc import Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import lcm
@@ -139,34 +142,65 @@ def decomposition_to_json(d: PowerSumDecomposition) -> dict:
     return json.loads(dumps(d))
 
 
-def decomposition_from_json(obj: dict) -> PowerSumDecomposition:
+def decomposition_from_json(obj: dict, positions=None) -> PowerSumDecomposition:
     """Load a decomposition, validating the schema first: a malformed file
     raises a ValueError that names the offending field.  Each distinct
-    number and coefficient string is parsed once per file."""
+    number and coefficient string is parsed once per file.  `positions`,
+    ascending, are where `decompose._is_closed_form_json` found the file to
+    differ from the closed form: then only the terms there are read after
+    the top-level checks, in file order, which raises the first error a
+    full load would, as every other term equals the canonical text and is
+    valid.  Reading any other term loads the whole file (`_Terms`)."""
     degree = _positive_int(obj, "degree", "decomposition")
     variables = _field(obj, "variables", "decomposition", list)
     if not all(type(v) is str for v in variables):
         raise ValueError("decomposition.variables: expected a list of names")
     if len(set(variables)) != len(variables):
         raise ValueError(f"decomposition.variables: repeated name in {variables}")
-    n = len(variables)
-    terms, seen = [], {"0": (0, 1)}
-    for j, t in enumerate(_field(obj, "terms", "decomposition", list)):
-        try:        # the messages name fields relative to the term
-            gamma = cyclo_from_json(_field(t, "gamma", ""), ".gamma", seen)
-            linear = _field(t, "linear", "", list)
-            if len(linear) != n:
-                raise ValueError(f".linear: expected {n} entries, one per variable, "
-                                 f"got {len(linear)}")
-            terms.append(DecompositionTerm(
-                gamma=gamma,
-                linear=tuple([cyclo_from_json(c, ".linear", seen) for c in linear]),
-                block=_field(t, "block", "", int),
-                point=tuple([cyclo_from_json(c, ".point", seen)
-                             for c in _field(t, "point", "", list)])))
-        except (ValueError, ResourceLimitError) as exc:
-            raise type(exc)(f"terms[{j}]{exc}") from None
-    return PowerSumDecomposition(degree, tuple(variables), tuple(terms))
+    items, n, seen = _field(obj, "terms", "decomposition", list), len(variables), {"0": (0, 1)}
+    if positions is None:
+        terms = tuple([term_from_json(t, j, n, seen) for j, t in enumerate(items)])
+    else:
+        terms = _Terms(obj, {j: term_from_json(items[j], j, n, seen) for j in positions})
+    return PowerSumDecomposition(degree, tuple(variables), terms)
+
+
+class _Terms(Sequence):
+    """A file's terms: those read up front by position, and every term,
+    through `decomposition_from_json`, once another one is read."""
+
+    def __init__(self, obj, loaded):
+        self._obj, self._loaded, self._all = obj, loaded, None
+
+    def __len__(self):
+        return len(self._obj["terms"])
+
+    def __getitem__(self, j):
+        if j in self._loaded:
+            return self._loaded[j]
+        if self._all is None:
+            self._all = decomposition_from_json(self._obj).terms
+        return self._all[j]
+
+
+def term_from_json(t, j, n, seen) -> DecompositionTerm:
+    """Load term j of a decomposition over n variables, with the per-file
+    memo `seen` of `cyclo_from_json`; an error names its field from
+    `terms[j]`."""
+    try:        # the messages name fields relative to the term
+        gamma = cyclo_from_json(_field(t, "gamma", ""), ".gamma", seen)
+        linear = _field(t, "linear", "", list)
+        if len(linear) != n:
+            raise ValueError(f".linear: expected {n} entries, one per variable, "
+                             f"got {len(linear)}")
+        return DecompositionTerm(
+            gamma=gamma,
+            linear=tuple([cyclo_from_json(c, ".linear", seen) for c in linear]),
+            block=_field(t, "block", "", int),
+            point=tuple([cyclo_from_json(c, ".point", seen)
+                         for c in _field(t, "point", "", list)]))
+    except (ValueError, ResourceLimitError) as exc:
+        raise type(exc)(f"terms[{j}]{exc}") from None
 
 
 def dumps(obj) -> str:

@@ -1132,6 +1132,146 @@ def test_the_text_check_prints_what_the_number_path_prints(text, data):
         assert _verify(text, obj) == _verify(text, obj, text_check=False), perturb.__name__
 
 
+def _terms_changed(data, obj, count):
+    """`count` distinct terms (at most all), each with its gamma or one
+    linear coordinate changed."""
+    count = min(count, len(obj["terms"]))
+    for j in data.draw(st.lists(st.integers(0, len(obj["terms"]) - 1), min_size=count,
+                                max_size=count, unique=True)):
+        t = obj["terms"][j]
+        x = data.draw(st.sampled_from([t["gamma"], *t["linear"]]))
+        x["coeffs"][0] = str(Fraction(x["coeffs"][0]) + 1)
+
+
+def _one_changed_coordinate(data, obj):
+    t = data.draw(st.sampled_from(obj["terms"]))
+    x = data.draw(st.sampled_from(t["linear"]))
+    x["coeffs"][0] = str(Fraction(x["coeffs"][0]) - 1)
+
+
+def _changed_across_blocks(data, obj):
+    _terms_changed(data, obj, data.draw(st.integers(2, 3)))
+
+
+def _malformed_changed_term(data, obj):
+    """One term changed so that the loader refuses it."""
+    t = data.draw(st.sampled_from(obj["terms"]))
+    how = data.draw(st.sampled_from(["exponent", "length", "block"]))
+    if how == "exponent":
+        t["gamma"]["coeffs"][0] = "1e3"
+    elif how == "length":
+        t["linear"].append(t["linear"][0])
+    else:
+        t["block"] = str(t["block"])
+
+
+def _int_order_written_otherwise(data, obj):
+    """A number's order written `true` or `1.0` (at order 1) or as a float,
+    equal in Python, next to one changed term."""
+    x = _number(data, obj)
+    x["order"] = data.draw(st.sampled_from([True, 1.0] if x["order"] == 1
+                                           else [float(x["order"])]))
+    _terms_changed(data, obj, 1)
+
+
+def _respelled_near_closed(data, obj):
+    _respell(data, obj)
+    _terms_changed(data, obj, 1)
+
+
+def _half_changed(data, obj):
+    _terms_changed(data, obj, -(-len(obj["terms"]) // 2))
+
+
+def _another_block(data, obj):
+    t = data.draw(st.sampled_from(obj["terms"]))
+    t["block"] = data.draw(st.sampled_from(
+        [b for b in range(len(obj["terms"]) + 1) if b != t["block"]]))
+    _terms_changed(data, obj, data.draw(st.integers(0, 1)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_sum_texts(), st.data())
+def test_a_near_closed_file_prints_what_the_full_load_prints(text, data):
+    """A file that differs from `decompose --json`'s canonical text of the
+    closed form in a few terms is loaded at those terms alone and checked
+    from them (`_is_closed_form_json` gives them); one that differs in half
+    of its terms or more, in every term of a block, or in a term's block is
+    declined.  On one changed gamma or coordinate, two or three changed
+    terms, a changed term the loader refuses, an order written `true`,
+    `1.0` or as a float next to a changed term, an equal respelling next to
+    a changed term, half of the terms changed and a term moved to another
+    block, `verify` prints what it prints when every file is loaded."""
+    code, out, _ = _captured("decompose", text, "--json")
+    assert code == 0
+    canonical = json.loads(out)
+    for perturb in [_changed_gamma, _one_changed_coordinate, _changed_across_blocks,
+                    _malformed_changed_term, _int_order_written_otherwise,
+                    _respelled_near_closed, _half_changed, _another_block]:
+        obj = copy.deepcopy(canonical)
+        perturb(data, obj)
+        assert _verify(text, obj) == _verify(text, obj, text_check=False), perturb.__name__
+
+
+def _near_closed_file(text, positions, work):
+    """`decompose --json` of `text` with the gammas at `positions` changed,
+    written to a file in `work`: (path, the changed JSON)."""
+    code, out, _ = _captured("decompose", text, "--json")
+    obj = json.loads(out)
+    for j in positions:
+        coeffs = obj["terms"][j]["gamma"]["coeffs"]
+        coeffs[-1] = str(Fraction(coeffs[-1]) + 3)
+    path = Path(work, "near.json")
+    path.write_text(json.dumps(obj))
+    return path, obj
+
+
+@pytest.mark.parametrize("text, positions", [
+    ("x1*x2^4*x3^6", [3]),
+    ("x1*x2^4*x3^6 + 2*x4^5*x5^6", [0, 40]),
+    ("x1*x2*x3*x4 + 1/3*x5^4", [1, 6, 7]),
+])
+def test_a_near_closed_file_is_walked_once_and_loaded_at_its_changed_terms(
+        tmp_path, text, positions):
+    """The JSON walk of the closed form finds the `k` changed terms, and
+    `verify` loads those alone: the loader is asked for them by position,
+    and its per-term reader runs `k` times.  The closed form is walked
+    once, the comparison of numbers never runs, and `verify` prints what
+    the full load prints."""
+    path, obj = _near_closed_file(text, positions, tmp_path)
+    expected = _verify(text, obj, text_check=False)
+    assert expected[0] == 2
+    load = mock.Mock(wraps=serialize.decomposition_from_json)
+    reader = mock.Mock(wraps=serialize.term_from_json)
+    walk = mock.Mock(wraps=decompose._closed_form)
+    numbers = mock.patch.object(decompose, "_is_closed_form",
+                                side_effect=AssertionError("compared as numbers"))
+    with mock.patch.object(serialize, "decomposition_from_json", load), numbers, \
+            mock.patch.object(serialize, "term_from_json", reader), \
+            mock.patch.object(decompose, "_closed_form", walk):
+        assert _captured("verify", text, str(path)) == expected
+    assert [c.args[1:] for c in load.call_args_list] == [(positions,)]
+    assert [c.args[1] for c in reader.call_args_list] == positions
+    assert walk.call_count == 1
+
+
+def test_a_near_closed_file_over_the_step_cap_is_loaded_whole(tmp_path, monkeypatch):
+    """A changed term whose 2k-term plan is over the step cap sends the file
+    to the full load and the flat check's price, as when it is declined:
+    the loader reads the changed term, then the whole file."""
+    path, obj = _near_closed_file("x1*x2^4*x3^6", [], tmp_path)
+    obj["terms"][3]["linear"][0]["coeffs"][0] = "1" + "0" * 2000
+    path.write_text(json.dumps(obj))
+    monkeypatch.setattr(decompose, "MAX_VERIFY_STEPS", 5000)
+    expected = _verify("x1*x2^4*x3^6", obj, text_check=False)
+    assert expected[0] == 3 and "above the step cap" in expected[2]
+    load = mock.Mock(wraps=serialize.decomposition_from_json)
+    with mock.patch.object(serialize, "decomposition_from_json", load):
+        assert _captured("verify", "x1*x2^4*x3^6", str(path)) == expected
+    assert [c.args[1:] for c in load.call_args_list] == [([3],), ()]
+
+
 @pytest.mark.parametrize("field", ["gamma", "linear", "point"])
 @pytest.mark.parametrize("order", [True, 1.0])
 def test_an_order_1_number_with_a_bool_or_float_order_is_refused(capsys, tmp_path, field,
