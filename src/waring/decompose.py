@@ -99,8 +99,8 @@ from functools import lru_cache
 from math import comb, gcd, lcm, log10, prod
 from operator import itemgetter, mod
 
-from .cyclotomic import CyclotomicNumber, _normalised, _root_pair, cyclic_lift, cyclic_mul, \
-    euler_phi, fraction_text, reduce_mod_phi
+from .cyclotomic import CyclotomicNumber, _normalised, _power_table, _root_pair, cyclic_lift, \
+    cyclic_mul, euler_phi, fraction_text, reduce_mod_phi
 from .forms import CoprimeForm, Monomial, decomposition_field_order
 from .linalg import LinearSystem, solve_exact
 from .polynomials import compositions, monomial_text, multinomial
@@ -450,17 +450,23 @@ def _pair(order, power, q):
 
 class _Text(dict):
     """The JSON object `decompose --json` writes for a number, which also
-    holds the number's `_pair` key, from which `_counterpart` builds it."""
-    __slots__ = ("pair",)
+    holds the number's (order, power, q): its `_pair` key, from which
+    `_counterpart` builds it, is read off them when asked for."""
+    __slots__ = ("key",)
+
+    @property
+    def pair(self):
+        return _pair(*self.key)
 
 
 def _text(order, power, q):
     """q * zeta_order^power as the JSON object `decompose --json` writes for
-    it: the key a number of a file is compared by.  Most coordinates of a
-    root are 0, written "0" whatever the denominator."""
-    den, ints = _root_pair(order, power, q)
-    text = _Text(coeffs=[fraction_text(v, den) if v else "0" for v in ints], order=order)
-    text.pair = order, (den, ints)
+    it, read off the power table: the key a number of a file is compared
+    by.  Most coordinates of a root are 0, written "0" whatever q is."""
+    n, d = q.numerator, q.denominator
+    text = _Text(coeffs=[fraction_text(n * r, d) if r else "0"
+                         for r in _power_table(order)[power % order]], order=order)
+    text.key = order, power, q
     return text
 
 
