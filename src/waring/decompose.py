@@ -27,13 +27,16 @@ A sum of coprime monomials is decomposed blockwise.
 
 One walk of the grid (`_closed_form`) lists these terms, each number
 rendered by a key, with each axis's factors y_i[k] = w_i zeta_N^(e_i[k])
-given as (exponents, weight).  The checks below take the formula's
-(`_formula`); the builder takes the solve's (`_factors`): V_i y_i = e_(a_i)
-solved exactly in Q(zeta_(a_i+1)), once per process per a_i and N, each
-y_i[k] lifted into Z[t]/(t^N - 1) as a single power, a solution of another
-shape refused.  So builder and checks share the walk, the nodes (read off
-`_roots`, one object per node) and the product of the factors, and differ
-only in the factors.
+read off the formula (`_formula`) as (exponents, weight).  `decompose`
+builds its terms from that walk and every check below reads it, so they
+share the nodes (read off `_roots`, one object per node), the factors and
+their product.  The solve is the formula's second derivation, compared
+with it once per process per exponent a_i, before any term is built
+(`_check_solve`): V_i y_i = e_(a_i) solved exactly in Q(zeta_(a_i+1))
+must give zeta_(a_i+1)^k / (a_i+1), and a disagreement is an internal
+error.  As zeta_(a_i+1) = zeta_N^(s_i), that one comparison holds for the
+exponent's axes in every field Q(zeta_N), and `decompose` prints its terms
+without walking them again.
 
 Verification first compares a decomposition with the closed form
 (`_is_closed_form`), term for term in `decompose_form`'s order and with
@@ -42,21 +45,19 @@ the closed form expands to the form by the argument above, one block's
 forms are pairwise independent (their points differ and start with 1), and
 its term count is the rank, so it passes without expansion.  The
 comparison is declined past the price `decompose_form` admits, read off
-the exponents (`_grid_price`).  For `decompose`'s output it compares the
-two derivations of every factor in every term: a solved exponent or weight
-that differs from the formula's changes a gamma, and the output fails.
-`verify` makes the same comparison on a file's parsed JSON first
-(`_is_closed_form_json`): two numbers of one field written in `decompose
---json`'s canonical text are equal iff their texts are, so a file that
-writes the closed form in that text passes from its JSON, with no number
-built, and one that differs from it in a few terms loads those alone.
-Any other file is loaded and compared as numbers.
+the exponents (`_grid_price`).  `verify` makes the same comparison on a
+file's parsed JSON first (`_is_closed_form_json`): two numbers of one
+field written in `decompose --json`'s canonical text are equal iff their
+texts are, so a file that writes the closed form in that text passes from
+its JSON, with no number built, and one that differs from it in a few
+terms loads those alone.  Any other file is loaded and compared as
+numbers.
 
 A file that differs from the closed form in fewer than half of its terms,
 with an unchanged term left in each block, is checked from those terms and
 their closed-form counterparts alone (`_near_closed_check`), with the flat
-check's report.  Anything else, a file or an output alike, is expanded as
-below, which builds the report.
+check's report.  Anything else is expanded as below, which builds the
+report.
 
 Verification expands sum gamma_j L_j^d with integer coefficients in
 Z[t]/(t^N - 1) over one common denominator, reading one plan (`_lift`):
@@ -108,11 +109,12 @@ from .rank import ResourceLimitError, rank_coprime_sum, rank_monomial
 
 # Admission cap for `decompose_form`: (a+1)^3 * phi(a+1)^2 per block and
 # distinct exponent a but the least, for the solve over Q(zeta_(a+1)) that
-# runs when the factor cache is cold; a warm `_factors` entry skips it, but
-# the price and the refusal read only the exponents, so they do not depend
-# on what ran before.  On a 2-vCPU VM `waring decompose x1*x2^36` (6.6e7)
-# takes 1.1-1.2 s of command wall time, and `solve_gammas` of x1*x2^60
-# (8.2e8) 15 s.
+# checks the formula (`_check_solve`) when a has not been checked in this
+# process; a block whose exponent is already checked, in this form or an
+# earlier one, runs no solve, but the price and the refusal read only the
+# exponents, so they do not depend on what ran before.  On a 2-vCPU VM
+# `waring decompose x1*x2^36` (6.6e7) takes 1.1-1.2 s of command wall time,
+# and `solve_gammas` of x1*x2^60 (8.2e8) 15 s.
 MAX_SOLVE_COST = 10 ** 8
 
 # Admission cap for verification and `decompose_form`, checked first: the
@@ -154,39 +156,30 @@ class PowerSumDecomposition:
     terms: tuple
 
 
-@lru_cache(maxsize=16)
-def _character_table(m: int) -> tuple:
-    """The character table V_m[b][k] = zeta_m^(k b), b, k < m, of the m-th
-    roots of unity, as a tuple of tuples over Q(zeta_m).  Every gamma solve
-    of root order m shares it; `solve_exact` does not change its matrix."""
-    return tuple(tuple(CyclotomicNumber.zeta(m, k * b) for k in range(m))
-                 for b in range(m))
-
-
 def _formula(a: int, order: int) -> tuple:
     """The factors y[k] = zeta_N^(k N / (a+1)) / (a+1), k <= a, of an axis
     x_i^a of a grid over Q(zeta_N), N = order, as the closed form gives
-    them: (the exponents k N / (a+1), the weight 1 / (a+1))."""
+    them: (the exponents k N / (a+1), the weight 1 / (a+1)).  Every walk of
+    the closed form reads them; `_check_solve` derives them the other way."""
     return tuple(range(0, order, order // (a + 1))), Fraction(1, a + 1)
 
 
 @lru_cache(maxsize=256)
-def _factors(a: int, order: int) -> tuple:
-    """`_formula`'s factors derived the other way, once per process: the
-    solution y of V y = e_a, V the character table of the (a+1)-th roots of
-    unity, solved exactly in Q(zeta_(a+1)), each y[k] lifted into
-    Z[t]/(t^order - 1) as a single power w t^(e_k): (the exponents e_k, the
-    weight w of y[0]).  Any other y, which cannot occur, raises ValueError."""
-    table = _character_table(a + 1)
+def _check_solve(a: int) -> None:
+    """Derive `_formula`'s factors of the exponent a the other way, once per
+    process: solve V y = e_a exactly in Q(zeta_(a+1)), V[b][k] =
+    zeta_(a+1)^(k b) the character table of the (a+1)-th roots of unity,
+    and raise ValueError unless y[k] = zeta_(a+1)^k / (a+1), which is
+    y[k] = zeta_N^(k N / (a+1)) / (a+1) in every field Q(zeta_N) the
+    exponent's axes live in."""
+    m = a + 1
+    table = [[CyclotomicNumber.zeta(m, k * b) for k in range(m)] for b in range(m)]
     # e_a: zeros, then table[0][0] = zeta^0 = 1
-    rhs = [CyclotomicNumber.from_rational(0, a + 1)] * a + [table[0][0]]
-    lifts = [(cyclic_lift(y, order, y.denominator), y.denominator)
-             for y in solve_exact(LinearSystem(table, rhs))]
-    weights = {Fraction(q, den) for lift, den in lifts for q in lift.values()}
-    if len(weights) != 1 or any(len(lift) != 1 for lift, _ in lifts):
-        raise ValueError(f"internal error: the gamma solve for the exponent {a} gave "
-                         f"factors that are not one weight times roots of unity")
-    return tuple(e for lift, _ in lifts for e in lift), weights.pop()
+    rhs = [CyclotomicNumber.from_rational(0, m)] * a + [table[0][0]]
+    if solve_exact(LinearSystem(table, rhs)) != [
+            CyclotomicNumber.zeta(m, k, Fraction(1, m)) for k in range(m)]:
+        raise ValueError(f"internal error: the gamma solve for the exponent {a} "
+                         f"disagrees with the closed form")
 
 
 def _grid(monomial, key):
@@ -213,31 +206,39 @@ def decomposition_points(monomial: Monomial):
 
 def solve_gammas(monomial: Monomial, coefficient=Fraction(1)) -> PowerSumDecomposition:
     """Decompose coefficient * M as a sum of rank(M) powers of the grid linear
-    forms (`_terms` over the monomial's own variables)."""
+    forms (`_terms` over the monomial's own variables), each gamma the
+    closed form's, checked against the solve."""
     return PowerSumDecomposition(monomial.degree, monomial.variables, _terms(
         CoprimeForm([(coefficient, monomial)]), monomial.variables))
 
 
 def _terms(form, variables) -> tuple:
-    """The terms of `_closed_form` over `variables` as numbers, each axis's
-    factors taken from the solve (`_factors`)."""
+    """The terms of `_closed_form` over `variables` as numbers, built after
+    the solve has matched the formula (`_check_solve`) block by block, for
+    each distinct non-least exponent in increasing order."""
+    for m in form.monomials:
+        for a in sorted(set(m.sorted_exponents[1:])):
+            _check_solve(a)
     return tuple(DecompositionTerm(gamma, tuple(linear), block, tuple([linear[i] for i in places]))
-                 for block, places, gamma, linear in _closed_form(form, variables, _number,
-                                                                  _factors))
+                 for block, places, gamma, linear in _closed_form(form, variables, _number))
 
 
 def decompose_form(form: CoprimeForm) -> PowerSumDecomposition:
     """Minimal power-sum decomposition of a validated coprime sum, obtained by
     decomposing each monomial block and concatenating.  Raises
     ResourceLimitError before it builds anything when the price of verifying
-    its output, read off the exponents, or of the solves is above its cap."""
+    its output, read off the exponents, or of the solves is above its cap;
+    a degree-1 form's one term is priced as `verify` prices it."""
     variables = form.variables
     if form.degree == 1:
         # the form is itself a linear form: one d-th power
         coeffs = {m.variables[0]: c for c, m in form.terms}
         linear = tuple(CyclotomicNumber.from_rational(coeffs.get(v, 0), 1) for v in variables)
-        return PowerSumDecomposition(1, variables, (DecompositionTerm(
+        dec = PowerSumDecomposition(1, variables, (DecompositionTerm(
             gamma=CyclotomicNumber.from_rational(1, 1), linear=linear, block=0, point=linear),))
+        plan = _lift(dec, coeffs.values())
+        _admit("verifying", plan.field, plan.steps)
+        return dec
     _admit("verifying the output", *_grid_price(form, len(variables)))
     # after the field check: phi(a + 1) builds Phi_(a+1), and a + 1 divides N
     cost = sum((a + 1) ** 3 * euler_phi(a + 1) ** 2
@@ -251,9 +252,9 @@ def decompose_form(form: CoprimeForm) -> PowerSumDecomposition:
 
 def _grid_price(form, num_vars):
     """The field and steps of verifying the closed form of `form` over
-    `num_vars` variables, read off the exponents and cached
-    (`_blocks_price`): a decompose job asks for it in `decompose_form` and
-    again in `_is_closed_form`, and computes it once."""
+    `num_vars` variables, read off the exponents and cached per process
+    (`_blocks_price`): `decompose_form` admits its output by it, and the
+    closed-form comparisons decline past it."""
     return _blocks_price(tuple(form.monomials), num_vars)
 
 
@@ -293,16 +294,18 @@ def verify_decomposition(form: CoprimeForm, decomposition: PowerSumDecomposition
     """Exactly expand the decomposition and diff it against the form; also
     check pairwise linear independence within each block and the term count
     against the closed-form rank.  Failures are report entries, not errors.
-    A decomposition that is the paper's closed form of the form
-    (`_is_closed_form`) passes without expansion, as its report would be a
-    PASS; one that differs from it in a few terms is checked from those
-    terms and their counterparts alone (`_near_closed_check`), with the
-    same report; any other runs in Z[t]/(t^N - 1), as the module docstring
-    explains.  `verify` passes a file's differing terms as `changed`, found
-    from its JSON (`_is_closed_form_json`), with a decomposition that has
-    loaded only those terms (`serialize.decomposition_from_json`), so that
-    neither `_is_closed_form` nor the term-length check reads the rest; the
-    flat check, if the near-closed one is over the step cap, loads it."""
+    It serves `verify` and the library's callers; `decompose` builds the
+    closed form and does not check it again.  A decomposition that is the
+    paper's closed form of the form (`_is_closed_form`) passes without
+    expansion, as its report would be a PASS; one that differs from it in a
+    few terms is checked from those terms and their counterparts alone
+    (`_near_closed_check`), with the same report; any other runs in
+    Z[t]/(t^N - 1), as the module docstring explains.  `verify` passes a
+    file's differing terms as `changed`, found from its JSON
+    (`_is_closed_form_json`), with a decomposition that has loaded only
+    those terms (`serialize.decomposition_from_json`), so that neither
+    `_is_closed_form` nor the term-length check reads the rest; the flat
+    check, if the near-closed one is over the step cap, loads it."""
     d = decomposition.degree
     variables = decomposition.variables
     if d < 1:
@@ -482,13 +485,13 @@ def _number(order, power, q):
     return _normalised(order, *_root_pair(order, power, q))
 
 
-def _closed_form(form, variables, key, factors=_formula):
+def _closed_form(form, variables, key):
     """Yield (block, places, gamma, linear) per term of the paper's closed
     form of `form` over `variables`, in `decompose_form`'s order: per block
     of c * x^a, over k in range(a_1 + 1) x ... x range(a_n + 1)
     lexicographically, linear = x_least + sum_i zeta_N^(k_i s_i) x_i (the
     nodes of `_grid`) and gamma = c / mult(d; a) * prod_i w_i, once per
-    block, times zeta_N^(sum_i e_i[k_i]), (e_i, w_i) = factors(a_i, N).
+    block, times zeta_N^(sum_i e_i[k_i]), (e_i, w_i) = `_formula`(a_i, N).
     Each number is its key(N, power, q), a gamma made the first time its
     power is met; `linear` is one list, changed in place from term to term,
     and `places` the positions of the block's variables."""
@@ -496,7 +499,7 @@ def _closed_form(form, variables, key, factors=_formula):
     for block, (c, m) in enumerate(form.terms):
         order, least, one, axes = _grid(m, key)
         places = [index[v] for v in m.variables]
-        shapes = [factors(a, order) for _, a, _ in axes]
+        shapes = [_formula(a, order) for _, a, _ in axes]
         # c / mult(d; a) * prod_i w_i, built from integers as one Fraction
         scale = Fraction(c.numerator * prod(w.numerator for _, w in shapes),
                          c.denominator * prod(w.denominator for _, w in shapes)
@@ -537,8 +540,9 @@ def _is_closed_form(form, decomposition, rank):
     a PASS.  None when the comparison is declined (`_comparable`); when a
     term names another block; when half of the terms or more differ; or
     when every term of a block differs.  It serves decompositions handed
-    over as numbers, `decompose`'s output and the library's callers: for a
-    file, `verify` reads the same from its JSON (`_is_closed_form_json`)."""
+    over as numbers by the library's callers, and files that the check of
+    their JSON (`_is_closed_form_json`), which `verify` runs first,
+    declines."""
     if not _comparable(form, decomposition.degree, len(decomposition.variables),
                        len(decomposition.terms), rank):
         return None

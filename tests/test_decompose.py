@@ -250,10 +250,10 @@ def test_solve_cost_cap_raises_before_any_solve(monkeypatch):
 
 
 def test_the_solve_is_priced_once_per_distinct_exponent(monkeypatch):
-    """x1*x2^4*x3^6 + x4^3*x5^4*x6^4 solves for a = 4 and 6 in its first
-    block and for a = 4 in its second: 2 * 5^3 * 4^2 + 7^3 * 6^2 = 16348.
-    It runs with the cap at that price and is refused one below, before any
-    solve."""
+    """x1*x2^4*x3^6 + x4^3*x5^4*x6^4 is priced for a = 4 and 6 in its first
+    block and for a = 4 in its second, though it solves a = 4 once: 2 *
+    5^3 * 4^2 + 7^3 * 6^2 = 16348.  It runs with the cap at that price and
+    is refused one below, before any solve."""
     from waring import decompose
     from waring.rank import ResourceLimitError
     form = parse_form("x1*x2^4*x3^6 + x4^3*x5^4*x6^4")
@@ -611,12 +611,13 @@ def test_decompose_solves_one_small_system_per_distinct_exponent(monkeypatch):
         "x1^2*x2^2*x3^2*x4^2 - 7/3*x5*x6*x7^6", "x1 + x2")]
     for form in forms:
         systems.clear()
-        decompose._factors.cache_clear()    # each form solves from a cold cache
+        decompose._check_solve.cache_clear()    # each form solves from a cold cache
         decompose_form(form)
         # one system per distinct non-least exponent a_i of each block, in
-        # increasing order: a_i + 1 square rows over Q(zeta_(a_i+1))
-        expected = [] if form.degree == 1 else [
-            a for m in form.monomials for a in sorted(set(e for _, e in m.sorted_items[1:]))]
+        # increasing order, unless an earlier block solved it: a_i + 1
+        # square rows over Q(zeta_(a_i+1))
+        expected = [] if form.degree == 1 else list(dict.fromkeys(
+            a for m in form.monomials for a in sorted(set(e for _, e in m.sorted_items[1:]))))
         assert [len(s.matrix) - 1 for s in systems] == expected, form
         for s, a in zip(systems, expected):
             assert all(len(row) == a + 1 for row in s.matrix)
@@ -630,8 +631,9 @@ _BUILD_FORMS = ("x1^3", "x1*x2^2", "x1*x2^4*x3^8", "x3^2*x1^5*x2^2", "x1^2*x2^2*
 
 
 def test_decompose_multiplies_cyclotomic_numbers_only_inside_the_solve(monkeypatch):
-    """The gammas are products of lifted factors and the points share their
-    roots, so no CyclotomicNumber product runs outside `solve_exact`."""
+    """The gammas are the formula's, built from integers, and the points
+    share their roots, so no CyclotomicNumber product runs outside the
+    solve that checks the formula (`solve_exact`)."""
     from waring import decompose
     counts = {True: 0, False: 0}     # inside a solve -> products
     depth = [0]
@@ -653,7 +655,7 @@ def test_decompose_multiplies_cyclotomic_numbers_only_inside_the_solve(monkeypat
     monkeypatch.setattr(decompose, "solve_exact", solving)
     for text in _BUILD_FORMS:
         counts[True] = counts[False] = 0
-        decompose._factors.cache_clear()    # each form solves from a cold cache
+        decompose._check_solve.cache_clear()    # each form solves from a cold cache
         decompose_form(parse_form(text))
         assert counts[False] == 0, text
         assert counts[True] > 0 or text == "x1^3", text
@@ -661,12 +663,12 @@ def test_decompose_multiplies_cyclotomic_numbers_only_inside_the_solve(monkeypat
 
 @pytest.mark.parametrize("wrong", ["rotated", "doubled", "general"])
 def test_the_self_check_catches_a_wrong_solve(monkeypatch, capsys, wrong):
-    """`decompose` builds its terms from the solve's factors and checks them
-    against the closed form's.  With the solution rotated (y[k] ->
-    y[(k+1) mod (a+1)]) or doubled, the two derivations differ, so the
-    command prints the internal-error report and no decomposition; with a
-    solution that is not a root-of-unity power, it refuses before building
-    any term."""
+    """`decompose` builds its terms from the closed form after checking the
+    solve against the formula, once per exponent.  With the solution
+    rotated (y[k] -> y[(k+1) mod (a+1)]), doubled, or not a root-of-unity
+    power, the command prints one internal-error line naming the first
+    exponent solved and no decomposition, and `decompose_form` and
+    `solve_gammas` raise before they walk the closed form."""
     from waring.cli import main
 
     def patched(system):
@@ -677,16 +679,18 @@ def test_the_self_check_catches_a_wrong_solve(monkeypatch, capsys, wrong):
             return [2 * v for v in y]
         return [v + 1 for v in y]       # 1 + zeta_3 / 3 is no rational times a root
 
+    def unreachable(*args):
+        raise AssertionError("the closed form was walked")
+
     monkeypatch.setattr(decompose, "solve_exact", patched)
     code = main(["decompose", "x1*x2^2*x3^3 - 2/3*x4^2*x5^4", "--json"])
-    out, err = capsys.readouterr()
-    assert out == ""
-    if wrong == "general":
-        assert code != 0 and err.startswith("error: internal error:")
-    else:
-        assert code == 2
-        assert err.startswith("internal error: produced decomposition failed verification\n")
-        assert "  expansion matches: False\n" in err
+    assert (code, *capsys.readouterr()) == (1, "", "error: internal error: the gamma solve "
+                                            "for the exponent 2 disagrees with the closed form\n")
+    monkeypatch.setattr(decompose, "_closed_form", unreachable)
+    with pytest.raises(ValueError, match=r"^internal error: .* exponent 2 disagrees"):
+        decompose_form(parse_form("x1*x2^2*x3^3 - 2/3*x4^2*x5^4"))
+    with pytest.raises(ValueError, match=r"^internal error: .* exponent 3 disagrees"):
+        solve_gammas(_mono("x1*x2^3"), Fraction(2, 3))
 
 
 def test_grid_points_share_one_root_per_variable_and_power():
@@ -711,40 +715,24 @@ def test_grid_points_share_one_root_per_variable_and_power():
             assert all(x is y for p, q in zip(points, again) for x, y in zip(p, q)), text
 
 
-def test_character_tables_are_shared_tuples_the_solve_leaves_unchanged():
-    from waring.decompose import _character_table
+# -- the solve check: one solve per exponent per process ------------------------
 
-    def fresh(m):
-        return tuple(tuple(CyclotomicNumber.zeta(m, k * b) for k in range(m))
-                     for b in range(m))
-
-    tables = {m: _character_table(m) for m in (2, 3, 5, 7, 9)}
-    for m, table in tables.items():
-        assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
-        assert _character_table(m) is table
-    forms = [parse_form(text) for text in _BUILD_FORMS]
-    first = [decompose_form(form) for form in forms]
-    second = [decompose_form(form) for form in forms]
-    assert first == second
-    for m, table in tables.items():
-        assert _character_table(m) is table
-        assert table == fresh(m)
+# a = 4 under N = 35, 5 and 30; a = 2 under N = 3 in both blocks; a repeat of
+# the first form's exponents under other variables
+_THREE_BLOCKS = "x1*x2^4*x3^6 + x4^3*x5^4*x6^4 + x7^2*x8^4*x9^5"
+_CACHE_FORMS = _BUILD_FORMS + (_THREE_BLOCKS, "x1*x2^2 - 3*x3*x4^2", "x7*x9^6*x8^4")
 
 
-# -- the factor cache: one solve per (a, N) per process -------------------------
-
-# a = 4 under N = 35 and N = 5; a = 2 under N = 3 in both blocks; a repeat
-# of the first form's pairs under other variables
-_CACHE_FORMS = _BUILD_FORMS + ("x1*x2^4*x3^6 + x4^3*x5^4*x6^4", "x1*x2^2 - 3*x3*x4^2",
-                               "x7*x9^6*x8^4")
+def _solved_exponents(form):
+    return {a for m in form.monomials for a in set(m.sorted_exponents[1:])}
 
 
-def _solved_pairs(form):
-    return {(a, decomposition_field_order(m)) for m in form.monomials
-            for a in set(m.sorted_exponents[1:])}
-
-
-def test_each_exponent_and_field_order_is_solved_once_per_process(monkeypatch):
+def test_each_exponent_is_solved_once_per_process_across_fields(monkeypatch):
+    """The solve checks an exponent's factors in Q(zeta_(a+1)), which serves
+    every field its axes live in: the three-block form has a = 4 in
+    Q(zeta_35), Q(zeta_5) and Q(zeta_30), and solves it once, in its first
+    block.  Later forms solve only exponents not seen before, and a second
+    pass solves nothing."""
     solved = []
 
     def recording(system):
@@ -752,13 +740,16 @@ def test_each_exponent_and_field_order_is_solved_once_per_process(monkeypatch):
         return solve_exact(system)
 
     monkeypatch.setattr(decompose, "solve_exact", recording)
+    three = parse_form(_THREE_BLOCKS)
+    assert [decomposition_field_order(m) for m in three.monomials] == [35, 5, 30]
+    decompose_form(three)
+    assert solved == [4, 6, 5]
     forms = [parse_form(text) for text in _CACHE_FORMS]
-    pairs = set().union(*map(_solved_pairs, forms))
-    assert {(4, 35), (4, 5), (2, 3)} <= pairs
+    exponents = set().union(*map(_solved_exponents, forms))
     for form in forms:
         decompose_form(form)
-    assert sorted(solved) == sorted(a for a, _ in pairs)
-    assert decompose._factors.cache_info().currsize == len(pairs)
+    assert sorted(solved) == sorted(exponents)
+    assert decompose._check_solve.cache_info().currsize == len(exponents)
     solved.clear()
     for form in forms:
         decompose_form(form)
@@ -771,34 +762,16 @@ def test_warm_output_equals_cold_output():
     forms = [parse_form(text) for text in _CACHE_FORMS]
     cold = []
     for form in forms:
-        decompose._factors.cache_clear()
+        decompose._check_solve.cache_clear()
         cold.append(decompose_form(form))
     for form in forms:
         decompose_form(form)
     warm = [decompose_form(form) for form in forms]
-    assert decompose._factors.cache_info().currsize == len(set().union(*map(_solved_pairs, forms)))
+    assert decompose._check_solve.cache_info().currsize == len(
+        set().union(*map(_solved_exponents, forms)))
     assert warm == cold
     assert [dumps(dec) for dec in warm] == [dumps(dec) for dec in cold]
     assert all(verify_decomposition(form, dec).passed for form, dec in zip(forms, warm))
-
-
-def test_cached_factors_are_tuples_of_the_closed_form_lifts():
-    """A cached factor is the closed form's shape of y[k] = zeta_(a+1)^k /
-    (a+1): the exponents k N / (a+1) of its single-power lifts into
-    Z[t]/(t^N - 1), a tuple of ints, and the weight 1 / (a+1), so no caller
-    can change it; a second call returns the same object."""
-    for text in _CACHE_FORMS[-3:-1]:
-        decompose_form(parse_form(text))
-    misses = decompose._factors.cache_info().misses
-    for a, order in ((4, 35), (6, 35), (4, 5), (2, 3)):
-        factors = decompose._factors(a, order)
-        assert factors == (tuple(k * order // (a + 1) for k in range(a + 1)), Fraction(1, a + 1))
-        assert factors == decompose._formula(a, order)
-        exponents, weight = factors
-        assert type(exponents) is tuple and all(type(e) is int for e in exponents)
-        assert type(weight) is Fraction
-        assert decompose._factors(a, order) is factors
-    assert decompose._factors.cache_info().misses == misses
 
 
 # -- the least-variable check, one lookup per block -------------------------------
